@@ -13,7 +13,7 @@ import numpy as np
 
 from .color import DisplayMapping, luminance, to_display_luminance
 from .errors import DomainError, ShapeError
-from .image_io import Ldr8Image, luminance_u8
+from .image_io import Ldr8Image
 from .pu21 import PuEncoding, pu_encode
 
 HIST_BINS = 64
@@ -50,7 +50,7 @@ def saturation_split(ldr_input: Ldr8Image, quantile: float = 0.85) -> Saturation
     """
     if not (0.0 <= quantile < 1.0):
         raise DomainError("quantile must lie in [0, 1)")
-    lum = luminance_u8(ldr_input)
+    lum = luminance(ldr_input.data)
     flat = np.sort(lum.ravel())
     n = flat.size
     threshold = float(flat[min(int(np.floor(quantile * n)), n - 1)])
@@ -96,7 +96,7 @@ def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray, bins: int =
     if bins < 1:
         raise DomainError("bins must be >= 1")
     err = np.asarray(err_map, dtype=np.float64)
-    lum = luminance_u8(ldr_input)
+    lum = luminance(ldr_input.data)
     if err.shape != lum.shape:
         raise ShapeError("error map and input shapes differ")
     top = float(err.max())

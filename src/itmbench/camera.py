@@ -18,7 +18,7 @@ import numpy as np
 
 from .color import luminance
 from .errors import DomainError, ItmError, RangeError
-from .image_io import LinearImage, Ldr8Image, read_hdr, read_pfm, write_hdr, write_ldr8, write_pfm
+from .image_io import LINEAR_READERS, LinearImage, Ldr8Image, read_linear, write_ldr8, write_linear
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
@@ -239,20 +239,34 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
 # Dataset generation
 
 
+_SETTING_CHOICES = {
+    "crf_family": ("sigmoid", "gamma", "identity"),
+    "crop_mode": ("random", "center"),
+    "ldr_format": ("png", "ppm", "jpg"),  # jpg needs a codec
+    "hdr_format": ("hdr", "pfm"),
+}
+
+
 @dataclass(frozen=True)
 class SynthesisSettings:
     sat_frac: float = 0.05
     dark_frac: float = 0.10
     sigma_range: tuple = (0.0, 0.01)
-    crf_family: str = "sigmoid"  # sigmoid | gamma | identity
+    crf_family: str = "sigmoid"
     gamma_range: tuple = (0.35, 0.6)
     sigmoid_n_range: tuple = (0.7, 1.1)
     sigmoid_c_range: tuple = (0.4, 0.8)
     crop: int = 0  # 0 disables cropping
-    crop_mode: str = "random"  # random | center
-    ldr_format: str = "png"  # png | ppm | jpg (jpg needs a codec)
-    hdr_format: str = "hdr"  # hdr | pfm
+    crop_mode: str = "random"
+    ldr_format: str = "png"
+    hdr_format: str = "hdr"
     jpeg_quality: int = 90
+
+    def __post_init__(self):
+        for name, choices in _SETTING_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise DomainError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -296,11 +310,9 @@ def sample_crf(rng: np.random.Generator, settings: SynthesisSettings) -> Crf:
     if settings.crf_family == "gamma":
         lo, hi = settings.gamma_range
         return Crf.power(rng.uniform(lo, hi))
-    if settings.crf_family == "sigmoid":
-        n = rng.uniform(*settings.sigmoid_n_range)
-        c = rng.uniform(*settings.sigmoid_c_range)
-        return Crf.sigmoid(n, c)
-    raise DomainError(f"unknown crf_family {settings.crf_family!r}")
+    n = rng.uniform(*settings.sigmoid_n_range)
+    c = rng.uniform(*settings.sigmoid_c_range)
+    return Crf.sigmoid(n, c)
 
 
 def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
@@ -334,10 +346,7 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
     write_ldr8(ldr, out_dir / ldr_file, codec=codec, quality=settings.jpeg_quality)
     # ground truth is exposure-aligned: LDR == quantize(crf(clip(gt)))
     gt = LinearImage(data.astype(np.float64) * (2.0**ev))
-    if settings.hdr_format == "pfm":
-        write_pfm(gt, out_dir / hdr_file)
-    else:
-        write_hdr(gt, out_dir / hdr_file)
+    write_linear(gt, out_dir / hdr_file)
     return SynthesisRecord(
         source=name, index=index, seed=seed, ev=ev, crf=crf.as_dict(),
         noise_sigma=sigma, crop=crop, ldr_file=ldr_file, hdr_file=hdr_file,
@@ -358,13 +367,11 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     out_dir.mkdir(parents=True, exist_ok=True)
     errors = []
     tasks = []
-    readers = {".hdr": read_hdr, ".pfm": read_pfm}
     for path in sorted(hdr_dir.iterdir()):
-        reader = readers.get(path.suffix.lower())
-        if reader is None:
+        if path.suffix.lower() not in LINEAR_READERS:
             continue
         try:
-            source = reader(path)
+            source = read_linear(path)
             ev_range = estimate_exposure_range(source, settings.sat_frac, settings.dark_frac)
         except ItmError as exc:
             errors.append(f"{path.name}: {exc}")
@@ -382,11 +389,8 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
         except ItmError as exc:
             return None, f"{name}[{index}]: {exc}"
 
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        results = list(pool.map(run, tasks))
 
     records = sorted((r for r, _ in results if r is not None),
                      key=lambda r: (r.source, r.index))

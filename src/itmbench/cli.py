@@ -22,25 +22,13 @@ from .analysis import error_map, error_stats, intensity_error_joint, saturation_
 from .camera import Crf, NoiseParams, generate_dataset, simulate_ldr
 from .config import Config, parse_config
 from .errors import ConfigError, ItmError
-from .image_io import LinearImage, read_hdr, read_ldr8, read_pfm, write_hdr, write_pfm
+from .image_io import LinearImage, read_ldr8, read_linear, write_linear, write_pfm
+from .image_io import read_hdr  # noqa: F401  still bound: bench/test_perfbench.py reads cli.read_hdr
 from .losses import (LossWeights, color_loss, denoise_loss, linear_l1,
                      recon_loss, ssim_pu_loss, total_loss, tv_loss, upf_loss)
 from .operators import naive_expand
 from .pu21 import SCHEMA_VERSION, score_dataset
 from .sde import SdeSchedule, itm_sde_demo
-
-
-def _read_linear(path: Path) -> LinearImage:
-    if path.suffix.lower() == ".pfm":
-        return read_pfm(path)
-    return read_hdr(path)
-
-
-def _write_linear(image: LinearImage, path: Path):
-    if path.suffix.lower() == ".pfm":
-        write_pfm(image, path)
-    else:
-        write_hdr(image, path)
 
 
 def _load_config(args) -> Config:
@@ -109,8 +97,8 @@ def _loss_breakdown(pred: LinearImage, gt: LinearImage) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    pred = _read_linear(Path(args.pred))
-    gt = _read_linear(Path(args.gt))
+    pred = read_linear(args.pred)
+    gt = read_linear(args.gt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     err = error_map(pred, gt, encoding=cfg.encoding(), mapping=cfg.display)
@@ -140,7 +128,7 @@ def cmd_expand(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = Path(args.input).stem + ("." + args.format)
-    _write_linear(expanded, out / name)
+    write_linear(expanded, out / name)
     print(f"wrote {out / name}")
     return 0
 
@@ -148,8 +136,8 @@ def cmd_expand(args) -> int:
 def cmd_sde_demo(args) -> int:
     cfg = _load_config(args)
     if args.hdr and args.ldr:
-        gt = _read_linear(Path(args.hdr))
-        degraded = _read_linear(Path(args.ldr))
+        gt = read_linear(args.hdr)
+        degraded = read_linear(args.ldr)
     else:
         degraded, gt = _demo_fixture()
     sched = SdeSchedule.cosine(steps=args.steps)

@@ -6,34 +6,36 @@ Blank lines and full-line # comments are allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .camera import SynthesisSettings
 from .color import DisplayMapping
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .pu21 import PuEncoding
 
+# Sections whose keys are the fields of a settings dataclass (see _keys).
+_SETTINGS = {"display": DisplayMapping, "synth": SynthesisSettings}
+
+
+def _keys(cls):
+    """Yield (key, field name, tuple index or None, default) per config key of `cls`.
+
+    A scalar field is one key; a `<stem>_range` field is the pair of keys
+    `<stem>_lo` and `<stem>_hi`. A key's type is that of its default.
+    """
+    for f in fields(cls):
+        if f.name.endswith("_range"):
+            stem = f.name[: -len("_range")]
+            yield f"{stem}_lo", f.name, 0, f.default[0]
+            yield f"{stem}_hi", f.name, 1, f.default[1]
+        else:
+            yield f.name, f.name, None, f.default
+
+
 _SCHEMA = {
-    "display": {"peak_luminance": float, "black_floor": float, "reference_white": float},
-    "synth": {
-        "sat_frac": float,
-        "dark_frac": float,
-        "sigma_lo": float,
-        "sigma_hi": float,
-        "crf_family": str,
-        "gamma_lo": float,
-        "gamma_hi": float,
-        "sigmoid_n_lo": float,
-        "sigmoid_n_hi": float,
-        "sigmoid_c_lo": float,
-        "sigmoid_c_hi": float,
-        "crop": int,
-        "crop_mode": str,
-        "ldr_format": str,
-        "hdr_format": str,
-        "jpeg_quality": int,
-    },
+    **{section: {key: type(default) for key, _, _, default in _keys(cls)}
+       for section, cls in _SETTINGS.items()},
     "score": {"pu_coefficients": str},
     "seeds": {"master": int},
 }
@@ -90,53 +92,24 @@ def parse_config(path) -> Config:
     return parse_config_text(text)
 
 
+def _settings(cls, given: dict):
+    """Construct `cls` from the keys given in its section; absent keys keep defaults."""
+    kwargs: dict = {}
+    for key, name, index, default in _keys(cls):
+        value = given.get(key, default)
+        kwargs[name] = value if index is None else kwargs.get(name, ()) + (value,)
+    return cls(**kwargs)
+
+
 def _build(values: dict) -> Config:
-    disp = values["display"]
-    synth = values["synth"]
-    defaults_disp = DisplayMapping()
-    defaults_synth = SynthesisSettings()
-    display = DisplayMapping(
-        peak_luminance=disp.get("peak_luminance", defaults_disp.peak_luminance),
-        black_floor=disp.get("black_floor", defaults_disp.black_floor),
-        reference_white=disp.get("reference_white", defaults_disp.reference_white),
-    )
-    settings = SynthesisSettings(
-        sat_frac=synth.get("sat_frac", defaults_synth.sat_frac),
-        dark_frac=synth.get("dark_frac", defaults_synth.dark_frac),
-        sigma_range=(
-            synth.get("sigma_lo", defaults_synth.sigma_range[0]),
-            synth.get("sigma_hi", defaults_synth.sigma_range[1]),
-        ),
-        crf_family=synth.get("crf_family", defaults_synth.crf_family),
-        gamma_range=(
-            synth.get("gamma_lo", defaults_synth.gamma_range[0]),
-            synth.get("gamma_hi", defaults_synth.gamma_range[1]),
-        ),
-        sigmoid_n_range=(
-            synth.get("sigmoid_n_lo", defaults_synth.sigmoid_n_range[0]),
-            synth.get("sigmoid_n_hi", defaults_synth.sigmoid_n_range[1]),
-        ),
-        sigmoid_c_range=(
-            synth.get("sigmoid_c_lo", defaults_synth.sigmoid_c_range[0]),
-            synth.get("sigmoid_c_hi", defaults_synth.sigmoid_c_range[1]),
-        ),
-        crop=synth.get("crop", defaults_synth.crop),
-        crop_mode=synth.get("crop_mode", defaults_synth.crop_mode),
-        ldr_format=synth.get("ldr_format", defaults_synth.ldr_format),
-        hdr_format=synth.get("hdr_format", defaults_synth.hdr_format),
-        jpeg_quality=synth.get("jpeg_quality", defaults_synth.jpeg_quality),
-    )
-    if settings.crop_mode not in ("random", "center"):
-        raise ConfigError("crop_mode must be 'random' or 'center'")
-    if settings.ldr_format not in ("png", "ppm", "jpg"):
-        raise ConfigError("ldr_format must be 'png', 'ppm', or 'jpg'")
-    if settings.hdr_format not in ("hdr", "pfm"):
-        raise ConfigError("hdr_format must be 'hdr' or 'pfm'")
-    if settings.crf_family not in ("sigmoid", "gamma", "identity"):
-        raise ConfigError("crf_family must be 'sigmoid', 'gamma', or 'identity'")
+    try:
+        display = _settings(DisplayMapping, values["display"])
+        synth = _settings(SynthesisSettings, values["synth"])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     return Config(
         display=display,
-        synth=settings,
+        synth=synth,
         pu_coefficients=values["score"].get("pu_coefficients", ""),
         master_seed=values["seeds"].get("master", 0),
     )

@@ -15,6 +15,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -24,8 +25,6 @@ from .errors import FormatError, ParseError, ShapeError
 # Upper bound on width*height accepted by any parser; keeps a hostile header
 # from provoking a giant allocation before the payload is validated.
 MAX_PIXELS = 1 << 24
-
-_LUMA = (0.2126, 0.7152, 0.0722)
 
 
 @dataclass
@@ -437,6 +436,29 @@ def write_pfm(image: LinearImage, path):
         fh.write(header + body)
 
 
+# The one suffix -> codec table for linear images; values are the codec
+# functions themselves so wrapping them (e.g. for tracing) reaches every caller.
+LINEAR_READERS = {".hdr": read_hdr, ".pfm": read_pfm}
+LINEAR_WRITERS = {".hdr": write_hdr, ".pfm": write_pfm}
+
+
+def _linear_codec(table: dict, path):
+    suffix = Path(path).suffix.lower()
+    if suffix not in table:
+        raise FormatError(f"unsupported linear image container {suffix!r} (.hdr or .pfm)")
+    return table[suffix]
+
+
+def read_linear(path) -> LinearImage:
+    """Read a .hdr or .pfm file, chosen by its (case-insensitive) suffix."""
+    return _linear_codec(LINEAR_READERS, path)(path)
+
+
+def write_linear(image: LinearImage, path):
+    """Write a .hdr or .pfm file, chosen by its (case-insensitive) suffix."""
+    _linear_codec(LINEAR_WRITERS, path)(image, path)
+
+
 # ---------------------------------------------------------------------------
 # 8-bit rasters: PPM P6, PNG, and the JPEG codec boundary
 
@@ -634,9 +656,3 @@ def _png_unfilter(ftype: int, raw: np.ndarray, prev: np.ndarray) -> np.ndarray:
     else:
         raise ParseError(f"unknown PNG filter type {ftype}")
     return cur.astype(np.uint8)
-
-
-def luminance_u8(image: Ldr8Image) -> np.ndarray:
-    """Rec.709 luma of the raw 8-bit values, as float64 in [0, 255]."""
-    d = image.data.astype(np.float64)
-    return _LUMA[0] * d[..., 0] + _LUMA[1] * d[..., 1] + _LUMA[2] * d[..., 2]

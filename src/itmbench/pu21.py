@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .color import DisplayMapping, luminance, to_display_luminance
-from .errors import DomainError, ItmError, ShapeError
-from .image_io import LinearImage, read_hdr, read_pfm
+from .errors import ConfigError, DomainError, ItmError, ShapeError
+from .image_io import LINEAR_READERS, read_linear
 
 SCHEMA_VERSION = 1
 
@@ -55,13 +55,18 @@ class PuEncoding:
 
     @staticmethod
     def from_json(path) -> "PuEncoding":
-        doc = json.loads(Path(path).read_text())
-        return PuEncoding(
-            p=tuple(doc["p"]),
-            y_min=float(doc["y_min"]),
-            y_max=float(doc["y_max"]),
-            name=str(doc.get("name", "custom")),
-        )
+        """Load a coefficient file; any unusable file raises ConfigError naming it."""
+        try:
+            doc = json.loads(Path(path).read_text())
+            return PuEncoding(
+                p=tuple(doc["p"]),
+                y_min=float(doc["y_min"]),
+                y_max=float(doc["y_max"]),
+                name=str(doc.get("name", "custom")),
+            )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"cannot load PU coefficients {path}: {detail}") from None
 
     @staticmethod
     def default() -> "PuEncoding":
@@ -256,20 +261,14 @@ class MetricReport:
         return buf.getvalue()
 
 
-_HDR_READERS = {".hdr": read_hdr, ".pfm": read_pfm}
-
-
-def _load_any(path: Path) -> LinearImage:
-    reader = _HDR_READERS.get(path.suffix.lower())
-    if reader is None:
-        raise DomainError(f"no HDR reader for {path.suffix!r}")
-    return reader(path)
+# Old names of the image_io registry and reader, still used by bench/test_perfbench.py.
+_HDR_READERS, _load_any = LINEAR_READERS, read_linear
 
 
 def _index_dir(directory: Path) -> dict:
     out = {}
     for path in sorted(directory.iterdir()):
-        if path.suffix.lower() in _HDR_READERS:
+        if path.suffix.lower() in LINEAR_READERS:
             out[path.stem] = path
     return out
 
@@ -295,8 +294,8 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
         if stem not in preds:
             return stem, None, f"missing prediction: {stem}"
         try:
-            pred = _load_any(preds[stem])
-            gt = _load_any(gts[stem])
+            pred = read_linear(preds[stem])
+            gt = read_linear(gts[stem])
             row = PerImageScore(
                 image=stem,
                 pu_psnr=pu_psnr(pred, gt, enc, mapping),
@@ -309,11 +308,8 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
 
     stems = sorted(gts)
     start = time.perf_counter()
-    if jobs > 1 and len(stems) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(score_one, stems))
-    else:
-        results = [score_one(s) for s in stems]
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        results = list(pool.map(score_one, stems))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     results.sort(key=lambda t: t[0])

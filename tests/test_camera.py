@@ -248,3 +248,9 @@ class TestGenerateDataset:
         records, errors = generate_dataset(src, out, settings=settings, master_seed=2)
         assert records == []
         assert errors and "codec" in errors[0]
+
+
+@pytest.mark.parametrize("field", ["crf_family", "crop_mode", "ldr_format", "hdr_format"])
+def test_settings_reject_unknown_choice(field):
+    with pytest.raises(DomainError, match=field):
+        SynthesisSettings(**{field: "exr"})

@@ -119,6 +119,40 @@ class TestConfigErrors:
             main(["score"])  # missing required arguments
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", [
+        "[display]\nblack_floor = -1\n",
+        "[synth]\ncrop_mode = bogus\n",
+    ], ids=["black_floor", "crop_mode"])
+    def test_rejected_value_is_exit_two(self, tmp_path, hdr_sources, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main(["synthesize", "--hdr-dir", str(hdr_sources),
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None,  # missing file
+        "not json",
+        "[1, 2]",
+        '{"p": [1, 2, 3, 4, 5, 6, 7], "y_min": 0.005}',
+        '{"p": [1, 2], "y_min": 0.005, "y_max": 10000}',
+    ], ids=["missing", "not-json", "not-object", "missing-key", "bad-coefficients"])
+    def test_bad_pu_coefficients_is_exit_two(self, tmp_path, rng, capsys, content):
+        coeffs = tmp_path / "pu.json"
+        if content is not None:
+            coeffs.write_text(content)
+        cfg = tmp_path / "score.cfg"
+        cfg.write_text(f"[score]\npu_coefficients = {coeffs}\n")
+        img = LinearImage(rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32))
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+            write_pfm(img, tmp_path / sub / "a.pfm")
+        code = main(["score", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(coeffs) in capsys.readouterr().err
+
 
 class TestExpandCommand:
     def test_expand_writes_linear_image(self, tmp_path, rng):

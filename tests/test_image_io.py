@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from itmbench.errors import FormatError, ItmError, ParseError, ShapeError
 from itmbench.image_io import (LinearImage, Ldr8Image, RgbePixel, read_hdr,
-                               read_ldr8, read_pfm, rgbe_decode, rgbe_encode,
-                               write_hdr, write_ldr8, write_pfm)
+                               read_ldr8, read_linear, read_pfm, rgbe_decode,
+                               rgbe_encode, write_hdr, write_ldr8, write_linear,
+                               write_pfm)
 
 
 class TestRgbePixel:
@@ -312,3 +313,32 @@ class TestContainers:
     def test_errors_share_base_class(self):
         assert issubclass(ParseError, ItmError)
         assert issubclass(FormatError, ItmError)
+
+
+class TestLinearRegistry:
+    @pytest.mark.parametrize("suffix, write, read", [
+        (".hdr", write_hdr, read_hdr),
+        (".pfm", write_pfm, read_pfm),
+        (".PFM", write_pfm, read_pfm),
+    ])
+    def test_round_trip_by_suffix(self, tmp_path, rng, suffix, write, read):
+        img = LinearImage(rng.uniform(0.01, 4.0, (6, 5, 3)).astype(np.float32))
+        path = tmp_path / f"img{suffix}"
+        write_linear(img, path)
+        write(img, tmp_path / "direct")
+        assert path.read_bytes() == (tmp_path / "direct").read_bytes()
+        back = read_linear(path)
+        np.testing.assert_array_equal(back.data, read(path).data)
+        # RGBE shares one exponent per pixel; PFM is lossless
+        tol = 0.0 if suffix.lower() == ".pfm" else 1 / 128
+        assert (np.abs(back.data - img.data) <= tol * img.data.max(axis=2, keepdims=True)).all()
+
+    def test_other_suffix_is_format_error(self, tmp_path):
+        img = LinearImage(np.ones((2, 2, 3), dtype=np.float32))
+        path = tmp_path / "img.exr"
+        with pytest.raises(FormatError):
+            write_linear(img, path)
+        assert not path.exists()
+        write_pfm(img, path)
+        with pytest.raises(FormatError):
+            read_linear(path)
