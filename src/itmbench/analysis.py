@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import DisplayMapping, luminance, to_display_luminance
+from .color import DisplayMapping, luminance
 from .errors import DomainError, ShapeError
 from .image_io import Ldr8Image
-from .pu21 import PuEncoding, pu_encode
+from .pu21 import PuEncoding, pu_fields
 
 HIST_BINS = 64
 
@@ -31,13 +31,7 @@ class SaturationSplit:
 def error_map(pred, gt, encoding: PuEncoding | None = None,
               mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
     """Absolute residual |PU(pred) - PU(gt)| on display-mapped luminance."""
-    a = np.asarray(getattr(pred, "data", pred), dtype=np.float64)
-    b = np.asarray(getattr(gt, "data", gt), dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    enc = encoding or PuEncoding.default()
-    la = pu_encode(luminance(to_display_luminance(a, mapping)), enc)
-    lb = pu_encode(luminance(to_display_luminance(b, mapping)), enc)
+    la, lb, _ = pu_fields(pred, gt, encoding, mapping, luma=True)
     return np.abs(la - lb)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .color import luminance
 from .errors import DomainError, ItmError, RangeError
-from .image_io import LINEAR_READERS, LinearImage, Ldr8Image, read_linear, write_ldr8, write_linear
+from .image_io import (LinearImage, Ldr8Image, index_linear_dir, read_linear, write_ldr8,
+                       write_linear)
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
@@ -152,19 +153,13 @@ class ExposureRange:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Gaussian read-noise level in linear [0, 1] units.
-
-    sigma_read drives a single simulation; sigma_range is the sampling
-    interval used per generated pair.
-    """
+    """Gaussian read-noise level in linear [0, 1] units."""
 
     sigma_read: float = 0.0
-    sigma_range: tuple = (0.0, 0.01)
 
     def __post_init__(self):
-        lo, hi = self.sigma_range
-        if self.sigma_read < 0 or lo < 0 or hi < lo:
-            raise DomainError("noise levels must be non-negative with lo <= hi")
+        if self.sigma_read < 0:
+            raise DomainError("noise level must be non-negative")
 
 
 def estimate_exposure_range(image, sat_frac: float = 0.05, dark_frac: float = 0.10) -> ExposureRange:
@@ -267,6 +262,20 @@ class SynthesisSettings:
             value = getattr(self, name)
             if value not in choices:
                 raise DomainError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+        for name in ("sat_frac", "dark_frac"):
+            if not (0 < getattr(self, name) < 1):
+                raise DomainError(f"{name} must lie in (0, 1); got {getattr(self, name)!r}")
+        for name, low, low_ok in (
+            ("sigma_range", "0 <=", self.sigma_range[0] >= 0),
+            ("gamma_range", "0 <", self.gamma_range[0] > 0),
+            ("sigmoid_n_range", "0 <", self.sigmoid_n_range[0] > 0),
+            ("sigmoid_c_range", "0 <", self.sigmoid_c_range[0] > 0),
+        ):
+            lo, hi = getattr(self, name)
+            if not (low_ok and lo <= hi):
+                raise DomainError(f"{name} must satisfy {low} lo <= hi; got ({lo!r}, {hi!r})")
+        if self.crop < 0:
+            raise DomainError(f"crop must be >= 0; got {self.crop!r}")
 
 
 @dataclass(frozen=True)
@@ -358,18 +367,15 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
                      master_seed: int = 0, jobs: int = 1, codec=None) -> tuple:
     """Synthesize LDR/HDR pairs plus a JSONL manifest of SynthesisRecord rows.
 
-    Unreadable or degenerate sources are recorded in the returned error list
-    and generation continues. Output is byte-identical for any `jobs`.
+    Unreadable or degenerate sources, and sources sharing a stem, are recorded
+    in the returned error list and generation continues. Output is byte-identical for any `jobs`.
     `codec` is only consulted for ldr_format 'jpg'.
     """
-    hdr_dir = Path(hdr_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    errors = []
+    sources, errors = index_linear_dir(hdr_dir)
     tasks = []
-    for path in sorted(hdr_dir.iterdir()):
-        if path.suffix.lower() not in LINEAR_READERS:
-            continue
+    for path in sources.values():
         try:
             source = read_linear(path)
             ev_range = estimate_exposure_range(source, settings.sat_frac, settings.dark_frac)

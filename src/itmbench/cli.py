@@ -31,12 +31,6 @@ from .pu21 import SCHEMA_VERSION, score_dataset
 from .sde import SdeSchedule, itm_sde_demo
 
 
-def _load_config(args) -> Config:
-    if getattr(args, "config", None):
-        return parse_config(args.config)
-    return Config()
-
-
 def _demo_fixture() -> tuple:
     """Built-in deterministic 16x16 HDR/LDR pair for self-contained demos."""
     y, x = np.mgrid[0:16, 0:16].astype(np.float64) / 15.0
@@ -47,12 +41,15 @@ def _demo_fixture() -> tuple:
     return degraded, gt
 
 
-def cmd_synthesize(args) -> int:
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _write_error_map(err: np.ndarray, path: Path):
+    """Write a 2-D error map as a PFM whose three channels are equal."""
+    write_pfm(LinearImage(np.repeat(err[..., None], 3, axis=-1).astype(np.float32)), path)
+
+
+def cmd_synthesize(args, cfg: Config, out: Path) -> int:
     records, errors = generate_dataset(
-        args.hdr_dir, args.out, count_per_image=args.count,
-        settings=cfg.synth, master_seed=seed, jobs=args.jobs,
+        args.hdr_dir, out, count_per_image=args.count,
+        settings=cfg.synth, master_seed=args.seed, jobs=args.jobs,
     )
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
@@ -60,12 +57,9 @@ def cmd_synthesize(args) -> int:
     return 1 if errors else 0
 
 
-def cmd_score(args) -> int:
-    cfg = _load_config(args)
+def cmd_score(args, cfg: Config, out: Path) -> int:
     report = score_dataset(args.pred, args.gt, encoding=cfg.encoding(),
                            mapping=cfg.display, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
     (out / "report.csv").write_text(report.to_csv())
     for err in report.errors:
@@ -95,15 +89,11 @@ def _loss_breakdown(pred: LinearImage, gt: LinearImage) -> dict:
     return doc
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_config(args)
+def cmd_analyze(args, cfg: Config, out: Path) -> int:
     pred = read_linear(args.pred)
     gt = read_linear(args.gt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     err = error_map(pred, gt, encoding=cfg.encoding(), mapping=cfg.display)
-    write_pfm(LinearImage(np.repeat(err[..., None], 3, axis=-1).astype(np.float32)),
-              out / "error_map.pfm")
+    _write_error_map(err, out / "error_map.pfm")
     doc: dict = {"schema": SCHEMA_VERSION}
     if args.ldr:
         ldr = read_ldr8(Path(args.ldr))
@@ -121,36 +111,27 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args, cfg: Config, out: Path) -> int:
     crf = Crf.from_spec(args.crf)
     ldr = read_ldr8(Path(args.input))
     expanded = naive_expand(ldr, crf)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     name = Path(args.input).stem + ("." + args.format)
     write_linear(expanded, out / name)
     print(f"wrote {out / name}")
     return 0
 
 
-def cmd_sde_demo(args) -> int:
-    cfg = _load_config(args)
+def cmd_sde_demo(args, cfg: Config, out: Path) -> int:
     if args.hdr and args.ldr:
         gt = read_linear(args.hdr)
         degraded = read_linear(args.ldr)
     else:
         degraded, gt = _demo_fixture()
     sched = SdeSchedule.cosine(steps=args.steps)
-    seed = args.seed if args.seed is not None else cfg.master_seed
     result = itm_sde_demo(degraded, gt, sched=sched, encoding=cfg.encoding(),
-                          mapping=cfg.display, seed=seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+                          mapping=cfg.display, seed=args.seed)
     (out / "sde_report.json").write_text(result.report.to_json())
-    write_pfm(
-        LinearImage(np.repeat(result.error_map[..., None], 3, axis=-1).astype(np.float32)),
-        out / "sde_error_map.pfm",
-    )
+    _write_error_map(result.error_map, out / "sde_error_map.pfm")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     track = min(4, result.forward_history.shape[1])
@@ -222,7 +203,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = parse_config(args.config) if args.config else Config()
+        if args.seed is None:
+            args.seed = cfg.master_seed
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

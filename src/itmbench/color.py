@@ -129,11 +129,15 @@ class DisplayMapping:
         if not (self.reference_white > 0):
             raise DomainError("reference_white must be positive")
 
+    @property
+    def scale(self) -> float:
+        """Display luminance of relative radiance 1.0 before the black floor."""
+        return self.peak_luminance / self.reference_white
+
 
 def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
-    """Scale relative radiance by peak/reference_white and clamp at the black floor."""
+    """Scale relative radiance by `mapping.scale` and clamp at the black floor."""
     arr = np.asarray(getattr(image, "data", image), dtype=np.float64)
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise DomainError("display mapping expects finite non-negative input")
-    out = arr * (mapping.peak_luminance / mapping.reference_white)
-    return np.maximum(out, mapping.black_floor)
+    return np.maximum(arr * mapping.scale, mapping.black_floor)

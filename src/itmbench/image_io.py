@@ -111,45 +111,30 @@ def rgbe_encode(rgb) -> RgbePixel:
     are rounded to nearest. All-zero input maps to canonical black.
     """
     r, g, b = (float(v) for v in rgb)
-    for v in (r, g, b):
-        if not math.isfinite(v):
-            raise FormatError("RGBE components must be finite")
-        if v < 0:
-            raise FormatError("RGBE components must be non-negative")
-    m = max(r, g, b)
-    if m == 0.0:
-        return RgbePixel(0, 0, 0, 0)
-    _, ex = math.frexp(m)  # m = f * 2**ex with f in [0.5, 1) => smallest k with m < 2**k
-    e = ex + 128
-    for _ in range(2):  # one retry when the max channel rounds up to 256
-        if e > 255:
-            raise FormatError("component too large for RGBE encoding")
-        if e < 1:
-            return RgbePixel(0, 0, 0, 0)  # underflow to canonical black
-        scale = math.ldexp(1.0, 8 - (e - 128))
-        mr = math.floor(r * scale + 0.5)
-        mg = math.floor(g * scale + 0.5)
-        mb = math.floor(b * scale + 0.5)
-        if max(mr, mg, mb) < 256:
-            return RgbePixel(mr, mg, mb, e)
-        e += 1
-    raise FormatError("RGBE encoding failed to converge")  # pragma: no cover
+    row = np.array([[r, g, b]])
+    if not np.isfinite(row).all():
+        raise FormatError("RGBE components must be finite")
+    if (row < 0).any():
+        raise FormatError("RGBE components must be non-negative")
+    return RgbePixel(*(int(v) for v in _rgbe_encode_rows(row)[0]))
 
 
 def rgbe_decode(pixel) -> tuple:
     """Decode an RGBE pixel; component = mantissa / 256 * 2**(exponent - 128)."""
     r, g, b, e = (int(v) for v in pixel)
-    if e == 0:
-        return (0.0, 0.0, 0.0)
-    scale = math.ldexp(1.0, e - 136)  # 2**(e-128) / 256
-    return (r * scale, g * scale, b * scale)
+    if not all(0 <= v <= 255 for v in (r, g, b, e)):
+        raise FormatError("RGBE pixel components must lie in 0..255")
+    row = np.array([[r, g, b, e]], dtype=np.uint8)
+    return tuple(float(v) for v in _rgbe_decode_rows(row)[0])
 
 
 def _rgbe_encode_rows(data: np.ndarray) -> np.ndarray:
     """Vectorized encoder: (n, 3) float -> (n, 4) uint8."""
     m = data.max(axis=1)
     _, ex = np.frexp(m)
-    e = ex.astype(np.int64) + 128
+    # exponents below 0 stay below 1 after the bump, so they encode black; the
+    # clamp keeps 2**(136 - e) finite for float64 subnormals
+    e = np.maximum(ex.astype(np.int64) + 128, 0)
     if (e > 255).any():
         raise FormatError("component too large for RGBE encoding")
     scale = np.ldexp(1.0, (8 - (e - 128)).astype(np.int64))
@@ -457,6 +442,22 @@ def read_linear(path) -> LinearImage:
 def write_linear(image: LinearImage, path):
     """Write a .hdr or .pfm file, chosen by its (case-insensitive) suffix."""
     _linear_codec(LINEAR_WRITERS, path)(image, path)
+
+
+def index_linear_dir(directory) -> tuple:
+    """Map each stem to the one .hdr/.pfm file in `directory` that has it.
+
+    Returns (files, errors): files in file-name order; a stem held by more
+    than one file is left out, with one error naming all of its files.
+    """
+    by_stem: dict = {}
+    for path in sorted(Path(directory).iterdir()):
+        if path.suffix.lower() in LINEAR_READERS:
+            by_stem.setdefault(path.stem, []).append(path)
+    files = {stem: paths[0] for stem, paths in by_stem.items() if len(paths) == 1}
+    errors = [f"{' and '.join(map(str, paths))} share the stem {stem!r}; none of them is used"
+              for stem, paths in sorted(by_stem.items()) if len(paths) > 1]
+    return files, errors
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .color import DisplayMapping, luminance, to_display_luminance
 from .errors import ConfigError, DomainError, ItmError, ShapeError
-from .image_io import LINEAR_READERS, read_linear
+from .image_io import LINEAR_READERS, index_linear_dir, read_linear
 
 SCHEMA_VERSION = 1
 
@@ -164,14 +164,30 @@ def _image_pair(pred, gt):
     return a, b
 
 
+def pu_fields(pred, gt, encoding: PuEncoding | None = None,
+              mapping: DisplayMapping = DisplayMapping(), luma: bool = False) -> tuple:
+    """PU-encoded display luminance of two same-shape images, plus the PU peak.
+
+    Returns (pu_pred, pu_gt, peak): fields per RGB channel, or of Rec.709 luma
+    when `luma` is set; peak is the PU value of the display peak.
+    """
+    enc = encoding or PuEncoding.default()
+
+    def encode(image):
+        # one display-sized temporary at a time: each is dropped before the next
+        display = to_display_luminance(image, mapping)
+        if luma:
+            display = luminance(display)
+        return pu_encode(display, enc)
+
+    a, b = _image_pair(pred, gt)
+    return encode(a), encode(b), pu_encode(mapping.peak_luminance, enc)
+
+
 def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
             mapping: DisplayMapping = DisplayMapping()) -> float:
     """PSNR in PU space; peak is the PU value of the display peak. inf when identical."""
-    a, b = _image_pair(pred, gt)
-    enc = encoding or PuEncoding.default()
-    pa = pu_encode(to_display_luminance(a, mapping), enc)
-    pb = pu_encode(to_display_luminance(b, mapping), enc)
-    peak = pu_encode(mapping.peak_luminance, enc)
+    pa, pb, peak = pu_fields(pred, gt, encoding, mapping)
     mse = float(np.mean((pa - pb) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -181,11 +197,7 @@ def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
 def pu_ssim(pred, gt, encoding: PuEncoding | None = None,
             mapping: DisplayMapping = DisplayMapping()) -> float:
     """Mean SSIM of PU-encoded display luminance (single channel)."""
-    a, b = _image_pair(pred, gt)
-    enc = encoding or PuEncoding.default()
-    la = pu_encode(luminance(to_display_luminance(a, mapping)), enc)
-    lb = pu_encode(luminance(to_display_luminance(b, mapping)), enc)
-    peak = pu_encode(mapping.peak_luminance, enc)
+    la, lb, peak = pu_fields(pred, gt, encoding, mapping, luma=True)
     return ssim_mean(la, lb, data_range=peak)
 
 
@@ -265,26 +277,18 @@ class MetricReport:
 _HDR_READERS, _load_any = LINEAR_READERS, read_linear
 
 
-def _index_dir(directory: Path) -> dict:
-    out = {}
-    for path in sorted(directory.iterdir()):
-        if path.suffix.lower() in LINEAR_READERS:
-            out[path.stem] = path
-    return out
-
-
 def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
                   mapping: DisplayMapping = DisplayMapping(), jobs: int = 1) -> MetricReport:
     """Score every prediction against its ground truth, matching files by stem.
 
-    Missing or unreadable predictions become error entries rather than silent
-    skips; report ordering is sorted by stem so output is independent of
-    scheduling.
+    Missing or unreadable predictions, and files sharing a stem, become error
+    entries rather than silent skips; report ordering is sorted by stem so
+    output is independent of scheduling.
     """
     enc = encoding or PuEncoding.default()
-    preds = _index_dir(Path(pred_dir))
-    gts = _index_dir(Path(gt_dir))
-    report = MetricReport()
+    preds, pred_errors = index_linear_dir(pred_dir)
+    gts, gt_errors = index_linear_dir(gt_dir)
+    report = MetricReport(errors=pred_errors + gt_errors)
     if not gts:
         report.errors.append("no ground-truth images found")
     for stem in sorted(set(preds) - set(gts)):

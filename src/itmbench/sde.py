@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .color import DisplayMapping, to_display_luminance
+from .color import DisplayMapping
 from .errors import DomainError, NumericError, ShapeError
 from .image_io import LinearImage
-from .pu21 import (MetricReport, PerImageScore, PuEncoding, pu_decode,
-                   pu_encode, pu_psnr, pu_ssim, rmse_linear)
+from .pu21 import (MetricReport, PerImageScore, PuEncoding, pu_decode, pu_fields,
+                   pu_psnr, pu_ssim, rmse_linear)
 
 
 @dataclass(frozen=True)
@@ -234,13 +234,11 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     score is undefined at zero variance). Reports PU-space errors of the
     decoded reconstruction.
     """
-    if ldr.data.shape != hdr_gt.data.shape:
-        raise ShapeError("ldr and ground truth must share dimensions")
     enc = encoding or PuEncoding.default()
     schedule = sched or SdeSchedule.cosine()
-    peak = pu_encode(mapping.peak_luminance, enc)
-    u_gt = pu_encode(to_display_luminance(hdr_gt.data, mapping), enc) / peak
-    u_ldr = pu_encode(to_display_luminance(ldr.data, mapping), enc) / peak
+    pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, enc, mapping)
+    u_gt = pu_gt / peak
+    u_ldr = pu_ldr / peak
     x0 = u_gt.ravel()
     target = u_ldr.ravel()
 
@@ -267,7 +265,7 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
         restored_u = finals.mean(axis=0)
 
     restored_pu = np.clip(restored_u, 0.0, 1.0).reshape(u_gt.shape) * peak
-    decoded = pu_decode(restored_pu, enc) / (mapping.peak_luminance / mapping.reference_white)
+    decoded = pu_decode(restored_pu, enc) / mapping.scale
     restored = LinearImage(np.clip(decoded, 0.0, None).astype(np.float32))
 
     error_map = np.mean(np.abs(restored_pu - u_gt * peak), axis=-1)

@@ -254,3 +254,15 @@ class TestGenerateDataset:
 def test_settings_reject_unknown_choice(field):
     with pytest.raises(DomainError, match=field):
         SynthesisSettings(**{field: "exr"})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sat_frac", 0.0), ("sat_frac", 1.0), ("dark_frac", -0.1), ("dark_frac", float("nan")),
+    ("sigma_range", (-0.5, 0.01)), ("sigma_range", (0.02, 0.01)),
+    ("gamma_range", (0.9, 0.2)), ("gamma_range", (0.0, 0.5)),
+    ("sigmoid_n_range", (-1.0, 1.0)), ("sigmoid_c_range", (0.8, 0.4)),
+    ("crop", -3),
+])
+def test_settings_reject_bad_number(field, value):
+    with pytest.raises(DomainError, match=field):
+        SynthesisSettings(**{field: value})

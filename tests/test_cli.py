@@ -48,6 +48,23 @@ class TestScoreCommand:
                      "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "out")])
         assert code == 1
 
+    def test_shared_prediction_stem_is_an_error(self, tmp_path, rng, capsys):
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+        for stem in ("a", "b"):
+            img = LinearImage(rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32))
+            write_pfm(img, tmp_path / "gt" / f"{stem}.pfm")
+            write_pfm(img, tmp_path / "pred" / f"{stem}.pfm")
+        write_hdr(img, tmp_path / "pred" / "a.hdr")
+        out = tmp_path / "out"
+        code = main(["score", "--pred", str(tmp_path / "pred"),
+                     "--gt", str(tmp_path / "gt"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "pred" / "a.hdr") in err and str(tmp_path / "pred" / "a.pfm") in err
+        doc = json.loads((out / "report.json").read_text())
+        assert [row["image"] for row in doc["per_image"]] == ["b"]
+
 
 class TestSynthesizeCommand:
     def test_repeat_runs_byte_identical(self, tmp_path, hdr_sources):
@@ -65,6 +82,17 @@ class TestSynthesizeCommand:
         main(["synthesize", "--hdr-dir", str(hdr_sources), "--count", "2",
               "--seed", "3", "--jobs", "8", "--out", str(out2)])
         assert snapshot(out1) == snapshot(out2)
+
+    def test_shared_source_stem_is_an_error(self, tmp_path, hdr_sources, capsys):
+        write_pfm(read_hdr(hdr_sources / "scene0.hdr"), hdr_sources / "scene0.pfm")
+        out = tmp_path / "out"
+        code = main(["synthesize", "--hdr-dir", str(hdr_sources), "--seed", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "share the stem 'scene0'" in capsys.readouterr().err
+        rows = [json.loads(l) for l in (out / "manifest.jsonl").read_text().splitlines()]
+        assert [row["source"] for row in rows] == ["scene1.hdr"]
+        assert not list(out.glob("scene0_*"))
 
     def test_config_controls_settings(self, tmp_path, hdr_sources):
         cfg = tmp_path / "run.cfg"
@@ -122,7 +150,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text", [
         "[display]\nblack_floor = -1\n",
         "[synth]\ncrop_mode = bogus\n",
-    ], ids=["black_floor", "crop_mode"])
+        "[synth]\ncrf_family = gamma\ngamma_lo = 0.9\ngamma_hi = 0.2\n",
+        "[synth]\nsigma_lo = -0.5\n",
+        "[synth]\ncrop = -3\n",
+        "[synth]\nsat_frac = 2\n",
+    ], ids=["black_floor", "crop_mode", "gamma_range", "sigma_lo", "crop", "sat_frac"])
     def test_rejected_value_is_exit_two(self, tmp_path, hdr_sources, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -155,6 +187,13 @@ class TestConfigErrors:
 
 
 class TestExpandCommand:
+    def test_missing_config_is_exit_two(self, tmp_path, capsys):
+        write_ldr8(Ldr8Image(np.zeros((4, 4, 3), dtype=np.uint8)), tmp_path / "in.png")
+        code = main(["expand", "--input", str(tmp_path / "in.png"),
+                     "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "missing.ini" in capsys.readouterr().err
+
     def test_expand_writes_linear_image(self, tmp_path, rng):
         data = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
         write_ldr8(Ldr8Image(data), tmp_path / "in.png")

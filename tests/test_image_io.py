@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmbench.errors import FormatError, ItmError, ParseError, ShapeError
-from itmbench.image_io import (LinearImage, Ldr8Image, RgbePixel, read_hdr,
-                               read_ldr8, read_linear, read_pfm, rgbe_decode,
+from itmbench.image_io import (LinearImage, Ldr8Image, RgbePixel, index_linear_dir,
+                               read_hdr, read_ldr8, read_linear, read_pfm, rgbe_decode,
                                rgbe_encode, write_hdr, write_ldr8, write_linear,
                                write_pfm)
 
@@ -38,6 +38,33 @@ class TestRgbePixel:
     def test_negative_rejected(self):
         with pytest.raises(FormatError):
             rgbe_encode((-0.25, 0.0, 0.0))
+
+    @pytest.mark.parametrize("pixel", [(256, 0, 0, 130), (0, 0, 0, -1), (1, 2, 3, 300)])
+    def test_decode_rejects_component_outside_a_byte(self, pixel):
+        with pytest.raises(FormatError):
+            rgbe_decode(pixel)
+
+    def test_just_below_smallest_exponent_rounds_up(self):
+        # max channel in [2**-128 * (1 - 2**-9), 2**-128) rounds to mantissa 256 at
+        # exponent 0, so it takes exponent 1 rather than underflowing to black
+        assert rgbe_encode((np.float32(2.9358e-39), 0.0, 0.0)) == RgbePixel(128, 0, 0, 1)
+        assert rgbe_encode((5e-324, 0.0, 0.0)) == RgbePixel(0, 0, 0, 0)
+
+    def test_scalar_codec_matches_file_codec(self, tmp_path):
+        # float32 sweep over every binade, edges of each power of two included
+        k = np.arange(-149, 127, dtype=np.float64)
+        edges = np.array([1.0, 1 - 2**-9, 1 - 2**-10, 1 - 2**-8, 1 + 2**-9, 0.7])
+        m = (2.0 ** k[:, None] * edges).ravel()
+        m = np.append(m, 2.9358e-39).astype(np.float32)
+        rgb = np.stack([m, m * np.float32(0.37), m * np.float32(0.001)], axis=-1)
+        path = tmp_path / "sweep.hdr"
+        write_hdr(LinearImage(rgb[:, None, :]), path)  # width 1: flat pixels
+        stored = np.frombuffer(path.read_bytes()[-4 * len(m):], dtype=np.uint8).reshape(-1, 4)
+        decoded = read_hdr(path).data[:, 0, :]
+        for px, want, back in zip(rgb, stored, decoded):
+            pixel = rgbe_encode(px)
+            assert pixel == tuple(int(v) for v in want)
+            assert rgbe_decode(pixel) == tuple(float(v) for v in back)
 
     @given(st.floats(min_value=1e-30, max_value=1e30),
            st.floats(min_value=0.0, max_value=1.0),
@@ -332,6 +359,14 @@ class TestLinearRegistry:
         # RGBE shares one exponent per pixel; PFM is lossless
         tol = 0.0 if suffix.lower() == ".pfm" else 1 / 128
         assert (np.abs(back.data - img.data) <= tol * img.data.max(axis=2, keepdims=True)).all()
+
+    def test_index_drops_shared_stems(self, tmp_path):
+        for name in ("b.pfm", "a.hdr", "a.PFM", "c.hdr", "c.txt"):
+            (tmp_path / name).write_bytes(b"")
+        files, errors = index_linear_dir(tmp_path)
+        assert files == {"b": tmp_path / "b.pfm", "c": tmp_path / "c.hdr"}
+        assert errors == [f"{tmp_path / 'a.PFM'} and {tmp_path / 'a.hdr'} share the stem 'a'; "
+                          "none of them is used"]
 
     def test_other_suffix_is_format_error(self, tmp_path):
         img = LinearImage(np.ones((2, 2, 3), dtype=np.float32))
