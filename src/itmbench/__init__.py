@@ -7,7 +7,7 @@ simulator for the mean-reverting restoration SDE.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DomainError, FormatError, ItmError,
+from .errors import (ConfigError, DomainError, FormatError, InputError, ItmError,
                      NumericError, ParseError, RangeError, ShapeError)
 from .image_io import (LinearImage, Ldr8Image, RgbePixel, read_hdr, read_ldr8,
                        read_pfm, rgbe_decode, rgbe_encode, write_hdr,
@@ -24,8 +24,8 @@ from .operators import (MaskParams, MaskTriple, blurred_luminance,
                         exposure_masks, fuse_exposures, naive_expand,
                         residual_project)
 from .losses import (LossWeights, UpfParams, color_loss, denoise_loss,
-                     linear_l1, recon_loss, score_matching_loss, ssim_pu_loss,
-                     total_loss, tv_loss, upf_loss)
+                     linear_l1, loss_terms, recon_loss, score_matching_loss,
+                     ssim_pu_loss, total_loss, tv_loss, upf_loss, weigh_loss_terms)
 from .sde import (SdeSchedule, backward_simulate, forward_simulate,
                   itm_sde_demo, make_ou_score, ou_moments)
 from .analysis import (SaturationSplit, error_map, error_stats,

@@ -24,8 +24,7 @@ from .config import Config, parse_config
 from .errors import ConfigError, ItmError
 from .image_io import LinearImage, read_ldr8, read_linear, write_linear, write_pfm
 from .image_io import read_hdr  # noqa: F401  still bound: bench/test_perfbench.py reads cli.read_hdr
-from .losses import (LossWeights, color_loss, denoise_loss, linear_l1,
-                     recon_loss, ssim_pu_loss, total_loss, tv_loss, upf_loss)
+from .losses import LossWeights, loss_terms, weigh_loss_terms
 from .operators import naive_expand
 from .pu21 import SCHEMA_VERSION, score_dataset
 from .sde import SdeSchedule, itm_sde_demo
@@ -70,25 +69,6 @@ def cmd_score(args, cfg: Config, out: Path) -> int:
     return 1 if report.errors else 0
 
 
-def _loss_breakdown(pred: LinearImage, gt: LinearImage) -> dict:
-    total, contributions = total_loss([pred], pred, gt)
-    doc = {
-        "raw": {
-            "recon": recon_loss([pred], gt),
-            "linear": linear_l1(pred, gt),
-            "denoise": denoise_loss(pred, gt),
-            "ssim_pu": ssim_pu_loss(pred, gt),
-            "color": color_loss(pred, gt),
-            "tv": tv_loss(pred),
-            "upf": upf_loss(pred, gt),
-        },
-        "weighted": contributions,
-        "weights": LossWeights().__dict__,
-        "total": total,
-    }
-    return doc
-
-
 def cmd_analyze(args, cfg: Config, out: Path) -> int:
     pred = read_linear(args.pred)
     gt = read_linear(args.gt)
@@ -105,7 +85,10 @@ def cmd_analyze(args, cfg: Config, out: Path) -> int:
         }
         doc["intensity_error_joint"] = intensity_error_joint(ldr, err)
     if args.losses:
-        doc["losses"] = _loss_breakdown(pred, gt)
+        raw = loss_terms([pred], pred, gt)
+        total, weighted = weigh_loss_terms(raw)
+        doc["losses"] = {"raw": raw, "weighted": weighted, "weights": LossWeights().__dict__,
+                         "total": total}
     (out / "analysis.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote analysis to {args.out}")
     return 0

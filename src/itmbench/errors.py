@@ -26,6 +26,10 @@ class ParseError(FormatError):
         self.offset = offset
 
 
+class InputError(ItmError):
+    """An input file or directory cannot be read."""
+
+
 class DomainError(ItmError, ValueError):
     """Scalar or field argument outside its documented domain."""
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import FormatError, ParseError, ShapeError
+from .errors import FormatError, InputError, ParseError, ShapeError
 
 # Upper bound on width*height accepted by any parser; keeps a hostile header
 # from provoking a giant allocation before the payload is validated.
@@ -168,7 +168,7 @@ _HDR_MAGICS = (b"#?RADIANCE", b"#?RGBE")
 
 
 class _ByteReader:
-    """Byte cursor that raises ParseError with the current offset on EOF."""
+    """Header line cursor that raises ParseError with the current offset."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -181,20 +181,6 @@ class _ByteReader:
         out = self.data[self.pos:end]
         self.pos = end + 1
         return out
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ParseError("unexpected end of file", offset=len(self.data))
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise ParseError("unexpected end of file", offset=self.pos)
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
 
 
 def _check_dims(width: int, height: int, offset: int):
@@ -240,62 +226,94 @@ def read_hdr(path) -> LinearImage:
     _check_dims(width, height, at)
 
     rows = np.empty((height, width, 4), dtype=np.uint8)
+    pos = rd.pos
     for y in range(height):
-        _read_hdr_scanline(rd, rows[y], width)
+        pos = _read_hdr_scanline(raw, pos, rows[y])
     data = _rgbe_decode_rows(rows.reshape(-1, 4)).reshape(height, width, 3)
     return LinearImage(data, header=tuple(header))
 
 
-def _read_hdr_scanline(rd: _ByteReader, row: np.ndarray, width: int):
-    at = rd.pos
-    head = rd.take(4)
+def _eof(data: bytes) -> ParseError:
+    return ParseError("unexpected end of file", offset=len(data))
+
+
+def _read_hdr_scanline(data: bytes, pos: int, row: np.ndarray) -> int:
+    """Decode the scanline that starts at data[pos] into row, (width, 4) uint8; return its end."""
+    width = len(row)
+    if pos + 4 > len(data):
+        raise _eof(data)
     # adaptive marker: 2, 2, then the width with a clear high bit (<= 32767);
     # a set high bit means this is an ordinary old-style pixel
-    if (8 <= width <= 32767 and head[0] == 2 and head[1] == 2
-            and head[2] & 0x80 == 0):
-        if (head[2] << 8) | head[3] != width:
-            raise ParseError("adaptive RLE scanline length mismatch", offset=at)
-        for ch in range(4):
-            x = 0
-            while x < width:
-                code = rd.byte()
-                if code > 128:  # run
-                    count = code - 128
-                    if x + count > width:
-                        raise ParseError("RLE run overflows scanline", offset=rd.pos)
-                    row[x:x + count, ch] = rd.byte()
-                elif code > 0:  # literal
-                    if x + code > width:
-                        raise ParseError("RLE literal overflows scanline", offset=rd.pos)
-                    chunk = rd.take(code)
-                    row[x:x + code, ch] = np.frombuffer(chunk, dtype=np.uint8)
-                    count = code
-                else:
-                    raise ParseError("zero-length RLE code", offset=rd.pos)
-                x += count
-        return
-    # Old-style: flat 4-byte pixels with (1,1,1,n) repeat codes.
-    x = 0
-    pixel = head
-    shift = 0
+    if not (8 <= width <= 32767 and data[pos] == 2 and data[pos + 1] == 2
+            and data[pos + 2] & 0x80 == 0):
+        return _read_flat_scanline(data, pos, row)
+    if (data[pos + 2] << 8) | data[pos + 3] != width:
+        raise ParseError("adaptive RLE scanline length mismatch", offset=pos)
+    pos += 4
+    end = len(data)
+    planes = bytearray()  # the four channels of the scanline, one after another
+    for _ in range(4):
+        x = 0
+        while x < width:
+            if pos >= end:
+                raise _eof(data)
+            code = data[pos]
+            pos += 1
+            if code > 128:  # run
+                code -= 128
+                if x + code > width:
+                    raise ParseError("RLE run overflows scanline", offset=pos)
+                planes += data[pos:pos + 1] * code
+                pos += 1
+            elif code:  # literal
+                if x + code > width:
+                    raise ParseError("RLE literal overflows scanline", offset=pos)
+                planes += data[pos:pos + code]
+                pos += code
+            else:
+                raise ParseError("zero-length RLE code", offset=pos)
+            x += code
+    # a run value or literal cut short by the end of the file leaves pos past it
+    if pos > end:
+        raise _eof(data)
+    row[:] = np.frombuffer(planes, dtype=np.uint8).reshape(4, width).T
+    return pos
+
+
+def _read_flat_scanline(data: bytes, pos: int, row: np.ndarray) -> int:
+    """Old-style scanline: 4-byte pixels, where a (1, 1, 1, n) code repeats the
+    previous pixel n << shift times; consecutive repeat codes add 8 to the shift."""
+    width = len(row)
+    x = shift = 0
     while True:
-        if pixel[0] == 1 and pixel[1] == 1 and pixel[2] == 1:
+        # every code but a zero-count repeat fills at least one pixel, so the
+        # scanline usually ends within the next width - x codes
+        k = min(width - x, (len(data) - pos) // 4)
+        if k == 0:
+            raise _eof(data)
+        codes = np.frombuffer(data, dtype=np.uint8, count=4 * k, offset=pos).reshape(k, 4)
+        repeats = (codes[:, 0] == 1) & (codes[:, 1] == 1) & (codes[:, 2] == 1)
+        i = 0  # first code of the window not yet decoded
+        for j in np.flatnonzero(repeats).tolist() + [k]:
+            n = min(j - i, width - x)  # plain pixels before code j
+            if n:
+                row[x:x + n] = codes[i:i + n]
+                x, i, shift = x + n, i + n, 0
+            if x >= width:
+                return pos + 4 * i
+            if j == k:
+                break
+            at = pos + 4 * j
             if x == 0:
                 raise ParseError("repeat code with no previous pixel", offset=at)
-            count = pixel[3] << shift
+            count = data[at + 3] << shift
             if x + count > width:
                 raise ParseError("repeat code overflows scanline", offset=at)
             row[x:x + count] = row[x - 1]
             x += count
             shift += 8
-        else:
-            row[x] = np.frombuffer(pixel, dtype=np.uint8)
-            x += 1
-            shift = 0
-        if x >= width:
-            return
-        at = rd.pos
-        pixel = rd.take(4)
+            i = j + 1
+        pos += 4 * k
 
 
 def write_hdr(image: LinearImage, path):
@@ -316,42 +334,34 @@ def write_hdr(image: LinearImage, path):
         if adaptive:
             out += bytes((2, 2, (w >> 8) & 0xFF, w & 0xFF))
             for ch in range(4):
-                out += _rle_component(rgbe[y, :, ch].tobytes())
+                out += _rle_component(rgbe[y, :, ch])
         else:
             out += rgbe[y].tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
 
-def _rle_component(data: bytes) -> bytes:
+def _rle_component(channel: np.ndarray) -> bytes:
     """Classic Radiance run-length coding: runs of >= 4, literals up to 128 bytes."""
-    out = bytearray()
+    data = channel.tobytes()
     n = len(data)
+    edges = np.flatnonzero(channel[1:] != channel[:-1]) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges, [n]))
+    runs = ends - starts >= 4
+    out = bytearray()
     pos = 0
-    while pos < n:
-        run_start = pos
-        run_len = 0
-        while run_start < n:  # find next run of at least 4 equal bytes
-            run_len = 1
-            while (run_len < 127 and run_start + run_len < n
-                   and data[run_start + run_len] == data[run_start]):
-                run_len += 1
-            if run_len >= 4:
-                break
-            run_start += run_len
-        if run_start + run_len >= n and run_len < 4:
-            run_start = n
-        lit = run_start - pos
-        while lit > 0:  # literals before the run
-            chunk = min(lit, 128)
-            out.append(chunk)
-            out += data[pos:pos + chunk]
-            pos += chunk
-            lit -= chunk
-        if pos < n and run_len >= 4:
-            out.append(128 + run_len)
-            out.append(data[pos])
-            pos += run_len
+    # the empty run (n, n) flushes the literals after the last run
+    for start, end in zip(starts[runs].tolist() + [n], ends[runs].tolist() + [n]):
+        for at in range(pos, start, 128):  # literals before the run
+            chunk = data[at:min(at + 128, start)]
+            out.append(len(chunk))
+            out += chunk
+        pos = start
+        while end - pos >= 4:  # a run longer than 127 takes several codes
+            count = min(end - pos, 127)
+            out += bytes((128 + count, data[pos]))
+            pos += count
     return bytes(out)
 
 
@@ -449,9 +459,14 @@ def index_linear_dir(directory) -> tuple:
 
     Returns (files, errors): files in file-name order; a stem held by more
     than one file is left out, with one error naming all of its files.
+    Raises InputError when the directory cannot be listed.
     """
+    try:
+        entries = sorted(Path(directory).iterdir())
+    except OSError as exc:
+        raise InputError(f"cannot list directory {directory}: {exc.strerror}") from None
     by_stem: dict = {}
-    for path in sorted(Path(directory).iterdir()):
+    for path in entries:
         if path.suffix.lower() in LINEAR_READERS:
             by_stem.setdefault(path.stem, []).append(path)
     files = {stem: paths[0] for stem, paths in by_stem.items() if len(paths) == 1}
@@ -609,51 +624,54 @@ def _png_decode(raw: bytes) -> Ldr8Image:
         raise FormatError("only 8-bit RGB PNG is supported")
     if comp != 0 or filt != 0 or interlace != 0:
         raise FormatError("unsupported PNG compression/filter/interlace method")
+    stride = width * 3
+    size = height * (stride + 1)
+    # inflate at most one byte past the declared size, however far the stream goes
+    inflater = zlib.decompressobj()
     try:
-        scan = zlib.decompress(bytes(idat))
+        scan = inflater.decompress(idat, size + 1)
     except zlib.error as exc:
         raise ParseError(f"corrupt PNG pixel stream: {exc}") from None
-    stride = width * 3
-    if len(scan) != height * (stride + 1):
+    # excess output (and so any unconsumed_tail) or a stream cut short is rejected
+    if len(scan) != size or not inflater.eof:
         raise ParseError("PNG pixel payload has wrong size")
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int64)
-    for y in range(height):
-        line = scan[y * (stride + 1):(y + 1) * (stride + 1)]
-        row = _png_unfilter(line[0], np.frombuffer(line[1:], dtype=np.uint8), prev)
-        out[y] = row
-        prev = row.astype(np.int64)
-    return Ldr8Image(out.reshape(height, width, 3))
+    rows = np.frombuffer(scan, dtype=np.uint8).reshape(height, stride + 1)
+    return Ldr8Image(_png_unfilter(rows[:, 0], rows[:, 1:].reshape(height, width, 3)))
 
 
-def _png_unfilter(ftype: int, raw: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    cur = raw.astype(np.int64)
-    n = len(cur)
-    if ftype == 0:
-        pass
-    elif ftype == 1:  # Sub: per-channel prefix sum
-        for c in range(3):
-            cur[c::3] = np.cumsum(cur[c::3]) & 0xFF
-    elif ftype == 2:  # Up
-        cur = (cur + prev) & 0xFF
-    elif ftype == 3:  # Average
-        for i in range(n):
-            left = cur[i - 3] if i >= 3 else 0
-            cur[i] = (cur[i] + (left + prev[i]) // 2) & 0xFF
-    elif ftype == 4:  # Paeth
-        for i in range(n):
-            a = cur[i - 3] if i >= 3 else 0
-            b = prev[i]
-            c = prev[i - 3] if i >= 3 else 0
-            p = a + b - c
-            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-            if pa <= pb and pa <= pc:
-                pred = a
-            elif pb <= pc:
-                pred = b
-            else:
-                pred = c
-            cur[i] = (cur[i] + pred) & 0xFF
-    else:
-        raise ParseError(f"unknown PNG filter type {ftype}")
-    return cur.astype(np.uint8)
+def _png_unfilter(ftypes: np.ndarray, filtered: np.ndarray) -> np.ndarray:
+    """Undo the per-row PNG filters (ISO 15948 section 9) of (h, w, 3) bytes.
+
+    A pixel's predictor reads its left (a), upper (b) and upper-left (c)
+    neighbours, so the pixels of one anti-diagonal depend only on the two
+    diagonals before it and are rebuilt together. In the image padded with a
+    zero row and column and flattened to pixels (row stride w + 1), a
+    diagonal is a slice with step w, and a, b, c are that slice shifted back
+    by 1, w + 1 and w + 2.
+    """
+    bad = np.flatnonzero(ftypes > 4)
+    if len(bad):
+        raise ParseError(f"unknown PNG filter type {ftypes[bad[0]]}")
+    height, width, _ = filtered.shape
+    s = width + 1
+    # holds the filtered bytes until their diagonal is rebuilt in place
+    out = np.zeros(((height + 1) * s, 3), dtype=np.int16)
+    out.reshape(height + 1, s, 3)[1:, 1:] = filtered
+    used = np.unique(ftypes).tolist()
+    kinds = ftypes[:, None].astype(np.intp)
+    for k in range(height + width - 1):
+        y0, y1 = max(0, k - width + 1), min(height - 1, k)
+        start, stop = y0 * width + k + s + 1, y1 * width + k + s + 2
+        a = out[start - 1:stop - 1:width]
+        b = out[start - s:stop - s:width]
+        preds = [0, a, b, 0, 0]  # None, Sub, Up, Average, Paeth
+        if 3 in used:
+            preds[3] = (a + b) >> 1
+        if 4 in used:
+            c = out[start - s - 1:stop - s - 1:width]
+            bc, ac = b - c, a - c
+            pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(bc + ac)
+            preds[4] = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        pred = preds[used[0]] if len(used) == 1 else np.choose(kinds[y0:y1 + 1], preds)
+        out[start:stop:width] = (out[start:stop:width] + pred) & 0xFF
+    return out.reshape(height + 1, s, 3)[1:, 1:].astype(np.uint8)

@@ -188,29 +188,50 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     return charb + params.alpha_hist * hist + params.beta_smooth * smooth
 
 
+def loss_terms(stages, pred, gt, *, denoised=None, mu: MuLawParams = MuLawParams(),
+               pu: PuApproxParams = PuApproxParams(), upf: UpfParams = UpfParams(),
+               color_eps: float = EPS_LOG) -> dict:
+    """Unweighted terms of the composite objective; `denoised` defaults to `pred`."""
+    return {
+        "recon": recon_loss(stages, gt, mu),
+        "ssim_pu": ssim_pu_loss(pred, gt, pu),
+        "color": color_loss(pred, gt, color_eps),
+        "tv": tv_loss(pred),
+        "linear": linear_l1(pred, gt),
+        "denoise": denoise_loss(pred if denoised is None else denoised, gt),
+        "upf": upf_loss(pred, gt, upf),
+    }
+
+
+def weigh_loss_terms(terms: dict, weights: LossWeights = LossWeights(),
+                     perceptual: float = 0.0) -> tuple:
+    """Weighted composite objective of `loss_terms` output; returns (total, breakdown).
+
+    The breakdown holds each term's weighted contribution, so its values sum
+    to the total exactly. `perceptual` is the externally computed VGG scalar
+    (0 when unavailable).
+    """
+    contributions = {
+        "recon": terms["recon"],
+        "perceptual": weights.alpha_perc * float(perceptual),
+        "ssim_pu": weights.gamma_ssim * terms["ssim_pu"],
+        "color": weights.gamma_color * terms["color"],
+        "tv": weights.gamma_tv * terms["tv"],
+        "linear": weights.lambda_linear * terms["linear"],
+        "denoise": weights.alpha_denoise * terms["denoise"],
+        "upf": weights.alpha_upf * terms["upf"],
+    }
+    return float(sum(contributions.values())), contributions
+
+
 def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
                denoised=None, perceptual: float = 0.0,
                mu: MuLawParams = MuLawParams(), pu: PuApproxParams = PuApproxParams(),
                upf: UpfParams = UpfParams(), color_eps: float = EPS_LOG) -> tuple:
-    """Weighted composite objective; returns (total, breakdown).
-
-    The breakdown holds each term's weighted contribution, so its values sum
-    to the total exactly. `perceptual` is the externally computed VGG scalar
-    (0 when unavailable); `denoised` defaults to the final prediction.
-    """
-    if denoised is None:
-        denoised = pred
-    contributions = {
-        "recon": recon_loss(stages, gt, mu),
-        "perceptual": weights.alpha_perc * float(perceptual),
-        "ssim_pu": weights.gamma_ssim * ssim_pu_loss(pred, gt, pu),
-        "color": weights.gamma_color * color_loss(pred, gt, color_eps),
-        "tv": weights.gamma_tv * tv_loss(pred),
-        "linear": weights.lambda_linear * linear_l1(pred, gt),
-        "denoise": weights.alpha_denoise * denoise_loss(denoised, gt),
-        "upf": weights.alpha_upf * upf_loss(pred, gt, upf),
-    }
-    return float(sum(contributions.values())), contributions
+    """`weigh_loss_terms` of `loss_terms`: the weighted objective and its breakdown."""
+    terms = loss_terms(stages, pred, gt, denoised=denoised, mu=mu, pu=pu, upf=upf,
+                       color_eps=color_eps)
+    return weigh_loss_terms(terms, weights, perceptual)
 
 
 def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:

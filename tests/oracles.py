@@ -12,6 +12,8 @@ import pathlib
 
 import numpy as np
 
+from itmbench.errors import ParseError
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 LUMA = (0.2126, 0.7152, 0.0722)
@@ -217,3 +219,214 @@ def naive_joint_histogram(intensity: np.ndarray, error: np.ndarray, bins: int):
         bj = min(int(e / top * bins), bins - 1)
         counts[bi, bj] += 1
     return counts
+
+
+class _NaiveBytes:
+    """Byte cursor that raises ParseError with the current offset on EOF."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def line(self, limit=4096) -> bytes:
+        end = self.data.find(b"\n", self.pos, self.pos + limit)
+        if end < 0:
+            raise ParseError("unterminated header line", offset=self.pos)
+        out = self.data[self.pos:end]
+        self.pos = end + 1
+        return out
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise ParseError("unexpected end of file", offset=len(self.data))
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def byte(self) -> int:
+        if self.pos >= len(self.data):
+            raise ParseError("unexpected end of file", offset=self.pos)
+        v = self.data[self.pos]
+        self.pos += 1
+        return v
+
+
+def naive_read_hdr(data: bytes):
+    """Radiance RGBE decoder that walks the stream one byte or pixel at a time.
+
+    Returns (pixels, header): pixels is the decoded (height, width, 3) float32
+    array, each component mantissa * 2**(exponent - 136), black for exponent 0.
+    Raises ParseError with the same message and byte offset as `read_hdr`.
+    """
+    rd = _NaiveBytes(data)
+    if rd.line() not in (b"#?RADIANCE", b"#?RGBE"):
+        raise ParseError("not a Radiance RGBE file", offset=0)
+    header = []
+    while True:
+        at = rd.pos
+        line = rd.line()
+        if line == b"":
+            break
+        try:
+            text = line.decode("ascii")
+        except UnicodeDecodeError:
+            raise ParseError("non-ASCII header line", offset=at) from None
+        if text.startswith("FORMAT="):
+            if text != "FORMAT=32-bit_rle_rgbe":
+                raise ParseError(f"unsupported pixel format {text!r}", offset=at)
+        else:
+            header.append(text)
+    at = rd.pos
+    parts = rd.line().split()
+    if len(parts) != 4 or parts[0] != b"-Y" or parts[2] != b"+X":
+        raise ParseError("unsupported or malformed resolution string", offset=at)
+    try:
+        height, width = int(parts[1]), int(parts[3])
+    except ValueError:
+        raise ParseError("malformed resolution string", offset=at) from None
+    if width < 1 or height < 1:
+        raise ParseError("image dimensions must be positive", offset=at)
+    if width * height > 1 << 24:
+        raise ParseError(f"image of {width}x{height} pixels exceeds parser limit", offset=at)
+
+    rows = [[None] * width for _ in range(height)]
+    for y in range(height):
+        _naive_hdr_scanline(rd, rows[y], width)
+    pixels = np.empty((height, width, 3), dtype=np.float32)
+    for y in range(height):
+        for x in range(width):
+            r, g, b, e = rows[y][x]
+            for c, m in enumerate((r, g, b)):
+                pixels[y, x, c] = 0.0 if e == 0 else m * 2.0 ** (e - 136)
+    return pixels, tuple(header)
+
+
+def _naive_hdr_scanline(rd: _NaiveBytes, row: list, width: int):
+    at = rd.pos
+    head = rd.take(4)
+    if (8 <= width <= 32767 and head[0] == 2 and head[1] == 2
+            and head[2] & 0x80 == 0):
+        if (head[2] << 8) | head[3] != width:
+            raise ParseError("adaptive RLE scanline length mismatch", offset=at)
+        channels = [[0] * width for _ in range(4)]
+        for ch in range(4):
+            x = 0
+            while x < width:
+                code = rd.byte()
+                if code > 128:  # run
+                    count = code - 128
+                    if x + count > width:
+                        raise ParseError("RLE run overflows scanline", offset=rd.pos)
+                    value = rd.byte()
+                    for i in range(count):
+                        channels[ch][x + i] = value
+                elif code > 0:  # literal
+                    if x + code > width:
+                        raise ParseError("RLE literal overflows scanline", offset=rd.pos)
+                    chunk = rd.take(code)
+                    for i in range(code):
+                        channels[ch][x + i] = chunk[i]
+                    count = code
+                else:
+                    raise ParseError("zero-length RLE code", offset=rd.pos)
+                x += count
+        for x in range(width):
+            row[x] = tuple(channels[ch][x] for ch in range(4))
+        return
+    # old style: flat 4-byte pixels; (1,1,1,n) repeats the previous pixel
+    # n << shift times, and each consecutive repeat code adds 8 to the shift
+    x = 0
+    pixel = head
+    shift = 0
+    while True:
+        if pixel[0] == 1 and pixel[1] == 1 and pixel[2] == 1:
+            if x == 0:
+                raise ParseError("repeat code with no previous pixel", offset=at)
+            count = pixel[3] << shift
+            if x + count > width:
+                raise ParseError("repeat code overflows scanline", offset=at)
+            for i in range(count):
+                row[x + i] = row[x - 1]
+            x += count
+            shift += 8
+        else:
+            row[x] = tuple(pixel)
+            x += 1
+            shift = 0
+        if x >= width:
+            return
+        at = rd.pos
+        pixel = rd.take(4)
+
+
+def naive_rle_component(data: bytes) -> bytes:
+    """Classic Radiance run-length coding: runs of >= 4, literals up to 128 bytes."""
+    out = bytearray()
+    n = len(data)
+    pos = 0
+    while pos < n:
+        run_start = pos
+        run_len = 0
+        while run_start < n:  # find next run of at least 4 equal bytes
+            run_len = 1
+            while (run_len < 127 and run_start + run_len < n
+                   and data[run_start + run_len] == data[run_start]):
+                run_len += 1
+            if run_len >= 4:
+                break
+            run_start += run_len
+        if run_start + run_len >= n and run_len < 4:
+            run_start = n
+        lit = run_start - pos
+        while lit > 0:  # literals before the run
+            chunk = min(lit, 128)
+            out.append(chunk)
+            out += data[pos:pos + chunk]
+            pos += chunk
+            lit -= chunk
+        if pos < n and run_len >= 4:
+            out.append(128 + run_len)
+            out.append(data[pos])
+            pos += run_len
+    return bytes(out)
+
+
+def naive_png_unfilter(scan: bytes, width: int, height: int):
+    """Rebuild 8-bit RGB PNG rows byte by byte from the filtered scanlines.
+
+    Returns the pixels as nested lists, or raises ParseError for an unknown
+    filter type on the first row that has one.
+    """
+    stride = 3 * width
+    prev = [0] * stride
+    rows = []
+    for y in range(height):
+        line = scan[y * (stride + 1):(y + 1) * (stride + 1)]
+        ftype, cur = line[0], list(line[1:])
+        if ftype > 4:
+            raise ParseError(f"unknown PNG filter type {ftype}")
+        for i in range(stride):
+            a = cur[i - 3] if i >= 3 else 0
+            b = prev[i]
+            c = prev[i - 3] if i >= 3 else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                if pa <= pb and pa <= pc:
+                    pred = a
+                elif pb <= pc:
+                    pred = b
+                else:
+                    pred = c
+            cur[i] = (cur[i] + pred) & 0xFF
+        rows.append([cur[x * 3:x * 3 + 3] for x in range(width)])
+        prev = cur
+    return rows

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from itmbench import losses
 from itmbench.cli import main
 from itmbench.image_io import (LinearImage, Ldr8Image, read_hdr, read_pfm,
                                write_hdr, write_ldr8, write_pfm)
@@ -281,3 +282,48 @@ class TestHygiene:
               "--out", str(out)])
         assert snapshot(hdr_sources) == before
         assert out.exists()
+
+
+class TestMissingInputDirectory:
+    @pytest.mark.parametrize("side", ["--pred", "--gt"])
+    def test_score_exits_one_naming_the_directory(self, tmp_path, rng, capsys, side):
+        present = tmp_path / "present"
+        present.mkdir()
+        write_pfm(LinearImage(rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32)),
+                  present / "one.pfm")
+        missing = tmp_path / "no" / "such"
+        dirs = {"--pred": present, "--gt": present, side: missing}
+        code = main(["score", "--pred", str(dirs["--pred"]), "--gt", str(dirs["--gt"]),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_synthesize_exits_one_naming_the_directory(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        code = main(["synthesize", "--hdr-dir", str(missing), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+
+def test_analyze_losses_computes_each_term_once(tmp_path, rng, monkeypatch):
+    gt = LinearImage(rng.uniform(0.05, 1.0, (20, 20, 3)).astype(np.float32))
+    pred = LinearImage(rng.uniform(0.05, 1.0, (20, 20, 3)).astype(np.float32))
+    write_pfm(gt, tmp_path / "gt.pfm")
+    write_pfm(pred, tmp_path / "pred.pfm")
+    expected = {"recon": losses.recon_loss([pred], gt), "linear": losses.linear_l1(pred, gt),
+                "denoise": losses.denoise_loss(pred, gt), "ssim_pu": losses.ssim_pu_loss(pred, gt),
+                "color": losses.color_loss(pred, gt), "tv": losses.tv_loss(pred),
+                "upf": losses.upf_loss(pred, gt)}
+    calls = []
+    upf_loss = losses.upf_loss
+    monkeypatch.setattr(losses, "upf_loss", lambda *a, **k: calls.append(1) or upf_loss(*a, **k))
+    out = tmp_path / "out"
+    code = main(["analyze", "--pred", str(tmp_path / "pred.pfm"), "--gt", str(tmp_path / "gt.pfm"),
+                 "--losses", "--out", str(out)])
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads((out / "analysis.json").read_text())["losses"]
+    assert doc["raw"] == expected
+    assert doc["total"] == pytest.approx(sum(doc["weighted"].values()), rel=1e-12)

@@ -1,4 +1,7 @@
 import math
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -377,3 +380,40 @@ class TestLinearRegistry:
         write_pfm(img, path)
         with pytest.raises(FormatError):
             read_linear(path)
+
+
+def _png(ihdr_size, idat: bytes) -> bytes:
+    def chunk(kind, body):
+        crc = zlib.crc32(kind + body) & 0xFFFFFFFF
+        return struct.pack(">I", len(body)) + kind + body + struct.pack(">I", crc)
+
+    w, h = ihdr_size
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+class TestPngInflateBound:
+    def test_bomb_inflates_no_further_than_the_declared_size(self, tmp_path):
+        # a 16x16 PNG whose ~32 KB IDAT inflates to 32 MB of zeros
+        deflate = zlib.compressobj(9)
+        zeros = bytes(1 << 20)
+        idat = b"".join(deflate.compress(zeros) for _ in range(32)) + deflate.flush()
+        (tmp_path / "bomb.png").write_bytes(_png((16, 16), idat))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                read_ldr8(tmp_path / "bomb.png")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"peak traced allocation {peak} bytes"
+
+    def test_stream_cut_short_is_rejected(self, tmp_path, rng):
+        scan = rng.integers(0, 256, (4, 1 + 4 * 3), dtype=np.uint8)
+        scan[:, 0] = 0
+        idat = zlib.compress(scan.tobytes())
+        (tmp_path / "whole.png").write_bytes(_png((4, 4), idat))
+        assert np.array_equal(read_ldr8(tmp_path / "whole.png").data, scan[:, 1:].reshape(4, 4, 3))
+        (tmp_path / "cut.png").write_bytes(_png((4, 4), idat[:-6]))
+        with pytest.raises(ParseError):
+            read_ldr8(tmp_path / "cut.png")

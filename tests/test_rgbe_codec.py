@@ -1,0 +1,147 @@
+"""The RGBE scanline codec against the byte-at-a-time oracles in oracles.py.
+
+`write_hdr` must produce exactly the oracle's bytes, and `read_hdr` must give
+the oracle's pixels or raise the same ParseError (message and byte offset)
+on every stream, valid or mutated.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from itmbench.errors import ParseError
+from itmbench.image_io import LinearImage, read_hdr, rgbe_encode, write_hdr
+from test_acceptance import _mutate
+
+
+def hdr_bytes(rgbe: np.ndarray, header=()) -> bytes:
+    """The file `write_hdr` must write for (h, w, 4) RGBE pixels, RLE by the oracle."""
+    h, w = rgbe.shape[:2]
+    out = bytearray(b"#?RADIANCE\n")
+    for line in header:
+        out += line.encode("ascii") + b"\n"
+    out += b"FORMAT=32-bit_rle_rgbe\n\n" + f"-Y {h} +X {w}\n".encode("ascii")
+    for y in range(h):
+        if 8 <= w <= 32767:
+            out += bytes((2, 2, w >> 8, w & 0xFF))
+            for ch in range(4):
+                out += oracles.naive_rle_component(rgbe[y, :, ch].tobytes())
+        else:
+            out += rgbe[y].tobytes()
+    return bytes(out)
+
+
+def normalized_pixels(rng, shape) -> np.ndarray:
+    """Random RGBE pixels whose largest mantissa is >= 128, so they re-encode to themselves."""
+    px = rng.integers(0, 256, size=shape + (4,), dtype=np.uint8)
+    px[..., 3] = rng.integers(110, 150, size=shape)
+    top = rng.integers(0, 3, size=shape)
+    np.put_along_axis(px, top[..., None], rng.integers(128, 256, size=shape + (1,)), axis=-1)
+    return px
+
+
+def image_of(rgbe: np.ndarray, header=()) -> LinearImage:
+    m = rgbe[..., :3].astype(np.float64)
+    e = rgbe[..., 3:].astype(np.float64)
+    data = np.where(e == 0, 0.0, m * 2.0 ** (e - 136)).astype(np.float32)
+    return LinearImage(data, header=header)
+
+
+def assert_writes_oracle_bytes(tmp_path, rgbe, header=()):
+    path = tmp_path / "out.hdr"
+    write_hdr(image_of(rgbe, header), path)
+    assert path.read_bytes() == hdr_bytes(rgbe, header)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("length", [3, 4, 127, 128, 129, 130, 131, 255, 256])
+    def test_run_lengths(self, tmp_path, rng, length):
+        # a run of `length` equal pixels at the start, in the middle and at the end of a row
+        width = length + 5
+        rgbe = normalized_pixels(rng, (3, width))
+        run = normalized_pixels(rng, (1,))[0]
+        rgbe[0, :length] = run
+        rgbe[1, 2:2 + length] = run
+        rgbe[2, 5:] = run
+        assert_writes_oracle_bytes(tmp_path, rgbe)
+
+    @pytest.mark.parametrize("width", [1, 5, 7, 8, 9, 130])
+    def test_widths(self, tmp_path, rng, width):
+        # pixels from a 3-entry palette in runs of 1..9: runs and literals mix
+        palette = normalized_pixels(rng, (3,))
+        rows = []
+        for _ in range(6):
+            idx = np.repeat(rng.integers(0, 3, size=width), rng.integers(1, 10, size=width))
+            rows.append(palette[idx[:width]])
+        assert_writes_oracle_bytes(tmp_path, np.stack(rows), header=("EXPOSURE=1.0",))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_images(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        h, w = int(rng.integers(1, 6)), int(rng.integers(1, 300))
+        data = rng.uniform(0.0, 4.0, (h, w, 3))
+        if seed % 2:  # coarse levels give runs of every length
+            data = np.round(data)
+        img = LinearImage(data.astype(np.float32))
+        rgbe = np.array([rgbe_encode(px) for px in img.data.reshape(-1, 3)],
+                        dtype=np.uint8).reshape(h, w, 4)
+        path = tmp_path / "out.hdr"
+        write_hdr(img, path)
+        assert path.read_bytes() == hdr_bytes(rgbe)
+
+
+def flat_seed() -> bytes:
+    """Old-style scanlines of width 263 with single and consecutive (1, 1, 1, n) codes."""
+    px = [bytes((128 + i, 40 + i, 9, 120 + i)) for i in range(6)]
+    rep = [bytes((1, 1, 1, n)) for n in range(6)]
+    # x: 1, +3 = 4, 5, 6, +1 = 7, +(1 << 8) = 263
+    row0 = px[0] + rep[3] + px[1] + px[2] + rep[1] + rep[1]
+    # x: 1, +0, +(1 << 8) = 257, 258, +5 = 263
+    row1 = px[3] + rep[0] + rep[1] + px[4] + rep[5]
+    # the high bit of (2, 2, 200, 130) rules out an adaptive marker
+    row2 = bytes((2, 2, 200, 130)) + rep[2] + px[5] * 3 + rep[1] + rep[1]
+    return b"#?RGBE\n# hand-built\nFORMAT=32-bit_rle_rgbe\n\n-Y 3 +X 263\n" + row0 + row1 + row2
+
+
+def rle_seed(tmp_path) -> bytes:
+    rng = np.random.default_rng(7)
+    palette = normalized_pixels(rng, (4,))
+    idx = np.repeat(rng.integers(0, 4, size=(5, 24)), rng.integers(1, 7, size=24), axis=1)
+    path = tmp_path / "seed.hdr"
+    write_hdr(image_of(palette[idx[:, :24]], header=("EXPOSURE=2.0",)), path)
+    return path.read_bytes()
+
+
+def read_outcome(reader, arg):
+    try:
+        return reader(arg), None
+    except ParseError as exc:
+        return None, (str(exc), exc.offset)
+
+
+@pytest.mark.parametrize("kind", ["rle", "flat"])
+def test_reader_matches_oracle_on_mutated_streams(tmp_path, kind):
+    seed = rle_seed(tmp_path) if kind == "rle" else flat_seed()
+    pixels, header = oracles.naive_read_hdr(seed)
+    assert pixels.shape == ((5, 24, 3) if kind == "rle" else (3, 263, 3))
+    (tmp_path / "seed.hdr").write_bytes(seed)
+    assert np.array_equal(read_hdr(tmp_path / "seed.hdr").data, pixels)
+    body = seed.index(b"\n", seed.index(b"+X")) + 1
+    rng = np.random.default_rng(4040)
+    path = tmp_path / "fuzz.hdr"
+    outcomes = {"ok": 0, "error": 0}
+    for i in range(1000):
+        if i % 2:  # the whole file, as criterion 4 does
+            blob = _mutate(seed, rng)
+        else:  # the scanlines only, behind an intact header
+            blob = seed[:body] + _mutate(seed[body:], rng)
+        path.write_bytes(blob)
+        got, got_err = read_outcome(read_hdr, path)
+        want, want_err = read_outcome(oracles.naive_read_hdr, blob)
+        assert got_err == want_err, f"stream {i}"
+        if want is not None:
+            assert np.array_equal(got.data, want[0]), f"stream {i}"
+            assert got.header == want[1], f"stream {i}"
+        outcomes["ok" if want_err is None else "error"] += 1
+    # both the decode and the error paths are exercised
+    assert min(outcomes.values()) >= 10, outcomes
