@@ -192,10 +192,18 @@ def _check_dims(width: int, height: int, offset: int):
         )
 
 
+def _read_file(path) -> bytes:
+    """The bytes of the file at `path`; InputError when it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read file {path}: {exc.strerror}") from None
+
+
 def read_hdr(path) -> LinearImage:
     """Read a Radiance RGBE file (flat, old-style RLE, or adaptive RLE scanlines)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     rd = _ByteReader(raw)
     magic = rd.line()
     if magic not in _HDR_MAGICS:
@@ -371,8 +379,7 @@ def _rle_component(channel: np.ndarray) -> bytes:
 
 def read_pfm(path) -> LinearImage:
     """Read a color PFM file. The scale sign selects endianness; magnitude is ignored."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     pos = 0
 
     def token():
@@ -492,8 +499,7 @@ _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
 def read_ldr8(path, codec: LdrCodec | None = None) -> Ldr8Image:
     """Read an 8-bit RGB raster: PNG and PPM natively, JPEG through `codec`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     if raw[:8] == _PNG_SIG:
         return _png_decode(raw)
     if raw[:2] == b"P6":

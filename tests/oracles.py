@@ -430,3 +430,23 @@ def naive_png_unfilter(scan: bytes, width: int, height: int):
         rows.append([cur[x * 3:x * 3 + 3] for x in range(width)])
         prev = cur
     return rows
+
+
+def naive_philox4x32(ctr, key):
+    """Philox4x32-10 of one block, in Python integers.
+
+    `ctr` is four 32-bit counter words and `key` two 32-bit key words; the
+    constants and the round are those of Salmon et al., "Parallel Random
+    Numbers: As Easy as 1, 2, 3" (SC'11). Returns the four output words.
+    """
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+            k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+        p0 = 0xD2511F53 * c0
+        p1 = 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF,
+                          (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF)
+    return c0, c1, c2, c3

@@ -307,6 +307,73 @@ class TestMissingInputDirectory:
         assert err.startswith("error: ") and str(missing) in err
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+class TestUnreadableInputFile:
+    @pytest.fixture
+    def pair(self, tmp_path, rng):
+        img = LinearImage(rng.uniform(0.05, 1.0, (16, 16, 3)).astype(np.float32))
+        write_pfm(img, tmp_path / "gt.pfm")
+        return tmp_path / "gt.pfm"
+
+    def test_analyze_missing_prediction(self, tmp_path, pair, capsys):
+        missing = tmp_path / "missing.pfm"
+        code = main(["analyze", "--pred", str(missing), "--gt", str(pair),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert _one_error_line(capsys) == (f"error: cannot read file {missing}: "
+                                           "No such file or directory")
+
+    def test_expand_missing_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.png"
+        code = main(["expand", "--input", str(missing), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert str(missing) in _one_error_line(capsys)
+
+    def test_sde_demo_missing_ground_truth(self, tmp_path, pair, capsys):
+        missing = tmp_path / "missing.hdr"
+        code = main(["sde-demo", "--hdr", str(missing), "--ldr", str(pair), "--steps", "4",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert str(missing) in _one_error_line(capsys)
+
+    def test_score_directory_named_like_an_image(self, tmp_path, rng, capsys):
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+        for stem in ("a", "b"):
+            img = LinearImage(rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32))
+            write_pfm(img, tmp_path / "gt" / f"{stem}.pfm")
+        write_pfm(img, tmp_path / "pred" / "b.pfm")
+        (tmp_path / "pred" / "a.hdr").mkdir()
+        out = tmp_path / "out"
+        code = main(["score", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: a: cannot read file" in _one_error_line(capsys)
+        doc = json.loads((out / "report.json").read_text())
+        assert [row["image"] for row in doc["per_image"]] == ["b"]
+        assert doc["per_image"][0]["pu_psnr"] == "inf"
+
+
+class TestNegativeSeed:
+    def test_sde_demo_seed_flag(self, tmp_path, capsys):
+        code = main(["sde-demo", "--steps", "4", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert _one_error_line(capsys) == "error: seed must be >= 0"
+
+    def test_sde_demo_master_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.ini"
+        cfg.write_text("[seeds]\nmaster = -1\n")
+        code = main(["sde-demo", "--steps", "4", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert _one_error_line(capsys) == "error: seed must be >= 0"
+
+
 def test_analyze_losses_computes_each_term_once(tmp_path, rng, monkeypatch):
     gt = LinearImage(rng.uniform(0.05, 1.0, (20, 20, 3)).astype(np.float32))
     pred = LinearImage(rng.uniform(0.05, 1.0, (20, 20, 3)).astype(np.float32))

@@ -1,13 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from itmbench import sde
 from itmbench.camera import Crf, simulate_ldr
 from itmbench.errors import DomainError, NumericError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import naive_expand
 from itmbench.sde import (SdeSchedule, backward_simulate, chain_moments,
                           forward_simulate, itm_sde_demo, make_ou_score,
-                          ou_moments)
+                          ou_moments, philox4x32)
+from oracles import naive_philox4x32
 
 
 class TestSchedule:
@@ -212,3 +217,134 @@ class TestDemo:
         b = LinearImage(rng.uniform(0, 1, (9, 9, 3)).astype(np.float32))
         with pytest.raises(ShapeError):
             itm_sde_demo(a, b)
+
+
+# Random123 kat_vectors rows for philox4x32 10: counter, key, expected output.
+PHILOX_KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("ctr, key, expected", PHILOX_KNOWN_ANSWERS)
+    def test_oracle_reproduces_known_answers(self, ctr, key, expected):
+        assert naive_philox4x32(ctr, key) == expected
+
+    @pytest.mark.parametrize("ctr, key, expected", PHILOX_KNOWN_ANSWERS)
+    def test_kernel_reproduces_known_answers(self, ctr, key, expected):
+        words = philox4x32(ctr, key)
+        assert tuple(int(w) for w in words) == expected
+
+    def test_kernel_matches_oracle_bit_for_bit(self, rng):
+        edge = [0, 1, 0xFFFFFFFE, 0xFFFFFFFF]
+        keys = [(0, 0), (0xFFFFFFFF, 0xFFFFFFFF), (0, 0xFFFFFFFF)]
+        keys += [tuple(int(v) for v in rng.integers(0, 2**32, 2)) for _ in range(5)]
+        for key in keys:
+            ctr = rng.integers(0, 2**32, (4, 64), dtype=np.uint64)
+            ctr[:, :len(edge)] = np.array(edge, dtype=np.uint64)  # one edge word per lane, all words
+            ctr[rng.integers(0, 4, 32), rng.integers(0, 64, 32)] = 0xFFFFFFFF
+            got = np.stack(philox4x32(tuple(ctr), key))
+            assert got.dtype == np.uint64
+            want = [naive_philox4x32(tuple(int(c) for c in ctr[:, i]), key) for i in range(64)]
+            assert np.array_equal(got, np.array(want, dtype=np.uint64).T)
+
+
+def _forward_noise(steps, n_traj, dim, seed=0):
+    # theta * dt = 1, mu = 0 and sigma * sqrt(dt) = 1 make each state the step's noise
+    sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
+    return forward_simulate(np.zeros(dim), 0.0, sched, seed=seed, n_traj=n_traj)[:, 1:, :]
+
+
+def _backward_noise(steps, n_traj, dim, seed=0):
+    # with the score -2x the backward drift cancels the state, leaving the noise
+    sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
+    _, history = backward_simulate(np.zeros(dim), 0.0, sched, lambda x, step: -2.0 * x,
+                                   seed=seed, n_traj=n_traj, return_history=True)
+    return history[:, :-1, :]
+
+
+class TestNoiseLayout:
+    @pytest.mark.parametrize("draw", [_forward_noise, _backward_noise])
+    @pytest.mark.parametrize("steps", [7, 13])
+    def test_lane_depends_only_on_trajectory_element_and_step(self, draw, steps):
+        shapes = [(1, 1), (2, 3), (5, 7)]
+        runs = [draw(steps, n_traj, dim, seed=21) for n_traj, dim in shapes]
+        for (n_traj, dim), run in zip(shapes, runs):
+            assert run.shape == (n_traj, steps, dim)
+            assert np.array_equal(run, runs[-1][:n_traj, :, :dim])
+        assert not np.array_equal(_forward_noise(steps, 2, 3, seed=21),
+                                  _backward_noise(steps, 2, 3, seed=21))
+        assert not np.array_equal(runs[-1], draw(steps, 5, 7, seed=22))
+
+    @pytest.mark.parametrize("draw, stream", [(_forward_noise, 0), (_backward_noise, 1)])
+    def test_noise_is_box_muller_of_the_counter_block(self, draw, stream):
+        # step i of lane (k, j) is normal i % 4 of the block at counter (i // 4, j, k, stream)
+        seed, steps, n_traj, dim = 8, 7, 2, 3
+        key = tuple(int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint32))
+        run = draw(steps, n_traj, dim, seed=seed)
+        for k in range(n_traj):
+            for j in range(dim):
+                for i in range(steps):
+                    words = naive_philox4x32((i // 4, j, k, stream), key)
+                    u = [(w + 0.5) * 2.0**-32 for w in words]
+                    pair = i % 4 // 2
+                    radius = math.sqrt(-2.0 * math.log(u[2 * pair]))
+                    angle = 2.0 * math.pi * (u[2 * pair + 1] - 0.5)
+                    want = radius * (math.sin(angle) if i % 2 else math.cos(angle))
+                    assert run[k, i, j] == pytest.approx(want, abs=1e-12)
+
+    def test_standard_normal_moments_and_no_lag_one_correlation(self):
+        z = _forward_noise(61, 16, 1024, seed=3)  # 999,424 draws, 61 = 15 blocks + 1 step
+        n = z.size
+        assert abs(z.mean()) <= 5 / np.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5 * np.sqrt(2.0 / n)
+        across_steps = np.mean(z[:, 1:, :] * z[:, :-1, :])
+        across_elements = np.mean(z[:, :, 1:] * z[:, :, :-1])
+        assert abs(across_steps) <= 5 / np.sqrt(z[:, 1:, :].size)
+        assert abs(across_elements) <= 5 / np.sqrt(z[:, :, 1:].size)
+
+    def test_backward_noise_memory_does_not_grow_with_steps(self):
+        def peak(steps):
+            sched = SdeSchedule.constant(1.0, 0.1, 0.01, steps)
+            tracemalloc.start()
+            try:
+                backward_simulate(np.zeros(4096), 0.0, sched, lambda x, step: 0.0,
+                                  seed=1, n_traj=16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64) <= 1.5 * peak(8)
+
+
+class TestArgumentValidation:
+    def test_backward_rejects_no_trajectories(self):
+        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        with pytest.raises(DomainError):
+            backward_simulate(0.0, 0.0, sched, lambda x, s: 0.0, n_traj=0)
+        with pytest.raises(DomainError):
+            backward_simulate(np.zeros((0, 3)), np.zeros(3), sched, lambda x, s: 0.0)
+
+    def test_demo_rejects_empty_ensemble(self, rng):
+        gt = LinearImage(rng.uniform(0.05, 1.0, (8, 8, 3)).astype(np.float32))
+        with pytest.raises(DomainError):
+            itm_sde_demo(gt, gt, sched=SdeSchedule.cosine(steps=5), ensemble=0)
+
+    def test_negative_seed_rejected(self):
+        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        with pytest.raises(DomainError):
+            forward_simulate(0.0, 0.0, sched, seed=-1)
+        with pytest.raises(DomainError):
+            backward_simulate(0.0, 0.0, sched, lambda x, s: 0.0, seed=-1)
+
+    def test_counter_words_never_wrap(self):
+        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        with pytest.raises(DomainError):
+            forward_simulate(0.0, 0.0, sched, n_traj=2**32)
+        for n_traj, dim, steps in ((2**32, 1, 4), (1, 2**32, 4), (1, 1, 4 * 2**32)):
+            with pytest.raises(DomainError):
+                sde._noise_blocks(0, 0, n_traj, dim, steps)
+        sde._noise_blocks(0, 0, 2**32 - 1, 2**32 - 1, 4 * 2**32 - 1)  # largest accepted
