@@ -276,6 +276,8 @@ class SynthesisSettings:
                 raise DomainError(f"{name} must satisfy {low} lo <= hi; got ({lo!r}, {hi!r})")
         if self.crop < 0:
             raise DomainError(f"crop must be >= 0; got {self.crop!r}")
+        if not (1 <= self.jpeg_quality <= 100):
+            raise DomainError(f"jpeg_quality must lie in 1..100; got {self.jpeg_quality!r}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .pu21 import SSIM_WINDOW, ssim_mean
 
 EPS_CHARB = 1e-3
 EPS_LOG = 1e-8
+HIST_ROWS = 1024  # pixels per soft-histogram chunk: (HIST_ROWS + 1) x bins float64 fits in cache
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,9 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     votes over hist_bins centers spanning the joint log range, compared with
     a mean absolute difference; smoothness is mean(|grad pred| *
     exp(-|grad gt|)) on log luminance, averaged over both axes.
+    Histogram votes are summed over fixed chunks of HIST_ROWS pixels, so their
+    memory does not grow with the image; a hist_sigma at which every vote of
+    an image underflows is a DomainError.
     """
     a, b = _pair(pred, gt)
     la, lb = _log_luminance(a), _log_luminance(b)
@@ -172,12 +176,26 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
         hist = 0.0
     else:
         centers = np.linspace(lo, hi, params.hist_bins)
+        scale = -(2.0 * params.hist_sigma**2)  # negating the divisor is exact
 
         def soft_hist(x):
-            votes = np.exp(-((x.ravel()[:, None] - centers[None, :]) ** 2)
-                           / (2.0 * params.hist_sigma**2))
-            total = votes.sum()
-            return votes.sum(axis=0) / total
+            # Row 0 carries each bin's running sum into the next chunk's column
+            # sum, so bins add up pixel by pixel as one (pixels, bins) matrix would.
+            flat = x.ravel()
+            buf = np.zeros((HIST_ROWS + 1, params.hist_bins))
+            for start in range(0, flat.size, HIST_ROWS):
+                chunk = flat[start:start + HIST_ROWS]
+                votes = buf[1:chunk.size + 1]
+                np.subtract(chunk[:, None], centers, out=votes)
+                np.square(votes, out=votes)
+                np.divide(votes, scale, out=votes)
+                np.exp(votes, out=votes)
+                buf[0] = buf[:chunk.size + 1].sum(axis=0)
+            total = buf[0].sum()
+            if total == 0:
+                raise DomainError(f"hist_sigma={params.hist_sigma!r} is too small: "
+                                  "every histogram vote underflows")
+            return buf[0] / total
         hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb))))
 
     # edge-aware smoothness on log luminance
@@ -192,15 +210,16 @@ def loss_terms(stages, pred, gt, *, denoised=None, mu: MuLawParams = MuLawParams
                pu: PuApproxParams = PuApproxParams(), upf: UpfParams = UpfParams(),
                color_eps: float = EPS_LOG) -> dict:
     """Unweighted terms of the composite objective; `denoised` defaults to `pred`."""
-    return {
+    terms = {
         "recon": recon_loss(stages, gt, mu),
         "ssim_pu": ssim_pu_loss(pred, gt, pu),
         "color": color_loss(pred, gt, color_eps),
         "tv": tv_loss(pred),
         "linear": linear_l1(pred, gt),
-        "denoise": denoise_loss(pred if denoised is None else denoised, gt),
-        "upf": upf_loss(pred, gt, upf),
     }
+    terms["denoise"] = terms["linear"] if denoised is None else denoise_loss(denoised, gt)
+    terms["upf"] = upf_loss(pred, gt, upf)
+    return terms
 
 
 def weigh_loss_terms(terms: dict, weights: LossWeights = LossWeights(),

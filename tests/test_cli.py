@@ -155,7 +155,10 @@ class TestConfigErrors:
         "[synth]\nsigma_lo = -0.5\n",
         "[synth]\ncrop = -3\n",
         "[synth]\nsat_frac = 2\n",
-    ], ids=["black_floor", "crop_mode", "gamma_range", "sigma_lo", "crop", "sat_frac"])
+        "[synth]\nldr_format = jpg\n",
+        "[synth]\njpeg_quality = -5\n",
+    ], ids=["black_floor", "crop_mode", "gamma_range", "sigma_lo", "crop", "sat_frac",
+            "ldr_format_jpg", "jpeg_quality"])
     def test_rejected_value_is_exit_two(self, tmp_path, hdr_sources, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from itmbench.color import mu_law
 from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage
-from itmbench.losses import (LossWeights, UpfParams, color_loss, denoise_loss,
+from itmbench.losses import (HIST_ROWS, LossWeights, UpfParams, color_loss, denoise_loss,
                              linear_l1, recon_loss, score_matching_loss,
                              ssim_pu_loss, total_loss, tv_loss, upf_loss)
 
@@ -147,6 +149,52 @@ class TestUpfLoss:
         b = rng.uniform(0.05, 1.0, (32, 32, 3)).astype(np.float64)
         _, _, _, want = oracles.naive_upf(a, b)
         assert upf_loss(img(a), img(b)) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", [(33, 31), (32, 32), (25, 41), (33, 65)],
+                             ids=["below-chunk", "one-chunk", "one-above", "chunks-plus-partial"])
+    def test_chunked_histogram_matches_oracle(self, rng, shape):
+        assert HIST_ROWS == 1024  # the shapes straddle this many pixels
+        a = rng.uniform(0.05, 1.0, shape + (3,)).astype(np.float32)
+        b = rng.uniform(0.05, 1.0, shape + (3,)).astype(np.float32)
+        _, _, _, want = oracles.naive_upf(a.astype(np.float64), b.astype(np.float64))
+        assert upf_loss(img(a), img(b)) == pytest.approx(want, rel=1e-12)
+
+    def test_gap_in_log_range_matches_oracle(self):
+        # two tight clusters ~10.6 log units apart: bins between them get only
+        # subnormal votes or none at all
+        t = np.linspace(0.0, 1.0, 32 * 40).reshape(32, 40)
+        k = np.arange(t.size).reshape(t.shape)
+        a = np.where(k % 2 == 0, 0.5 + 0.05 * t, 2e4 + 2e3 * t)
+        b = np.where(k % 3 == 0, 0.55 - 0.05 * t, 2.2e4 - 2e3 * t)
+        a, b = (np.repeat(x[..., None], 3, axis=-1).astype(np.float32) for x in (a, b))
+
+        logs = [np.log(oracles.naive_luminance(x.astype(np.float64)) + 1e-8).ravel()
+                for x in (a, b)]
+        centers = np.linspace(min(map(np.min, logs)), max(map(np.max, logs)), 64)
+        for field in logs:
+            peak = np.exp(-((field[:, None] - centers) ** 2) / (2 * 0.1**2)).max(axis=0)
+            assert ((peak > 0) & (peak < np.finfo(np.float64).tiny)).any()
+
+        _, _, _, want = oracles.naive_upf(a.astype(np.float64), b.astype(np.float64))
+        assert upf_loss(img(a), img(b)) == pytest.approx(want, rel=1e-12)
+
+    def test_all_votes_underflowing_is_domain_error(self):
+        gt = np.ones((16, 16, 3))
+        gt[0, 0], gt[5, 7] = 1e-4, 1e3
+        pred = np.full((16, 16, 3), np.exp(0.37))
+        with pytest.raises(DomainError, match="hist_sigma"):
+            upf_loss(img(pred), img(gt), UpfParams(hist_sigma=0.001))
+
+    def test_peak_memory_does_not_grow_with_image(self, rng):
+        a = rng.lognormal(0.0, 1.0, (512, 512, 3))
+        b = rng.lognormal(0.0, 1.0, (512, 512, 3))
+        tracemalloc.start()
+        try:
+            upf_loss(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_image_smaller_than_patch_rejected(self, rng):
         small = img(rng.uniform(0.1, 1.0, (8, 8, 3)))
