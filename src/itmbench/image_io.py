@@ -33,7 +33,8 @@ class LinearImage:
 
     data is (height, width, 3) float32; every component finite and >= 0.
     `header` carries opaque Radiance header attributes (EXPOSURE, comments,
-    ...) preserved on read and ignored by all math.
+    ...) preserved on read and ignored by all math: each is one non-empty
+    ASCII line with no newline.
     """
 
     data: np.ndarray
@@ -52,6 +53,10 @@ class LinearImage:
             raise FormatError("linear image components must be non-negative")
         self.data = arr
         self.header = tuple(self.header)
+        for line in self.header:
+            # each entry is written as one .hdr header line, which read_hdr must read back
+            if not (isinstance(line, str) and line and line.isascii() and "\n" not in line):
+                raise FormatError(f"header entry {line!r} is not a non-empty ASCII line")
 
     @property
     def height(self) -> int:
@@ -130,22 +135,20 @@ def rgbe_decode(pixel) -> tuple:
 
 def _rgbe_encode_rows(data: np.ndarray) -> np.ndarray:
     """Vectorized encoder: (n, 3) float -> (n, 4) uint8."""
-    m = data.max(axis=1)
+    m = np.maximum(np.maximum(data[:, 0], data[:, 1]), data[:, 2])
     _, ex = np.frexp(m)
     # exponents below 0 stay below 1 after the bump, so they encode black; the
     # clamp keeps 2**(136 - e) finite for float64 subnormals
-    e = np.maximum(ex.astype(np.int64) + 128, 0)
+    e = np.maximum(ex + 128, 0)
     if (e > 255).any():
         raise FormatError("component too large for RGBE encoding")
-    scale = np.ldexp(1.0, (8 - (e - 128)).astype(np.int64))
-    mant = np.floor(data * scale[:, None] + 0.5)
-    bump = mant.max(axis=1) >= 256
+    mant = np.floor(data * np.ldexp(1.0, 136 - e)[:, None] + 0.5)
+    bump = np.maximum(np.maximum(mant[:, 0], mant[:, 1]), mant[:, 2]) >= 256
     if bump.any():
-        e = np.where(bump, e + 1, e)
+        e[bump] += 1
         if (e > 255).any():
             raise FormatError("component too large for RGBE encoding")
-        scale = np.ldexp(1.0, (8 - (e - 128)).astype(np.int64))
-        mant = np.floor(data * scale[:, None] + 0.5)
+        mant[bump] = np.floor(data[bump] * np.ldexp(1.0, 136 - e[bump])[:, None] + 0.5)
     black = (m == 0.0) | (e < 1)
     out = np.empty((data.shape[0], 4), dtype=np.uint8)
     out[:, :3] = np.where(black[:, None], 0, mant).astype(np.uint8)
@@ -324,53 +327,87 @@ def _read_flat_scanline(data: bytes, pos: int, row: np.ndarray) -> int:
         pos += 4 * k
 
 
+# Scanlines the writer encodes and run-length codes per numpy pass, so its
+# working memory is set by the band and the width, not by the image height.
+_HDR_BAND = 32
+
+
 def write_hdr(image: LinearImage, path):
-    """Write a Radiance RGBE file; adaptive RLE for widths in [8, 32767], flat otherwise."""
+    """Write a Radiance RGBE file; adaptive RLE for widths in [8, 32767], flat otherwise.
+
+    The whole file is coded before it is opened, so an error leaves no file.
+    """
     h, w = image.height, image.width
-    rgbe = _rgbe_encode_rows(
-        image.data.reshape(-1, 3).astype(np.float64)
-    ).reshape(h, w, 4)
-    out = bytearray()
-    out += b"#?RADIANCE\n"
+    out = bytearray(b"#?RADIANCE\n")
     for line in image.header:
         if not line.startswith("FORMAT="):
             out += line.encode("ascii") + b"\n"
     out += b"FORMAT=32-bit_rle_rgbe\n\n"
     out += f"-Y {h} +X {w}\n".encode("ascii")
-    adaptive = 8 <= w <= 32767
-    for y in range(h):
-        if adaptive:
-            out += bytes((2, 2, (w >> 8) & 0xFF, w & 0xFF))
-            for ch in range(4):
-                out += _rle_component(rgbe[y, :, ch])
+    for y in range(0, h, _HDR_BAND):
+        band = image.data[y:y + _HDR_BAND]
+        rgbe = _rgbe_encode_rows(band.reshape(-1, 3).astype(np.float64))
+        if 8 <= w <= 32767:
+            # one row per component: R, G, B and E of each scanline in turn
+            comp = np.ascontiguousarray(rgbe.reshape(len(band), w, 4).transpose(0, 2, 1))
+            out += _rle_scanlines(comp.reshape(-1, w)).data
         else:
-            out += rgbe[y].tobytes()
+            out += rgbe.data
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
 
 
-def _rle_component(channel: np.ndarray) -> bytes:
-    """Classic Radiance run-length coding: runs of >= 4, literals up to 128 bytes."""
-    data = channel.tobytes()
-    n = len(data)
-    edges = np.flatnonzero(channel[1:] != channel[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [n]))
-    runs = ends - starts >= 4
-    out = bytearray()
-    pos = 0
-    # the empty run (n, n) flushes the literals after the last run
-    for start, end in zip(starts[runs].tolist() + [n], ends[runs].tolist() + [n]):
-        for at in range(pos, start, 128):  # literals before the run
-            chunk = data[at:min(at + 128, start)]
-            out.append(len(chunk))
-            out += chunk
-        pos = start
-        while end - pos >= 4:  # a run longer than 127 takes several codes
-            count = min(end - pos, 127)
-            out += bytes((128 + count, data[pos]))
-            pos += count
-    return bytes(out)
+def _rle_scanlines(comp: np.ndarray) -> np.ndarray:
+    """Adaptive RLE scanlines for (4 * rows, width) uint8 components, 4 rows per scanline.
+
+    Each component is coded on its own, as classic Radiance does: a run of
+    L >= 4 equal bytes takes L // 127 codes of 127, plus one of L % 127 when
+    that is >= 4; a shorter remainder joins the literals after it, and
+    literals go out in chunks of at most 128 bytes.
+    """
+    w = comp.shape[1]
+    data = comp.ravel()
+    n = data.size
+    # new[i]: byte i starts a run of equal bytes, as every component start
+    # does; the four places past the end count as starts too
+    new = np.ones(n + 4, dtype=bool)
+    np.not_equal(data[1:], data[:-1], out=new[1:n])
+    new[:n:w] = True
+    # runs of >= 4: the next three bytes continue the run
+    held = ~(new[1:n + 1] | new[2:n + 2] | new[3:n + 3])
+    opens = new[:n] & held
+    run_at = np.flatnonzero(opens)
+    run_end = np.flatnonzero(held & new[4:]) + 4
+    rem = (run_end - run_at) % 127
+    # segments: coded runs and the literal stretches between them, which
+    # also break at each component start
+    cut = np.zeros(n + 1, dtype=bool)
+    cut[::w] = True
+    cut[run_at] = True
+    cut[run_end - rem * (rem < 4)] = True
+    bounds = np.flatnonzero(cut)
+    seg_at, seg_len = bounds[:-1], np.diff(bounds)
+    seg_run = opens[seg_at]
+    # tokens: codes of <= 127 run bytes, chunks of <= 128 literals
+    step = np.where(seg_run, 127, 128)
+    ntok = -(-seg_len // step)
+    first = np.repeat(np.cumsum(ntok) - ntok, ntok)
+    step = np.repeat(step, ntok)
+    at = np.repeat(seg_at, ntok) + (np.arange(len(step)) - first) * step
+    count = np.minimum(np.repeat(seg_at + seg_len, ntok) - at, step)
+    is_run = np.repeat(seg_run, ntok)
+    size = np.where(is_run, 2, count + 1)
+    marker = at % (4 * w) == 0  # a scanline's first token follows its marker
+    head = np.cumsum(size + 4 * marker) - size
+    out = np.empty(head[-1] + size[-1], dtype=np.uint8)
+    out[head[marker, None] - 4 + np.arange(4)] = (2, 2, w >> 8, w & 0xFF)
+    out[head] = count + 128 * is_run
+    # literals go one after another behind their count; every byte of a run
+    # lands on the run's one value byte
+    lit = ~is_run
+    dest = np.repeat(head + 1 - at * lit, count) + np.arange(n) * np.repeat(lit, count)
+    out[dest] = data
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,29 @@ class _NaiveBytes:
         return v
 
 
+def naive_rgbe_encode(r: float, g: float, b: float) -> tuple:
+    """One RGBE pixel (r, g, b, exponent) from first principles, one float at a time.
+
+    The exponent e is the smallest with max(r, g, b) < 2**(e - 128); each
+    mantissa is component * 2**(136 - e) rounded half up. When that rounding
+    carries the largest mantissa to 256, e goes up by one. Zero, and anything
+    left with e < 1, is canonical black; e > 255 raises ValueError.
+    """
+    top = max(r, g, b)
+    if top == 0.0:
+        return (0, 0, 0, 0)
+    e = math.frexp(top)[1] + 128  # top = f * 2**(e - 128) with 0.5 <= f < 1
+    mant = [math.floor(math.ldexp(c, 136 - e) + 0.5) for c in (r, g, b)]
+    if max(mant) >= 256:
+        e += 1
+        mant = [math.floor(math.ldexp(c, 136 - e) + 0.5) for c in (r, g, b)]
+    if e < 1:
+        return (0, 0, 0, 0)
+    if e > 255:
+        raise ValueError("component too large for RGBE encoding")
+    return (mant[0], mant[1], mant[2], e)
+
+
 def naive_read_hdr(data: bytes):
     """Radiance RGBE decoder that walks the stream one byte or pixel at a time.
 

@@ -135,6 +135,26 @@ class TestRadianceFile:
         assert "EXPOSURE=1.0" in back.header
         assert "# synthetic" in back.header
 
+    @pytest.mark.parametrize("line", ["", "A\nB", "\u00e9", b"EXPOSURE=1.0"])
+    def test_header_entry_that_cannot_round_trip_is_rejected(self, line):
+        # a blank line would end the header early and a newline would split one
+        # entry in two; neither, nor non-ASCII text, can be read back as written
+        with pytest.raises(FormatError):
+            LinearImage(np.zeros((1, 1, 3), dtype=np.float32), header=("EXPOSURE=1.0", line))
+
+    def test_writer_memory_does_not_grow_with_height(self, tmp_path):
+        # scanlines are coded a band at a time; coding the whole image at once
+        # reads a traced peak above 30 MB at this size
+        data = np.random.default_rng(5).lognormal(0.0, 1.5, (512, 512, 3)).astype(np.float32)
+        img = LinearImage(data)
+        tracemalloc.start()
+        try:
+            write_hdr(img, tmp_path / "big.hdr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"peak traced allocation {peak} bytes"
+
     def test_flat_scanline_starting_2_2_with_high_bit_is_old_style(self, tmp_path):
         # (2,2,b,e) with b's high bit set cannot be an adaptive marker
         pixels = bytes([2, 2, 200, 130]) + bytes([128, 90, 10, 129]) * 9

@@ -1,6 +1,8 @@
 """The RGBE scanline codec against the byte-at-a-time oracles in oracles.py.
 
-`write_hdr` must produce exactly the oracle's bytes, and `read_hdr` must give
+`write_hdr` must produce exactly the oracle's bytes (pixels from
+`naive_rgbe_encode`, scanlines from `naive_rle_component`) at every height,
+across the writer's scanline bands, and `read_hdr` must give
 the oracle's pixels or raise the same ParseError (message and byte offset)
 on every stream, valid or mutated.
 """
@@ -10,7 +12,7 @@ import pytest
 
 import oracles
 from itmbench.errors import ParseError
-from itmbench.image_io import LinearImage, read_hdr, rgbe_encode, write_hdr
+from itmbench.image_io import LinearImage, read_hdr, write_hdr
 from test_acceptance import _mutate
 
 
@@ -83,11 +85,54 @@ class TestWriter:
         if seed % 2:  # coarse levels give runs of every length
             data = np.round(data)
         img = LinearImage(data.astype(np.float32))
-        rgbe = np.array([rgbe_encode(px) for px in img.data.reshape(-1, 3)],
+        rgbe = np.array([oracles.naive_rgbe_encode(*px) for px in img.data.reshape(-1, 3).tolist()],
                         dtype=np.uint8).reshape(h, w, 4)
         path = tmp_path / "out.hdr"
         write_hdr(img, path)
         assert path.read_bytes() == hdr_bytes(rgbe)
+
+    def test_float32_sweep_matches_oracle_pixels(self, tmp_path):
+        # every float32 binade: zeros, mantissas that round up to 256, values
+        # just below 2**-128 and exponents up to 2**126, the largest in each channel
+        k = np.arange(-149, 127, dtype=np.float64)
+        edges = np.array([1.0, 1 - 2**-9, 1 - 2**-10, 1 - 2**-8, 1 + 2**-9, 0.7])
+        m = np.append((2.0 ** k[:, None] * edges).ravel(), [2.9358e-39, 2.0**-128 * (1 - 2**-10)])
+        m = m.astype(np.float32)
+        rgb = np.concatenate([
+            np.stack([m, m * np.float32(0.37), m * np.float32(0.001)], axis=-1),
+            np.stack([np.zeros_like(m), m, m * np.float32(0.999)], axis=-1),
+            np.stack([m * np.float32(2**-20), np.zeros_like(m), m], axis=-1),
+            np.zeros((40, 3), dtype=np.float32),
+        ])
+        path = tmp_path / "sweep.hdr"
+        write_hdr(LinearImage(rgb[:, None, :]), path)  # width 1: flat pixels
+        stored = np.frombuffer(path.read_bytes()[-4 * len(rgb):], dtype=np.uint8).reshape(-1, 4)
+        want = [oracles.naive_rgbe_encode(*px) for px in rgb.tolist()]
+        assert [tuple(px) for px in stored.tolist()] == want
+
+    @pytest.mark.parametrize("height", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("width", [7, 8, 130, 300])
+    def test_heights_across_scanline_bands(self, tmp_path, height, width):
+        # palette pixels in runs of 1..200, so runs and literals meet band edges
+        rng = np.random.default_rng(height * 1000 + width)
+        palette = normalized_pixels(rng, (3,))
+        idx = np.repeat(rng.integers(0, 3, size=(height, width)),
+                        rng.integers(1, 200, size=width), axis=1)[:, :width]
+        assert_writes_oracle_bytes(tmp_path, palette[idx])
+
+    @pytest.mark.parametrize("height", [1, 33])
+    def test_constant_image_breaks_runs_at_each_component(self, tmp_path, height):
+        # all four components hold one byte, so only component starts end a run
+        assert_writes_oracle_bytes(tmp_path, np.full((height, 300, 4), 140, dtype=np.uint8))
+
+    def test_runs_of_130_and_131_across_bands(self, tmp_path, rng):
+        # 127 + a remainder of 3 (joins the literals after it) or 4 (its own code)
+        rgbe = normalized_pixels(rng, (40, 300))
+        run = normalized_pixels(rng, (1,))[0]
+        for y in range(40):
+            length, start = 130 + y % 2, (y * 37) % 170
+            rgbe[y, start:start + length] = run
+        assert_writes_oracle_bytes(tmp_path, rgbe)
 
 
 def flat_seed() -> bytes:
