@@ -11,15 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .color import luminance
 from .errors import DomainError, ItmError, RangeError
-from .image_io import (LinearImage, Ldr8Image, index_linear_dir, read_linear, write_ldr8,
-                       write_linear)
+from .image_io import (LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir, read_linear,
+                       write_ldr8, write_linear)
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
@@ -238,7 +238,7 @@ _SETTING_CHOICES = {
     "crf_family": ("sigmoid", "gamma", "identity"),
     "crop_mode": ("random", "center"),
     "ldr_format": ("png", "ppm", "jpg"),  # jpg needs a codec
-    "hdr_format": ("hdr", "pfm"),
+    "hdr_format": tuple(suffix[1:] for suffix in LINEAR_WRITERS),
 }
 
 
@@ -295,18 +295,7 @@ class SynthesisRecord:
     hdr_file: str
 
     def to_json_line(self) -> str:
-        doc = {
-            "source": self.source,
-            "index": self.index,
-            "seed": self.seed,
-            "ev": self.ev,
-            "crf": self.crf,
-            "noise_sigma": self.noise_sigma,
-            "crop": list(self.crop) if self.crop is not None else None,
-            "ldr_file": self.ldr_file,
-            "hdr_file": self.hdr_file,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def derive_seed(master_seed: int, source_id: str, index: int) -> int:

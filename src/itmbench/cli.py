@@ -22,7 +22,7 @@ from .analysis import error_map, error_stats, intensity_error_joint, saturation_
 from .camera import Crf, NoiseParams, generate_dataset, simulate_ldr
 from .config import Config, parse_config
 from .errors import ConfigError, ItmError
-from .image_io import LinearImage, read_ldr8, read_linear, write_linear, write_pfm
+from .image_io import LINEAR_WRITERS, LinearImage, read_ldr8, read_linear, write_linear, write_pfm
 from .image_io import read_hdr  # noqa: F401  still bound: bench/test_perfbench.py reads cli.read_hdr
 from .losses import LossWeights, loss_terms, weigh_loss_terms
 from .operators import naive_expand
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="8-bit input image")
     p.add_argument("--crf", default="identity",
                    help="CRF spec: identity | gamma:G | sigmoid:N,C | table:PATH")
-    p.add_argument("--format", choices=("hdr", "pfm"), default="hdr")
+    p.add_argument("--format", choices=[suffix[1:] for suffix in LINEAR_WRITERS], default="hdr")
     common(p)
     p.set_defaults(func=cmd_expand)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
@@ -27,26 +27,48 @@ from .errors import FormatError, InputError, ParseError, ShapeError
 MAX_PIXELS = 1 << 24
 
 
+# Longest .hdr header line, without its newline, that read_hdr accepts and so
+# the longest header entry a LinearImage may carry.
+_HDR_LINE_MAX = 4095
+
+
 @dataclass
-class LinearImage:
+class _Raster:
+    """RGB raster of at least one pixel; data is (height, width, 3)."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data)
+        if self.data.ndim != 3 or self.data.shape[2] != 3:
+            raise ShapeError(f"expected (height, width, 3) array, got {self.data.shape}")
+        if self.data.shape[0] < 1 or self.data.shape[1] < 1:
+            raise ShapeError("image dimensions must be positive")
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+
+@dataclass
+class LinearImage(_Raster):
     """Floating-point RGB raster in relative linear radiance.
 
     data is (height, width, 3) float32; every component finite and >= 0.
     `header` carries opaque Radiance header attributes (EXPOSURE, comments,
     ...) preserved on read and ignored by all math: each is one non-empty
-    ASCII line with no newline.
+    ASCII line with no newline, of at most 4095 characters.
     """
 
-    data: np.ndarray
     header: tuple = ()
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ShapeError(f"expected (height, width, 3) array, got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError("image dimensions must be positive")
-        arr = arr.astype(np.float32, copy=False)
+        super().__post_init__()
+        arr = self.data.astype(np.float32, copy=False)
         if not np.isfinite(arr).all():
             raise FormatError("linear image components must be finite")
         if (arr < 0).any():
@@ -57,43 +79,23 @@ class LinearImage:
             # each entry is written as one .hdr header line, which read_hdr must read back
             if not (isinstance(line, str) and line and line.isascii() and "\n" not in line):
                 raise FormatError(f"header entry {line!r} is not a non-empty ASCII line")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+            if len(line) > _HDR_LINE_MAX:
+                raise FormatError(f"header entry of {len(line)} characters exceeds "
+                                  f"the {_HDR_LINE_MAX}-character header line limit")
 
 
 @dataclass
-class Ldr8Image:
+class Ldr8Image(_Raster):
     """8-bit nonlinear (CRF-encoded) RGB raster; data is (height, width, 3) uint8."""
 
-    data: np.ndarray
-
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ShapeError(f"expected (height, width, 3) array, got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError("image dimensions must be positive")
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
+        super().__post_init__()
+        if self.data.dtype != np.uint8:
+            if not np.issubdtype(self.data.dtype, np.integer):
                 raise FormatError("8-bit image data must be integer")
-            if arr.min() < 0 or arr.max() > 255:
+            if self.data.min() < 0 or self.data.max() > 255:
                 raise FormatError("8-bit image values must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        self.data = arr
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+            self.data = self.data.astype(np.uint8)
 
 
 class RgbePixel(NamedTuple):
@@ -170,20 +172,12 @@ def _rgbe_decode_rows(rgbe: np.ndarray) -> np.ndarray:
 _HDR_MAGICS = (b"#?RADIANCE", b"#?RGBE")
 
 
-class _ByteReader:
-    """Header line cursor that raises ParseError with the current offset."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def line(self, limit=4096) -> bytes:
-        end = self.data.find(b"\n", self.pos, self.pos + limit)
-        if end < 0:
-            raise ParseError("unterminated header line", offset=self.pos)
-        out = self.data[self.pos:end]
-        self.pos = end + 1
-        return out
+def _header_line(data: bytes, pos: int) -> tuple:
+    """The header line that starts at data[pos], without its newline, and the position after it."""
+    end = data.find(b"\n", pos, pos + _HDR_LINE_MAX + 1)
+    if end < 0:
+        raise ParseError("unterminated header line", offset=pos)
+    return data[pos:end], end + 1
 
 
 def _check_dims(width: int, height: int, offset: int):
@@ -207,14 +201,13 @@ def _read_file(path) -> bytes:
 def read_hdr(path) -> LinearImage:
     """Read a Radiance RGBE file (flat, old-style RLE, or adaptive RLE scanlines)."""
     raw = _read_file(path)
-    rd = _ByteReader(raw)
-    magic = rd.line()
+    magic, pos = _header_line(raw, 0)
     if magic not in _HDR_MAGICS:
         raise ParseError("not a Radiance RGBE file", offset=0)
     header = []
     while True:
-        at = rd.pos
-        line = rd.line()
+        at = pos
+        line, pos = _header_line(raw, pos)
         if line == b"":
             break
         try:
@@ -226,8 +219,9 @@ def read_hdr(path) -> LinearImage:
                 raise ParseError(f"unsupported pixel format {text!r}", offset=at)
         else:
             header.append(text)
-    at = rd.pos
-    parts = rd.line().split()
+    at = pos
+    line, pos = _header_line(raw, pos)
+    parts = line.split()
     if len(parts) != 4 or parts[0] != b"-Y" or parts[2] != b"+X":
         raise ParseError("unsupported or malformed resolution string", offset=at)
     try:
@@ -237,7 +231,6 @@ def read_hdr(path) -> LinearImage:
     _check_dims(width, height, at)
 
     rows = np.empty((height, width, 4), dtype=np.uint8)
-    pos = rd.pos
     for y in range(height):
         pos = _read_hdr_scanline(raw, pos, rows[y])
     data = _rgbe_decode_rows(rows.reshape(-1, 4)).reshape(height, width, 3)
@@ -327,9 +320,9 @@ def _read_flat_scanline(data: bytes, pos: int, row: np.ndarray) -> int:
         pos += 4 * k
 
 
-# Scanlines the writer encodes and run-length codes per numpy pass, so its
-# working memory is set by the band and the width, not by the image height.
-_HDR_BAND = 32
+# Pixels the writer encodes and run-length codes per numpy pass, in whole
+# scanlines (at least one), so its working memory does not grow with the image.
+_HDR_BAND_PIXELS = 16384
 
 
 def write_hdr(image: LinearImage, path):
@@ -344,8 +337,9 @@ def write_hdr(image: LinearImage, path):
             out += line.encode("ascii") + b"\n"
     out += b"FORMAT=32-bit_rle_rgbe\n\n"
     out += f"-Y {h} +X {w}\n".encode("ascii")
-    for y in range(0, h, _HDR_BAND):
-        band = image.data[y:y + _HDR_BAND]
+    rows = max(1, _HDR_BAND_PIXELS // w)
+    for y in range(0, h, rows):
+        band = image.data[y:y + rows]
         rgbe = _rgbe_encode_rows(band.reshape(-1, 3).astype(np.float64))
         if 8 <= w <= 32767:
             # one row per component: R, G, B and E of each scanline in turn
@@ -414,37 +408,49 @@ def _rle_scanlines(comp: np.ndarray) -> np.ndarray:
 # Portable FloatMap
 
 
+def _header_token(raw: bytes, pos: int, kind: str) -> tuple:
+    """The next whitespace-separated token of a PFM or PPM header, from raw[pos].
+
+    Returns (token, start, end). Only PPM headers take comments: there a '#'
+    before a token runs to the end of its line.
+    """
+    while pos < len(raw):
+        c = raw[pos:pos + 1]
+        if c == b"#" and kind == "PPM":
+            nl = raw.find(b"\n", pos)
+            if nl < 0:
+                raise ParseError("unterminated PPM comment", offset=pos)
+            pos = nl + 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < len(raw) and not raw[pos:pos + 1].isspace():
+        pos += 1
+        if pos - start > 32:
+            raise ParseError(f"{kind} header token too long", offset=start)
+    if pos == start:
+        raise ParseError(f"truncated {kind} header", offset=start)
+    return raw[start:pos], start, pos
+
+
 def read_pfm(path) -> LinearImage:
     """Read a color PFM file. The scale sign selects endianness; magnitude is ignored."""
     raw = _read_file(path)
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-            if pos - start > 32:
-                raise ParseError("PFM header token too long", offset=start)
-        if pos == start:
-            raise ParseError("truncated PFM header", offset=start)
-        return raw[start:pos], start
-
-    magic, at = token()
+    magic, at, pos = _header_token(raw, 0, "PFM")
     if magic == b"Pf":
         raise ParseError("grayscale PFM is not supported", offset=at)
     if magic != b"PF":
         raise ParseError("bad PFM magic", offset=at)
-    wtok, at = token()
-    htok, hat = token()
+    wtok, at, pos = _header_token(raw, pos, "PFM")
+    htok, _, pos = _header_token(raw, pos, "PFM")
     try:
         width, height = int(wtok), int(htok)
     except ValueError:
         raise ParseError("malformed PFM dimensions", offset=at) from None
     _check_dims(width, height, at)
-    stok, sat = token()
+    stok, sat, pos = _header_token(raw, pos, "PFM")
     try:
         scale = float(stok)
     except ValueError:
@@ -566,33 +572,10 @@ def write_ldr8(image: Ldr8Image, path, codec: LdrCodec | None = None, quality: i
 
 
 def _ppm_decode(raw: bytes) -> Ldr8Image:
-    pos = 2
-
-    def token():
-        nonlocal pos
-        while pos < len(raw):
-            c = raw[pos:pos + 1]
-            if c == b"#":  # comment runs to end of line
-                nl = raw.find(b"\n", pos)
-                if nl < 0:
-                    raise ParseError("unterminated PPM comment", offset=pos)
-                pos = nl + 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-            if pos - start > 32:
-                raise ParseError("PPM header token too long", offset=start)
-        if pos == start:
-            raise ParseError("truncated PPM header", offset=start)
-        return raw[start:pos], start
-
     fields = []
+    pos = 2
     for _ in range(3):
-        tok, at = token()
+        tok, at, pos = _header_token(raw, pos, "PPM")
         try:
             fields.append(int(tok))
         except ValueError:

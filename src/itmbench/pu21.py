@@ -9,6 +9,7 @@ configuration, loaded from a committed JSON file.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -69,18 +70,10 @@ class PuEncoding:
             raise ConfigError(f"cannot load PU coefficients {path}: {detail}") from None
 
     @staticmethod
+    @functools.cache
     def default() -> "PuEncoding":
-        global _DEFAULT_ENCODING
-        if _DEFAULT_ENCODING is None:
-            with resources.files("itmbench.data").joinpath("pu_banding_glare.json").open() as fh:
-                doc = json.load(fh)
-            _DEFAULT_ENCODING = PuEncoding(
-                p=tuple(doc["p"]), y_min=doc["y_min"], y_max=doc["y_max"], name=doc["name"]
-            )
-        return _DEFAULT_ENCODING
-
-
-_DEFAULT_ENCODING = None
+        """The packaged encoding, loaded once."""
+        return PuEncoding.from_json(resources.files("itmbench.data") / "pu_banding_glare.json")
 
 
 def _pu_forward(y: np.ndarray, p: tuple) -> np.ndarray:

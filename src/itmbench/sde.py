@@ -70,6 +70,18 @@ def _state(x, name: str) -> np.ndarray:
     return arr
 
 
+def _paired(x: np.ndarray, name: str, mu) -> tuple:
+    """State vector x (called `name`) and mu as vectors of one size; a size-1 side is broadcast."""
+    muv = _state(mu, "mu")
+    if x.size == 1 and muv.size > 1:
+        x = np.full_like(muv, x[0])
+    if muv.size == 1 and x.size > 1:
+        muv = np.full_like(x, muv[0])
+    if x.shape != muv.shape:
+        raise ShapeError(f"{name} and mu must have matching sizes")
+    return x, muv
+
+
 # Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
 # SC'11): round multipliers and the Weyl increments of the key.
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -146,13 +158,7 @@ def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1)
     Returns trajectories of shape (n_traj, steps + 1, dim); x0 and mu may be
     scalars or equal-length vectors (flattened images).
     """
-    x0v, muv = _state(x0, "x0"), _state(mu, "mu")
-    if x0v.size == 1 and muv.size > 1:
-        x0v = np.full_like(muv, x0v[0])
-    if muv.size == 1 and x0v.size > 1:
-        muv = np.full_like(x0v, muv[0])
-    if x0v.shape != muv.shape:
-        raise ShapeError("x0 and mu must have matching sizes")
+    x0v, muv = _paired(_state(x0, "x0"), "x0", mu)
     if n_traj < 1:
         raise DomainError("n_traj must be >= 1")
     steps, dt = sched.steps, sched.dt
@@ -187,14 +193,7 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
         n_traj = len(starts)
     if n_traj < 1:
         raise DomainError("n_traj must be >= 1")
-    xv = _state(xT, "xT") if starts is None else starts[0]
-    muv = _state(mu, "mu")
-    if xv.size == 1 and muv.size > 1:
-        xv = np.full_like(muv, xv[0])
-    if muv.size == 1 and xv.size > 1:
-        muv = np.full_like(xv, muv[0])
-    if xv.shape != muv.shape:
-        raise ShapeError("xT and mu must have matching sizes")
+    xv, muv = _paired(_state(xT, "xT") if starts is None else starts[0], "xT", mu)
     steps, dt = sched.steps, sched.dt
     noise = _noise_blocks(seed, 1, n_traj, xv.size, steps)
     if starts is not None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmbench.camera import (Crf, NoiseParams, SynthesisSettings,
+from itmbench.camera import (Crf, NoiseParams, SynthesisRecord, SynthesisSettings,
                              derive_seed, estimate_exposure_range,
                              generate_dataset, quantize8, simulate_ldr,
                              simulate_ldr_stages)
@@ -179,6 +179,20 @@ class TestGenerateDataset:
         for line in manifest:
             row = json.loads(line)
             assert set(row) >= {"source", "index", "seed", "ev", "crf", "noise_sigma"}
+
+    @pytest.mark.parametrize("crop, crop_text", [((3, 5, 16, 16), "[3, 5, 16, 16]"),
+                                                 (None, "null")])
+    def test_manifest_line_text(self, crop, crop_text):
+        # keys sorted, the crop tuple as a list (or null), the table CRF's entries as a list
+        record = SynthesisRecord(
+            source="a.hdr", index=1, seed=12345, ev=-1.5, crf=Crf.from_table(range(256)).as_dict(),
+            noise_sigma=0.002, crop=crop, ldr_file="a_0001.png", hdr_file="a_0001.hdr")
+        table = ", ".join(repr(k / 255) for k in range(256))
+        assert record.to_json_line() == (
+            f'{{"crf": {{"family": "table", "table": [{table}]}}, "crop": {crop_text}, '
+            '"ev": -1.5, "hdr_file": "a_0001.hdr", "index": 1, "ldr_file": "a_0001.png", '
+            '"noise_sigma": 0.002, "seed": 12345, "source": "a.hdr"}')
+        assert table.startswith("0.0, 0.00392156862745098, ") and table.endswith(", 1.0")
 
     def test_same_master_seed_is_bit_identical(self, tmp_path, rng):
         src = self._sources(tmp_path, rng)

@@ -142,6 +142,28 @@ class TestRadianceFile:
         with pytest.raises(FormatError):
             LinearImage(np.zeros((1, 1, 3), dtype=np.float32), header=("EXPOSURE=1.0", line))
 
+    def test_header_entry_length_matches_the_reader(self, tmp_path):
+        # read_hdr takes header lines of up to 4095 bytes before the newline
+        black = np.zeros((1, 1, 3), dtype=np.float32)
+        longest = "#" + "x" * 4094
+        write_hdr(LinearImage(black, header=(longest,)), tmp_path / "h.hdr")
+        assert read_hdr(tmp_path / "h.hdr").header == (longest,)
+        with pytest.raises(FormatError):
+            LinearImage(black, header=(longest + "x",))
+
+    def test_writer_memory_does_not_grow_with_width(self, tmp_path):
+        # the band is a pixel budget; 32 scanlines of this width at once read
+        # a traced peak of about 110 MB
+        data = np.random.default_rng(6).lognormal(0.0, 1.5, (32, 32767, 3)).astype(np.float32)
+        img = LinearImage(data)
+        tracemalloc.start()
+        try:
+            write_hdr(img, tmp_path / "wide.hdr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"peak traced allocation {peak} bytes"
+
     def test_writer_memory_does_not_grow_with_height(self, tmp_path):
         # scanlines are coded a band at a time; coding the whole image at once
         # reads a traced peak above 30 MB at this size
@@ -238,6 +260,27 @@ class TestPfm:
         (tmp_path / "n.pfm").write_bytes(b"PF\n1 1\n-1.0\n" + nan.tobytes())
         with pytest.raises(ParseError):
             read_pfm(tmp_path / "n.pfm")
+
+
+@pytest.mark.parametrize("suffix, blob, message", [
+    (".pfm", b"PF\n" + b"1" * 33 + b" 1\n-1.0\n", "PFM header token too long (byte offset 3)"),
+    (".pfm", b"PF\n4 4\n", "truncated PFM header (byte offset 7)"),
+    # '#' starts no comment in a PFM header: it is read as the width
+    (".pfm", b"PF\n# 1 1\n1 1\n-1.0\n", "malformed PFM dimensions (byte offset 3)"),
+    (".pfm", b"PF\n1 x\n-1.0\n", "malformed PFM dimensions (byte offset 3)"),
+    (".pfm", b"PF\n1 1\n-1.0", "expected whitespace after PFM scale (byte offset 11)"),
+    (".ppm", b"P6\n" + b"1" * 33 + b" 1\n255\n", "PPM header token too long (byte offset 3)"),
+    (".ppm", b"P6\n1 1", "truncated PPM header (byte offset 6)"),
+    (".ppm", b"P6\n# 1 1 255", "unterminated PPM comment (byte offset 3)"),
+    (".ppm", b"P6\n# c\n1 y\n255\n", "malformed PPM header field (byte offset 9)"),
+    (".ppm", b"P6\n1 1\n255", "expected whitespace after PPM maxval (byte offset 10)"),
+])
+def test_pfm_and_ppm_header_errors(tmp_path, suffix, blob, message):
+    path = tmp_path / ("bad" + suffix)
+    path.write_bytes(blob)
+    with pytest.raises(ParseError) as err:
+        read_pfm(path) if suffix == ".pfm" else read_ldr8(path)
+    assert str(err.value) == message
 
 
 class TestLdr8:

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from itmbench.errors import ParseError
-from itmbench.image_io import LinearImage, read_hdr, write_hdr
+from itmbench.image_io import _HDR_BAND_PIXELS, LinearImage, read_hdr, write_hdr
 from test_acceptance import _mutate
 
 
@@ -47,6 +47,11 @@ def image_of(rgbe: np.ndarray, header=()) -> LinearImage:
     e = rgbe[..., 3:].astype(np.float64)
     data = np.where(e == 0, 0.0, m * 2.0 ** (e - 136)).astype(np.float32)
     return LinearImage(data, header=header)
+
+
+def band_rows(width: int) -> int:
+    """Scanlines `write_hdr` codes per pass at `width`."""
+    return max(1, _HDR_BAND_PIXELS // width)
 
 
 def assert_writes_oracle_bytes(tmp_path, rgbe, header=()):
@@ -110,10 +115,16 @@ class TestWriter:
         want = [oracles.naive_rgbe_encode(*px) for px in rgb.tolist()]
         assert [tuple(px) for px in stored.tolist()] == want
 
-    @pytest.mark.parametrize("height", [1, 31, 32, 33, 65])
+    # (bands, extra): height = bands * band + extra rows at the tested width;
+    # each id is the height the case has at width 512, where a band is 32 rows
+    @pytest.mark.parametrize("bands, extra", [
+        pytest.param(0, 1, id="1"), pytest.param(1, -1, id="31"), pytest.param(1, 0, id="32"),
+        pytest.param(1, 1, id="33"), pytest.param(2, 1, id="65"),
+    ])
     @pytest.mark.parametrize("width", [7, 8, 130, 300])
-    def test_heights_across_scanline_bands(self, tmp_path, height, width):
+    def test_heights_across_scanline_bands(self, tmp_path, bands, extra, width):
         # palette pixels in runs of 1..200, so runs and literals meet band edges
+        height = bands * band_rows(width) + extra
         rng = np.random.default_rng(height * 1000 + width)
         palette = normalized_pixels(rng, (3,))
         idx = np.repeat(rng.integers(0, 3, size=(height, width)),
@@ -127,9 +138,10 @@ class TestWriter:
 
     def test_runs_of_130_and_131_across_bands(self, tmp_path, rng):
         # 127 + a remainder of 3 (joins the literals after it) or 4 (its own code)
-        rgbe = normalized_pixels(rng, (40, 300))
+        height = band_rows(300) + 8
+        rgbe = normalized_pixels(rng, (height, 300))
         run = normalized_pixels(rng, (1,))[0]
-        for y in range(40):
+        for y in range(height):
             length, start = 130 + y % 2, (y * 37) % 170
             rgbe[y, start:start + length] = run
         assert_writes_oracle_bytes(tmp_path, rgbe)
