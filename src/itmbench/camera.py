@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .color import luminance
 from .errors import DomainError, ItmError, RangeError
-from .image_io import (LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir, read_linear,
-                       write_ldr8, write_linear)
+from .image_io import (LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir, ordered_map,
+                       read_linear, write_ldr8, write_linear)
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
@@ -386,8 +385,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
         except ItmError as exc:
             return None, f"{name}[{index}]: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(run, tasks))
+    results = ordered_map(run, tasks, jobs)
 
     records = sorted((r for r, _ in results if r is not None),
                      key=lambda r: (r.source, r.index))

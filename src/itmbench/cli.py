@@ -117,11 +117,9 @@ def cmd_sde_demo(args, cfg: Config, out: Path) -> int:
     _write_error_map(result.error_map, out / "sde_error_map.pfm")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    track = min(4, result.forward_history.shape[1])
-    writer.writerow(["step"] + [f"pixel{i}" for i in range(track)])
-    for step in range(result.forward_history.shape[0]):
-        row = [step] + [repr(float(v)) for v in result.forward_history[step, :track]]
-        writer.writerow(row)
+    writer.writerow(["step"] + [f"pixel{i}" for i in range(result.forward_history.shape[1])])
+    for step, values in enumerate(result.forward_history):
+        writer.writerow([step] + [repr(float(v)) for v in values])
     (out / "sde_trajectories.csv").write_text(buf.getvalue())
     diag = json.dumps(result.diagnostics, indent=2, sort_keys=True)
     (out / "sde_diagnostics.json").write_text(diag + "\n")

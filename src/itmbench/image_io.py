@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Protocol
@@ -523,6 +524,18 @@ def index_linear_dir(directory) -> tuple:
     errors = [f"{' and '.join(map(str, paths))} share the stem {stem!r}; none of them is used"
               for stem, paths in sorted(by_stem.items()) if len(paths) > 1]
     return files, errors
+
+
+def ordered_map(fn, items, jobs: int = 1) -> list:
+    """[fn(item) for item in items], run on up to `jobs` threads.
+
+    Results keep the order of `items` for any `jobs`; with `jobs <= 1` every
+    call runs in the calling thread, and no thread is started.
+    """
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import functools
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .color import DisplayMapping, luminance, to_display_luminance
 from .errors import ConfigError, DomainError, ItmError, ShapeError
-from .image_io import LINEAR_READERS, index_linear_dir, read_linear
+from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
 SCHEMA_VERSION = 1
 
@@ -305,8 +304,7 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
 
     stems = sorted(gts)
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(score_one, stems))
+    results = ordered_map(score_one, stems, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     results.sort(key=lambda t: t[0])

@@ -117,7 +117,9 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int):
     """Standard-normal noise of one simulation, one 4-step block at a time.
 
     Returns `block(m)`: an array (4, n_traj, dim) whose row s is the noise of
-    step 4m + s. Lane (k, j) of block m is Philox4x32-10 of the counter
+    step 4m + s. Every block is written into one buffer, allocated at the
+    first call, so a returned block is valid only until the next call.
+    Lane (k, j) of block m is Philox4x32-10 of the counter
     (m, j, k, stream) under a key derived from `seed`, its four words turned
     into four normals by Box-Muller. A value therefore depends only on
     (seed, stream, k, j, step): element j of a flattened image run follows
@@ -130,9 +132,12 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int):
         raise DomainError("dim, n_traj and steps // 4 must each stay below 2^32")
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint32)
     lanes = n_traj * dim
+    out = None
 
     def block(m: int) -> np.ndarray:
-        out = np.empty((4, lanes))
+        nonlocal out
+        if out is None:
+            out = np.empty((4, lanes))
         for lo in range(0, lanes, _LANE_CHUNK):
             hi = min(lo + _LANE_CHUNK, lanes)
             lane = np.arange(lo, hi, dtype=np.uint64)
@@ -152,27 +157,32 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int):
     return block
 
 
-def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1) -> np.ndarray:
+def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1,
+                     return_history: bool = True) -> np.ndarray:
     """Euler-Maruyama ensemble of the forward SDE.
 
-    Returns trajectories of shape (n_traj, steps + 1, dim); x0 and mu may be
-    scalars or equal-length vectors (flattened images).
+    Returns trajectories of shape (n_traj, steps + 1, dim), or with
+    `return_history=False` only the final states (n_traj, dim), bit-equal to
+    the history's last step, without allocating the history. x0 and mu may
+    be scalars or equal-length vectors (flattened images).
     """
     x0v, muv = _paired(_state(x0, "x0"), "x0", mu)
     if n_traj < 1:
         raise DomainError("n_traj must be >= 1")
     steps, dt = sched.steps, sched.dt
     noise = _noise_blocks(seed, 0, n_traj, x0v.size, steps)
-    out = np.empty((n_traj, steps + 1, x0v.size))
-    out[:, 0, :] = x0v
+    history = np.empty((n_traj, steps + 1, x0v.size)) if return_history else None
+    if history is not None:
+        history[:, 0, :] = x0v
     x = np.broadcast_to(x0v, (n_traj, x0v.size)).copy()
     sqdt = np.sqrt(dt)
     for i in range(steps):
         if i % 4 == 0:
             block = noise(i // 4)
         x = x + sched.theta[i] * (muv - x) * dt + sched.sigma[i] * sqdt * block[i % 4]
-        out[:, i + 1, :] = x
-    return out
+        if history is not None:
+            history[:, i + 1, :] = x
+    return history if return_history else x
 
 
 def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
@@ -248,22 +258,35 @@ def make_ou_score(x0, mu, theta: float, sigma: float, dt: float):
     return score
 
 
-def chain_moments(x0, mu, sched: SdeSchedule) -> tuple:
-    """Exact per-step mean and variance of the discretized forward chain.
+def _chain_scalars(sched: SdeSchedule) -> tuple:
+    """Decay a and variance v of the discretized forward chain, one per step.
 
-    m_{i+1} = m_i + theta_i (mu - m_i) dt; v_{i+1} = (1 - theta_i dt)^2 v_i
-    + sigma_i^2 dt. These are the recorded forward statistics the demo's
-    analytic score uses.
+    a_0 = 1, a_{i+1} = (1 - theta_i dt) a_i;
+    v_0 = 0, v_{i+1} = (1 - theta_i dt)^2 v_i + sigma_i^2 dt.
+    The chain's mean at step i is mu + (x0 - mu) a_i.
+    """
+    a = np.ones(sched.steps + 1)
+    v = np.zeros(sched.steps + 1)
+    for i in range(sched.steps):
+        keep = 1.0 - sched.theta[i] * sched.dt
+        a[i + 1] = keep * a[i]
+        v[i + 1] = keep ** 2 * v[i] + sched.sigma[i] ** 2 * sched.dt
+    return a, v
+
+
+def chain_moments(x0, mu, sched: SdeSchedule) -> tuple:
+    """Exact per-step mean (steps + 1, dim) and variance (steps + 1,) of the
+    discretized forward chain: m_i = mu + (x0 - mu) a_i, where a_i is the
+    product of (1 - theta_j dt) over the steps j < i, and v_{i+1} =
+    (1 - theta_i dt)^2 v_i + sigma_i^2 dt. The demo's analytic score uses
+    these statistics one step at a time.
     """
     x0v, muv = _state(x0, "x0"), _state(mu, "mu")
-    steps, dt = sched.steps, sched.dt
-    m = np.empty((steps + 1, x0v.size))
-    v = np.zeros(steps + 1)
-    m[0] = x0v
-    for i in range(steps):
-        m[i + 1] = m[i] + sched.theta[i] * (muv - m[i]) * dt
-        v[i + 1] = (1.0 - sched.theta[i] * dt) ** 2 * v[i] + sched.sigma[i] ** 2 * dt
-    return m, v
+    a, v = _chain_scalars(sched)
+    return muv + (x0v - muv) * a[:, None], v
+
+
+_TRACKED_PIXELS = 4  # leading state elements whose forward path the demo records
 
 
 @dataclass
@@ -271,7 +294,7 @@ class SdeDemoResult:
     report: MetricReport
     restored: LinearImage
     error_map: np.ndarray
-    forward_history: np.ndarray  # (steps + 1, dim) single-trajectory PU-space path
+    forward_history: np.ndarray  # (steps + 1, min(4, dim)) PU-space path of the first elements
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -284,10 +307,15 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     The clean state is the PU-encoded ground truth, the mean-reversion target
     the PU-encoded degraded input. Forward Euler-Maruyama degrades toward the
     target; the backward pass restores with the analytic Gaussian score built
-    from the recorded forward-chain statistics. Zero-noise schedules are
+    from the forward chain's closed-form statistics. Zero-noise schedules are
     reversed by exact algebraic inversion of each forward Euler step (the
     score is undefined at zero variance). Reports PU-space errors of the
     decoded reconstruction.
+
+    Working memory is O(ensemble x pixels), whatever the number of steps:
+    the forward pass keeps only its final state, and the tracked elements'
+    paths come from a second forward run over those elements alone, whose
+    noise equals the full run's element for element.
     """
     enc = encoding or PuEncoding.default()
     schedule = sched or SdeSchedule.cosine()
@@ -297,8 +325,9 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     x0 = u_gt.ravel()
     target = u_ldr.ravel()
 
-    forward = forward_simulate(x0, target, schedule, seed=seed, n_traj=1)
-    x_end = forward[0, -1, :]
+    x_end = forward_simulate(x0, target, schedule, seed=seed, return_history=False)[0]
+    tracked = forward_simulate(x0[:_TRACKED_PIXELS], target[:_TRACKED_PIXELS], schedule,
+                               seed=seed)[0]
 
     if all(s == 0 for s in schedule.sigma):
         x = x_end.copy()
@@ -309,12 +338,13 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
             x = (x - schedule.theta[i] * target * schedule.dt) / denom
         restored_u = x
     else:
-        means, variances = chain_moments(x0, target, schedule)
+        decay, variances = _chain_scalars(schedule)
+        gap = x0 - target
 
         def score(x, step):
             if variances[step] <= 0:
                 raise NumericError("score is undefined where the chain variance is <= 0")
-            return -(x - means[step]) / variances[step]
+            return -(x - (target + gap * decay[step])) / variances[step]
 
         finals = backward_simulate(x_end, target, schedule, score, seed=seed, n_traj=ensemble)
         restored_u = finals.mean(axis=0)
@@ -340,6 +370,6 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
         report=report,
         restored=restored,
         error_map=error_map,
-        forward_history=forward[0],
+        forward_history=tracked,
         diagnostics=diagnostics,
     )

@@ -473,3 +473,20 @@ def naive_philox4x32(ctr, key):
         c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF,
                           (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF)
     return c0, c1, c2, c3
+
+
+def naive_chain_moments(x0, mu, theta, sigma, dt):
+    """Mean and variance of the discretized forward SDE chain, one step at a time.
+
+    `x0` and `mu` are lists of floats, `theta` and `sigma` the per-step
+    coefficients. m_{i+1} = m_i + theta_i (mu - m_i) dt and
+    v_{i+1} = (1 - theta_i dt)^2 v_i + sigma_i^2 dt, from m_0 = x0, v_0 = 0.
+    Returns (means, variances): steps + 1 rows of len(x0) means, and
+    steps + 1 variances.
+    """
+    means = [[float(v) for v in x0]]
+    variances = [0.0]
+    for th, sg in zip(theta, sigma):
+        means.append([m + th * (u - m) * dt for m, u in zip(means[-1], mu)])
+        variances.append((1.0 - th * dt) ** 2 * variances[-1] + sg * sg * dt)
+    return means, variances

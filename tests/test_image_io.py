@@ -1,5 +1,6 @@
 import math
 import struct
+import threading
 import tracemalloc
 import zlib
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from itmbench.errors import FormatError, ItmError, ParseError, ShapeError
 from itmbench.image_io import (LinearImage, Ldr8Image, RgbePixel, index_linear_dir,
-                               read_hdr, read_ldr8, read_linear, read_pfm, rgbe_decode,
-                               rgbe_encode, write_hdr, write_ldr8, write_linear,
+                               ordered_map, read_hdr, read_ldr8, read_linear, read_pfm,
+                               rgbe_decode, rgbe_encode, write_hdr, write_ldr8, write_linear,
                                write_pfm)
 
 
@@ -433,6 +434,35 @@ class TestLinearRegistry:
         assert files == {"b": tmp_path / "b.pfm", "c": tmp_path / "c.hdr"}
         assert errors == [f"{tmp_path / 'a.PFM'} and {tmp_path / 'a.hdr'} share the stem 'a'; "
                           "none of them is used"]
+
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_ordered_map_runs_one_job_in_the_calling_thread(self, jobs):
+        threads_before = threading.active_count()
+        seen = ordered_map(lambda i: (i, threading.get_ident(), threading.active_count()),
+                           range(5), jobs)
+        assert seen == [(i, threading.get_ident(), threads_before) for i in range(5)]
+
+    def test_ordered_map_keeps_item_order_across_threads(self):
+        barrier = threading.Barrier(2, timeout=10)
+
+        def work(i):
+            if i < 2:
+                barrier.wait()  # the first two items run at once, on two threads
+            return i * i, threading.get_ident()
+
+        results = ordered_map(work, range(6), 2)
+        assert [r for r, _ in results] == [i * i for i in range(6)]
+        assert results[0][1] != results[1][1]
+
+    def test_ordered_map_raises_the_first_failure(self):
+        def work(i):
+            if i == 3:
+                raise ShapeError("item 3")
+            return i
+
+        for jobs in (1, 2):
+            with pytest.raises(ShapeError, match="item 3"):
+                ordered_map(work, range(5), jobs)
 
     def test_other_suffix_is_format_error(self, tmp_path):
         img = LinearImage(np.ones((2, 2, 3), dtype=np.float32))

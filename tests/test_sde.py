@@ -6,13 +6,15 @@ import pytest
 
 from itmbench import sde
 from itmbench.camera import Crf, simulate_ldr
+from itmbench.color import DisplayMapping
 from itmbench.errors import DomainError, NumericError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import naive_expand
+from itmbench.pu21 import PuEncoding, pu_fields
 from itmbench.sde import (SdeSchedule, backward_simulate, chain_moments,
                           forward_simulate, itm_sde_demo, make_ou_score,
                           ou_moments, philox4x32)
-from oracles import naive_philox4x32
+from oracles import naive_chain_moments, naive_philox4x32
 
 
 class TestSchedule:
@@ -64,6 +66,24 @@ class TestForward:
         vector = forward_simulate([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], sched, seed=5, n_traj=2)
         assert np.array_equal(scalar[:, :, 0], vector[:, :, 0])
         assert not np.array_equal(vector[:, :, 0], vector[:, :, 1])
+
+    def test_final_state_without_history_is_last_history_row(self, rng):
+        sched = SdeSchedule.cosine(steps=13)
+        x0, mu = rng.uniform(0.0, 1.0, (2, 5000))
+        history = forward_simulate(x0, mu, sched, seed=6, n_traj=3)
+        final = forward_simulate(x0, mu, sched, seed=6, n_traj=3, return_history=False)
+        assert final.shape == (3, 5000)
+        assert np.array_equal(final, history[:, -1, :])
+
+    def test_leading_elements_replay_a_full_width_run(self, rng):
+        # the demo's tracked paths: a run over the first 4 elements alone; the
+        # full width spans two Philox lane chunks
+        dim = sde._LANE_CHUNK + 1000
+        sched = SdeSchedule.cosine(steps=9)
+        x0, mu = rng.uniform(0.0, 1.0, (2, dim))
+        full = forward_simulate(x0, mu, sched, seed=2)
+        replay = forward_simulate(x0[:4], mu[:4], sched, seed=2)
+        assert np.array_equal(replay, full[:, :, :4])
 
     def test_moments_match_ou_oracle(self):
         sched = SdeSchedule.constant(1.0, 0.5, 0.01, 200)
@@ -177,6 +197,16 @@ class TestChainMoments:
         assert variances.max() == 0.0
         assert means[-1, 0] == pytest.approx((1 - 0.5 * 0.01) ** 20, abs=1e-12)
 
+    @pytest.mark.parametrize("sched", [SdeSchedule.cosine(steps=100),
+                                       SdeSchedule.constant(0.8, 0.2, 0.01, 300)])
+    def test_closed_form_matches_per_row_recurrence(self, rng, sched):
+        x0, mu = rng.uniform(0.05, 1.0, (2, 64))
+        means, variances = chain_moments(x0, mu, sched)
+        want_means, want_variances = naive_chain_moments(x0.tolist(), mu.tolist(),
+                                                         sched.theta, sched.sigma, sched.dt)
+        np.testing.assert_allclose(means, want_means, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(variances, want_variances, rtol=1e-13, atol=0.0)
+
     def test_matches_forward_ensemble(self):
         sched = SdeSchedule.constant(1.0, 0.4, 0.01, 100)
         means, variances = chain_moments(1.5, 0.0, sched)
@@ -211,6 +241,27 @@ class TestDemo:
         r2 = itm_sde_demo(degraded, gt, sched=sched, seed=12)
         assert np.array_equal(r1.restored.data, r2.restored.data)
         assert np.array_equal(r1.forward_history, r2.forward_history)
+
+    def test_forward_history_is_the_leading_columns_of_a_full_run(self, rng):
+        degraded, gt = self._pair(rng)
+        sched = SdeSchedule.cosine(steps=25)
+        result = itm_sde_demo(degraded, gt, sched=sched, seed=12)
+        pu_ldr, pu_gt, peak = pu_fields(degraded, gt, PuEncoding.default(), DisplayMapping())
+        full = forward_simulate((pu_gt / peak).ravel(), (pu_ldr / peak).ravel(), sched, seed=12)
+        assert result.forward_history.shape == (26, 4)
+        assert np.array_equal(result.forward_history, full[0, :, :4])
+        tiny = itm_sde_demo(LinearImage(degraded.data[:1, :1]), LinearImage(gt.data[:1, :1]),
+                            sched=sched, seed=12)
+        assert tiny.forward_history.shape == (26, 3)  # one pixel: three state elements
+
+    def test_memory_does_not_grow_with_steps(self, rng):
+        degraded, gt = self._pair(rng, size=32)
+
+        def peak(steps):
+            sched = SdeSchedule.cosine(steps=steps)
+            return _traced_peak(lambda: itm_sde_demo(degraded, gt, sched=sched, seed=3))
+
+        assert peak(200) <= 1.5 * peak(25)
 
     def test_shape_mismatch_rejected(self, rng):
         a = LinearImage(rng.uniform(0, 1, (8, 8, 3)).astype(np.float32))
@@ -250,6 +301,16 @@ class TestPhilox:
             assert got.dtype == np.uint64
             want = [naive_philox4x32(tuple(int(c) for c in ctr[:, i]), key) for i in range(64)]
             assert np.array_equal(got, np.array(want, dtype=np.uint64).T)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while `run()` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _forward_noise(steps, n_traj, dim, seed=0):
@@ -309,13 +370,16 @@ class TestNoiseLayout:
     def test_backward_noise_memory_does_not_grow_with_steps(self):
         def peak(steps):
             sched = SdeSchedule.constant(1.0, 0.1, 0.01, steps)
-            tracemalloc.start()
-            try:
-                backward_simulate(np.zeros(4096), 0.0, sched, lambda x, step: 0.0,
-                                  seed=1, n_traj=16)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _traced_peak(lambda: backward_simulate(np.zeros(4096), 0.0, sched,
+                                                          lambda x, step: 0.0, seed=1, n_traj=16))
+
+        assert peak(64) <= 1.5 * peak(8)
+
+    def test_forward_final_state_memory_does_not_grow_with_steps(self):
+        def peak(steps):
+            sched = SdeSchedule.constant(1.0, 0.1, 0.01, steps)
+            return _traced_peak(lambda: forward_simulate(np.zeros(4096), 0.0, sched, seed=1,
+                                                         n_traj=16, return_history=False))
 
         assert peak(64) <= 1.5 * peak(8)
 
