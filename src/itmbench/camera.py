@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import luminance
+from .color import as_unit, luminance
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir, ordered_map,
                        read_linear, write_ldr8, write_linear)
@@ -74,7 +74,7 @@ class Crf:
         return Crf("table", table=tuple(float(v) for v in values))
 
     def apply(self, v):
-        x = _unit(v, "CRF input")
+        x = as_unit(v, "CRF input")
         if self.family == "gamma":
             out = x**self.gamma
         elif self.family == "sigmoid":
@@ -85,7 +85,7 @@ class Crf:
         return out if out.ndim else float(out)
 
     def inverse(self, v):
-        y = _unit(v, "CRF inverse input")
+        y = as_unit(v, "CRF inverse input")
         if self.family == "gamma":
             out = y ** (1.0 / self.gamma)
         elif self.family == "sigmoid":
@@ -131,13 +131,6 @@ class Crf:
         except (ValueError, OSError) as exc:
             raise DomainError(f"bad CRF spec {spec!r}: {exc}") from None
         raise DomainError(f"unknown CRF spec {spec!r}")
-
-
-def _unit(v, name: str) -> np.ndarray:
-    x = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(x).all() or (x < 0).any() or (x > 1).any():
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return x
 
 
 @dataclass(frozen=True)
@@ -361,6 +354,8 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     in the returned error list and generation continues. Output is byte-identical for any `jobs`.
     `codec` is only consulted for ldr_format 'jpg'.
     """
+    if count_per_image < 1:
+        raise DomainError(f"count_per_image must be >= 1; got {count_per_image!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sources, errors = index_linear_dir(hdr_dir)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
 
@@ -19,7 +19,7 @@ _SRGB_BREAK = 0.04045
 _LINEAR_BREAK = 0.0031308
 
 
-def _as_unit(v, name: str) -> np.ndarray:
+def as_unit(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
@@ -28,9 +28,30 @@ def _as_unit(v, name: str) -> np.ndarray:
     return arr
 
 
+def as_radiance(x, name: str) -> np.ndarray:
+    """`x` (a LinearImage or an array) as float64; non-finite or negative is a DomainError."""
+    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
+    if not np.isfinite(arr).all() or (arr < 0).any():
+        raise DomainError(f"{name} must be finite and non-negative")
+    return arr
+
+
+def check_same_shape(a, b) -> None:
+    """Raise ShapeError unless `a` and `b` (LinearImages or arrays) share a shape."""
+    sa, sb = np.shape(getattr(a, "data", a)), np.shape(getattr(b, "data", b))
+    if sa != sb:
+        raise ShapeError(f"image shapes differ: {sa} vs {sb}")
+
+
+def radiance_pair(a, b, name: str) -> tuple:
+    """`as_radiance` of two images of one shape."""
+    check_same_shape(a, b)
+    return as_radiance(a, name), as_radiance(b, name)
+
+
 def srgb_to_linear(v):
     """sRGB-encoded value(s) in [0, 1] -> linear light in [0, 1]."""
-    arr = _as_unit(v, "sRGB value")
+    arr = as_unit(v, "sRGB value")
     out = np.where(
         arr <= _SRGB_BREAK,
         arr / 12.92,
@@ -41,7 +62,7 @@ def srgb_to_linear(v):
 
 def linear_to_srgb(v):
     """Exact piecewise inverse of srgb_to_linear."""
-    arr = _as_unit(v, "linear value")
+    arr = as_unit(v, "linear value")
     out = np.where(
         arr <= _LINEAR_BREAK,
         arr * 12.92,
@@ -51,12 +72,10 @@ def linear_to_srgb(v):
 
 
 def luminance(rgb):
-    """Rec.709 luminance 0.2126 R + 0.7152 G + 0.0722 B of a (..., 3) array."""
-    arr = np.asarray(rgb, dtype=np.float64)
+    """Rec.709 luminance 0.2126 R + 0.7152 G + 0.0722 B of a LinearImage or (..., 3) array."""
+    arr = as_radiance(rgb, "luminance components")
     if arr.shape[-1] != 3:
         raise DomainError("luminance expects RGB triples on the last axis")
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise DomainError("luminance components must be finite and non-negative")
     r, g, b = LUMA_WEIGHTS
     out = r * arr[..., 0] + g * arr[..., 1] + b * arr[..., 2]
     return out if out.ndim else float(out)
@@ -96,12 +115,7 @@ def mu_law(x, params: MuLawParams = MuLawParams(), *, check_domain: bool = True)
     strictly increasing extension), which the loss evaluators rely on for
     unbounded HDR predictions.
     """
-    if check_domain:
-        arr = _as_unit(x, "mu-law input")
-    else:
-        arr = np.asarray(x, dtype=np.float64)
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise DomainError("mu-law input must be finite and non-negative")
+    arr = as_unit(x, "mu-law input") if check_domain else as_radiance(x, "mu-law input")
     out = _log_compress(arr, params.mu)
     return out if out.ndim else float(out)
 
@@ -137,7 +151,5 @@ class DisplayMapping:
 
 def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
     """Scale relative radiance by `mapping.scale` and clamp at the black floor."""
-    arr = np.asarray(getattr(image, "data", image), dtype=np.float64)
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise DomainError("display mapping expects finite non-negative input")
+    arr = as_radiance(image, "display mapping input")
     return np.maximum(arr * mapping.scale, mapping.black_floor)

@@ -21,7 +21,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParseError, ShapeError
+from .errors import DomainError, FormatError, InputError, ParseError, ShapeError
 
 # Upper bound on width*height accepted by any parser; keeps a hostile header
 # from provoking a giant allocation before the payload is validated.
@@ -529,10 +529,12 @@ def index_linear_dir(directory) -> tuple:
 def ordered_map(fn, items, jobs: int = 1) -> list:
     """[fn(item) for item in items], run on up to `jobs` threads.
 
-    Results keep the order of `items` for any `jobs`; with `jobs <= 1` every
-    call runs in the calling thread, and no thread is started.
+    Results keep the order of `items` for any `jobs` >= 1; with `jobs == 1`
+    every call runs in the calling thread, and no thread is started.
     """
-    if jobs <= 1:
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1; got {jobs!r}")
+    if jobs == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

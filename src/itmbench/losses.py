@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import MuLawParams, PuApproxParams, luminance, mu_law, pu_approx
+from .color import (MuLawParams, PuApproxParams, as_radiance, luminance, mu_law, pu_approx,
+                    radiance_pair)
 from .errors import DomainError, ShapeError
-from .pu21 import SSIM_WINDOW, ssim_mean
+from .pu21 import ssim_mean
 
 EPS_CHARB = 1e-3
 EPS_LOG = 1e-8
@@ -59,29 +60,15 @@ class UpfParams:
             raise DomainError("hist_sigma must be > 0 and focal_gamma >= 0")
 
 
-def _field(x) -> np.ndarray:
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise DomainError("loss inputs must be finite and non-negative")
-    return arr
-
-
-def _pair(pred, gt) -> tuple:
-    a, b = _field(pred), _field(gt)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def recon_loss(preds, gt, mu: MuLawParams = MuLawParams()) -> float:
     """Stage-weighted L1 in the mu-law compressed domain: sum_i (i/N) mean|R(p_i) - R(gt)|."""
     if not preds:
         raise DomainError("recon_loss needs at least one stage output")
     n = len(preds)
-    gt_c = mu_law(_field(gt), mu, check_domain=False)
+    gt_c = mu_law(as_radiance(gt, "loss inputs"), mu, check_domain=False)
     total = 0.0
     for i, pred in enumerate(preds, start=1):
-        a = _field(pred)
+        a = as_radiance(pred, "loss inputs")
         if a.shape != gt_c.shape:
             raise ShapeError("stage output shape does not match ground truth")
         total += (i / n) * float(np.mean(np.abs(mu_law(a, mu, check_domain=False) - gt_c)))
@@ -90,7 +77,7 @@ def recon_loss(preds, gt, mu: MuLawParams = MuLawParams()) -> float:
 
 def linear_l1(pred, gt) -> float:
     """Mean absolute error in linear space."""
-    a, b = _pair(pred, gt)
+    a, b = radiance_pair(pred, gt, "loss inputs")
     return float(np.mean(np.abs(a - b)))
 
 
@@ -101,7 +88,7 @@ def denoise_loss(denoised, gt) -> float:
 
 def ssim_pu_loss(pred, gt, pu: PuApproxParams = PuApproxParams()) -> float:
     """1 - SSIM on log-compressed (PU-approximated) luminance, shared SSIM kernel."""
-    a, b = _pair(pred, gt)
+    a, b = radiance_pair(pred, gt, "loss inputs")
     la = pu_approx(luminance(a), pu, check_domain=False)
     lb = pu_approx(luminance(b), pu, check_domain=False)
     return 1.0 - ssim_mean(la, lb, data_range=1.0)
@@ -111,7 +98,7 @@ def color_loss(pred, gt, eps: float = EPS_LOG) -> float:
     """L1 over the three log-ratio channels R/G, G/B, B/R; invariant to global exposure."""
     if not (eps > 0):
         raise DomainError("eps must be positive")
-    a, b = _pair(pred, gt)
+    a, b = radiance_pair(pred, gt, "loss inputs")
     if a.shape[-1] != 3:
         raise ShapeError("color_loss expects RGB images")
 
@@ -124,7 +111,7 @@ def color_loss(pred, gt, eps: float = EPS_LOG) -> float:
 
 def tv_loss(pred) -> float:
     """Anisotropic total variation: mean |forward horizontal diff| + mean |vertical diff|."""
-    a = _field(pred)
+    a = as_radiance(pred, "loss inputs")
     dh = np.abs(np.diff(a, axis=1))
     dv = np.abs(np.diff(a, axis=0))
     return float(np.mean(dh) + np.mean(dv))
@@ -149,7 +136,7 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     memory does not grow with the image; a hist_sigma at which every vote of
     an image underflows is a DomainError.
     """
-    a, b = _pair(pred, gt)
+    a, b = radiance_pair(pred, gt, "loss inputs")
     la, lb = _log_luminance(a), _log_luminance(b)
     h, w = la.shape
     p = params.patch
@@ -256,8 +243,8 @@ def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
 def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
     """Gamma-weighted sum over (x, x*) pairs of mean|x - x*| + lam * (1 - SSIM).
 
-    Entries may be scalars or arrays; with lam > 0 they must be 2-D images at
-    least the SSIM window per side.
+    Entries may be scalars or arrays; with lam > 0 they must be 2-D images that
+    `ssim_mean` accepts.
     """
     if len(trajectory) != len(gammas):
         raise DomainError("gammas length must match the trajectory")
@@ -273,8 +260,6 @@ def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
             raise ShapeError("trajectory pair shapes differ")
         term = float(np.mean(np.abs(a - b)))
         if lam > 0:
-            if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
-                raise ShapeError("SSIM regularization needs 2-D entries >= window size")
             term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
         total += gamma * term
     return total

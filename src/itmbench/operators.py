@@ -21,7 +21,7 @@ from .image_io import LinearImage, Ldr8Image
 
 @dataclass(frozen=True)
 class MaskParams:
-    """Threshold logits, sigmoid sharpness, and blur kernel for mask extraction.
+    """Threshold logits and sigmoid sharpness for mask extraction.
 
     Thresholds come from cumsum(softmax(theta)); with two logits the second
     threshold is exactly 1. Defaults are documented choices, not paper values.
@@ -29,15 +29,12 @@ class MaskParams:
 
     theta: tuple = (0.0, 0.0)
     alpha: float = 10.0
-    blur_kernel: int = 5
 
     def __post_init__(self):
         if len(self.theta) != 2:
             raise DomainError("theta holds exactly 2 threshold logits")
         if not (self.alpha > 0):
             raise DomainError("alpha must be positive")
-        if self.blur_kernel < 1 or self.blur_kernel % 2 == 0:
-            raise DomainError("blur_kernel must be odd and >= 1")
         t1, t2 = thresholds(self.theta)
         if not (0 < t1 < t2 <= 1):
             raise DomainError("thresholds must satisfy 0 < tau1 < tau2 <= 1")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import DisplayMapping, luminance, to_display_luminance
+from .color import DisplayMapping, check_same_shape, luminance, radiance_pair, to_display_luminance
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
@@ -148,14 +148,6 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     return float(ssim_map.mean())
 
 
-def _image_pair(pred, gt):
-    a = np.asarray(getattr(pred, "data", pred), dtype=np.float64)
-    b = np.asarray(getattr(gt, "data", gt), dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def pu_fields(pred, gt, encoding: PuEncoding | None = None,
               mapping: DisplayMapping = DisplayMapping(), luma: bool = False) -> tuple:
     """PU-encoded display luminance of two same-shape images, plus the PU peak.
@@ -172,8 +164,8 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
             display = luminance(display)
         return pu_encode(display, enc)
 
-    a, b = _image_pair(pred, gt)
-    return encode(a), encode(b), pu_encode(mapping.peak_luminance, enc)
+    check_same_shape(pred, gt)
+    return encode(pred), encode(gt), pu_encode(mapping.peak_luminance, enc)
 
 
 def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
@@ -195,7 +187,7 @@ def pu_ssim(pred, gt, encoding: PuEncoding | None = None,
 
 def rmse_linear(pred, gt) -> float:
     """Root mean square error in the linear HDR domain."""
-    a, b = _image_pair(pred, gt)
+    a, b = radiance_pair(pred, gt, "linear RMSE inputs")
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 

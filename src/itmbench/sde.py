@@ -15,8 +15,8 @@ import numpy as np
 from .color import DisplayMapping
 from .errors import DomainError, NumericError, ShapeError
 from .image_io import LinearImage
-from .pu21 import (MetricReport, PerImageScore, PuEncoding, pu_decode, pu_fields,
-                   pu_psnr, pu_ssim, rmse_linear)
+from .pu21 import (SSIM_WINDOW, MetricReport, PerImageScore, PuEncoding, pu_decode,
+                   pu_fields, pu_psnr, pu_ssim, rmse_linear)
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class SdeSchedule:
 
     @staticmethod
     def constant(theta: float, sigma: float, dt: float, steps: int) -> "SdeSchedule":
+        if steps < 1:
+            raise DomainError(f"steps must be >= 1; got {steps!r}")
         return SdeSchedule((theta,) * steps, (sigma,) * steps, dt)
 
     @staticmethod
@@ -55,6 +57,8 @@ class SdeSchedule:
         """Cosine ramp on theta; sigma_t = lam * sqrt(2 theta_t) keeps the
         stationary standard deviation at `stationary_std` (a documented,
         non-normative parameterization)."""
+        if steps < 1:
+            raise DomainError(f"steps must be >= 1; got {steps!r}")
         i = np.arange(steps)
         theta = theta_min + 0.5 * (theta_max - theta_min) * (1.0 - np.cos(np.pi * (i + 0.5) / steps))
         sigma = stationary_std * np.sqrt(2.0 * theta)
@@ -203,15 +207,11 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
         n_traj = len(starts)
     if n_traj < 1:
         raise DomainError("n_traj must be >= 1")
-    xv, muv = _paired(_state(xT, "xT") if starts is None else starts[0], "xT", mu)
+    flat = _state(xT_arr, "xT")
+    xv, muv = _paired(flat if starts is None else starts[0], "xT", mu)
     steps, dt = sched.steps, sched.dt
     noise = _noise_blocks(seed, 1, n_traj, xv.size, steps)
-    if starts is not None:
-        x = np.array(starts, dtype=np.float64, copy=True)
-        if not np.isfinite(x).all():
-            raise DomainError("xT must be finite")
-    else:
-        x = np.broadcast_to(xv, (n_traj, xv.size)).copy()
+    x = np.broadcast_to(xv if starts is None else starts, (n_traj, xv.size)).copy()
     history = np.empty((n_traj, steps + 1, xv.size)) if return_history else None
     if history is not None:
         history[:, steps, :] = x
@@ -357,7 +357,8 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     score_row = PerImageScore(
         image="sde-demo",
         pu_psnr=pu_psnr(restored, hdr_gt, enc, mapping),
-        pu_ssim=pu_ssim(restored, hdr_gt, enc, mapping) if min(u_gt.shape[:2]) >= 11 else float("nan"),
+        pu_ssim=(pu_ssim(restored, hdr_gt, enc, mapping) if min(u_gt.shape[:2]) >= SSIM_WINDOW
+                 else float("nan")),
         rmse_linear=rmse_linear(restored, hdr_gt),
     )
     report = MetricReport(per_image=[score_row])

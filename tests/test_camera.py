@@ -68,6 +68,16 @@ class TestCrf:
         crf = Crf.sigmoid(0.8, 0.5)
         assert Crf.from_dict(crf.as_dict()) == crf
 
+    @pytest.mark.parametrize("value, message", [(float("nan"), "must be finite"),
+                                                (-0.1, r"must lie in \[0, 1\]"),
+                                                (1.5, r"must lie in \[0, 1\]")])
+    def test_input_outside_unit_interval_rejected(self, value, message):
+        crf = Crf.sigmoid(0.9, 0.6)
+        with pytest.raises(DomainError, match="CRF input " + message):
+            crf.apply(np.array([0.5, value]))
+        with pytest.raises(DomainError, match="CRF inverse input " + message):
+            crf.inverse(value)
+
 
 class TestExposureRange:
     def test_constant_one_saturates_immediately(self):
@@ -193,6 +203,13 @@ class TestGenerateDataset:
             '"ev": -1.5, "hdr_file": "a_0001.hdr", "index": 1, "ldr_file": "a_0001.png", '
             '"noise_sigma": 0.002, "seed": 12345, "source": "a.hdr"}')
         assert table.startswith("0.0, 0.00392156862745098, ") and table.endswith(", 1.0")
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_count_rejected(self, tmp_path, rng, count):
+        src = self._sources(tmp_path, rng, n=1)
+        with pytest.raises(DomainError, match="count_per_image must be >= 1"):
+            generate_dataset(src, tmp_path / "out", count_per_image=count)
+        assert not (tmp_path / "out" / "manifest.jsonl").exists()
 
     def test_same_master_seed_is_bit_identical(self, tmp_path, rng):
         src = self._sources(tmp_path, rng)

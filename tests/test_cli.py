@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,6 +381,35 @@ class TestNegativeSeed:
         assert _one_error_line(capsys) == "error: seed must be >= 0"
 
 
+class TestNonPositiveCounts:
+    """Counts below one are rejected by the function that owns them; the CLI
+    reports that as one error line and exit 1."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path, rng):
+        img = LinearImage(rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32))
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+            write_pfm(img, tmp_path / sub / "a.pfm")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, error", [
+        (["synthesize", "--hdr-dir", "gt", "--count", "-1"], "count_per_image must be >= 1; got -1"),
+        (["synthesize", "--hdr-dir", "gt", "--count", "0"], "count_per_image must be >= 1; got 0"),
+        (["synthesize", "--hdr-dir", "gt", "--jobs", "0"], "jobs must be >= 1; got 0"),
+        (["synthesize", "--hdr-dir", "gt", "--jobs", "-4"], "jobs must be >= 1; got -4"),
+        (["score", "--pred", "pred", "--gt", "gt", "--jobs", "0"], "jobs must be >= 1; got 0"),
+        (["score", "--pred", "pred", "--gt", "gt", "--jobs", "-4"], "jobs must be >= 1; got -4"),
+        (["sde-demo", "--steps", "0"], "steps must be >= 1; got 0"),
+    ])
+    def test_rejected_with_one_error_line(self, dirs, capsys, monkeypatch, argv, error):
+        monkeypatch.chdir(dirs)
+        assert main(argv + ["--out", "out"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {error}\n")
+        assert list((dirs / "out").iterdir()) == []
+
+
 def test_analyze_losses_computes_each_term_once(tmp_path, rng, monkeypatch):
     gt = LinearImage(rng.uniform(0.05, 1.0, (20, 20, 3)).astype(np.float32))
     pred = LinearImage(rng.uniform(0.05, 1.0, (20, 20, 3)).astype(np.float32))
@@ -397,3 +430,16 @@ def test_analyze_losses_computes_each_term_once(tmp_path, rng, monkeypatch):
     doc = json.loads((out / "analysis.json").read_text())["losses"]
     assert doc["raw"] == expected
     assert doc["total"] == pytest.approx(sum(doc["weighted"].values()), rel=1e-12)
+
+
+def test_cli_digest_is_identical_across_runs(tmp_path):
+    # tools/cli_digest.py covers every subcommand; two runs of one tree must agree
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    digests = [subprocess.run([sys.executable, str(root / "tools" / "cli_digest.py"),
+                               str(tmp_path / run), "--size", "16"],
+                              env=env, capture_output=True, text=True, check=True).stdout
+               for run in ("one", "two")]
+    assert digests[0] == digests[1]
+    commands = [line.split()[0] for line in digests[0].splitlines() if not line.startswith(" ")]
+    assert {"synthesize_j1", "score_j2", "analyze", "expand_hdr", "sde_builtin"} <= set(commands)

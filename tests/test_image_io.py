@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmbench.errors import FormatError, ItmError, ParseError, ShapeError
+from itmbench.errors import DomainError, FormatError, ItmError, ParseError, ShapeError
 from itmbench.image_io import (LinearImage, Ldr8Image, RgbePixel, index_linear_dir,
                                ordered_map, read_hdr, read_ldr8, read_linear, read_pfm,
                                rgbe_decode, rgbe_encode, write_hdr, write_ldr8, write_linear,
@@ -435,12 +435,19 @@ class TestLinearRegistry:
         assert errors == [f"{tmp_path / 'a.PFM'} and {tmp_path / 'a.hdr'} share the stem 'a'; "
                           "none of them is used"]
 
-    @pytest.mark.parametrize("jobs", [0, 1])
+    @pytest.mark.parametrize("jobs", [1])
     def test_ordered_map_runs_one_job_in_the_calling_thread(self, jobs):
         threads_before = threading.active_count()
         seen = ordered_map(lambda i: (i, threading.get_ident(), threading.active_count()),
                            range(5), jobs)
         assert seen == [(i, threading.get_ident(), threads_before) for i in range(5)]
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_ordered_map_rejects_jobs_below_one(self, jobs):
+        calls = []
+        with pytest.raises(DomainError, match="jobs must be >= 1"):
+            ordered_map(calls.append, range(5), jobs)
+        assert calls == []
 
     def test_ordered_map_keeps_item_order_across_threads(self):
         barrier = threading.Barrier(2, timeout=10)

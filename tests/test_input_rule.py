@@ -1,0 +1,74 @@
+"""The input rule shared by every color, metric and loss function.
+
+Each takes a LinearImage or an array; a non-finite or negative value is a
+DomainError whose text says "must be finite and non-negative", mismatched
+shapes are a ShapeError, and a LinearImage gives the value its `.data` gives.
+"""
+
+import numpy as np
+import pytest
+
+from itmbench import losses
+from itmbench.analysis import error_map
+from itmbench.color import luminance, mu_law, to_display_luminance
+from itmbench.errors import DomainError, ShapeError
+from itmbench.image_io import LinearImage
+from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear
+
+UNARY = {
+    "luminance": luminance,
+    "to_display_luminance": to_display_luminance,
+    "mu_law": lambda x: mu_law(x, check_domain=False),
+    "tv_loss": losses.tv_loss,
+}
+BINARY = {
+    "pu_psnr": pu_psnr,
+    "pu_ssim": pu_ssim,
+    "rmse_linear": rmse_linear,
+    "error_map": error_map,
+    "recon_loss": lambda pred, gt: losses.recon_loss([pred], gt),
+    "linear_l1": losses.linear_l1,
+    "denoise_loss": losses.denoise_loss,
+    "ssim_pu_loss": losses.ssim_pu_loss,
+    "color_loss": losses.color_loss,
+    "upf_loss": losses.upf_loss,
+}
+SHAPE = (16, 16, 3)  # the smallest side upf_loss's default 16 px patch accepts
+
+
+@pytest.fixture
+def images(rng):
+    return [LinearImage(rng.uniform(0.05, 1.5, SHAPE).astype(np.float32)) for _ in range(2)]
+
+
+# (function, which argument is bad): every argument of every function
+ARGUMENTS = [(name, 0) for name in UNARY] + [(name, k) for name in BINARY for k in (0, 1)]
+
+
+def _call(name, args):
+    return UNARY[name](args[0]) if name in UNARY else BINARY[name](*args)
+
+
+@pytest.mark.parametrize("name, position", ARGUMENTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_is_a_domain_error(images, name, position, bad):
+    args = [image.data.copy() for image in images]
+    args[position][3, 5, 1] = bad
+    with pytest.raises(DomainError, match="must be finite and non-negative"):
+        _call(name, args)
+
+
+@pytest.mark.parametrize("name", BINARY)
+@pytest.mark.parametrize("position", [0, 1])
+def test_mismatched_shapes_are_a_shape_error(images, name, position):
+    args = [image.data for image in images]
+    args[position] = args[position][:, :-1]
+    with pytest.raises(ShapeError):
+        _call(name, args)
+
+
+@pytest.mark.parametrize("name", [*UNARY, *BINARY])
+def test_linear_image_and_its_data_agree(images, name):
+    from_images = _call(name, images)
+    from_arrays = _call(name, [image.data for image in images])
+    np.testing.assert_array_equal(from_images, from_arrays)

@@ -24,8 +24,6 @@ class TestThresholds:
     def test_params_validation(self):
         with pytest.raises(DomainError):
             MaskParams(alpha=0.0)
-        with pytest.raises(DomainError):
-            MaskParams(blur_kernel=4)
 
 
 class TestBlurredLuminance:

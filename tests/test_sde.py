@@ -39,6 +39,13 @@ class TestSchedule:
         with pytest.raises(DomainError):
             SdeSchedule((1.0,), (0.1,), 0.0)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_factories_reject_non_positive_steps(self, steps):
+        with pytest.raises(DomainError, match="steps must be >= 1"):
+            SdeSchedule.cosine(steps=steps)
+        with pytest.raises(DomainError, match="steps must be >= 1"):
+            SdeSchedule.constant(1.0, 0.1, 0.01, steps)
+
 
 class TestForward:
     def test_fixed_point_at_target(self):
@@ -182,6 +189,13 @@ class TestBackward:
         score = make_ou_score(1.0, 0.0, 1.0, 0.5, 0.01)
         with pytest.raises(NumericError):
             score(np.array([1.0]), 0)
+
+    def test_non_finite_trajectory_stack_rejected(self):
+        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        stack = np.zeros((3, 2))
+        stack[2, 1] = np.nan
+        with pytest.raises(DomainError, match="xT must be finite"):
+            backward_simulate(stack, np.zeros(2), sched, lambda x, s: 0.0)
 
     def test_shape_conflict_rejected(self):
         sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)

@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Digest of a fixed run of every itmbench subcommand, for byte-identity checks.
+
+Writes seeded inputs under OUT, runs a fixed list of command lines in-process
+through `itmbench.cli.main` (working directory OUT, relative paths only), and
+prints, per command, its exit code and the sha256 of its stdout and stderr,
+then the sha256 of every file it wrote. `report.json` is hashed without its
+`runtime_ms_per_image`, the one wall-clock field of any output. To compare
+two source trees, run against each and diff the outputs:
+
+    PYTHONPATH=<tree>/src python tools/cli_digest.py OUT [--size N] > digest.txt
+
+Uses numpy and the standard library only.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from itmbench.cli import main as cli_main
+from itmbench.image_io import LinearImage, Ldr8Image, write_hdr, write_ldr8, write_pfm
+
+# (label, argv without --out); each command writes to OUT/<label>
+COMMANDS = [
+    ("synthesize_j1", ["synthesize", "--hdr-dir", "in/gt", "--count", "2", "--seed", "3"]),
+    ("synthesize_j3", ["synthesize", "--hdr-dir", "in/gt", "--count", "2", "--seed", "3",
+                       "--jobs", "3"]),
+    ("synthesize_count0", ["synthesize", "--hdr-dir", "in/gt", "--count", "0"]),
+    ("synthesize_jobs0", ["synthesize", "--hdr-dir", "in/gt", "--jobs", "0"]),
+    ("score_j2", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "2"]),
+    ("score_jobs0", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "0"]),
+    ("score_bad_config", ["score", "--pred", "in/pred", "--gt", "in/gt",
+                          "--config", "in/bad.ini"]),
+    ("analyze", ["analyze", "--pred", "in/pred/a.hdr", "--gt", "in/gt/a.pfm", "--ldr", "in/ldr.png",
+                 "--losses"]),
+    ("analyze_missing", ["analyze", "--pred", "in/pred/missing.hdr", "--gt", "in/gt/a.pfm"]),
+    ("expand_hdr", ["expand", "--input", "in/ldr.png", "--crf", "sigmoid:0.9,0.6"]),
+    ("expand_pfm", ["expand", "--input", "in/ldr.png", "--crf", "gamma:0.45", "--format", "pfm"]),
+    ("sde_builtin", ["sde-demo", "--steps", "20", "--seed", "5"]),
+    ("sde_files", ["sde-demo", "--hdr", "in/gt/b.hdr", "--ldr", "in/pred/b.pfm", "--steps", "12"]),
+    ("sde_steps0", ["sde-demo", "--steps", "0"]),
+]
+
+
+def write_inputs(root: Path, size: int):
+    """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction)."""
+    rng = np.random.default_rng(2025)
+    for sub in ("gt", "pred"):
+        (root / sub).mkdir(parents=True)
+    y, x = np.mgrid[0:size, 0:size] / max(size - 1, 1)
+    ramp = np.stack([0.02 + 3.0 * x * y, 0.02 + 1.2 * x, 0.02 + 0.8 * y], axis=-1)
+    gts = {"a": ramp, "b": rng.lognormal(-1.5, 1.2, (size, size, 3)),
+           "c": rng.uniform(0.0, 2.0, (size, size, 3))}
+    write_pfm(LinearImage(gts["a"].astype(np.float32)), root / "gt" / "a.pfm")
+    write_hdr(LinearImage(gts["b"].astype(np.float32)), root / "gt" / "b.hdr")
+    write_hdr(LinearImage(gts["c"].astype(np.float32)), root / "gt" / "c.hdr")
+    noisy = np.clip(gts["a"] * rng.uniform(0.8, 1.2, gts["a"].shape), 0.0, None)
+    write_hdr(LinearImage(noisy.astype(np.float32)), root / "pred" / "a.hdr")
+    write_pfm(LinearImage(np.minimum(gts["b"], 1.0).astype(np.float32)), root / "pred" / "b.pfm")
+    ldr = np.round(255.0 * np.clip(gts["a"], 0.0, 1.0) ** (1 / 2.2)).astype(np.uint8)
+    write_ldr8(Ldr8Image(ldr), root / "ldr.png")
+    (root / "bad.ini").write_text("[display]\nblack_floor = -1\n")
+
+
+def file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "report.json":
+        doc = json.loads(data)
+        doc.pop("runtime_ms_per_image", None)
+        data = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(label: str, argv: list) -> list:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli_main(argv + ["--out", label])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    lines = [f"{label} exit={code} "
+             f"stdout={hashlib.sha256(stdout.getvalue().encode()).hexdigest()} "
+             f"stderr={hashlib.sha256(stderr.getvalue().encode()).hexdigest()}"]
+    out = Path(label)
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
+    lines += [f"  {p.as_posix()} {file_digest(p)}" for p in files]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="empty or new working directory")
+    parser.add_argument("--size", type=int, default=64, help="input side in pixels (>= 16)")
+    args = parser.parse_args(argv)
+    if args.size < 16:
+        parser.error("--size must be >= 16 (the upf_loss patch)")
+    args.out.mkdir(parents=True, exist_ok=True)
+    if any(args.out.iterdir()):
+        parser.error(f"{args.out} is not empty")
+    os.chdir(args.out)
+    write_inputs(Path("in"), args.size)
+    lines = [f"  {p.as_posix()} {file_digest(p)}" for p in sorted(Path("in").rglob("*"))
+             if p.is_file()]
+    for label, command in COMMANDS:
+        lines += run(label, command)
+    sys.stdout.write("inputs\n" + "\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
