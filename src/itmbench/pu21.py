@@ -252,8 +252,9 @@ class MetricReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["image", "psnr", "ssim", "rmse"])
         for r in self.per_image:
-            psnr = "inf" if np.isinf(r.pu_psnr) else repr(r.pu_psnr)
-            writer.writerow([r.image, psnr, repr(r.pu_ssim), repr(r.rmse_linear)])
+            # repr of a Python float: a numpy scalar's repr is "np.float64(...)"
+            writer.writerow([r.image] + [repr(float(v)) for v in (r.pu_psnr, r.pu_ssim,
+                                                                  r.rmse_linear)])
         return buf.getvalue()
 
 

@@ -44,6 +44,23 @@ class TestScoreCommand:
         doc = json.loads((out / "report.json").read_text())
         assert doc["schema"] == 1
 
+    def test_csv_cells_parse_as_floats(self, tmp_path, rng):
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+        for stem in ("a", "b"):
+            gt = rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32)
+            write_pfm(LinearImage(gt), tmp_path / "gt" / f"{stem}.pfm")
+            write_pfm(LinearImage(gt * 0.9), tmp_path / "pred" / f"{stem}.pfm")
+        out = tmp_path / "out"
+        assert main(["score", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--out", str(out)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split(",")[1:]
+            assert len(cells) == 3
+            assert all(np.isfinite(float(c)) for c in cells), row
+
     def test_missing_prediction_exit_one(self, tmp_path, rng):
         img = LinearImage(rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32))
         (tmp_path / "pred").mkdir()

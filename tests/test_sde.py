@@ -277,6 +277,13 @@ class TestDemo:
 
         assert peak(200) <= 1.5 * peak(25)
 
+    def test_memory_is_bounded_by_the_tile_not_the_image(self, rng):
+        # tiles of _LANE_CHUNK lanes: a whole-image ensemble at this size read
+        # a traced peak of about 56 MB, the tiled run about 6 MB
+        degraded, gt = self._pair(rng, size=128)
+        peak = _traced_peak(lambda: itm_sde_demo(degraded, gt, sched=SdeSchedule.cosine(8), seed=3))
+        assert peak < 16 << 20, f"peak traced allocation {peak} bytes"
+
     def test_shape_mismatch_rejected(self, rng):
         a = LinearImage(rng.uniform(0, 1, (8, 8, 3)).astype(np.float32))
         b = LinearImage(rng.uniform(0, 1, (9, 9, 3)).astype(np.float32))
@@ -327,18 +334,25 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def _forward_noise(steps, n_traj, dim, seed=0):
+def _forward_noise(steps, n_traj, dim, seed=0, offset=0):
     # theta * dt = 1, mu = 0 and sigma * sqrt(dt) = 1 make each state the step's noise
     sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
-    return forward_simulate(np.zeros(dim), 0.0, sched, seed=seed, n_traj=n_traj)[:, 1:, :]
+    return forward_simulate(np.zeros(dim), 0.0, sched, seed=seed, n_traj=n_traj,
+                            offset=offset)[:, 1:, :]
 
 
-def _backward_noise(steps, n_traj, dim, seed=0):
+def _backward_noise(steps, n_traj, dim, seed=0, offset=0):
     # with the score -2x the backward drift cancels the state, leaving the noise
     sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
     _, history = backward_simulate(np.zeros(dim), 0.0, sched, lambda x, step: -2.0 * x,
-                                   seed=seed, n_traj=n_traj, return_history=True)
+                                   seed=seed, n_traj=n_traj, return_history=True, offset=offset)
     return history[:, :-1, :]
+
+
+def _step_noise(stream, steps, n_traj, dim, seed):
+    """Noise of every step, (steps, n_traj, dim), copied out of the 4-step blocks."""
+    block = sde._noise_blocks(seed, stream, n_traj, dim, steps)
+    return np.stack([block(i // 4)[i % 4].copy() for i in range(steps)])
 
 
 class TestNoiseLayout:
@@ -356,20 +370,83 @@ class TestNoiseLayout:
 
     @pytest.mark.parametrize("draw, stream", [(_forward_noise, 0), (_backward_noise, 1)])
     def test_noise_is_box_muller_of_the_counter_block(self, draw, stream):
-        # step i of lane (k, j) is normal i % 4 of the block at counter (i // 4, j, k, stream)
+        # step i of lane (k, j) is normal i % 4 of the block at counter
+        # (i // 4, offset + j, k, stream)
         seed, steps, n_traj, dim = 8, 7, 2, 3
         key = tuple(int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint32))
-        run = draw(steps, n_traj, dim, seed=seed)
-        for k in range(n_traj):
-            for j in range(dim):
-                for i in range(steps):
-                    words = naive_philox4x32((i // 4, j, k, stream), key)
-                    u = [(w + 0.5) * 2.0**-32 for w in words]
-                    pair = i % 4 // 2
-                    radius = math.sqrt(-2.0 * math.log(u[2 * pair]))
-                    angle = 2.0 * math.pi * (u[2 * pair + 1] - 0.5)
-                    want = radius * (math.sin(angle) if i % 2 else math.cos(angle))
-                    assert run[k, i, j] == pytest.approx(want, abs=1e-12)
+        for offset in (0, 1000, 2**32 - 4):
+            run = draw(steps, n_traj, dim, seed=seed, offset=offset)
+            for k in range(n_traj):
+                for j in range(dim):
+                    for i in range(steps):
+                        words = naive_philox4x32((i // 4, offset + j, k, stream), key)
+                        u = [(w + 0.5) * 2.0**-32 for w in words]
+                        pair = i % 4 // 2
+                        radius = math.sqrt(-2.0 * math.log(u[2 * pair]))
+                        angle = 2.0 * math.pi * (u[2 * pair + 1] - 0.5)
+                        want = radius * (math.sin(angle) if i % 2 else math.cos(angle))
+                        assert run[k, i, j] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    def test_tiles_with_offsets_equal_the_whole_range(self, rng, n_traj):
+        # the state crosses a _LANE_CHUNK boundary and is no multiple of the
+        # tile; at n_traj 3 a tile's passes also split the trajectories
+        dim, tile = sde._LANE_CHUNK + 1000, 6000
+        sched = SdeSchedule.cosine(steps=9)
+        x0, mu = rng.uniform(0.0, 1.0, (2, dim))
+
+        def score(x, step):
+            return -(x - 0.5) * step
+
+        whole_f = forward_simulate(x0, mu, sched, seed=4, n_traj=n_traj)
+        whole_b = backward_simulate(whole_f[:, -1, :], mu, sched, score, seed=4,
+                                    return_history=True)
+        tiles_f, tiles_b, tiles_h = [], [], []
+        for lo in range(0, dim, tile):
+            hi = min(lo + tile, dim)
+            tiles_f.append(forward_simulate(x0[lo:hi], mu[lo:hi], sched, seed=4, n_traj=n_traj,
+                                            offset=lo))
+            final, history = backward_simulate(tiles_f[-1][:, -1, :], mu[lo:hi], sched, score,
+                                               seed=4, return_history=True, offset=lo)
+            tiles_b.append(final)
+            tiles_h.append(history)
+        assert np.array_equal(np.concatenate(tiles_f, axis=-1), whole_f)
+        assert np.array_equal(np.concatenate(tiles_b, axis=-1), whole_b[0])
+        assert np.array_equal(np.concatenate(tiles_h, axis=-1), whole_b[1])
+
+    @pytest.mark.parametrize("score_fn", [lambda x, step: x, lambda x, step: 0.25,
+                                          lambda x, step: np.array(-1.5)],
+                             ids=["aliases-state", "python-scalar", "0-d-array"])
+    def test_backward_in_place_matches_fresh_array_steps(self, rng, score_fn):
+        sched, n_traj, dim = SdeSchedule.cosine(steps=9), 3, 50
+        xT, mu = rng.uniform(0.0, 1.0, (2, dim))
+        z = _step_noise(1, sched.steps, n_traj, dim, seed=6)
+        x = np.broadcast_to(xT, (n_traj, dim)).copy()
+        want = [x]
+        for i in range(sched.steps - 1, -1, -1):
+            score = np.asarray(score_fn(x, i + 1), dtype=np.float64)
+            drift = sched.theta[i] * (mu - x) - sched.sigma[i] ** 2 * score
+            x = x - drift * sched.dt + sched.sigma[i] * np.sqrt(sched.dt) * z[i]
+            want.insert(0, x)
+        final, history = backward_simulate(xT, mu, sched, score_fn, seed=6, n_traj=n_traj,
+                                           return_history=True)
+        assert np.array_equal(final, x)
+        assert np.array_equal(history, np.stack(want, axis=1))
+        assert np.array_equal(backward_simulate(xT, mu, sched, score_fn, seed=6, n_traj=n_traj), x)
+
+    def test_forward_in_place_matches_fresh_array_steps(self, rng):
+        sched, n_traj, dim = SdeSchedule.cosine(steps=9), 3, 50
+        x0, mu = rng.uniform(0.0, 1.0, (2, dim))
+        z = _step_noise(0, sched.steps, n_traj, dim, seed=6)
+        x = np.broadcast_to(x0, (n_traj, dim)).copy()
+        want = [x]
+        for i in range(sched.steps):
+            x = x + sched.theta[i] * (mu - x) * sched.dt + sched.sigma[i] * np.sqrt(sched.dt) * z[i]
+            want.append(x)
+        history = forward_simulate(x0, mu, sched, seed=6, n_traj=n_traj)
+        final = forward_simulate(x0, mu, sched, seed=6, n_traj=n_traj, return_history=False)
+        assert np.array_equal(history, np.stack(want, axis=1))
+        assert np.array_equal(final, x)
 
     def test_standard_normal_moments_and_no_lag_one_correlation(self):
         z = _forward_noise(61, 16, 1024, seed=3)  # 999,424 draws, 61 = 15 blocks + 1 step
@@ -426,3 +503,14 @@ class TestArgumentValidation:
             with pytest.raises(DomainError):
                 sde._noise_blocks(0, 0, n_traj, dim, steps)
         sde._noise_blocks(0, 0, 2**32 - 1, 2**32 - 1, 4 * 2**32 - 1)  # largest accepted
+
+    def test_offset_keeps_element_words_below_2_32(self):
+        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        with pytest.raises(DomainError, match="offset"):
+            forward_simulate(0.0, 0.0, sched, offset=-1)
+        with pytest.raises(DomainError, match="offset"):
+            backward_simulate(np.zeros(3), 0.0, sched, lambda x, s: 0.0, offset=2**32 - 3)
+        for offset, dim in ((-1, 1), (2**32 - 1, 1), (2**32 - 3, 3), (1, 2**32 - 1)):
+            with pytest.raises(DomainError, match="offset"):
+                sde._noise_blocks(0, 0, 1, dim, 4, offset)
+        sde._noise_blocks(0, 0, 1, 3, 4, 2**32 - 4)(0)  # largest accepted: element 2^32 - 2

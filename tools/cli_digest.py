@@ -46,11 +46,15 @@ COMMANDS = [
     ("sde_builtin", ["sde-demo", "--steps", "20", "--seed", "5"]),
     ("sde_files", ["sde-demo", "--hdr", "in/gt/b.hdr", "--ldr", "in/pred/b.pfm", "--steps", "12"]),
     ("sde_steps0", ["sde-demo", "--steps", "0"]),
+    # 37 x 23 x 3 = 2,553 elements end in a partial tile, 9 steps in a partial 4-step noise block
+    ("sde_odd", ["sde-demo", "--hdr", "in/sde/gt.pfm", "--ldr", "in/sde/degraded.pfm",
+                 "--steps", "9", "--seed", "3"]),
 ]
 
 
 def write_inputs(root: Path, size: int):
-    """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction)."""
+    """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction);
+    and a 37 x 23 `sde/` pair of a ground truth and its clipped capture, whatever `size` is."""
     rng = np.random.default_rng(2025)
     for sub in ("gt", "pred"):
         (root / sub).mkdir(parents=True)
@@ -67,6 +71,10 @@ def write_inputs(root: Path, size: int):
     ldr = np.round(255.0 * np.clip(gts["a"], 0.0, 1.0) ** (1 / 2.2)).astype(np.uint8)
     write_ldr8(Ldr8Image(ldr), root / "ldr.png")
     (root / "bad.ini").write_text("[display]\nblack_floor = -1\n")
+    (root / "sde").mkdir()
+    gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
+    write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
+    write_pfm(LinearImage(np.minimum(gt, 0.5).astype(np.float32)), root / "sde" / "degraded.pfm")
 
 
 def file_digest(path: Path) -> str:
