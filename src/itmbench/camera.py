@@ -17,8 +17,8 @@ import numpy as np
 
 from .color import as_unit, luminance
 from .errors import DomainError, ItmError, RangeError
-from .image_io import (LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir, ordered_map,
-                       read_linear, write_ldr8, write_linear)
+from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
+                       ordered_map, read_linear, write_ldr8, write_linear)
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
@@ -229,7 +229,7 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
 _SETTING_CHOICES = {
     "crf_family": ("sigmoid", "gamma", "identity"),
     "crop_mode": ("random", "center"),
-    "ldr_format": ("png", "ppm", "jpg"),  # jpg needs a codec
+    "ldr_format": tuple(suffix[1:] for suffix in LDR_ENCODERS),
     "hdr_format": tuple(suffix[1:] for suffix in LINEAR_WRITERS),
 }
 
@@ -247,7 +247,6 @@ class SynthesisSettings:
     crop_mode: str = "random"
     ldr_format: str = "png"
     hdr_format: str = "hdr"
-    jpeg_quality: int = 90
 
     def __post_init__(self):
         for name, choices in _SETTING_CHOICES.items():
@@ -268,8 +267,6 @@ class SynthesisSettings:
                 raise DomainError(f"{name} must satisfy {low} lo <= hi; got ({lo!r}, {hi!r})")
         if self.crop < 0:
             raise DomainError(f"crop must be >= 0; got {self.crop!r}")
-        if not (1 <= self.jpeg_quality <= 100):
-            raise DomainError(f"jpeg_quality must lie in 1..100; got {self.jpeg_quality!r}")
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,7 @@ def sample_crf(rng: np.random.Generator, settings: SynthesisSettings) -> Crf:
 
 def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
                      ev_range: ExposureRange, settings: SynthesisSettings,
-                     out_dir: Path, codec=None) -> SynthesisRecord:
+                     out_dir: Path) -> SynthesisRecord:
     rng = np.random.Generator(np.random.Philox(key=seed))
     # draw order is part of the reproducibility contract: ev, crf, sigma, crop
     ev = float(rng.uniform(ev_range.ev_min, ev_range.ev_max))
@@ -335,7 +332,7 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
     hdr_file = f"{stem}.{settings.hdr_format}"
     cropped = LinearImage(data)
     ldr = simulate_ldr(cropped, ev, crf, NoiseParams(sigma_read=sigma), seed=seed)
-    write_ldr8(ldr, out_dir / ldr_file, codec=codec, quality=settings.jpeg_quality)
+    write_ldr8(ldr, out_dir / ldr_file)
     # ground truth is exposure-aligned: LDR == quantize(crf(clip(gt)))
     gt = LinearImage(data.astype(np.float64) * (2.0**ev))
     write_linear(gt, out_dir / hdr_file)
@@ -347,12 +344,11 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
 
 def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
                      settings: SynthesisSettings = SynthesisSettings(),
-                     master_seed: int = 0, jobs: int = 1, codec=None) -> tuple:
+                     master_seed: int = 0, jobs: int = 1) -> tuple:
     """Synthesize LDR/HDR pairs plus a JSONL manifest of SynthesisRecord rows.
 
     Unreadable or degenerate sources, and sources sharing a stem, are recorded
     in the returned error list and generation continues. Output is byte-identical for any `jobs`.
-    `codec` is only consulted for ldr_format 'jpg'.
     """
     if count_per_image < 1:
         raise DomainError(f"count_per_image must be >= 1; got {count_per_image!r}")
@@ -374,8 +370,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     def run(task):
         source, name, index, seed, ev_range = task
         try:
-            pair = _synthesize_pair(source, name, index, seed, ev_range,
-                                    settings, out_dir, codec)
+            pair = _synthesize_pair(source, name, index, seed, ev_range, settings, out_dir)
             return pair, None
         except ItmError as exc:
             return None, f"{name}[{index}]: {exc}"

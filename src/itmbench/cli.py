@@ -185,8 +185,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else Config()
-        if cfg.synth.ldr_format == "jpg":
-            raise ConfigError("ldr_format = jpg needs a JPEG codec, which the command line lacks")
         if args.seed is None:
             args.seed = cfg.master_seed
         out = Path(args.out)

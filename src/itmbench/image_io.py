@@ -1,9 +1,9 @@
 """Image containers and file formats used by the pipeline.
 
 Readers and writers for Radiance RGBE (.hdr), Portable FloatMap (.pfm) and
-8-bit rasters (PPM P6, PNG). JPEG is deliberately only a codec *interface*:
-bit-exactness of JPEG is codec-defined, so decode/encode are delegated to a
-pluggable object and this module defines just the decoded-raster contract.
+8-bit rasters (PNG, PPM P6), on numpy and the standard library alone. Writers
+pick their container by file suffix from one table per kind (LINEAR_WRITERS,
+LDR_ENCODERS); the 8-bit reader tells PNG from PPM by the magic bytes.
 
 All parsers are defensive: malformed bytes raise ParseError/FormatError,
 never crash, and never allocate storage beyond `MAX_PIXELS`.
@@ -17,7 +17,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -488,21 +488,22 @@ LINEAR_READERS = {".hdr": read_hdr, ".pfm": read_pfm}
 LINEAR_WRITERS = {".hdr": write_hdr, ".pfm": write_pfm}
 
 
-def _linear_codec(table: dict, path):
+def _by_suffix(table: dict, path, kind: str):
+    """The entry of `table` for the (case-insensitive) suffix of `path`."""
     suffix = Path(path).suffix.lower()
     if suffix not in table:
-        raise FormatError(f"unsupported linear image container {suffix!r} (.hdr or .pfm)")
+        raise FormatError(f"unsupported {kind} container {suffix!r} ({' or '.join(table)})")
     return table[suffix]
 
 
 def read_linear(path) -> LinearImage:
     """Read a .hdr or .pfm file, chosen by its (case-insensitive) suffix."""
-    return _linear_codec(LINEAR_READERS, path)(path)
+    return _by_suffix(LINEAR_READERS, path, "linear image")(path)
 
 
 def write_linear(image: LinearImage, path):
     """Write a .hdr or .pfm file, chosen by its (case-insensitive) suffix."""
-    _linear_codec(LINEAR_WRITERS, path)(image, path)
+    _by_suffix(LINEAR_WRITERS, path, "linear image")(image, path)
 
 
 def index_linear_dir(directory) -> tuple:
@@ -541,49 +542,31 @@ def ordered_map(fn, items, jobs: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# 8-bit rasters: PPM P6, PNG, and the JPEG codec boundary
-
-
-class LdrCodec(Protocol):
-    """Decoder/encoder boundary for containers this module does not implement (JPEG)."""
-
-    def decode(self, data: bytes) -> Ldr8Image: ...
-
-    def encode(self, image: Ldr8Image, quality: int) -> bytes: ...
+# 8-bit rasters: PPM P6 and PNG
 
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
 
-def read_ldr8(path, codec: LdrCodec | None = None) -> Ldr8Image:
-    """Read an 8-bit RGB raster: PNG and PPM natively, JPEG through `codec`."""
+def read_ldr8(path) -> Ldr8Image:
+    """Read an 8-bit RGB raster, PNG or PPM, told apart by its magic bytes."""
     raw = _read_file(path)
     if raw[:8] == _PNG_SIG:
         return _png_decode(raw)
     if raw[:2] == b"P6":
         return _ppm_decode(raw)
-    if raw[:3] == b"\xff\xd8\xff":
-        if codec is None:
-            raise FormatError("JPEG input requires a codec (none configured)")
-        return codec.decode(raw)
     raise FormatError("unsupported 8-bit image container")
 
 
-def write_ldr8(image: Ldr8Image, path, codec: LdrCodec | None = None, quality: int = 90):
-    """Write an 8-bit RGB raster; container chosen by file extension."""
-    suffix = str(path).lower().rsplit(".", 1)[-1]
-    if suffix == "png":
-        payload = _png_encode(image)
-    elif suffix in ("ppm", "pnm"):
-        payload = b"P6\n%d %d\n255\n" % (image.width, image.height) + image.data.tobytes()
-    elif suffix in ("jpg", "jpeg"):
-        if codec is None:
-            raise FormatError("JPEG output requires a codec (none configured)")
-        payload = codec.encode(image, quality)
-    else:
-        raise FormatError(f"unsupported 8-bit output container {suffix!r}")
+def write_ldr8(image: Ldr8Image, path):
+    """Write a .png or .ppm file, chosen by its (case-insensitive) suffix."""
+    payload = _by_suffix(LDR_ENCODERS, path, "8-bit image")(image)
     with open(path, "wb") as fh:
         fh.write(payload)
+
+
+def _ppm_encode(image: Ldr8Image) -> bytes:
+    return b"P6\n%d %d\n255\n" % (image.width, image.height) + image.data.tobytes()
 
 
 def _ppm_decode(raw: bytes) -> Ldr8Image:
@@ -609,12 +592,12 @@ def _ppm_decode(raw: bytes) -> Ldr8Image:
     return Ldr8Image(data.reshape(height, width, 3).copy())
 
 
-def _png_encode(image: Ldr8Image, level: int = 9) -> bytes:
-    """Minimal deterministic PNG writer: 8-bit RGB, filter 0, fixed zlib level."""
+def _png_encode(image: Ldr8Image) -> bytes:
+    """Minimal deterministic PNG writer: 8-bit RGB, filter 0, zlib level 9."""
     h, w = image.height, image.width
     rows = image.data.reshape(h, w * 3)
     scan = b"".join(b"\x00" + rows[y].tobytes() for y in range(h))
-    idat = zlib.compress(scan, level)
+    idat = zlib.compress(scan, 9)
 
     def chunk(kind: bytes, body: bytes) -> bytes:
         crc = zlib.crc32(kind + body) & 0xFFFFFFFF
@@ -622,6 +605,11 @@ def _png_encode(image: Ldr8Image, level: int = 9) -> bytes:
 
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     return _PNG_SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
+
+
+# The one suffix -> encoder table for 8-bit images, as LINEAR_WRITERS is for
+# linear ones; its suffixes are also the choices of `ldr_format`.
+LDR_ENCODERS = {".png": _png_encode, ".ppm": _ppm_encode}
 
 
 def _png_decode(raw: bytes) -> Ldr8Image:

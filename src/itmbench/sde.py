@@ -405,6 +405,8 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     the tracked elements alone that records their paths. Working memory is
     O(ensemble x tile + pixels), whatever the number of steps.
     """
+    if ensemble < 1:
+        raise DomainError(f"ensemble must be >= 1; got {ensemble!r}")
     enc = encoding or PuEncoding.default()
     schedule = sched or SdeSchedule.cosine()
     pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, enc, mapping)
@@ -434,9 +436,8 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
         decay, variances = _chain_scalars(schedule)
         gap = x0 - target
         restored_u = np.empty_like(x0)
-        # ensemble < 1 is backward_simulate's error, raised at the first tile
-        tile = max(1, _LANE_CHUNK // max(1, ensemble))
-        work = np.empty((max(0, ensemble), tile))
+        tile = max(1, _LANE_CHUNK // ensemble)
+        work = np.empty((ensemble, tile))
         for lo in range(0, x0.size, tile):
             hi = min(lo + tile, x0.size)
 

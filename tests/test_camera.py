@@ -250,36 +250,6 @@ class TestGenerateDataset:
         assert derive_seed(7, "a.hdr", 0) != derive_seed(7, "a.hdr", 1)
         assert derive_seed(7, "a.hdr", 0) != derive_seed(8, "a.hdr", 0)
 
-    def test_jpeg_output_through_codec_boundary(self, tmp_path, rng):
-        from itmbench.image_io import Ldr8Image
-
-        class StubCodec:
-            def decode(self, data):
-                h, w = data[4], data[5]
-                arr = np.frombuffer(data[6:6 + h * w * 3], dtype=np.uint8)
-                return Ldr8Image(arr.reshape(h, w, 3).copy())
-
-            def encode(self, image, quality):
-                head = b"\xff\xd8\xff\xe0" + bytes([image.height, image.width])
-                return head + image.data.tobytes()
-
-        src = self._sources(tmp_path, rng, n=1)
-        out = tmp_path / "out"
-        settings = SynthesisSettings(ldr_format="jpg")
-        records, errors = generate_dataset(src, out, settings=settings,
-                                           master_seed=2, codec=StubCodec())
-        assert not errors
-        assert records[0].ldr_file.endswith(".jpg")
-        assert (out / records[0].ldr_file).exists()
-
-    def test_jpeg_format_without_codec_is_recorded_error(self, tmp_path, rng):
-        src = self._sources(tmp_path, rng, n=1)
-        out = tmp_path / "out"
-        settings = SynthesisSettings(ldr_format="jpg")
-        records, errors = generate_dataset(src, out, settings=settings, master_seed=2)
-        assert records == []
-        assert errors and "codec" in errors[0]
-
 
 @pytest.mark.parametrize("field", ["crf_family", "crop_mode", "ldr_format", "hdr_format"])
 def test_settings_reject_unknown_choice(field):
@@ -292,7 +262,7 @@ def test_settings_reject_unknown_choice(field):
     ("sigma_range", (-0.5, 0.01)), ("sigma_range", (0.02, 0.01)),
     ("gamma_range", (0.9, 0.2)), ("gamma_range", (0.0, 0.5)),
     ("sigmoid_n_range", (-1.0, 1.0)), ("sigmoid_c_range", (0.8, 0.4)),
-    ("crop", -3), ("jpeg_quality", 0), ("jpeg_quality", 101),
+    ("crop", -3),
 ])
 def test_settings_reject_bad_number(field, value):
     with pytest.raises(DomainError, match=field):

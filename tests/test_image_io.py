@@ -299,8 +299,10 @@ class TestLdr8:
 
     def test_ppm_round_trip(self, tmp_path, rng):
         data = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
-        write_ldr8(Ldr8Image(data), tmp_path / "a.ppm")
-        assert np.array_equal(read_ldr8(tmp_path / "a.ppm").data, data)
+        for name in ("a.ppm", "b.PPM"):
+            write_ldr8(Ldr8Image(data), tmp_path / name)
+            assert np.array_equal(read_ldr8(tmp_path / name).data, data)
+            assert (tmp_path / name).read_bytes().startswith(b"P6\n6 4\n255\n")
 
     def test_truncated_ppm_no_partial_image(self, tmp_path):
         (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n\x00\x00")
@@ -365,28 +367,14 @@ class TestLdr8:
         with pytest.raises(FormatError):
             read_ldr8(tmp_path / "x.jpg")
 
-    def test_jpeg_codec_boundary(self, tmp_path, rng):
-        class StubCodec:
-            """Fake codec: stores raw pixels after a JPEG-looking magic."""
-
-            def decode(self, data):
-                h, w = data[4], data[5]
-                arr = np.frombuffer(data[6:6 + h * w * 3], dtype=np.uint8)
-                return Ldr8Image(arr.reshape(h, w, 3).copy())
-
-            def encode(self, image, quality):
-                head = b"\xff\xd8\xff\xe0" + bytes([image.height, image.width])
-                return head + image.data.tobytes()
-
-        data = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-        codec = StubCodec()
-        write_ldr8(Ldr8Image(data), tmp_path / "a.jpg", codec=codec, quality=90)
-        back = read_ldr8(tmp_path / "a.jpg", codec=codec)
-        assert np.array_equal(back.data, data)
-
     def test_write_unknown_extension(self, tmp_path):
-        with pytest.raises(FormatError):
-            write_ldr8(Ldr8Image(np.zeros((1, 1, 3), dtype=np.uint8)), tmp_path / "x.tiff")
+        # the suffix is the last file name's: a dot in a directory name is not one
+        for name, suffix in (("x.tiff", ".tiff"), ("x.jpg", ".jpg"), ("run.v2/noext", "")):
+            with pytest.raises(FormatError) as exc:
+                write_ldr8(Ldr8Image(np.zeros((1, 1, 3), dtype=np.uint8)), tmp_path / name)
+            assert str(exc.value) == (f"unsupported 8-bit image container {suffix!r} "
+                                      "(.png or .ppm)")
+            assert not (tmp_path / name).exists()
 
 
 class TestContainers:

@@ -2,16 +2,21 @@
 
 `read_ldr8` must give the oracle's pixels for every filter type, alone or
 mixed row by row, and raise the same ParseError for an unknown filter type.
+Mutated files whose CRCs and deflate streams are valid again must decode to
+the oracle's pixels or raise an ItmError.
 """
 
+import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 import oracles
-from itmbench.errors import ParseError
-from itmbench.image_io import read_ldr8
+from itmbench.errors import ItmError, ParseError
+from itmbench.image_io import Ldr8Image, read_ldr8
+from test_acceptance import _mutate
 from test_image_io import _png
 
 SHAPES = ((1, 1), (1, 6), (6, 1), (2, 2), (7, 5), (5, 7), (33, 17))
@@ -61,3 +66,103 @@ def test_unknown_filter_type_names_the_first_bad_row(tmp_path):
     with pytest.raises(ParseError) as got:
         read_ldr8(path)
     assert str(got.value) == str(expected.value) == "unknown PNG filter type 5"
+
+
+def _chunks(blob: bytes):
+    """(start, kind, body end) of each whole chunk after the signature, in file order."""
+    pos = 8
+    while pos + 8 <= len(blob):
+        (length,) = struct.unpack(">I", blob[pos:pos + 4])
+        end = pos + 8 + length
+        if end + 4 > len(blob):
+            return
+        yield pos, blob[pos + 4:pos + 8], end
+        pos = end + 4
+
+
+def _recrc(blob: bytes) -> bytes:
+    """`blob` with every whole chunk's CRC recomputed, so the checksum passes."""
+    out = bytearray(blob)
+    for pos, _, end in _chunks(blob):
+        out[end:end + 4] = struct.pack(">I", zlib.crc32(out[pos + 4:end]) & 0xFFFFFFFF)
+    return bytes(out)
+
+
+def _ihdr_idat(blob: bytes) -> tuple:
+    """The first IHDR's (width, height) and the IDAT bodies before the first IEND, joined."""
+    size, idat = (0, 0), b""
+    for pos, kind, end in _chunks(blob):
+        if kind == b"IHDR" and size == (0, 0) and end - pos == 21:
+            size = struct.unpack(">II", blob[pos + 8:pos + 16])
+        elif kind == b"IDAT":
+            idat += blob[pos + 8:end]
+        elif kind == b"IEND":
+            break
+    return size, idat
+
+
+def _unfilter_outcome(scan: bytes, width: int, height: int):
+    """The oracle's pixels for `scan`, or its ParseError message."""
+    try:
+        return oracles.naive_png_unfilter(scan, width, height)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_fuzz_past_the_checksum(tmp_path):
+    """Mutants with valid CRCs, or with valid deflate around mutated scanlines,
+    decode to the oracle's pixels or fail with an ItmError, in memory bounded
+    by the declared size."""
+    rng = np.random.default_rng(4041)
+    w, h = 7, 10
+    scan = np.empty((h, 1 + 3 * w), dtype=np.uint8)
+    scan[:, 0] = np.arange(h) % 5  # every filter type, twice
+    scan[:, 1:] = rng.integers(0, 256, (h, 3 * w))
+    scan = scan.tobytes()
+    seed = _png((w, h), zlib.compress(scan))
+    path = tmp_path / "fuzz.png"
+    path.write_bytes(seed)
+    # the seed decodes to the oracle's pixels; its first decode also warms up
+    # numpy, whose one-time allocations would otherwise count in a peak
+    assert read_ldr8(path).data.tolist() == oracles.naive_png_unfilter(scan, w, h)
+    outcomes = {"decoded": 0, "error": 0}
+    tracemalloc.start()
+    try:
+        for i in range(600):
+            sized = i % 4 == 2
+            if i % 2:  # the whole file, every chunk's CRC made good again
+                blob = _recrc(_mutate(seed, rng))
+            elif sized:  # the scanlines at their declared size: filter types and pixels
+                mutant = np.frombuffer(scan, dtype=np.uint8).copy()
+                at = rng.integers(0, len(scan), int(rng.integers(1, 5)))
+                mutant[at] = rng.integers(0, 256, len(at))
+                mutant = mutant.tobytes()
+                blob = _png((w, h), zlib.compress(mutant))
+            else:  # the scanlines resized, by 256 KiB more in every other one
+                mutant = _mutate(scan, rng) + bytes((i % 8 == 0) << 18)
+                blob = _png((w, h), zlib.compress(mutant))
+            path.write_bytes(blob)
+            (width, height), idat = _ihdr_idat(blob)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                got = read_ldr8(path)
+            except ItmError as exc:
+                got = exc
+            peak = tracemalloc.get_traced_memory()[1] - base
+            # a file with no readable IHDR is held to the seed's size
+            declared = max(width * height, w * h) * 3
+            assert peak < (64 << 10) + 16 * declared, f"mutant {i}: peak {peak} bytes"
+            if isinstance(got, ItmError):
+                assert "CRC mismatch" not in str(got), f"mutant {i}"
+                outcomes["error"] += 1
+                if sized:
+                    assert str(got) == _unfilter_outcome(mutant, w, h), f"mutant {i}"
+                continue
+            assert isinstance(got, Ldr8Image), f"mutant {i}"
+            want = _unfilter_outcome(zlib.decompress(idat), width, height)
+            assert got.data.tolist() == want, f"mutant {i}"
+            outcomes["decoded"] += 1
+    finally:
+        tracemalloc.stop()
+    assert min(outcomes.values()) >= 50, outcomes

@@ -487,6 +487,12 @@ class TestArgumentValidation:
         gt = LinearImage(rng.uniform(0.05, 1.0, (8, 8, 3)).astype(np.float32))
         with pytest.raises(DomainError):
             itm_sde_demo(gt, gt, sched=SdeSchedule.cosine(steps=5), ensemble=0)
+        # a zero-noise schedule is inverted without an ensemble, which must not hide it
+        degraded = LinearImage(np.minimum(gt.data, 0.5))
+        for ensemble in (0, -3):
+            with pytest.raises(DomainError, match="ensemble must be >= 1"):
+                itm_sde_demo(degraded, gt, sched=SdeSchedule.constant(1.0, 0.0, 0.01, 5),
+                             ensemble=ensemble)
 
     def test_negative_seed_rejected(self):
         sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)

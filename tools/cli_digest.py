@@ -34,6 +34,9 @@ COMMANDS = [
                        "--jobs", "3"]),
     ("synthesize_count0", ["synthesize", "--hdr-dir", "in/gt", "--count", "0"]),
     ("synthesize_jobs0", ["synthesize", "--hdr-dir", "in/gt", "--jobs", "0"]),
+    ("synthesize_ppm", ["synthesize", "--hdr-dir", "in/gt", "--seed", "4",
+                        "--config", "in/ppm.ini"]),
+    ("synthesize_jpg", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/jpg.ini"]),
     ("score_j2", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "2"]),
     ("score_jobs0", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "0"]),
     ("score_bad_config", ["score", "--pred", "in/pred", "--gt", "in/gt",
@@ -71,6 +74,8 @@ def write_inputs(root: Path, size: int):
     ldr = np.round(255.0 * np.clip(gts["a"], 0.0, 1.0) ** (1 / 2.2)).astype(np.uint8)
     write_ldr8(Ldr8Image(ldr), root / "ldr.png")
     (root / "bad.ini").write_text("[display]\nblack_floor = -1\n")
+    (root / "ppm.ini").write_text("[synth]\nldr_format = ppm\n")
+    (root / "jpg.ini").write_text("[synth]\nldr_format = jpg\n")
     (root / "sde").mkdir()
     gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
     write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
