@@ -12,9 +12,8 @@ from .errors import (ConfigError, DomainError, FormatError, InputError, ItmError
 from .image_io import (LinearImage, Ldr8Image, RgbePixel, read_hdr, read_ldr8,
                        read_pfm, rgbe_decode, rgbe_encode, write_hdr,
                        write_ldr8, write_pfm)
-from .color import (DisplayMapping, MuLawParams, PuApproxParams,
-                    linear_to_srgb, luminance, mu_law, pu_approx,
-                    srgb_to_linear, to_display_luminance)
+from .color import (DisplayMapping, MuLawParams, linear_to_srgb, luminance,
+                    mu_law, srgb_to_linear, to_display_luminance)
 from .pu21 import (MetricReport, PuEncoding, format_leaderboard, pu_encode,
                    pu_psnr, pu_ssim, rank_teams, rmse_linear, score_dataset)
 from .camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,

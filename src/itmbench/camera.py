@@ -41,15 +41,17 @@ class Crf:
 
     def __post_init__(self):
         if self.family == "gamma":
-            if not (self.gamma > 0):
-                raise DomainError("gamma must be positive")
+            if not (0 < self.gamma < np.inf):
+                raise DomainError(f"gamma must be finite and positive; got {self.gamma!r}")
         elif self.family == "sigmoid":
-            if not (self.n > 0 and self.sigma_c > 0):
-                raise DomainError("sigmoid needs n > 0 and sigma_c > 0")
+            if not (0 < self.n < np.inf and 0 < self.sigma_c < np.inf):
+                raise DomainError("sigmoid needs finite n > 0 and sigma_c > 0")
         elif self.family == "table":
             t = np.asarray(self.table, dtype=np.float64)
             if t.shape != (256,):
                 raise DomainError("table CRF needs exactly 256 entries")
+            if not np.isfinite(t).all():
+                raise DomainError("table CRF entries must be finite")
             if not (np.diff(t) > 0).all():
                 raise DomainError("table CRF must be strictly increasing")
             t = (t - t[0]) / (t[-1] - t[0])  # normalize to f(0)=0, f(1)=1
@@ -263,8 +265,8 @@ class SynthesisSettings:
             ("sigmoid_c_range", "0 <", self.sigmoid_c_range[0] > 0),
         ):
             lo, hi = getattr(self, name)
-            if not (low_ok and lo <= hi):
-                raise DomainError(f"{name} must satisfy {low} lo <= hi; got ({lo!r}, {hi!r})")
+            if not (low_ok and lo <= hi < np.inf):
+                raise DomainError(f"{name} must satisfy {low} lo <= hi < inf; got ({lo!r}, {hi!r})")
         if self.crop < 0:
             raise DomainError(f"crop must be >= 0; got {self.crop!r}")
 
@@ -348,7 +350,9 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     """Synthesize LDR/HDR pairs plus a JSONL manifest of SynthesisRecord rows.
 
     Unreadable or degenerate sources, and sources sharing a stem, are recorded
-    in the returned error list and generation continues. Output is byte-identical for any `jobs`.
+    in the returned error list and generation continues. Records, and manifest
+    rows, follow the sources' file-name order, then the pair index. Output is
+    byte-identical for any `jobs`.
     """
     if count_per_image < 1:
         raise DomainError(f"count_per_image must be >= 1; got {count_per_image!r}")
@@ -377,8 +381,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
 
     results = ordered_map(run, tasks, jobs)
 
-    records = sorted((r for r, _ in results if r is not None),
-                     key=lambda r: (r.source, r.index))
+    records = [r for r, _ in results if r is not None]
     errors.extend(sorted(e for _, e in results if e is not None))
     manifest = out_dir / "manifest.jsonl"
     with open(manifest, "w") as fh:

@@ -1,7 +1,7 @@
 """Scalar transfer functions shared by the whole toolkit.
 
-sRGB EOTF and its inverse, Rec.709 luminance, the mu-law range compressor,
-its log10 twin used as a PU approximation, and the mapping from normalized
+sRGB EOTF and its inverse, Rec.709 luminance, the mu-law range compressor
+(also the losses' PU approximation), and the mapping from normalized
 relative radiance to absolute display luminance.
 """
 
@@ -92,37 +92,18 @@ class MuLawParams:
             raise DomainError("mu must be positive")
 
 
-@dataclass(frozen=True)
-class PuApproxParams:
-    """log10 compressor constant for the PU approximation (paper value 10000)."""
-
-    c: float = 10000.0
-
-    def __post_init__(self):
-        if not (self.c > 0):
-            raise DomainError("c must be positive")
-
-
-def _log_compress(x: np.ndarray, mu: float) -> np.ndarray:
-    # log base cancels in the ratio, so log1p serves both mu-law and log10 forms
-    return np.log1p(mu * x) / np.log1p(mu)
-
-
 def mu_law(x, params: MuLawParams = MuLawParams(), *, check_domain: bool = True):
     """R_mu(x) = log(1 + mu*x) / log(1 + mu); strictly increasing, 0 -> 0, 1 -> 1.
 
-    With check_domain=False the domain is relaxed to x >= 0 (the formula is a
-    strictly increasing extension), which the loss evaluators rely on for
-    unbounded HDR predictions.
+    The log base cancels in the ratio, so with mu = 10000 this is the log10
+    PU approximation log10(1 + c*x) / log10(1 + c), c = 10000, of
+    `losses.ssim_pu_loss`. With check_domain=False the domain is relaxed to
+    x >= 0 (the formula is a strictly increasing extension), which the loss
+    evaluators rely on for unbounded HDR predictions.
     """
     arr = as_unit(x, "mu-law input") if check_domain else as_radiance(x, "mu-law input")
-    out = _log_compress(arr, params.mu)
+    out = np.log1p(params.mu * arr) / np.log1p(params.mu)
     return out if out.ndim else float(out)
-
-
-def pu_approx(x, params: PuApproxParams = PuApproxParams(), *, check_domain: bool = True):
-    """log10(1 + c*x) / log10(1 + c); identical to mu_law with mu == c."""
-    return mu_law(x, MuLawParams(params.c), check_domain=check_domain)
 
 
 @dataclass(frozen=True)
@@ -140,8 +121,10 @@ class DisplayMapping:
     def __post_init__(self):
         if not (0 < self.black_floor < self.peak_luminance):
             raise DomainError("require 0 < black_floor < peak_luminance")
-        if not (self.reference_white > 0):
-            raise DomainError("reference_white must be positive")
+        if not (self.peak_luminance < np.inf):
+            raise DomainError(f"peak_luminance must be finite; got {self.peak_luminance!r}")
+        if not (0 < self.reference_white < np.inf):
+            raise DomainError("reference_white must be finite and positive")
 
     @property
     def scale(self) -> float:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import (MuLawParams, PuApproxParams, as_radiance, luminance, mu_law, pu_approx,
-                    radiance_pair)
+from .color import MuLawParams, as_radiance, luminance, mu_law, radiance_pair
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -86,11 +85,11 @@ def denoise_loss(denoised, gt) -> float:
     return linear_l1(denoised, gt)
 
 
-def ssim_pu_loss(pred, gt, pu: PuApproxParams = PuApproxParams()) -> float:
-    """1 - SSIM on log-compressed (PU-approximated) luminance, shared SSIM kernel."""
+def ssim_pu_loss(pred, gt, pu: MuLawParams = MuLawParams(10000.0)) -> float:
+    """1 - SSIM on PU-approximated luminance (`mu_law`, c = mu = 10000), shared SSIM kernel."""
     a, b = radiance_pair(pred, gt, "loss inputs")
-    la = pu_approx(luminance(a), pu, check_domain=False)
-    lb = pu_approx(luminance(b), pu, check_domain=False)
+    la = mu_law(luminance(a), pu, check_domain=False)
+    lb = mu_law(luminance(b), pu, check_domain=False)
     return 1.0 - ssim_mean(la, lb, data_range=1.0)
 
 
@@ -193,19 +192,18 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     return charb + params.alpha_hist * hist + params.beta_smooth * smooth
 
 
-def loss_terms(stages, pred, gt, *, denoised=None, mu: MuLawParams = MuLawParams(),
-               pu: PuApproxParams = PuApproxParams(), upf: UpfParams = UpfParams(),
-               color_eps: float = EPS_LOG) -> dict:
-    """Unweighted terms of the composite objective; `denoised` defaults to `pred`."""
+def loss_terms(stages, pred, gt, *, denoised=None) -> dict:
+    """Unweighted terms of the composite objective, each at its own default
+    constants; `denoised` defaults to `pred`."""
     terms = {
-        "recon": recon_loss(stages, gt, mu),
-        "ssim_pu": ssim_pu_loss(pred, gt, pu),
-        "color": color_loss(pred, gt, color_eps),
+        "recon": recon_loss(stages, gt),
+        "ssim_pu": ssim_pu_loss(pred, gt),
+        "color": color_loss(pred, gt),
         "tv": tv_loss(pred),
         "linear": linear_l1(pred, gt),
     }
     terms["denoise"] = terms["linear"] if denoised is None else denoise_loss(denoised, gt)
-    terms["upf"] = upf_loss(pred, gt, upf)
+    terms["upf"] = upf_loss(pred, gt)
     return terms
 
 
@@ -231,13 +229,9 @@ def weigh_loss_terms(terms: dict, weights: LossWeights = LossWeights(),
 
 
 def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
-               denoised=None, perceptual: float = 0.0,
-               mu: MuLawParams = MuLawParams(), pu: PuApproxParams = PuApproxParams(),
-               upf: UpfParams = UpfParams(), color_eps: float = EPS_LOG) -> tuple:
+               denoised=None, perceptual: float = 0.0) -> tuple:
     """`weigh_loss_terms` of `loss_terms`: the weighted objective and its breakdown."""
-    terms = loss_terms(stages, pred, gt, denoised=denoised, mu=mu, pu=pu, upf=upf,
-                       color_eps=color_eps)
-    return weigh_loss_terms(terms, weights, perceptual)
+    return weigh_loss_terms(loss_terms(stages, pred, gt, denoised=denoised), weights, perceptual)
 
 
 def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:

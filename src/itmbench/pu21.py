@@ -155,17 +155,15 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
     Returns (pu_pred, pu_gt, peak): fields per RGB channel, or of Rec.709 luma
     when `luma` is set; peak is the PU value of the display peak.
     """
-    enc = encoding or PuEncoding.default()
-
     def encode(image):
         # one display-sized temporary at a time: each is dropped before the next
         display = to_display_luminance(image, mapping)
         if luma:
             display = luminance(display)
-        return pu_encode(display, enc)
+        return pu_encode(display, encoding)
 
     check_same_shape(pred, gt)
-    return encode(pred), encode(gt), pu_encode(mapping.peak_luminance, enc)
+    return encode(pred), encode(gt), pu_encode(mapping.peak_luminance, encoding)
 
 
 def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
@@ -270,7 +268,6 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
     entries rather than silent skips; report ordering is sorted by stem so
     output is independent of scheduling.
     """
-    enc = encoding or PuEncoding.default()
     preds, pred_errors = index_linear_dir(pred_dir)
     gts, gt_errors = index_linear_dir(gt_dir)
     report = MetricReport(errors=pred_errors + gt_errors)
@@ -287,8 +284,8 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
             gt = read_linear(gts[stem])
             row = PerImageScore(
                 image=stem,
-                pu_psnr=pu_psnr(pred, gt, enc, mapping),
-                pu_ssim=pu_ssim(pred, gt, enc, mapping),
+                pu_psnr=pu_psnr(pred, gt, encoding, mapping),
+                pu_ssim=pu_ssim(pred, gt, encoding, mapping),
                 rmse_linear=rmse_linear(pred, gt),
             )
             return stem, row, None
@@ -300,7 +297,6 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
     results = ordered_map(score_one, stems, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
-    results.sort(key=lambda t: t[0])
     for _, row, err in results:
         if row is not None:
             report.per_image.append(row)

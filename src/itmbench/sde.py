@@ -261,18 +261,18 @@ def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1,
 
 
 def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
-                      n_traj: int = 1, return_history: bool = False, offset: int = 0):
+                      n_traj: int = 1, offset: int = 0) -> np.ndarray:
     """Reverse-time Euler-Maruyama with drift theta (mu - x) - sigma^2 * score.
 
-    `score_fn(x, step)` receives the state array and the 1-based step index
-    whose left edge the step integrates to; it must return the score field
-    (an array broadcastable to the state, or a scalar). The state is updated
-    in place after the call, so a score function that keeps `x` must copy
-    it. `xT` may be a scalar, a state vector (dim,), or a per-trajectory
-    stack (n_traj, dim). `offset` is the element index of the state's first
-    element in the run's noise counters, as in `forward_simulate`. Returns
-    the restored states (n_traj, dim), plus the full history when requested.
-    Working memory beyond the history and the score is O(n_traj x dim), or
+    `score_fn(x, step)` receives the state (n_traj, dim) at each step from
+    `steps` down to 1, with that 1-based step index; it must return the score
+    field (an array broadcastable to the state, or a scalar). So the hook
+    sees the whole path but the returned state, and a hook that records it
+    must copy `x`, which is updated in place after the call. `xT` may be a
+    scalar, a state vector (dim,), or a per-trajectory stack (n_traj, dim).
+    `offset` is the element index of the state's first element in the run's
+    noise counters, as in `forward_simulate`. Returns the restored states
+    (n_traj, dim). Working memory beyond the score is O(n_traj x dim), or
     O(n_traj x tile) for a state run one tile at a time.
     """
     xT_arr = np.asarray(xT, dtype=np.float64)
@@ -289,9 +289,6 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
     noise = _noise_blocks(seed, 1, n_traj, xv.size, steps, offset)
     x = np.broadcast_to(xv if starts is None else starts, (n_traj, xv.size)).copy()
     drift, term = np.empty_like(x), np.empty_like(x)
-    history = np.empty((n_traj, steps + 1, xv.size)) if return_history else None
-    if history is not None:
-        history[:, steps, :] = x
     sqdt = np.sqrt(dt)
     for i in range(steps - 1, -1, -1):
         if i == steps - 1 or i % 4 == 3:
@@ -307,10 +304,6 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
         np.subtract(x, drift, out=drift)
         np.multiply(block[i % 4], sched.sigma[i] * sqdt, out=block[i % 4])
         np.add(drift, block[i % 4], out=x)
-        if history is not None:
-            history[:, i, :] = x
-    if return_history:
-        return x, history
     return x
 
 
@@ -407,9 +400,8 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     """
     if ensemble < 1:
         raise DomainError(f"ensemble must be >= 1; got {ensemble!r}")
-    enc = encoding or PuEncoding.default()
     schedule = sched or SdeSchedule.cosine()
-    pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, enc, mapping)
+    pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, encoding, mapping)
     u_gt = pu_gt / peak
     u_ldr = pu_ldr / peak
     x0 = u_gt.ravel()
@@ -454,14 +446,14 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
             restored_u[lo:hi] = finals.mean(axis=0)
 
     restored_pu = np.clip(restored_u, 0.0, 1.0).reshape(u_gt.shape) * peak
-    decoded = pu_decode(restored_pu, enc) / mapping.scale
+    decoded = pu_decode(restored_pu, encoding) / mapping.scale
     restored = LinearImage(np.clip(decoded, 0.0, None).astype(np.float32))
 
     error_map = np.mean(np.abs(restored_pu - u_gt * peak), axis=-1)
     score_row = PerImageScore(
         image="sde-demo",
-        pu_psnr=pu_psnr(restored, hdr_gt, enc, mapping),
-        pu_ssim=(pu_ssim(restored, hdr_gt, enc, mapping) if min(u_gt.shape[:2]) >= SSIM_WINDOW
+        pu_psnr=pu_psnr(restored, hdr_gt, encoding, mapping),
+        pu_ssim=(pu_ssim(restored, hdr_gt, encoding, mapping) if min(u_gt.shape[:2]) >= SSIM_WINDOW
                  else float("nan")),
         rmse_linear=rmse_linear(restored, hdr_gt),
     )

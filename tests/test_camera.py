@@ -55,6 +55,12 @@ class TestCrf:
         table[128] = table[127]  # plateau breaks strict monotonicity
         with pytest.raises(DomainError):
             Crf.from_table(table)
+        # an infinite end passes the monotone check but would normalize to NaN
+        for end in (0, -1):
+            table = np.linspace(0, 1, 256)
+            table[end] = np.inf if end else -np.inf
+            with pytest.raises(DomainError, match="entries must be finite"):
+                Crf.from_table(table)
 
     def test_spec_parsing(self):
         assert Crf.from_spec("identity").family == "gamma"
@@ -63,6 +69,11 @@ class TestCrf:
         assert (crf.n, crf.sigma_c) == (0.9, 0.6)
         with pytest.raises(DomainError):
             Crf.from_spec("mystery:1")
+        for spec in ("gamma:inf", "sigmoid:0.9,inf", "sigmoid:inf,0.6", "sigmoid:-inf,0.6"):
+            with pytest.raises(DomainError, match="bad CRF spec .*finite"):
+                Crf.from_spec(spec)
+        with pytest.raises(DomainError, match="finite"):
+            Crf.from_dict({"family": "sigmoid", "n": 1.0, "sigma_c": float("inf")})
 
     def test_dict_round_trip(self):
         crf = Crf.sigmoid(0.8, 0.5)
@@ -263,6 +274,9 @@ def test_settings_reject_unknown_choice(field):
     ("gamma_range", (0.9, 0.2)), ("gamma_range", (0.0, 0.5)),
     ("sigmoid_n_range", (-1.0, 1.0)), ("sigmoid_c_range", (0.8, 0.4)),
     ("crop", -3),
+    ("sigma_range", (0.0, float("inf"))), ("gamma_range", (0.35, float("inf"))),
+    ("gamma_range", (float("inf"), float("inf"))), ("sigmoid_n_range", (0.7, float("inf"))),
+    ("sigmoid_c_range", (0.4, float("inf"))),
 ])
 def test_settings_reject_bad_number(field, value):
     with pytest.raises(DomainError, match=field):

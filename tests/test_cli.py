@@ -129,6 +129,28 @@ class TestSynthesizeCommand:
         assert (img.height, img.width) == (10, 10)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_output_order_where_file_name_and_stem_order_differ(tmp_path, rng, jobs):
+    # file-name order is a-b.hdr, a.pfm, ab.hdr ('-' < '.' < 'b'); stem order is a, a-b, ab
+    src = tmp_path / "src"
+    src.mkdir()
+    for name, write in (("ab.hdr", write_hdr), ("a.pfm", write_pfm), ("a-b.hdr", write_hdr)):
+        write(LinearImage(rng.uniform(0.01, 2.0, (12, 12, 3)).astype(np.float32)), src / name)
+    synth = tmp_path / "synth"
+    assert main(["synthesize", "--hdr-dir", str(src), "--count", "2", "--jobs", jobs,
+                 "--out", str(synth)]) == 0
+    rows = [json.loads(line) for line in (synth / "manifest.jsonl").read_text().splitlines()]
+    assert [(r["source"], r["index"]) for r in rows] == [
+        ("a-b.hdr", 0), ("a-b.hdr", 1), ("a.pfm", 0), ("a.pfm", 1), ("ab.hdr", 0), ("ab.hdr", 1)]
+    score = tmp_path / "score"
+    assert main(["score", "--pred", str(src), "--gt", str(src), "--jobs", jobs,
+                 "--out", str(score)]) == 0
+    doc = json.loads((score / "report.json").read_text())
+    assert [r["image"] for r in doc["per_image"]] == ["a", "a-b", "ab"]
+    csv_stems = [line.split(",")[0] for line in (score / "report.csv").read_text().splitlines()]
+    assert csv_stems == ["image", "a", "a-b", "ab"]
+
+
 class TestScoreAtChallengeResolution:
     def test_512px_images_score_and_aggregate(self, tmp_path, rng):
         # benchmark-scale inputs (512x512); two images keep the suite quick
@@ -178,15 +200,21 @@ class TestConfigErrors:
         "[synth]\nsat_frac = 2\n",
         "[synth]\nldr_format = jpg\n",
         "[synth]\njpeg_quality = -5\n",
+        "[synth]\ncrf_family = gamma\ngamma_hi = inf\n",
+        "[synth]\nsigma_hi = inf\n",
+        "[synth]\nsigmoid_c_hi = inf\n",
+        "[display]\npeak_luminance = inf\n",
+        "[display]\nreference_white = inf\n",
     ], ids=["black_floor", "crop_mode", "gamma_range", "sigma_lo", "crop", "sat_frac",
-            "ldr_format_jpg", "jpeg_quality"])
+            "ldr_format_jpg", "jpeg_quality", "gamma_hi_inf", "sigma_hi_inf",
+            "sigmoid_c_hi_inf", "peak_luminance_inf", "reference_white_inf"])
     def test_rejected_value_is_exit_two(self, tmp_path, hdr_sources, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         code = main(["synthesize", "--hdr-dir", str(hdr_sources),
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("content", [
         None,  # missing file
@@ -229,6 +257,16 @@ class TestExpandCommand:
         img = read_hdr(out / "in.hdr")
         want = (data.astype(np.float64) / 255.0) ** 2.0  # inverse of gamma 0.5
         assert np.allclose(img.data, want, atol=1 / 255.0)
+
+    @pytest.mark.parametrize("spec", ["gamma:inf", "sigmoid:0.9,inf"])
+    def test_non_finite_crf_is_exit_one(self, tmp_path, capsys, spec):
+        write_ldr8(Ldr8Image(np.full((4, 4, 3), 128, dtype=np.uint8)), tmp_path / "in.png")
+        out = tmp_path / "out"
+        code = main(["expand", "--input", str(tmp_path / "in.png"), "--crf", spec,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: bad CRF spec '{spec}'")
+        assert not (out / "in.hdr").exists()
 
     def test_pfm_output_format(self, tmp_path, rng):
         data = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)

@@ -79,11 +79,12 @@ class TestSsimPuLoss:
 
     def test_cross_module_kernel_consistency(self, random_pair):
         # the loss reuses the metrics SSIM kernel on compressed luminance
-        from itmbench.color import luminance, pu_approx
+        from itmbench.color import MuLawParams, luminance, mu_law
         from itmbench.pu21 import ssim_mean
         a, b = random_pair
-        la = pu_approx(luminance(a.data.astype(np.float64)), check_domain=False)
-        lb = pu_approx(luminance(b.data.astype(np.float64)), check_domain=False)
+        pu = MuLawParams(10000.0)
+        la = mu_law(luminance(a.data.astype(np.float64)), pu, check_domain=False)
+        lb = mu_law(luminance(b.data.astype(np.float64)), pu, check_domain=False)
         assert ssim_pu_loss(a, b) == pytest.approx(1.0 - ssim_mean(la, lb, 1.0), abs=1e-12)
 
 

@@ -341,11 +341,27 @@ def _forward_noise(steps, n_traj, dim, seed=0, offset=0):
                             offset=offset)[:, 1:, :]
 
 
+def _backward_history(xT, mu, sched, score_fn, **kwargs) -> tuple:
+    """`backward_simulate`'s restored states and its path (n_traj, steps + 1, dim).
+
+    The path is recorded by the score hook, which sees the state of every
+    step from `steps` down to 1; step 0 is the restored state.
+    """
+    seen = {}
+
+    def record(x, step):
+        seen[step] = x.copy()
+        return score_fn(x, step)
+
+    final = backward_simulate(xT, mu, sched, record, **kwargs)
+    return final, np.stack([final] + [seen[s] for s in range(1, sched.steps + 1)], axis=1)
+
+
 def _backward_noise(steps, n_traj, dim, seed=0, offset=0):
     # with the score -2x the backward drift cancels the state, leaving the noise
     sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
-    _, history = backward_simulate(np.zeros(dim), 0.0, sched, lambda x, step: -2.0 * x,
-                                   seed=seed, n_traj=n_traj, return_history=True, offset=offset)
+    _, history = _backward_history(np.zeros(dim), 0.0, sched, lambda x, step: -2.0 * x,
+                                   seed=seed, n_traj=n_traj, offset=offset)
     return history[:, :-1, :]
 
 
@@ -399,15 +415,14 @@ class TestNoiseLayout:
             return -(x - 0.5) * step
 
         whole_f = forward_simulate(x0, mu, sched, seed=4, n_traj=n_traj)
-        whole_b = backward_simulate(whole_f[:, -1, :], mu, sched, score, seed=4,
-                                    return_history=True)
+        whole_b = _backward_history(whole_f[:, -1, :], mu, sched, score, seed=4)
         tiles_f, tiles_b, tiles_h = [], [], []
         for lo in range(0, dim, tile):
             hi = min(lo + tile, dim)
             tiles_f.append(forward_simulate(x0[lo:hi], mu[lo:hi], sched, seed=4, n_traj=n_traj,
                                             offset=lo))
-            final, history = backward_simulate(tiles_f[-1][:, -1, :], mu[lo:hi], sched, score,
-                                               seed=4, return_history=True, offset=lo)
+            final, history = _backward_history(tiles_f[-1][:, -1, :], mu[lo:hi], sched, score,
+                                               seed=4, offset=lo)
             tiles_b.append(final)
             tiles_h.append(history)
         assert np.array_equal(np.concatenate(tiles_f, axis=-1), whole_f)
@@ -428,8 +443,7 @@ class TestNoiseLayout:
             drift = sched.theta[i] * (mu - x) - sched.sigma[i] ** 2 * score
             x = x - drift * sched.dt + sched.sigma[i] * np.sqrt(sched.dt) * z[i]
             want.insert(0, x)
-        final, history = backward_simulate(xT, mu, sched, score_fn, seed=6, n_traj=n_traj,
-                                           return_history=True)
+        final, history = _backward_history(xT, mu, sched, score_fn, seed=6, n_traj=n_traj)
         assert np.array_equal(final, x)
         assert np.array_equal(history, np.stack(want, axis=1))
         assert np.array_equal(backward_simulate(xT, mu, sched, score_fn, seed=6, n_traj=n_traj), x)
