@@ -9,9 +9,8 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, FormatError, InputError, ItmError,
                      NumericError, ParseError, RangeError, ShapeError)
-from .image_io import (LinearImage, Ldr8Image, RgbePixel, read_hdr, read_ldr8,
-                       read_pfm, rgbe_decode, rgbe_encode, write_hdr,
-                       write_ldr8, write_pfm)
+from .image_io import (LinearImage, Ldr8Image, read_hdr, read_ldr8, read_pfm,
+                       write_hdr, write_ldr8, write_pfm)
 from .color import (DisplayMapping, MuLawParams, linear_to_srgb, luminance,
                     mu_law, srgb_to_linear, to_display_luminance)
 from .pu21 import (MetricReport, PuEncoding, format_leaderboard, pu_encode,

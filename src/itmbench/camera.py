@@ -1,7 +1,8 @@
 """Virtual camera: turn HDR sources into degraded 8-bit LDR inputs.
 
-Pipeline order is fixed: scale by 2^ev, add Gaussian read noise, clip to
-[0, 1], apply the camera response curve, quantize to 8 bits (round half up).
+`simulate_ldr` is the camera. Its pipeline order is fixed: scale by 2^ev,
+add Gaussian read noise, clip to [0, 1], apply the camera response curve,
+quantize to 8 bits (round half up).
 Dataset generation derives one seed per output pair from the master seed so
 results are identical regardless of worker count or iteration order.
 """
@@ -196,32 +197,15 @@ def quantize8(v) -> np.ndarray:
     return np.floor(np.asarray(v, dtype=np.float64) * 255.0 + 0.5).astype(np.uint8)
 
 
-def simulate_ldr_stages(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
-                        seed: int = 0) -> dict:
-    """Run the virtual camera, exposing intermediates for invariant checks.
-
-    Returns 'exposed' (pre-clip), 'clipped', 'encoded' float fields plus the
-    quantized 'ldr'.
-    """
+def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
+                 seed: int = 0) -> Ldr8Image:
+    """Virtual camera: 2^ev scaling, Gaussian noise, clip, CRF, 8-bit quantization."""
     data = np.asarray(hdr.data, dtype=np.float64)
     exposed = data * (2.0**ev)
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         exposed = exposed + noise.sigma_read * rng.standard_normal(data.shape)
-    clipped = np.clip(exposed, 0.0, 1.0)
-    encoded = crf.apply(clipped)
-    return {
-        "exposed": exposed,
-        "clipped": clipped,
-        "encoded": encoded,
-        "ldr": Ldr8Image(quantize8(encoded)),
-    }
-
-
-def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
-                 seed: int = 0) -> Ldr8Image:
-    """Virtual camera: 2^ev scaling, Gaussian noise, clip, CRF, 8-bit quantization."""
-    return simulate_ldr_stages(hdr, ev, crf, noise, seed)["ldr"]
+    return Ldr8Image(quantize8(crf.apply(np.clip(exposed, 0.0, 1.0))))
 
 
 # ---------------------------------------------------------------------------

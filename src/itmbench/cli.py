@@ -3,7 +3,8 @@
 Subcommands: synthesize, score, analyze, expand, sde-demo. Exit codes:
 0 success, 1 any per-item failure, 2 usage or configuration error. All
 output lands under --out; machine output (CSV/JSON) is stable across runs
-and worker counts given identical inputs and seeds.
+and worker counts given identical inputs and seeds, except `score`'s
+report.json field `runtime_ms_per_image`, a wall-clock time.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_expand(args, cfg: Config, out: Path) -> int:
 
 
 def cmd_sde_demo(args, cfg: Config, out: Path) -> int:
-    if args.hdr and args.ldr:
+    if args.hdr:
         gt = read_linear(args.hdr)
         degraded = read_linear(args.ldr)
     else:
@@ -183,6 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sde-demo" and bool(args.hdr) != bool(args.ldr):
+        parser.error("sde-demo takes --hdr and --ldr together, or neither")
     try:
         cfg = parse_config(args.config) if args.config else Config()
         if args.seed is None:

@@ -1,8 +1,8 @@
 """Scalar transfer functions shared by the whole toolkit.
 
 sRGB EOTF and its inverse, Rec.709 luminance, the mu-law range compressor
-(also the losses' PU approximation), and the mapping from normalized
-relative radiance to absolute display luminance.
+on radiance (also the losses' PU approximation), and the mapping from
+normalized relative radiance to absolute display luminance.
 """
 
 from __future__ import annotations
@@ -88,20 +88,19 @@ class MuLawParams:
     mu: float = 5000.0
 
     def __post_init__(self):
-        if not (self.mu > 0):
-            raise DomainError("mu must be positive")
+        if not (0 < self.mu < np.inf):
+            raise DomainError("mu must be finite and positive")
 
 
-def mu_law(x, params: MuLawParams = MuLawParams(), *, check_domain: bool = True):
+def mu_law(x, params: MuLawParams = MuLawParams()):
     """R_mu(x) = log(1 + mu*x) / log(1 + mu); strictly increasing, 0 -> 0, 1 -> 1.
 
-    The log base cancels in the ratio, so with mu = 10000 this is the log10
-    PU approximation log10(1 + c*x) / log10(1 + c), c = 10000, of
-    `losses.ssim_pu_loss`. With check_domain=False the domain is relaxed to
-    x >= 0 (the formula is a strictly increasing extension), which the loss
-    evaluators rely on for unbounded HDR predictions.
+    The domain is radiance: any finite x >= 0, so unbounded HDR predictions
+    map above 1. The log base cancels in the ratio, so with mu = 10000 this
+    is the log10 PU approximation log10(1 + c*x) / log10(1 + c), c = 10000,
+    of `losses.ssim_pu_loss`.
     """
-    arr = as_unit(x, "mu-law input") if check_domain else as_radiance(x, "mu-law input")
+    arr = as_radiance(x, "mu-law input")
     out = np.log1p(params.mu * arr) / np.log1p(params.mu)
     return out if out.ndim else float(out)
 

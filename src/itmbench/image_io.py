@@ -17,7 +17,6 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,45 +98,13 @@ class Ldr8Image(_Raster):
             self.data = self.data.astype(np.uint8)
 
 
-class RgbePixel(NamedTuple):
-    """Shared-exponent pixel: three 8-bit mantissas plus one biased exponent."""
-
-    r: int
-    g: int
-    b: int
-    exponent: int
-
-
 # ---------------------------------------------------------------------------
 # RGBE pixel coding
 
 
-def rgbe_encode(rgb) -> RgbePixel:
-    """Encode a linear RGB triple into a shared-exponent RGBE pixel.
-
-    The exponent is the smallest e such that max(rgb) < 2**(e-128); mantissas
-    are rounded to nearest. All-zero input maps to canonical black.
-    """
-    r, g, b = (float(v) for v in rgb)
-    row = np.array([[r, g, b]])
-    if not np.isfinite(row).all():
-        raise FormatError("RGBE components must be finite")
-    if (row < 0).any():
-        raise FormatError("RGBE components must be non-negative")
-    return RgbePixel(*(int(v) for v in _rgbe_encode_rows(row)[0]))
-
-
-def rgbe_decode(pixel) -> tuple:
-    """Decode an RGBE pixel; component = mantissa / 256 * 2**(exponent - 128)."""
-    r, g, b, e = (int(v) for v in pixel)
-    if not all(0 <= v <= 255 for v in (r, g, b, e)):
-        raise FormatError("RGBE pixel components must lie in 0..255")
-    row = np.array([[r, g, b, e]], dtype=np.uint8)
-    return tuple(float(v) for v in _rgbe_decode_rows(row)[0])
-
-
 def _rgbe_encode_rows(data: np.ndarray) -> np.ndarray:
-    """Vectorized encoder: (n, 3) float -> (n, 4) uint8."""
+    """(n, 3) linear RGB -> (n, 4) uint8 RGBE: the smallest exponent e with max(rgb) <
+    2**(e-128), mantissas rounded to nearest; zero or too-small pixels are canonical black."""
     m = np.maximum(np.maximum(data[:, 0], data[:, 1]), data[:, 2])
     _, ex = np.frexp(m)
     # exponents below 0 stay below 1 after the bump, so they encode black; the
@@ -160,7 +127,7 @@ def _rgbe_encode_rows(data: np.ndarray) -> np.ndarray:
 
 
 def _rgbe_decode_rows(rgbe: np.ndarray) -> np.ndarray:
-    """Vectorized decoder: (n, 4) uint8 -> (n, 3) float32."""
+    """Decode (n, 4) uint8 RGBE pixels: component = mantissa / 256 * 2**(exponent - 128)."""
     e = rgbe[:, 3].astype(np.int64)
     scale = np.ldexp(np.float32(1.0), (e - 136).astype(np.int64)).astype(np.float32)
     scale[e == 0] = 0.0

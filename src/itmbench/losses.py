@@ -35,8 +35,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise DomainError(f"{name} must be non-negative")
+            if not (0 <= value < np.inf):
+                raise DomainError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,10 @@ class UpfParams:
             raise DomainError("patch must be >= 2")
         if self.hist_bins < 2:
             raise DomainError("hist_bins must be >= 2")
-        if self.hist_sigma <= 0 or self.focal_gamma < 0:
-            raise DomainError("hist_sigma must be > 0 and focal_gamma >= 0")
+        if not (0 < self.hist_sigma < np.inf and 0 <= self.focal_gamma < np.inf):
+            raise DomainError("hist_sigma must be finite and > 0, focal_gamma finite and >= 0")
+        if not (np.isfinite(self.alpha_hist) and np.isfinite(self.beta_smooth)):
+            raise DomainError("alpha_hist and beta_smooth must be finite")
 
 
 def recon_loss(preds, gt, mu: MuLawParams = MuLawParams()) -> float:
@@ -64,13 +66,13 @@ def recon_loss(preds, gt, mu: MuLawParams = MuLawParams()) -> float:
     if not preds:
         raise DomainError("recon_loss needs at least one stage output")
     n = len(preds)
-    gt_c = mu_law(as_radiance(gt, "loss inputs"), mu, check_domain=False)
+    gt_c = mu_law(as_radiance(gt, "loss inputs"), mu)
     total = 0.0
     for i, pred in enumerate(preds, start=1):
         a = as_radiance(pred, "loss inputs")
         if a.shape != gt_c.shape:
             raise ShapeError("stage output shape does not match ground truth")
-        total += (i / n) * float(np.mean(np.abs(mu_law(a, mu, check_domain=False) - gt_c)))
+        total += (i / n) * float(np.mean(np.abs(mu_law(a, mu) - gt_c)))
     return total
 
 
@@ -88,8 +90,8 @@ def denoise_loss(denoised, gt) -> float:
 def ssim_pu_loss(pred, gt, pu: MuLawParams = MuLawParams(10000.0)) -> float:
     """1 - SSIM on PU-approximated luminance (`mu_law`, c = mu = 10000), shared SSIM kernel."""
     a, b = radiance_pair(pred, gt, "loss inputs")
-    la = mu_law(luminance(a), pu, check_domain=False)
-    lb = mu_law(luminance(b), pu, check_domain=False)
+    la = mu_law(luminance(a), pu)
+    lb = mu_law(luminance(b), pu)
     return 1.0 - ssim_mean(la, lb, data_range=1.0)
 
 

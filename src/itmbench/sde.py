@@ -32,12 +32,12 @@ class SdeSchedule:
         sigma = tuple(float(v) for v in self.sigma)
         if len(theta) != len(sigma) or not theta:
             raise DomainError("theta and sigma must be equal-length and non-empty")
-        if any(v <= 0 for v in theta):
-            raise DomainError("all theta must be positive")
-        if any(v < 0 for v in sigma):
-            raise DomainError("all sigma must be non-negative")
-        if not (self.dt > 0):
-            raise DomainError("dt must be positive")
+        if not all(0 < v < np.inf for v in theta):
+            raise DomainError("all theta must be finite and positive")
+        if not all(0 <= v < np.inf for v in sigma):
+            raise DomainError("all sigma must be finite and non-negative")
+        if not (0 < self.dt < np.inf):
+            raise DomainError("dt must be finite and positive")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "sigma", sigma)
 

@@ -329,6 +329,17 @@ class TestSdeDemoCommand:
         doc = json.loads((out / "sde_report.json").read_text())
         assert doc["per_image"][0]["image"] == "sde-demo"
 
+    @pytest.mark.parametrize("flag", ["--hdr", "--ldr"])
+    def test_lone_image_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        write_pfm(LinearImage(np.full((16, 16, 3), 0.5, dtype=np.float32)), tmp_path / "x.pfm")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sde-demo", flag, str(tmp_path / "x.pfm"), "--steps", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--hdr" in err and "--ldr" in err
+        assert not out.exists()
+
 
 class TestHygiene:
     def test_version_flag(self, capsys):

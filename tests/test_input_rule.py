@@ -18,7 +18,7 @@ from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear
 UNARY = {
     "luminance": luminance,
     "to_display_luminance": to_display_luminance,
-    "mu_law": lambda x: mu_law(x, check_domain=False),
+    "mu_law": mu_law,
     "tv_loss": losses.tv_loss,
 }
 BINARY = {

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,8 +29,8 @@ class TestReconLoss:
 
     def test_single_stage_is_plain_mu_l1(self, random_pair):
         a, b = random_pair
-        direct = np.mean(np.abs(mu_law(a.data.astype(np.float64), check_domain=False)
-                                - mu_law(b.data.astype(np.float64), check_domain=False)))
+        direct = np.mean(np.abs(mu_law(a.data.astype(np.float64))
+                                - mu_law(b.data.astype(np.float64))))
         assert recon_loss([a], b) == pytest.approx(direct, abs=1e-12)
 
     def test_two_stage_constant_example(self):
@@ -83,8 +84,8 @@ class TestSsimPuLoss:
         from itmbench.pu21 import ssim_mean
         a, b = random_pair
         pu = MuLawParams(10000.0)
-        la = mu_law(luminance(a.data.astype(np.float64)), pu, check_domain=False)
-        lb = mu_law(luminance(b.data.astype(np.float64)), pu, check_domain=False)
+        la = mu_law(luminance(a.data.astype(np.float64)), pu)
+        lb = mu_law(luminance(b.data.astype(np.float64)), pu)
         assert ssim_pu_loss(a, b) == pytest.approx(1.0 - ssim_mean(la, lb, 1.0), abs=1e-12)
 
 
@@ -207,6 +208,10 @@ class TestUpfLoss:
             UpfParams(patch=1)
         with pytest.raises(DomainError):
             UpfParams(hist_sigma=0.0)
+        for name in ("focal_gamma", "hist_sigma", "alpha_hist", "beta_smooth"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match="finite"):
+                    UpfParams(**{name: value})
 
 
 class TestTotalLoss:
@@ -256,6 +261,10 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             LossWeights(gamma_tv=-0.1)
+        for name in LossWeights.__dataclass_fields__:
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=f"{name} must be finite"):
+                    LossWeights(**{name: value})
 
 
 class TestScoreMatchingLoss:

@@ -38,6 +38,13 @@ class TestSchedule:
             SdeSchedule((1.0,), (0.1, 0.2), 0.01)
         with pytest.raises(DomainError):
             SdeSchedule((1.0,), (0.1,), 0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="dt must be finite"):
+                SdeSchedule((1.0,), (0.1,), bad)
+            with pytest.raises(DomainError, match="theta must be finite"):
+                SdeSchedule((1.0, bad), (0.1, 0.1), 0.01)
+            with pytest.raises(DomainError, match="sigma must be finite"):
+                SdeSchedule((1.0, 1.0), (0.1, bad), 0.01)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_factories_reject_non_positive_steps(self, steps):

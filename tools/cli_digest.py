@@ -49,6 +49,7 @@ COMMANDS = [
     ("sde_builtin", ["sde-demo", "--steps", "20", "--seed", "5"]),
     ("sde_files", ["sde-demo", "--hdr", "in/gt/b.hdr", "--ldr", "in/pred/b.pfm", "--steps", "12"]),
     ("sde_steps0", ["sde-demo", "--steps", "0"]),
+    ("sde_hdr_only", ["sde-demo", "--hdr", "in/gt/b.hdr", "--steps", "4"]),
     # 37 x 23 x 3 = 2,553 elements end in a partial tile, 9 steps in a partial 4-step noise block
     ("sde_odd", ["sde-demo", "--hdr", "in/sde/gt.pfm", "--ldr", "in/sde/degraded.pfm",
                  "--steps", "9", "--seed", "3"]),
