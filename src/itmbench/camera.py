@@ -25,13 +25,18 @@ from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, ind
 _EV_LIMIT = 30.0
 
 
+# family -> the parameters that define it; as_dict, from_dict and from_spec follow this table
+_CRF_PARAMS = {"gamma": ("gamma",), "sigmoid": ("n", "sigma_c"), "table": ("table",)}
+
+
 @dataclass(frozen=True)
 class Crf:
     """Monotone camera response curve on [0, 1] with an analytic inverse.
 
     Families: power (f = x^g), sigmoid (f = (1+c) x^n / (x^n + c)), and a
     256-entry monotone table interpolated linearly. All satisfy f(0) = 0 and
-    f(1) = 1.
+    f(1) = 1. `Crf("gamma")` (g = 1) is the identity. The constructor coerces
+    its numbers with `float()`, so a numpy scalar or a numeric string works.
     """
 
     family: str
@@ -41,6 +46,12 @@ class Crf:
     table: tuple = ()
 
     def __post_init__(self):
+        try:
+            for name in ("gamma", "n", "sigma_c"):
+                object.__setattr__(self, name, float(getattr(self, name)))
+            t = np.asarray(self.table, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"CRF parameters must be numbers: {exc}") from None
         if self.family == "gamma":
             if not (0 < self.gamma < np.inf):
                 raise DomainError(f"gamma must be finite and positive; got {self.gamma!r}")
@@ -48,7 +59,6 @@ class Crf:
             if not (0 < self.n < np.inf and 0 < self.sigma_c < np.inf):
                 raise DomainError("sigmoid needs finite n > 0 and sigma_c > 0")
         elif self.family == "table":
-            t = np.asarray(self.table, dtype=np.float64)
             if t.shape != (256,):
                 raise DomainError("table CRF needs exactly 256 entries")
             if not np.isfinite(t).all():
@@ -59,22 +69,6 @@ class Crf:
             object.__setattr__(self, "table", tuple(t))
         else:
             raise DomainError(f"unknown CRF family {self.family!r}")
-
-    @staticmethod
-    def identity() -> "Crf":
-        return Crf("gamma", gamma=1.0)
-
-    @staticmethod
-    def power(gamma: float) -> "Crf":
-        return Crf("gamma", gamma=float(gamma))
-
-    @staticmethod
-    def sigmoid(n: float, sigma_c: float) -> "Crf":
-        return Crf("sigmoid", n=float(n), sigma_c=float(sigma_c))
-
-    @staticmethod
-    def from_table(values) -> "Crf":
-        return Crf("table", table=tuple(float(v) for v in values))
 
     def apply(self, v):
         x = as_unit(v, "CRF input")
@@ -99,22 +93,23 @@ class Crf:
         return out if out.ndim else float(out)
 
     def as_dict(self) -> dict:
-        if self.family == "gamma":
-            return {"family": "gamma", "gamma": self.gamma}
-        if self.family == "sigmoid":
-            return {"family": "sigmoid", "n": self.n, "sigma_c": self.sigma_c}
-        return {"family": "table", "table": list(self.table)}
+        doc = {"family": self.family}
+        for name in _CRF_PARAMS[self.family]:
+            value = getattr(self, name)
+            doc[name] = list(value) if name == "table" else value
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "Crf":
+        """Inverse of `as_dict`: the record holds `family` and exactly that family's parameters."""
         family = doc.get("family")
-        if family == "gamma":
-            return Crf.power(doc["gamma"])
-        if family == "sigmoid":
-            return Crf.sigmoid(doc["n"], doc["sigma_c"])
-        if family == "table":
-            return Crf.from_table(doc["table"])
-        raise DomainError(f"unknown CRF family {family!r}")
+        if family not in tuple(_CRF_PARAMS):  # a tuple: an unhashable family is just unknown
+            raise DomainError(f"unknown CRF family {family!r}")
+        keys = ("family", *_CRF_PARAMS[family])
+        if set(doc) != set(keys):
+            raise DomainError(f"a {family} CRF record holds exactly the keys {', '.join(keys)}; "
+                              f"got {', '.join(sorted(doc))}")
+        return Crf(**doc)
 
     @staticmethod
     def from_spec(spec: str) -> "Crf":
@@ -122,15 +117,14 @@ class Crf:
         name, _, args = spec.partition(":")
         try:
             if name == "identity":
-                return Crf.identity()
-            if name == "gamma":
-                return Crf.power(float(args))
-            if name == "sigmoid":
-                n, c = (float(v) for v in args.split(","))
-                return Crf.sigmoid(n, c)
+                return Crf("gamma")
             if name == "table":
-                values = [float(line) for line in Path(args).read_text().split()]
-                return Crf.from_table(values)
+                return Crf("table", table=[float(v) for v in Path(args).read_text().split()])
+            if name in _CRF_PARAMS:
+                params, values = _CRF_PARAMS[name], args.split(",")
+                if len(values) != len(params):
+                    raise ValueError(f"{name} takes {len(params)} comma-separated numbers")
+                return Crf(name, **dict(zip(params, values)))
         except (ValueError, OSError) as exc:
             raise DomainError(f"bad CRF spec {spec!r}: {exc}") from None
         raise DomainError(f"unknown CRF spec {spec!r}")
@@ -153,8 +147,9 @@ class NoiseParams:
     sigma_read: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_read < 0:
-            raise DomainError("noise level must be non-negative")
+        if not (0 <= self.sigma_read < np.inf):
+            raise DomainError(f"noise level must be finite and non-negative; "
+                              f"got {self.sigma_read!r}")
 
 
 def estimate_exposure_range(image, sat_frac: float = 0.05, dark_frac: float = 0.10) -> ExposureRange:
@@ -279,15 +274,14 @@ def derive_seed(master_seed: int, source_id: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def sample_crf(rng: np.random.Generator, settings: SynthesisSettings) -> Crf:
+def _sample_crf(rng: np.random.Generator, settings: SynthesisSettings) -> Crf:
     if settings.crf_family == "identity":
-        return Crf.identity()
+        return Crf("gamma")
     if settings.crf_family == "gamma":
-        lo, hi = settings.gamma_range
-        return Crf.power(rng.uniform(lo, hi))
+        return Crf("gamma", gamma=rng.uniform(*settings.gamma_range))
     n = rng.uniform(*settings.sigmoid_n_range)
     c = rng.uniform(*settings.sigmoid_c_range)
-    return Crf.sigmoid(n, c)
+    return Crf("sigmoid", n=n, sigma_c=c)
 
 
 def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
@@ -296,7 +290,7 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
     rng = np.random.Generator(np.random.Philox(key=seed))
     # draw order is part of the reproducibility contract: ev, crf, sigma, crop
     ev = float(rng.uniform(ev_range.ev_min, ev_range.ev_max))
-    crf = sample_crf(rng, settings)
+    crf = _sample_crf(rng, settings)
     lo, hi = settings.sigma_range
     sigma = float(rng.uniform(lo, hi))
     crop = None

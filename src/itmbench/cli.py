@@ -25,7 +25,7 @@ from .config import Config, parse_config
 from .errors import ConfigError, ItmError
 from .image_io import LINEAR_WRITERS, LinearImage, read_ldr8, read_linear, write_linear, write_pfm
 from .image_io import read_hdr  # noqa: F401  still bound: bench/test_perfbench.py reads cli.read_hdr
-from .losses import LossWeights, loss_terms, weigh_loss_terms
+from .losses import LossWeights, total_loss
 from .operators import naive_expand
 from .pu21 import SCHEMA_VERSION, score_dataset
 from .sde import SdeSchedule, itm_sde_demo
@@ -36,8 +36,8 @@ def _demo_fixture() -> tuple:
     y, x = np.mgrid[0:16, 0:16].astype(np.float64) / 15.0
     hdr = np.stack([0.05 + 1.5 * x * y, 0.05 + 0.8 * x, 0.05 + 0.6 * y], axis=-1)
     gt = LinearImage(hdr.astype(np.float32))
-    ldr = simulate_ldr(gt, ev=0.0, crf=Crf.identity(), noise=NoiseParams(), seed=0)
-    degraded = naive_expand(ldr, Crf.identity())
+    ldr = simulate_ldr(gt, ev=0.0, crf=Crf("gamma"), noise=NoiseParams(), seed=0)
+    degraded = naive_expand(ldr, Crf("gamma"))
     return degraded, gt
 
 
@@ -86,8 +86,7 @@ def cmd_analyze(args, cfg: Config, out: Path) -> int:
         }
         doc["intensity_error_joint"] = intensity_error_joint(ldr, err)
     if args.losses:
-        raw = loss_terms([pred], pred, gt)
-        total, weighted = weigh_loss_terms(raw)
+        total, weighted, raw = total_loss([pred], pred, gt)
         doc["losses"] = {"raw": raw, "weighted": weighted, "weights": LossWeights().__dict__,
                          "total": total}
     (out / "analysis.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -97,8 +97,8 @@ def ssim_pu_loss(pred, gt, pu: MuLawParams = MuLawParams(10000.0)) -> float:
 
 def color_loss(pred, gt, eps: float = EPS_LOG) -> float:
     """L1 over the three log-ratio channels R/G, G/B, B/R; invariant to global exposure."""
-    if not (eps > 0):
-        raise DomainError("eps must be positive")
+    if not (0 < eps < np.inf):
+        raise DomainError(f"eps must be finite and positive; got {eps!r}")
     a, b = radiance_pair(pred, gt, "loss inputs")
     if a.shape[-1] != 3:
         raise ShapeError("color_loss expects RGB images")
@@ -194,46 +194,37 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     return charb + params.alpha_hist * hist + params.beta_smooth * smooth
 
 
-def loss_terms(stages, pred, gt, *, denoised=None) -> dict:
-    """Unweighted terms of the composite objective, each at its own default
-    constants; `denoised` defaults to `pred`."""
-    terms = {
+def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
+               perceptual: float = 0.0) -> tuple:
+    """Composite training objective; returns (total, weighted, raw).
+
+    `raw` holds each term at its own default constants, `weighted` each
+    term's weighted contribution, so its values sum to `total` exactly. The
+    denoise term is the prediction's linear L1. `perceptual` is the
+    externally computed VGG scalar (0 when unavailable).
+    """
+    if not (0 <= perceptual < np.inf):
+        raise DomainError(f"perceptual must be finite and non-negative; got {perceptual!r}")
+    raw = {
         "recon": recon_loss(stages, gt),
         "ssim_pu": ssim_pu_loss(pred, gt),
         "color": color_loss(pred, gt),
         "tv": tv_loss(pred),
         "linear": linear_l1(pred, gt),
     }
-    terms["denoise"] = terms["linear"] if denoised is None else denoise_loss(denoised, gt)
-    terms["upf"] = upf_loss(pred, gt)
-    return terms
-
-
-def weigh_loss_terms(terms: dict, weights: LossWeights = LossWeights(),
-                     perceptual: float = 0.0) -> tuple:
-    """Weighted composite objective of `loss_terms` output; returns (total, breakdown).
-
-    The breakdown holds each term's weighted contribution, so its values sum
-    to the total exactly. `perceptual` is the externally computed VGG scalar
-    (0 when unavailable).
-    """
-    contributions = {
-        "recon": terms["recon"],
+    raw["denoise"] = raw["linear"]
+    raw["upf"] = upf_loss(pred, gt)
+    weighted = {
+        "recon": raw["recon"],
         "perceptual": weights.alpha_perc * float(perceptual),
-        "ssim_pu": weights.gamma_ssim * terms["ssim_pu"],
-        "color": weights.gamma_color * terms["color"],
-        "tv": weights.gamma_tv * terms["tv"],
-        "linear": weights.lambda_linear * terms["linear"],
-        "denoise": weights.alpha_denoise * terms["denoise"],
-        "upf": weights.alpha_upf * terms["upf"],
+        "ssim_pu": weights.gamma_ssim * raw["ssim_pu"],
+        "color": weights.gamma_color * raw["color"],
+        "tv": weights.gamma_tv * raw["tv"],
+        "linear": weights.lambda_linear * raw["linear"],
+        "denoise": weights.alpha_denoise * raw["denoise"],
+        "upf": weights.alpha_upf * raw["upf"],
     }
-    return float(sum(contributions.values())), contributions
-
-
-def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
-               denoised=None, perceptual: float = 0.0) -> tuple:
-    """`weigh_loss_terms` of `loss_terms`: the weighted objective and its breakdown."""
-    return weigh_loss_terms(loss_terms(stages, pred, gt, denoised=denoised), weights, perceptual)
+    return float(sum(weighted.values())), weighted, raw
 
 
 def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
@@ -244,12 +235,12 @@ def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
     """
     if len(trajectory) != len(gammas):
         raise DomainError("gammas length must match the trajectory")
-    if lam < 0:
-        raise DomainError("lam must be non-negative")
+    if not (0 <= lam < np.inf):
+        raise DomainError(f"lam must be finite and non-negative; got {lam!r}")
     total = 0.0
     for (x, x_star), gamma in zip(trajectory, gammas):
-        if not (gamma > 0):
-            raise DomainError("gammas must be positive")
+        if not (0 < gamma < np.inf):
+            raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
         a = np.asarray(x, dtype=np.float64)
         b = np.asarray(x_star, dtype=np.float64)
         if a.shape != b.shape:

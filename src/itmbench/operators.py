@@ -33,8 +33,8 @@ class MaskParams:
     def __post_init__(self):
         if len(self.theta) != 2:
             raise DomainError("theta holds exactly 2 threshold logits")
-        if not (self.alpha > 0):
-            raise DomainError("alpha must be positive")
+        if not (0 < self.alpha < np.inf):
+            raise DomainError(f"alpha must be finite and positive; got {self.alpha!r}")
         t1, t2 = thresholds(self.theta)
         if not (0 < t1 < t2 <= 1):
             raise DomainError("thresholds must satisfy 0 < tau1 < tau2 <= 1")

@@ -65,11 +65,12 @@ def test_criterion_2_pu_golden_values():
 def test_criterion_3_round_trip_pipeline_identity():
     """naive_expand(simulate_ldr(hdr)) stays inside the propagated quantization bound."""
     rng = np.random.default_rng(313)
-    crfs = [Crf.power(rng.uniform(0.3, 0.9)) for _ in range(4)]
-    crfs += [Crf.sigmoid(rng.uniform(0.7, 1.1), rng.uniform(0.3, 0.9)) for _ in range(3)]
+    crfs = [Crf("gamma", gamma=rng.uniform(0.3, 0.9)) for _ in range(4)]
+    crfs += [Crf("sigmoid", n=rng.uniform(0.7, 1.1), sigma_c=rng.uniform(0.3, 0.9))
+             for _ in range(3)]
     for _ in range(3):
         table = np.cumsum(rng.uniform(0.05, 1.0, size=256))
-        crfs.append(Crf.from_table(table))
+        crfs.append(Crf("table", table=table))
     assert len(crfs) == 10
     for crf in crfs:
         data = rng.uniform(0.02, 0.98, (16, 16, 3))
@@ -163,7 +164,7 @@ def test_criterion_6_loss_suite():
     assert tv_loss(flat) == 0.0
     assert upf_loss(flat, flat) == 0.0
     assert score_matching_loss([(varied.data, varied.data)], [1.0]) == 0.0
-    total_zero, _ = total_loss([flat], flat, flat, perceptual=0.0)
+    total_zero, _, _ = total_loss([flat], flat, flat, perceptual=0.0)
     assert total_zero == 0.0
 
     # exposure invariance of the log-chrominance loss
@@ -176,7 +177,7 @@ def test_criterion_6_loss_suite():
     # additive weighted breakdown
     a = LinearImage(rng.uniform(0.05, 1.0, (32, 32, 3)).astype(np.float32))
     b = LinearImage(rng.uniform(0.05, 1.0, (32, 32, 3)).astype(np.float32))
-    total, terms = total_loss([a, a], a, b, perceptual=0.21)
+    total, terms, _ = total_loss([a, a], a, b, perceptual=0.21)
     assert total == pytest.approx(sum(terms.values()), abs=1e-9)
 
     # UPF against the independent loop-based reimplementation

@@ -20,23 +20,23 @@ def constant_image(value, shape=(10, 10)):
 
 class TestCrf:
     def test_identity_family(self):
-        crf = Crf.identity()
+        crf = Crf("gamma")
         xs = np.linspace(0, 1, 64)
         assert np.array_equal(crf.apply(xs), xs)
         assert np.array_equal(crf.inverse(xs), xs)
 
     def test_sigmoid_hits_one_exactly(self):
-        crf = Crf.sigmoid(0.9, 0.6)
+        crf = Crf("sigmoid", n=0.9, sigma_c=0.6)
         assert crf.apply(1.0) == 1.0
         assert crf.apply(0.0) == 0.0
 
     def test_sigmoid_inverse_round_trip(self):
-        crf = Crf.sigmoid(0.9, 0.6)
+        crf = Crf("sigmoid", n=0.9, sigma_c=0.6)
         xs = np.linspace(0, 1, 257)
         assert np.abs(crf.inverse(crf.apply(xs)) - xs).max() <= 1e-10
 
     def test_gamma_round_trip(self):
-        crf = Crf.power(1 / 2.2)
+        crf = Crf("gamma", gamma=1 / 2.2)
         xs = np.linspace(0, 1, 257)
         assert np.abs(crf.inverse(crf.apply(xs)) - xs).max() <= 1e-12
 
@@ -45,7 +45,7 @@ class TestCrf:
     def test_random_monotone_table_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         table = np.cumsum(rng.uniform(0.01, 1.0, size=256))
-        crf = Crf.from_table(table)
+        crf = Crf("table", table=table)
         xs = np.linspace(0, 1, 1024)
         assert np.abs(crf.inverse(crf.apply(xs)) - xs).max() <= 1e-4
 
@@ -53,13 +53,13 @@ class TestCrf:
         table = np.linspace(0, 1, 256)
         table[128] = table[127]  # plateau breaks strict monotonicity
         with pytest.raises(DomainError):
-            Crf.from_table(table)
+            Crf("table", table=table)
         # an infinite end passes the monotone check but would normalize to NaN
         for end in (0, -1):
             table = np.linspace(0, 1, 256)
             table[end] = np.inf if end else -np.inf
             with pytest.raises(DomainError, match="entries must be finite"):
-                Crf.from_table(table)
+                Crf("table", table=table)
 
     def test_spec_parsing(self):
         assert Crf.from_spec("identity").family == "gamma"
@@ -74,15 +74,34 @@ class TestCrf:
         with pytest.raises(DomainError, match="finite"):
             Crf.from_dict({"family": "sigmoid", "n": 1.0, "sigma_c": float("inf")})
 
-    def test_dict_round_trip(self):
-        crf = Crf.sigmoid(0.8, 0.5)
+    @pytest.mark.parametrize("crf", [
+        Crf("gamma"), Crf("gamma", gamma=0.45), Crf("sigmoid", n=0.8, sigma_c=0.5),
+        Crf("table", table=np.cumsum(np.linspace(0.5, 1.5, 256))),
+    ], ids=["identity", "gamma", "sigmoid", "table"])
+    def test_dict_round_trip(self, crf):
         assert Crf.from_dict(crf.as_dict()) == crf
+        assert Crf.from_dict(json.loads(json.dumps(crf.as_dict()))) == crf
+
+    @pytest.mark.parametrize("record, message", [
+        ({"family": "gamma"}, "holds exactly the keys family, gamma; got family$"),
+        ({"family": "sigmoid", "n": 1.0}, "holds exactly the keys family, n, sigma_c; got family, n$"),
+        ({"family": "gamma", "gamma": "x"}, "CRF parameters must be numbers"),
+        ({"family": "gamma", "gamma": 0.5, "n": 3}, "holds exactly the keys family, gamma; got"),
+    ], ids=["missing-gamma", "missing-sigma_c", "non-number", "extra-key"])
+    def test_malformed_dict_rejected(self, record, message):
+        with pytest.raises(DomainError, match=message):
+            Crf.from_dict(record)
+
+    def test_constructor_coerces_numbers(self):
+        crf = Crf("sigmoid", n=np.float32(0.75), sigma_c="0.5")
+        assert (crf.n, crf.sigma_c) == (0.75, 0.5)
+        assert type(crf.n) is float and type(crf.sigma_c) is float
 
     @pytest.mark.parametrize("value, message", [(float("nan"), "must be finite"),
                                                 (-0.1, r"must lie in \[0, 1\]"),
                                                 (1.5, r"must lie in \[0, 1\]")])
     def test_input_outside_unit_interval_rejected(self, value, message):
-        crf = Crf.sigmoid(0.9, 0.6)
+        crf = Crf("sigmoid", n=0.9, sigma_c=0.6)
         with pytest.raises(DomainError, match="CRF input " + message):
             crf.apply(np.array([0.5, value]))
         with pytest.raises(DomainError, match="CRF inverse input " + message):
@@ -138,25 +157,30 @@ class TestExposureRange:
 
 class TestSimulate:
     def test_half_gray_quantizes_to_128(self):
-        ldr = simulate_ldr(constant_image(0.5), ev=0.0, crf=Crf.identity())
+        ldr = simulate_ldr(constant_image(0.5), ev=0.0, crf=Crf("gamma"))
         assert (ldr.data == 128).all()  # round(127.5) with round-half-up
 
     def test_saturated_input_clips_to_255(self):
-        for crf in (Crf.identity(), Crf.power(1 / 2.2), Crf.sigmoid(0.9, 0.6)):
+        for crf in (Crf("gamma"), Crf("gamma", gamma=1 / 2.2), Crf("sigmoid", n=0.9, sigma_c=0.6)):
             ldr = simulate_ldr(constant_image(1.7), ev=0.0, crf=crf)
             assert (ldr.data == 255).all()
 
     def test_gamma_example_frozen_value(self):
         # 0.25 ** (1/2.2) = 0.53252054471998134 (50-digit evaluation)
-        ldr = simulate_ldr(constant_image(0.25), ev=0.0, crf=Crf.power(1 / 2.2))
+        ldr = simulate_ldr(constant_image(0.25), ev=0.0, crf=Crf("gamma", gamma=1 / 2.2))
         assert (ldr.data == 136).all()
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_noise_level_must_be_finite(self, sigma):
+        with pytest.raises(DomainError, match="noise level must be finite"):
+            NoiseParams(sigma)
 
     def test_deterministic_given_seed(self, rng):
         img = LinearImage(rng.uniform(0, 1, (8, 8, 3)).astype(np.float32))
         noise = NoiseParams(sigma_read=0.05)
-        a = simulate_ldr(img, 0.5, Crf.sigmoid(0.9, 0.6), noise, seed=42)
-        b = simulate_ldr(img, 0.5, Crf.sigmoid(0.9, 0.6), noise, seed=42)
-        c = simulate_ldr(img, 0.5, Crf.sigmoid(0.9, 0.6), noise, seed=43)
+        a = simulate_ldr(img, 0.5, Crf("sigmoid", n=0.9, sigma_c=0.6), noise, seed=42)
+        b = simulate_ldr(img, 0.5, Crf("sigmoid", n=0.9, sigma_c=0.6), noise, seed=42)
+        c = simulate_ldr(img, 0.5, Crf("sigmoid", n=0.9, sigma_c=0.6), noise, seed=43)
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
@@ -164,13 +188,13 @@ class TestSimulate:
         img = LinearImage(rng.uniform(0, 0.4, (8, 8, 3)).astype(np.float32))
         for ev in (1.0, 2.0):
             want = np.floor(np.clip(img.data.astype(np.float64) * 2.0**ev, 0.0, 1.0) * 255.0 + 0.5)
-            assert np.array_equal(simulate_ldr(img, ev, Crf.identity()).data, want)
+            assert np.array_equal(simulate_ldr(img, ev, Crf("gamma")).data, want)
 
     def test_saturated_fraction_nondecreasing_in_ev(self, rng):
         img = LinearImage(rng.uniform(0, 1.2, (16, 16, 3)).astype(np.float32))
         fracs = []
         for ev in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
-            ldr = simulate_ldr(img, ev, Crf.identity())
+            ldr = simulate_ldr(img, ev, Crf("gamma"))
             fracs.append((ldr.data == 255).mean())
         assert all(x <= y for x, y in zip(fracs, fracs[1:]))
 
@@ -205,8 +229,9 @@ class TestGenerateDataset:
     def test_manifest_line_text(self, crop, crop_text):
         # keys sorted, the crop tuple as a list (or null), the table CRF's entries as a list
         record = SynthesisRecord(
-            source="a.hdr", index=1, seed=12345, ev=-1.5, crf=Crf.from_table(range(256)).as_dict(),
-            noise_sigma=0.002, crop=crop, ldr_file="a_0001.png", hdr_file="a_0001.hdr")
+            source="a.hdr", index=1, seed=12345, ev=-1.5,
+            crf=Crf("table", table=range(256)).as_dict(), noise_sigma=0.002, crop=crop,
+            ldr_file="a_0001.png", hdr_file="a_0001.hdr")
         table = ", ".join(repr(k / 255) for k in range(256))
         assert record.to_json_line() == (
             f'{{"crf": {{"family": "table", "table": [{table}]}}, "crop": {crop_text}, '

@@ -115,6 +115,11 @@ class TestColorLoss:
         with pytest.raises(DomainError):
             color_loss(random_pair[0], random_pair[1], eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, random_pair, eps):
+        with pytest.raises(DomainError, match="eps must be finite"):
+            color_loss(random_pair[0], random_pair[1], eps=eps)
+
 
 class TestTvLoss:
     def test_constant_is_zero(self):
@@ -217,7 +222,7 @@ class TestUpfLoss:
 class TestTotalLoss:
     def test_identical_constant_inputs_all_zero(self):
         a = constant(0.5)
-        total, terms = total_loss([a], a, a, perceptual=0.0)
+        total, terms, _ = total_loss([a], a, a, perceptual=0.0)
         assert total == 0.0
         assert all(v == 0.0 for v in terms.values())
 
@@ -225,13 +230,13 @@ class TestTotalLoss:
         a, b = random_pair
         weights = LossWeights(alpha_perc=0, gamma_ssim=0, gamma_color=0,
                               lambda_linear=0, alpha_denoise=0, alpha_upf=0, gamma_tv=0)
-        total, terms = total_loss([a], a, b, weights)
+        total, terms, _ = total_loss([a], a, b, weights)
         assert total == pytest.approx(recon_loss([a], b), abs=1e-12)
         assert terms["recon"] == total
 
     def test_breakdown_sums_to_total(self, random_pair):
         a, b = random_pair
-        total, terms = total_loss([a, a], a, b, perceptual=0.37)
+        total, terms, _ = total_loss([a, a], a, b, perceptual=0.37)
         assert total == pytest.approx(sum(terms.values()), abs=1e-9)
 
     def test_compositional_against_individual_terms(self, random_pair):
@@ -246,17 +251,23 @@ class TestTotalLoss:
                   + w.lambda_linear * linear_l1(a, b)
                   + w.alpha_denoise * denoise_loss(a, b)
                   + w.alpha_upf * upf_loss(a, b))
-        total, _ = total_loss([a], a, b, w, perceptual=perc)
+        total, _, _ = total_loss([a], a, b, w, perceptual=perc)
         assert total == pytest.approx(manual, abs=1e-12)
 
     def test_doubling_one_weight_doubles_that_term(self, random_pair):
         a, b = random_pair
         base = LossWeights()
         doubled = LossWeights(gamma_tv=2 * base.gamma_tv)
-        _, t1 = total_loss([a], a, b, base)
-        _, t2 = total_loss([a], a, b, doubled)
+        _, t1, _ = total_loss([a], a, b, base)
+        _, t2, _ = total_loss([a], a, b, doubled)
         assert t2["tv"] == pytest.approx(2 * t1["tv"], abs=1e-12)
         assert t2["color"] == pytest.approx(t1["color"], abs=1e-12)
+
+    @pytest.mark.parametrize("perceptual", [math.nan, math.inf, -5.0])
+    def test_perceptual_must_be_finite_and_non_negative(self, perceptual):
+        a = constant(0.5)
+        with pytest.raises(DomainError, match="perceptual must be finite and non-negative"):
+            total_loss([a], a, a, perceptual=perceptual)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
@@ -294,6 +305,15 @@ class TestScoreMatchingLoss:
         plain = score_matching_loss([(a, b)], [1.0], lam=0.0)
         reg = score_matching_loss([(a, b)], [1.0], lam=0.5)
         assert reg > plain
+
+    @pytest.mark.parametrize("lam, gamma, message", [
+        (math.nan, 1.0, "lam must be finite"), (math.inf, 1.0, "lam must be finite"),
+        (0.5, math.inf, "gammas must be finite"),
+    ], ids=["lam-nan", "lam-inf", "gamma-inf"])
+    def test_non_finite_scalars_rejected(self, rng, lam, gamma, message):
+        a = rng.uniform(0, 1, (16, 16))
+        with pytest.raises(DomainError, match=message):
+            score_matching_loss([(a, 0.5 * a)], [gamma], lam=lam)
 
     def test_gamma_length_mismatch(self):
         with pytest.raises(DomainError):

@@ -25,6 +25,11 @@ class TestThresholds:
         with pytest.raises(DomainError):
             MaskParams(alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            MaskParams(alpha=alpha)
+
 
 class TestBlurredLuminance:
     def test_kernel_one_is_plain_luminance(self, rng):
@@ -152,13 +157,13 @@ class TestResidualProject:
 class TestNaiveExpand:
     def test_endpoints_identity_crf(self):
         ldr = Ldr8Image(np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8))
-        out = naive_expand(ldr, Crf.identity())
+        out = naive_expand(ldr, Crf("gamma"))
         assert np.allclose(out.data[0, 0], 0.0)
         assert np.allclose(out.data[0, 1], 1.0)
 
     def test_midpoint_identity_crf(self):
         ldr = Ldr8Image(np.full((1, 1, 3), 128, dtype=np.uint8))
-        out = naive_expand(ldr, Crf.identity())
+        out = naive_expand(ldr, Crf("gamma"))
         assert np.allclose(out.data, 128.0 / 255.0, atol=1e-7)
 
     def test_round_trip_identity_within_quantization(self, rng):
@@ -166,7 +171,7 @@ class TestNaiveExpand:
         # quantization interval propagated through the CRF inverse
         data = rng.uniform(0.02, 0.98, (12, 12, 3)).astype(np.float32)
         img = LinearImage(data)
-        for crf in (Crf.identity(), Crf.power(0.45), Crf.sigmoid(0.9, 0.6)):
+        for crf in (Crf("gamma"), Crf("gamma", gamma=0.45), Crf("sigmoid", n=0.9, sigma_c=0.6)):
             ldr = simulate_ldr(img, 0.0, crf)
             recovered = naive_expand(ldr, crf).data.astype(np.float64)
             f = crf.apply(data.astype(np.float64))

@@ -241,8 +241,8 @@ class TestChainMoments:
 class TestDemo:
     def _pair(self, rng, size=8):
         gt = LinearImage(rng.uniform(0.05, 1.5, (size, size, 3)).astype(np.float32))
-        ldr = simulate_ldr(LinearImage(np.clip(gt.data, 0, 1)), 0.0, Crf.identity())
-        return naive_expand(ldr, Crf.identity()), gt
+        ldr = simulate_ldr(LinearImage(np.clip(gt.data, 0, 1)), 0.0, Crf("gamma"))
+        return naive_expand(ldr, Crf("gamma")), gt
 
     def test_zero_noise_schedule_recovers_ground_truth(self, rng):
         degraded, gt = self._pair(rng)

@@ -37,6 +37,9 @@ COMMANDS = [
     ("synthesize_ppm", ["synthesize", "--hdr-dir", "in/gt", "--seed", "4",
                         "--config", "in/ppm.ini"]),
     ("synthesize_jpg", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/jpg.ini"]),
+    ("synthesize_gamma", ["synthesize", "--hdr-dir", "in/gt", "--seed", "6",
+                          "--config", "in/gamma.ini"]),
+    ("synthesize_identity", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/identity.ini"]),
     ("score_j2", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "2"]),
     ("score_jobs0", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "0"]),
     ("score_bad_config", ["score", "--pred", "in/pred", "--gt", "in/gt",
@@ -46,6 +49,8 @@ COMMANDS = [
     ("analyze_missing", ["analyze", "--pred", "in/pred/missing.hdr", "--gt", "in/gt/a.pfm"]),
     ("expand_hdr", ["expand", "--input", "in/ldr.png", "--crf", "sigmoid:0.9,0.6"]),
     ("expand_pfm", ["expand", "--input", "in/ldr.png", "--crf", "gamma:0.45", "--format", "pfm"]),
+    ("expand_identity", ["expand", "--input", "in/ldr.png", "--crf", "identity"]),
+    ("expand_table", ["expand", "--input", "in/ldr.png", "--crf", "table:in/crf.txt"]),
     ("sde_builtin", ["sde-demo", "--steps", "20", "--seed", "5"]),
     ("sde_files", ["sde-demo", "--hdr", "in/gt/b.hdr", "--ldr", "in/pred/b.pfm", "--steps", "12"]),
     ("sde_steps0", ["sde-demo", "--steps", "0"]),
@@ -58,7 +63,8 @@ COMMANDS = [
 
 def write_inputs(root: Path, size: int):
     """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction);
-    and a 37 x 23 `sde/` pair of a ground truth and its clipped capture, whatever `size` is."""
+    a 256-value ascending CRF table `crf.txt`; and a 37 x 23 `sde/` pair of a ground truth
+    and its clipped capture, whatever `size` is."""
     rng = np.random.default_rng(2025)
     for sub in ("gt", "pred"):
         (root / sub).mkdir(parents=True)
@@ -77,6 +83,10 @@ def write_inputs(root: Path, size: int):
     (root / "bad.ini").write_text("[display]\nblack_floor = -1\n")
     (root / "ppm.ini").write_text("[synth]\nldr_format = ppm\n")
     (root / "jpg.ini").write_text("[synth]\nldr_format = jpg\n")
+    (root / "gamma.ini").write_text("[synth]\ncrf_family = gamma\n")
+    (root / "identity.ini").write_text("[synth]\ncrf_family = identity\n")
+    table = np.cumsum(np.random.default_rng(256).uniform(0.2, 1.0, 256))
+    (root / "crf.txt").write_text("".join(f"{v!r}\n" for v in table.tolist()))
     (root / "sde").mkdir()
     gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
     write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
