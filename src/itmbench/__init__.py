@@ -11,10 +11,10 @@ from .errors import (ConfigError, DomainError, FormatError, InputError, ItmError
                      NumericError, ParseError, RangeError, ShapeError)
 from .image_io import (LinearImage, Ldr8Image, read_hdr, read_ldr8, read_pfm,
                        write_hdr, write_ldr8, write_pfm)
-from .color import (DisplayMapping, MuLawParams, linear_to_srgb, luminance,
-                    mu_law, srgb_to_linear, to_display_luminance)
-from .pu21 import (MetricReport, PuEncoding, format_leaderboard, pu_encode,
-                   pu_psnr, pu_ssim, rank_teams, rmse_linear, score_dataset)
+from .color import (DisplayMapping, MuLawParams, luminance, mu_law,
+                    to_display_luminance)
+from .pu21 import (MetricReport, PuEncoding, pu_encode, pu_psnr, pu_ssim,
+                   rank_teams, rmse_linear, score_dataset)
 from .camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,
                      SynthesisSettings, estimate_exposure_range,
                      generate_dataset, simulate_ldr)

@@ -32,7 +32,7 @@ def error_map(pred, gt, encoding: PuEncoding | None = None,
               mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
     """Absolute residual |PU(pred) - PU(gt)| on display-mapped luminance."""
     la, lb, _ = pu_fields(pred, gt, encoding, mapping, luma=True)
-    return np.abs(la - lb)
+    return np.abs(np.subtract(la, lb, out=la), out=la)
 
 
 def saturation_split(ldr_input: Ldr8Image, quantile: float = 0.85) -> SaturationSplit:

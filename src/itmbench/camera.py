@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import as_unit, luminance
+from .color import as_radiance, as_unit, luminance
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
                        ordered_map, read_linear, write_ldr8, write_linear)
@@ -71,15 +71,21 @@ class Crf:
             raise DomainError(f"unknown CRF family {self.family!r}")
 
     def apply(self, v):
-        x = as_unit(v, "CRF input")
-        if self.family == "gamma":
-            out = x**self.gamma
-        elif self.family == "sigmoid":
-            xn = x**self.n
-            out = (1.0 + self.sigma_c) * xn / (xn + self.sigma_c)
-        else:
-            out = np.interp(x, np.linspace(0.0, 1.0, 256), np.asarray(self.table))
+        out = self._apply_owned(np.array(as_unit(v, "CRF input")))
         return out if out.ndim else float(out)
+
+    def _apply_owned(self, x: np.ndarray) -> np.ndarray:
+        """`apply` on a float64 array in [0, 1] of the caller's own, overwriting it."""
+        if self.family == "gamma":
+            x **= self.gamma
+        elif self.family == "sigmoid":
+            x **= self.n
+            den = x + self.sigma_c
+            x *= 1.0 + self.sigma_c
+            x /= den
+        else:
+            x[...] = np.interp(x, np.linspace(0.0, 1.0, 256), np.asarray(self.table))
+        return x
 
     def inverse(self, v):
         y = as_unit(v, "CRF inverse input")
@@ -136,8 +142,8 @@ class ExposureRange:
     ev_max: float
 
     def __post_init__(self):
-        if self.ev_min > self.ev_max:
-            raise DomainError("require ev_min <= ev_max")
+        if not (-np.inf < self.ev_min <= self.ev_max < np.inf):
+            raise DomainError("require finite ev_min <= ev_max")
 
 
 @dataclass(frozen=True)
@@ -187,20 +193,24 @@ def estimate_exposure_range(image, sat_frac: float = 0.05, dark_frac: float = 0.
     return ExposureRange(ev_min=ev_min, ev_max=ev_max)
 
 
-def quantize8(v) -> np.ndarray:
-    """Quantize [0, 1] values to uint8 with round-half-up (documented tie break)."""
-    return np.floor(np.asarray(v, dtype=np.float64) * 255.0 + 0.5).astype(np.uint8)
-
-
 def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
                  seed: int = 0) -> Ldr8Image:
-    """Virtual camera: 2^ev scaling, Gaussian noise, clip, CRF, 8-bit quantization."""
-    data = np.asarray(hdr.data, dtype=np.float64)
-    exposed = data * (2.0**ev)
+    """Virtual camera: 2^ev scaling, Gaussian noise, clip, CRF, 8-bit quantization.
+
+    `hdr` (a LinearImage or an array) is not written: every stage after the scaling
+    works in place on the float64 product hdr * 2^ev, which this call allocates.
+    """
+    if not np.isfinite(ev):
+        raise DomainError(f"exposure ev must be finite; got {ev!r}")
+    exposed = as_radiance(hdr, "camera input") * 2.0**ev  # a float32 image's copy is reused
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
-        exposed = exposed + noise.sigma_read * rng.standard_normal(data.shape)
-    return Ldr8Image(quantize8(crf.apply(np.clip(exposed, 0.0, 1.0))))
+        exposed += noise.sigma_read * rng.standard_normal(exposed.shape)
+    np.clip(exposed, 0.0, 1.0, out=exposed)
+    crf._apply_owned(as_unit(exposed, "CRF input"))
+    exposed *= 255.0  # 8 bits, round half up
+    exposed += 0.5
+    return Ldr8Image(np.floor(exposed, out=exposed).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +320,11 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
     stem = f"{Path(name).stem}_{index:04d}"
     ldr_file = f"{stem}.{settings.ldr_format}"
     hdr_file = f"{stem}.{settings.hdr_format}"
-    cropped = LinearImage(data)
-    ldr = simulate_ldr(cropped, ev, crf, NoiseParams(sigma_read=sigma), seed=seed)
+    # ground truth is exposure-aligned: LDR == quantize(crf(clip(gt))), so both read one product
+    exposed = data.astype(np.float64) * (2.0**ev)
+    ldr = simulate_ldr(exposed, 0.0, crf, NoiseParams(sigma_read=sigma), seed=seed)
     write_ldr8(ldr, out_dir / ldr_file)
-    # ground truth is exposure-aligned: LDR == quantize(crf(clip(gt)))
-    gt = LinearImage(data.astype(np.float64) * (2.0**ev))
-    write_linear(gt, out_dir / hdr_file)
+    write_linear(LinearImage(exposed), out_dir / hdr_file)
     return SynthesisRecord(
         source=name, index=index, seed=seed, ev=ev, crf=crf.as_dict(),
         noise_sigma=sigma, crop=crop, ldr_file=ldr_file, hdr_file=hdr_file,

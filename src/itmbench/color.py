@@ -1,8 +1,8 @@
 """Scalar transfer functions shared by the whole toolkit.
 
-sRGB EOTF and its inverse, Rec.709 luminance, the mu-law range compressor
-on radiance (also the losses' PU approximation), and the mapping from
-normalized relative radiance to absolute display luminance.
+Rec.709 luminance, the mu-law range compressor on radiance (also the losses'
+PU approximation), and the mapping from normalized relative radiance to
+absolute display luminance.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
-
-_SRGB_BREAK = 0.04045
-_LINEAR_BREAK = 0.0031308
 
 
 def as_unit(v, name: str) -> np.ndarray:
@@ -47,28 +44,6 @@ def radiance_pair(a, b, name: str) -> tuple:
     """`as_radiance` of two images of one shape."""
     check_same_shape(a, b)
     return as_radiance(a, name), as_radiance(b, name)
-
-
-def srgb_to_linear(v):
-    """sRGB-encoded value(s) in [0, 1] -> linear light in [0, 1]."""
-    arr = as_unit(v, "sRGB value")
-    out = np.where(
-        arr <= _SRGB_BREAK,
-        arr / 12.92,
-        ((arr + 0.055) / 1.055) ** 2.4,
-    )
-    return out if out.ndim else float(out)
-
-
-def linear_to_srgb(v):
-    """Exact piecewise inverse of srgb_to_linear."""
-    arr = as_unit(v, "linear value")
-    out = np.where(
-        arr <= _LINEAR_BREAK,
-        arr * 12.92,
-        1.055 * arr ** (1.0 / 2.4) - 0.055,
-    )
-    return out if out.ndim else float(out)
 
 
 def luminance(rgb):
@@ -132,6 +107,6 @@ class DisplayMapping:
 
 
 def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
-    """Scale relative radiance by `mapping.scale` and clamp at the black floor."""
-    arr = as_radiance(image, "display mapping input")
-    return np.maximum(arr * mapping.scale, mapping.black_floor)
+    """Scale relative radiance by `mapping.scale` and clamp at the black floor, in a new array."""
+    display = as_radiance(image, "display mapping input") * mapping.scale
+    return np.maximum(display, mapping.black_floor, out=display if display.ndim else None)

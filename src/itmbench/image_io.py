@@ -126,12 +126,14 @@ def _rgbe_encode_rows(data: np.ndarray) -> np.ndarray:
     return out
 
 
+# float32 2**(e - 136) per exponent byte e, and 0 for e = 0 (a black pixel)
+_RGBE_SCALE = np.where(np.arange(256) > 0, np.ldexp(np.float32(1.0), np.arange(256) - 136), 0)
+_RGBE_SCALE.flags.writeable = False
+
+
 def _rgbe_decode_rows(rgbe: np.ndarray) -> np.ndarray:
     """Decode (n, 4) uint8 RGBE pixels: component = mantissa / 256 * 2**(exponent - 128)."""
-    e = rgbe[:, 3].astype(np.int64)
-    scale = np.ldexp(np.float32(1.0), (e - 136).astype(np.int64)).astype(np.float32)
-    scale[e == 0] = 0.0
-    return rgbe[:, :3].astype(np.float32) * scale[:, None]
+    return rgbe[:, :3].astype(np.float32) * _RGBE_SCALE[rgbe[:, 3]][:, None]
 
 
 # ---------------------------------------------------------------------------

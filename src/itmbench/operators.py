@@ -107,7 +107,7 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
         weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     fields = [np.broadcast_to(np.asarray(wt, dtype=np.float64), (h, w)) for wt in weights]
     total = fields[0] + fields[1] + fields[2]
-    if (np.abs(total - 1.0) > 1e-6).any() or any((f < 0).any() for f in fields):
+    if not (np.abs(total - 1.0) <= 1e-6).all() or any((f < 0).any() for f in fields):  # NaN fails
         raise DomainError("weights must form a per-pixel simplex")
     fused = np.zeros_like(data)
     for wt, mask in zip(fields, (masks.under, masks.mid, masks.over)):

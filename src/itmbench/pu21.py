@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import DisplayMapping, check_same_shape, luminance, radiance_pair, to_display_luminance
+from .color import DisplayMapping, as_radiance, check_same_shape, luminance, to_display_luminance
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
@@ -75,19 +75,30 @@ class PuEncoding:
         return PuEncoding.from_json(resources.files("itmbench.data") / "pu_banding_glare.json")
 
 
-def _pu_forward(y: np.ndarray, p: tuple) -> np.ndarray:
-    z = np.power(y, p[2])
-    return p[6] * (((p[0] + p[1] * z) / (1.0 + p[3] * z)) ** p[4] - p[5])
+def _pu_forward(y, p: tuple, out=None):
+    """The PU formula in two work buffers, z (or `out`) and den, in the formula's operand order."""
+    z = np.power(y, p[2], out=out)
+    den = 1.0 + p[3] * z
+    z *= p[1]
+    z += p[0]
+    z /= den
+    z **= p[4]
+    z -= p[5]
+    z *= p[6]
+    return z
+
+
+def _encode_owned(lum, enc: PuEncoding):
+    """PU values of luminance `lum`, a float64 array the caller allocated: it is overwritten."""
+    if not np.isfinite(lum).all():
+        raise DomainError("luminance must be finite")
+    out = lum if np.ndim(lum) else None  # numpy's scalar power differs from the array loop's
+    return _pu_forward(np.clip(lum, enc.y_min, enc.y_max, out=out), enc.p, out=out)
 
 
 def pu_encode(y, encoding: PuEncoding | None = None):
     """Encode absolute luminance (cd/m^2) to PU units; input clamped to the fit range."""
-    enc = encoding or PuEncoding.default()
-    arr = np.asarray(y, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError("luminance must be finite")
-    clamped = np.clip(arr, enc.y_min, enc.y_max)
-    out = _pu_forward(clamped, enc.p)
+    out = _encode_owned(np.array(y, dtype=np.float64), encoding or PuEncoding.default())
     return out if out.ndim else float(out)
 
 
@@ -136,16 +147,23 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     w = _gaussian_window()
     mx = _windowed_mean(x, w)
     my = _windowed_mean(y, w)
-    mxx = _windowed_mean(x * x, w)
-    myy = _windowed_mean(y * y, w)
-    mxy = _windowed_mean(x * y, w)
-    vx = mxx - mx * mx
-    vy = myy - my * my
-    cov = mxy - mx * my
+    # x and y may be the caller's: the products share one scratch, the rest is in place
+    prod = x * x
+    vx = _windowed_mean(prod, w) - mx * mx
+    vy = _windowed_mean(np.multiply(y, y, out=prod), w) - my * my
+    cov = _windowed_mean(np.multiply(x, y, out=prod), w) - mx * my
+    del prod
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
-    ssim_map = ((2 * mx * my + c1) * (2 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
-    return float(ssim_map.mean())
+    # ((2 mx my + c1)(2 cov + c2)) / ((mx mx + my my + c1)(vx + vy + c2))
+    num = 2 * mx * my + c1
+    num *= 2 * cov + c2
+    mx *= mx
+    mx += my * my
+    mx += c1
+    mx *= vx + vy + c2
+    num /= mx
+    return float(num.mean())
 
 
 def pu_fields(pred, gt, encoding: PuEncoding | None = None,
@@ -156,11 +174,11 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
     when `luma` is set; peak is the PU value of the display peak.
     """
     def encode(image):
-        # one display-sized temporary at a time: each is dropped before the next
+        # the mapping and the luma are new arrays: the PU encode overwrites the last of them
         display = to_display_luminance(image, mapping)
         if luma:
             display = luminance(display)
-        return pu_encode(display, encoding)
+        return _encode_owned(display, encoding or PuEncoding.default())
 
     check_same_shape(pred, gt)
     return encode(pred), encode(gt), pu_encode(mapping.peak_luminance, encoding)
@@ -170,7 +188,8 @@ def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
             mapping: DisplayMapping = DisplayMapping()) -> float:
     """PSNR in PU space; peak is the PU value of the display peak. inf when identical."""
     pa, pb, peak = pu_fields(pred, gt, encoding, mapping)
-    mse = float(np.mean((pa - pb) ** 2))
+    pa -= pb
+    mse = float(np.mean(np.square(pa, out=pa)))
     if mse == 0.0:
         return float("inf")
     return 20.0 * np.log10(peak / np.sqrt(mse))
@@ -185,8 +204,11 @@ def pu_ssim(pred, gt, encoding: PuEncoding | None = None,
 
 def rmse_linear(pred, gt) -> float:
     """Root mean square error in the linear HDR domain."""
-    a, b = radiance_pair(pred, gt, "linear RMSE inputs")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    check_same_shape(pred, gt)
+    # numpy forms the difference in the left operand when that is a fresh float64 copy
+    diff = as_radiance(pred, "linear RMSE inputs") - as_radiance(gt, "linear RMSE inputs")
+    diff **= 2
+    return float(np.sqrt(np.mean(diff)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +338,3 @@ def rank_teams(rows) -> list:
     """Sort (team, psnr, ssim) rows: PSNR desc, then SSIM desc, then name."""
     return sorted(rows, key=lambda r: (-float(r[1]), -float(r[2]), str(r[0])))
 
-
-def format_leaderboard(rows) -> str:
-    ranked = rank_teams(rows)
-    name_w = max([len(str(r[0])) for r in ranked] + [len("Team")])
-    lines = [f"{'Rank':>4}  {'Team':<{name_w}}  {'PU-PSNR (dB)':>12}  {'PU-SSIM':>8}"]
-    for i, (team, psnr, ssim) in enumerate(ranked, start=1):
-        lines.append(f"{i:>4}  {team:<{name_w}}  {float(psnr):>12.2f}  {float(ssim):>8.2f}")
-    return "\n".join(lines) + "\n"

@@ -311,11 +311,11 @@ def ou_moments(x0, mu, theta: float, sigma: float, t):
     """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t."""
     if not (theta > 0):
         raise DomainError("theta must be positive")
-    if sigma < 0 or np.any(np.asarray(t) < 0):
-        raise DomainError("sigma and t must be non-negative")
+    tv = np.asarray(t, dtype=np.float64)
+    if sigma < 0 or not (np.isfinite(tv).all() and (tv >= 0).all()):
+        raise DomainError("sigma must be non-negative and t finite and non-negative")
     x0v = np.asarray(x0, dtype=np.float64)
     muv = np.asarray(mu, dtype=np.float64)
-    tv = np.asarray(t, dtype=np.float64)
     mean = muv + (x0v - muv) * np.exp(-theta * tv)
     var = sigma**2 / (2.0 * theta) * (1.0 - np.exp(-2.0 * theta * tv))
     if mean.ndim == 0 and var.ndim == 0:

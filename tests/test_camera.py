@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmbench.camera import (Crf, NoiseParams, SynthesisRecord, SynthesisSettings,
-                             derive_seed, estimate_exposure_range,
-                             generate_dataset, quantize8, simulate_ldr)
+from itmbench.camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,
+                             SynthesisSettings, derive_seed, estimate_exposure_range,
+                             generate_dataset, simulate_ldr)
 from itmbench.errors import DomainError, RangeError
 from itmbench.image_io import LinearImage, write_hdr
 
@@ -109,6 +109,12 @@ class TestCrf:
 
 
 class TestExposureRange:
+    @pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("nan")),
+                                        (-float("inf"), 0.0), (0.0, float("inf")), (1.0, 0.0)])
+    def test_bounds_must_be_finite_and_ordered(self, bounds):
+        with pytest.raises(DomainError, match="require finite ev_min <= ev_max"):
+            ExposureRange(*bounds)
+
     def test_constant_one_saturates_immediately(self):
         er = estimate_exposure_range(constant_image(1.0), sat_frac=0.05)
         assert er.ev_max == pytest.approx(0.0, abs=1e-9)
@@ -198,9 +204,15 @@ class TestSimulate:
             fracs.append((ldr.data == 255).mean())
         assert all(x <= y for x, y in zip(fracs, fracs[1:]))
 
+    @pytest.mark.parametrize("ev", [float("inf"), -float("inf"), float("nan")])
+    def test_exposure_must_be_finite(self, ev):
+        with pytest.raises(DomainError, match="exposure ev must be finite"):
+            simulate_ldr(constant_image(0.5), ev, Crf("gamma"))
+
     def test_quantize_round_half_up(self):
-        assert quantize8(np.array([0.0, 0.5, 1.0])).tolist() == [0, 128, 255]
-        assert quantize8(np.array([127.5 / 255.0])).tolist() == [128]
+        # the camera's last stage, floor(255 x + 0.5), on an array input with an identity CRF
+        ldr = simulate_ldr(np.array([[[0.0, 0.5, 1.0], [127.5 / 255.0] * 3]]), 0.0, Crf("gamma"))
+        assert ldr.data.tolist() == [[[0, 128, 255], [128, 128, 128]]]
 
 
 class TestGenerateDataset:

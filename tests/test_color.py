@@ -1,42 +1,8 @@
 import numpy as np
 import pytest
 
-from itmbench.color import (DisplayMapping, MuLawParams, linear_to_srgb, luminance,
-                            mu_law, srgb_to_linear, to_display_luminance)
+from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError
-
-
-class TestSrgb:
-    def test_endpoints(self):
-        assert srgb_to_linear(0.0) == 0.0
-        assert srgb_to_linear(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert linear_to_srgb(0.0) == 0.0
-        assert linear_to_srgb(1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_breakpoint_values(self):
-        assert srgb_to_linear(0.04045) == pytest.approx(0.0031308, abs=1e-6)
-        assert linear_to_srgb(0.0031308) == pytest.approx(0.04045, abs=1e-5)
-
-    def test_continuity_at_breakpoint(self):
-        below = srgb_to_linear(0.04045 - 1e-9)
-        above = srgb_to_linear(0.04045 + 1e-9)
-        assert abs(above - below) < 1e-5
-
-    def test_round_trip_grid(self):
-        grid = np.linspace(0.0, 1.0, 1024)
-        back = linear_to_srgb(srgb_to_linear(grid))
-        assert np.abs(back - grid).max() <= 1e-6
-
-    def test_monotone_on_dense_grid(self):
-        grid = np.linspace(0.0, 1.0, 4096)
-        assert (np.diff(srgb_to_linear(grid)) > 0).all()
-        assert (np.diff(linear_to_srgb(grid)) > 0).all()
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            srgb_to_linear(1.5)
-        with pytest.raises(DomainError):
-            linear_to_srgb(-0.1)
 
 
 class TestLuminance:

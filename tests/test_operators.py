@@ -131,6 +131,12 @@ class TestFuseExposures:
         with pytest.raises(DomainError):
             fuse_exposures(img, self._masks(img), weights=(0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (1.0, 0.0, float("nan"))])
+    def test_nan_weights_fail_the_simplex_check(self, rng, weights):
+        img = LinearImage(rng.uniform(0, 1, (4, 4, 3)).astype(np.float32))
+        with pytest.raises(DomainError, match="simplex"):
+            fuse_exposures(img, self._masks(img), weights=weights)
+
 
 class TestResidualProject:
     def test_zero_gain_is_identity(self, rng):

@@ -7,10 +7,9 @@ import pytest
 from itmbench.color import DisplayMapping
 from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage, write_pfm
-from itmbench.pu21 import (MetricReport, PerImageScore, PuEncoding,
-                           format_leaderboard, pu_decode, pu_encode, pu_psnr,
-                           pu_ssim, rank_teams, rmse_linear, score_dataset,
-                           ssim_mean)
+from itmbench.pu21 import (MetricReport, PerImageScore, PuEncoding, pu_decode,
+                           pu_encode, pu_psnr, pu_ssim, rank_teams, rmse_linear,
+                           score_dataset, ssim_mean)
 
 import oracles
 
@@ -250,10 +249,3 @@ class TestLeaderboard:
         ranked = [row[0] for row in rank_teams(self.ROWS)]
         assert ranked == ["ToneMapper", "HDRer", "LiU_CGIP", "UESTC-ITM",
                           "Jowgik (DITM)", "NJ Challenger"]
-
-    def test_format_puts_winner_first(self):
-        table = format_leaderboard(self.ROWS)
-        lines = table.splitlines()
-        assert "ToneMapper" in lines[1]
-        assert "34.49" in lines[1]
-        assert "NJ Challenger" in lines[-1]

@@ -149,6 +149,11 @@ class TestOuMoments:
         with pytest.raises(DomainError):
             ou_moments(0.0, 0.0, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), np.array([0.5, np.nan])])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError, match="t finite"):
+            ou_moments(1.0, 0.0, 1.0, 0.5, t)
+
 
 class TestBackward:
     def test_zero_noise_zero_score_recurrence(self):
