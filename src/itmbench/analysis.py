@@ -85,17 +85,15 @@ def error_stats(err_map: np.ndarray, split: SaturationSplit) -> dict:
     }
 
 
-def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray, bins: int = HIST_BINS) -> dict:
-    """Joint 2-D histogram of input LDR luminance versus prediction error."""
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
+def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray) -> dict:
+    """Joint 2-D histogram of input LDR luminance versus prediction error, HIST_BINS a side."""
     err = np.asarray(err_map, dtype=np.float64)
     lum = luminance(ldr_input.data)
     if err.shape != lum.shape:
         raise ShapeError("error map and input shapes differ")
     top = float(err.max())
     counts, xedges, yedges = np.histogram2d(
-        lum.ravel(), err.ravel(), bins=bins,
+        lum.ravel(), err.ravel(), bins=HIST_BINS,
         range=[[0.0, 255.0], [0.0, top if top > 0 else 1.0]],
     )
     return {

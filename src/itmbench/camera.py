@@ -23,6 +23,7 @@ from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, ind
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
+_EV_MAX = 896.0  # largest exposure: 2^ev times any finite float32 (< 2^128) is < 2^1024
 
 
 # family -> the parameters that define it; as_dict, from_dict and from_spec follow this table
@@ -142,8 +143,8 @@ class ExposureRange:
     ev_max: float
 
     def __post_init__(self):
-        if not (-np.inf < self.ev_min <= self.ev_max < np.inf):
-            raise DomainError("require finite ev_min <= ev_max")
+        if not (-np.inf < self.ev_min <= self.ev_max <= _EV_MAX):
+            raise DomainError(f"require finite ev_min <= ev_max <= {_EV_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,8 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     `hdr` (a LinearImage or an array) is not written: every stage after the scaling
     works in place on the float64 product hdr * 2^ev, which this call allocates.
     """
-    if not np.isfinite(ev):
-        raise DomainError(f"exposure ev must be finite; got {ev!r}")
+    if not (-np.inf < ev <= _EV_MAX):
+        raise DomainError(f"exposure ev must be finite and at most {_EV_MAX:g}; got {ev!r}")
     exposed = as_radiance(hdr, "camera input") * 2.0**ev  # a float32 image's copy is reused
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -278,7 +279,7 @@ class SynthesisRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def derive_seed(master_seed: int, source_id: str, index: int) -> int:
+def _derive_seed(master_seed: int, source_id: str, index: int) -> int:
     """Stable 63-bit per-pair seed; independent of iteration order and parallelism."""
     digest = hashlib.sha256(f"{master_seed}:{source_id}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -332,8 +333,8 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
 
 
 def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
-                     settings: SynthesisSettings = SynthesisSettings(),
-                     master_seed: int = 0, jobs: int = 1) -> tuple:
+                     settings: SynthesisSettings = SynthesisSettings(), master_seed: int = 0,
+                     jobs: int = 1) -> tuple[list[SynthesisRecord], list[str]]:
     """Synthesize LDR/HDR pairs plus a JSONL manifest of SynthesisRecord rows.
 
     Unreadable or degenerate sources, and sources sharing a stem, are recorded
@@ -355,7 +356,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
             errors.append(f"{path.name}: {exc}")
             continue
         for index in range(count_per_image):
-            seed = derive_seed(master_seed, path.name, index)
+            seed = _derive_seed(master_seed, path.name, index)
             tasks.append((source, path.name, index, seed, ev_range))
 
     def run(task):

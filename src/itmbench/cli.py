@@ -46,7 +46,7 @@ def _write_error_map(err: np.ndarray, path: Path):
     write_pfm(LinearImage(np.repeat(err[..., None], 3, axis=-1).astype(np.float32)), path)
 
 
-def cmd_synthesize(args, cfg: Config, out: Path) -> int:
+def _cmd_synthesize(args, cfg: Config, out: Path) -> int:
     records, errors = generate_dataset(
         args.hdr_dir, out, count_per_image=args.count,
         settings=cfg.synth, master_seed=args.seed, jobs=args.jobs,
@@ -57,7 +57,7 @@ def cmd_synthesize(args, cfg: Config, out: Path) -> int:
     return 1 if errors else 0
 
 
-def cmd_score(args, cfg: Config, out: Path) -> int:
+def _cmd_score(args, cfg: Config, out: Path) -> int:
     report = score_dataset(args.pred, args.gt, encoding=cfg.encoding(),
                            mapping=cfg.display, jobs=args.jobs)
     (out / "report.json").write_text(report.to_json())
@@ -70,7 +70,7 @@ def cmd_score(args, cfg: Config, out: Path) -> int:
     return 1 if report.errors else 0
 
 
-def cmd_analyze(args, cfg: Config, out: Path) -> int:
+def _cmd_analyze(args, cfg: Config, out: Path) -> int:
     pred = read_linear(args.pred)
     gt = read_linear(args.gt)
     err = error_map(pred, gt, encoding=cfg.encoding(), mapping=cfg.display)
@@ -94,7 +94,7 @@ def cmd_analyze(args, cfg: Config, out: Path) -> int:
     return 0
 
 
-def cmd_expand(args, cfg: Config, out: Path) -> int:
+def _cmd_expand(args, cfg: Config, out: Path) -> int:
     crf = Crf.from_spec(args.crf)
     ldr = read_ldr8(Path(args.input))
     expanded = naive_expand(ldr, crf)
@@ -104,7 +104,7 @@ def cmd_expand(args, cfg: Config, out: Path) -> int:
     return 0
 
 
-def cmd_sde_demo(args, cfg: Config, out: Path) -> int:
+def _cmd_sde_demo(args, cfg: Config, out: Path) -> int:
     if args.hdr:
         gt = read_linear(args.hdr)
         degraded = read_linear(args.ldr)
@@ -127,7 +127,7 @@ def cmd_sde_demo(args, cfg: Config, out: Path) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itmbench",
         description="Inverse tone mapping benchmark toolkit",
@@ -146,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hdr-dir", required=True, help="directory of source HDR images")
     p.add_argument("--count", type=int, default=1, help="pairs per source image")
     common(p)
-    p.set_defaults(func=cmd_synthesize)
+    p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("score", help="score HDR reconstructions against ground truth")
     p.add_argument("--pred", required=True, help="directory of predictions")
     p.add_argument("--gt", required=True, help="directory of ground truth")
     common(p)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("analyze", help="error maps, saturation stats, loss breakdown")
     p.add_argument("--pred", required=True, help="prediction image (.hdr/.pfm)")
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile", type=float, default=0.85, help="saturation quantile")
     p.add_argument("--losses", action="store_true", help="emit per-term loss breakdown")
     common(p)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("expand", help="naive linearization baseline (8-bit -> linear)")
     p.add_argument("--input", required=True, help="8-bit input image")
@@ -169,19 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CRF spec: identity | gamma:G | sigmoid:N,C | table:PATH")
     p.add_argument("--format", choices=[suffix[1:] for suffix in LINEAR_WRITERS], default="hdr")
     common(p)
-    p.set_defaults(func=cmd_expand)
+    p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("sde-demo", help="mean-reverting restoration SDE diagnostic")
     p.add_argument("--hdr", default=None, help="ground-truth image (.hdr/.pfm)")
     p.add_argument("--ldr", default=None, help="degraded linear image (.hdr/.pfm)")
     p.add_argument("--steps", type=int, default=100, help="SDE step count")
     common(p)
-    p.set_defaults(func=cmd_sde_demo)
+    p.set_defaults(func=_cmd_sde_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "sde-demo" and bool(args.hdr) != bool(args.ldr):
         parser.error("sde-demo takes --hdr and --ldr together, or neither")

@@ -54,7 +54,7 @@ class Config:
         return PuEncoding.default()
 
 
-def parse_config_text(text: str) -> Config:
+def _parse_config_text(text: str) -> Config:
     values: dict = {section: {} for section in _SCHEMA}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -89,7 +89,7 @@ def parse_config(path) -> Config:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text)
+    return _parse_config_text(text)
 
 
 def _settings(cls, given: dict):

@@ -31,11 +31,11 @@ class MaskParams:
     alpha: float = 10.0
 
     def __post_init__(self):
-        if len(self.theta) != 2:
-            raise DomainError("theta holds exactly 2 threshold logits")
+        if len(self.theta) != 2 or not np.isfinite(self.theta).all():
+            raise DomainError(f"theta holds exactly 2 finite threshold logits; got {self.theta!r}")
         if not (0 < self.alpha < np.inf):
             raise DomainError(f"alpha must be finite and positive; got {self.alpha!r}")
-        t1, t2 = thresholds(self.theta)
+        t1, t2 = _thresholds(self.theta)
         if not (0 < t1 < t2 <= 1):
             raise DomainError("thresholds must satisfy 0 < tau1 < tau2 <= 1")
 
@@ -49,7 +49,7 @@ class MaskTriple:
     over: np.ndarray
 
 
-def thresholds(theta) -> tuple:
+def _thresholds(theta) -> tuple:
     """cumsum(softmax(theta)) -> (tau1, tau2); tau2 is exactly 1 by construction."""
     logits = np.asarray(theta, dtype=np.float64)
     exps = np.exp(logits - logits.max())  # stable softmax
@@ -67,6 +67,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edge_box_mean(a: np.ndarray, r: int) -> np.ndarray:
+    """Means over the windows [i - r, i + r] along axis 0, edge rows repeated past the edges.
+
+    Prefix sums give each window's in-range part; memory grows with `a`, not `r`."""
+    n, k = len(a), 2 * r + 1
+    i = np.arange(n)
+    prefix = np.zeros((n + 1,) + a.shape[1:])
+    np.cumsum(a, axis=0, out=prefix[1:])
+    reach = min(r, n)  # a window past both edges covers all n rows
+    inside = prefix[np.minimum(i + reach + 1, n)] - prefix[np.maximum(i - reach, 0)]
+    # the window's share clamped to each edge; int / int is a correctly rounded float for any r
+    below = np.array([max(r - j, 0) / k for j in range(n)])
+    above = np.array([max(j + r - (n - 1), 0) / k for j in range(n)])
+    return inside * (1 / k) + below[:, None] * a[0] + above[:, None] * a[-1]
+
+
 def blurred_luminance(image, kernel: int) -> np.ndarray:
     """Box-filtered luminance with edge replication; kernel must be odd."""
     if kernel < 1 or kernel % 2 == 0:
@@ -74,22 +90,13 @@ def blurred_luminance(image, kernel: int) -> np.ndarray:
     lum = luminance(np.asarray(image.data, dtype=np.float64))
     if kernel == 1:
         return lum
-    r = kernel // 2
-    padded = np.pad(lum, r, mode="edge")
-    # integral image with a leading zero row/column, then inclusion-exclusion
-    integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1))
-    integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    k = kernel
-    h, w = lum.shape
-    sums = (integral[k:k + h, k:k + w] - integral[:h, k:k + w]
-            - integral[k:k + h, :w] + integral[:h, :w])
-    return sums / (k * k)
+    return _edge_box_mean(_edge_box_mean(lum, kernel // 2).T, kernel // 2).T
 
 
 def exposure_masks(lum_blurred: np.ndarray, params: MaskParams = MaskParams()) -> MaskTriple:
     """Soft partition into under/mid/over exposure by telescoping sigmoids."""
     field = np.asarray(lum_blurred, dtype=np.float64)
-    t1, t2 = thresholds(params.theta)
+    t1, t2 = _thresholds(params.theta)
     s1 = _sigmoid(params.alpha * (field - t1))
     s2 = _sigmoid(params.alpha * (field - t2))
     return MaskTriple(under=1.0 - s1, mid=s1 - s2, over=s2)
@@ -106,8 +113,9 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
     if weights is None:
         weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     fields = [np.broadcast_to(np.asarray(wt, dtype=np.float64), (h, w)) for wt in weights]
-    total = fields[0] + fields[1] + fields[2]
-    if not (np.abs(total - 1.0) <= 1e-6).all() or any((f < 0).any() for f in fields):  # NaN fails
+    # each weight in [0, 1] before the sum, so NaN and inf fail here and the sum cannot overflow
+    if (not all(((0.0 <= f) & (f <= 1.0)).all() for f in fields)
+            or not (np.abs(fields[0] + fields[1] + fields[2] - 1.0) <= 1e-6).all()):
         raise DomainError("weights must form a per-pixel simplex")
     fused = np.zeros_like(data)
     for wt, mask in zip(fields, (masks.under, masks.mid, masks.over)):
@@ -123,6 +131,8 @@ def residual_project(image, gain: float, residual) -> LinearImage:
         raise DomainError("gain must lie in [0, 1]")
     data = np.asarray(image.data, dtype=np.float64)
     res = np.asarray(residual, dtype=np.float64)
+    if not np.isfinite(res).all():
+        raise DomainError("residual must be finite")
     if res.ndim == 2:
         res = res[..., None]
     out = data * (1.0 + gain * res)

@@ -107,6 +107,8 @@ def pu_decode(v, encoding: PuEncoding | None = None):
     enc = encoding or PuEncoding.default()
     p = enc.p
     arr = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError("PU values must be finite")
     lo = _pu_forward(np.asarray(enc.y_min), p)
     hi = _pu_forward(np.asarray(enc.y_max), p)
     arr = np.clip(arr, lo, hi)

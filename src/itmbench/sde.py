@@ -123,7 +123,7 @@ def _philox_rounds(x, y, p, keys) -> None:
         np.bitwise_and(p[::-1], _WORD, out=y)  # (lo1, lo0)
 
 
-def philox4x32(ctr, key) -> tuple:
+def _philox4x32(ctr, key) -> tuple:
     """Philox4x32-10, vectorized over lanes.
 
     `ctr` holds the four counter words and `key` the two key words, each a
@@ -309,11 +309,11 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
 
 def ou_moments(x0, mu, theta: float, sigma: float, t):
     """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t."""
-    if not (theta > 0):
-        raise DomainError("theta must be positive")
     tv = np.asarray(t, dtype=np.float64)
-    if sigma < 0 or not (np.isfinite(tv).all() and (tv >= 0).all()):
-        raise DomainError("sigma must be non-negative and t finite and non-negative")
+    if not (0 < theta < np.inf and 0 <= sigma < np.inf and np.isfinite(tv).all()
+            and (tv >= 0).all()):
+        raise DomainError("theta must be finite and positive, sigma finite and non-negative, "
+                          "and t finite and non-negative")
     x0v = np.asarray(x0, dtype=np.float64)
     muv = np.asarray(mu, dtype=np.float64)
     mean = muv + (x0v - muv) * np.exp(-theta * tv)
@@ -350,18 +350,6 @@ def _chain_scalars(sched: SdeSchedule) -> tuple:
         a[i + 1] = keep * a[i]
         v[i + 1] = keep ** 2 * v[i] + sched.sigma[i] ** 2 * sched.dt
     return a, v
-
-
-def chain_moments(x0, mu, sched: SdeSchedule) -> tuple:
-    """Exact per-step mean (steps + 1, dim) and variance (steps + 1,) of the
-    discretized forward chain: m_i = mu + (x0 - mu) a_i, where a_i is the
-    product of (1 - theta_j dt) over the steps j < i, and v_{i+1} =
-    (1 - theta_i dt)^2 v_i + sigma_i^2 dt. The demo's analytic score uses
-    these statistics one step at a time.
-    """
-    x0v, muv = _state(x0, "x0"), _state(mu, "mu")
-    a, v = _chain_scalars(sched)
-    return muv + (x0v - muv) * a[:, None], v
 
 
 _TRACKED_PIXELS = 4  # leading state elements whose forward path the demo records

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmbench.camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,
-                             SynthesisSettings, derive_seed, estimate_exposure_range,
+                             SynthesisSettings, _derive_seed, estimate_exposure_range,
                              generate_dataset, simulate_ldr)
 from itmbench.errors import DomainError, RangeError
 from itmbench.image_io import LinearImage, write_hdr
@@ -109,11 +109,16 @@ class TestCrf:
 
 
 class TestExposureRange:
+    # 2^ev times a finite float32 value overflows float64 for some ev > 896
     @pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("nan")),
-                                        (-float("inf"), 0.0), (0.0, float("inf")), (1.0, 0.0)])
+                                        (-float("inf"), 0.0), (0.0, float("inf")), (1.0, 0.0),
+                                        (0.0, 5000.0), (896.5, 897.0), (-1.0, 1024.0)])
     def test_bounds_must_be_finite_and_ordered(self, bounds):
         with pytest.raises(DomainError, match="require finite ev_min <= ev_max"):
             ExposureRange(*bounds)
+
+    def test_largest_bound_is_accepted(self):
+        assert ExposureRange(-2000.0, 896.0).ev_max == 896.0
 
     def test_constant_one_saturates_immediately(self):
         er = estimate_exposure_range(constant_image(1.0), sat_frac=0.05)
@@ -204,10 +209,16 @@ class TestSimulate:
             fracs.append((ldr.data == 255).mean())
         assert all(x <= y for x, y in zip(fracs, fracs[1:]))
 
-    @pytest.mark.parametrize("ev", [float("inf"), -float("inf"), float("nan")])
+    @pytest.mark.parametrize("ev", [float("inf"), -float("inf"), float("nan"),
+                                    896.5, 1023.0, 1024.0, 2000.0])
     def test_exposure_must_be_finite(self, ev):
         with pytest.raises(DomainError, match="exposure ev must be finite"):
             simulate_ldr(constant_image(0.5), ev, Crf("gamma"))
+
+    def test_largest_exposure_of_the_largest_float32_saturates(self):
+        top = float(np.finfo(np.float32).max)
+        assert (simulate_ldr(constant_image(top), 896.0, Crf("gamma")).data == 255).all()
+        assert (simulate_ldr(constant_image(top), -2000.0, Crf("gamma")).data == 0).all()
 
     def test_quantize_round_half_up(self):
         # the camera's last stage, floor(255 x + 0.5), on an array input with an identity CRF
@@ -293,9 +304,9 @@ class TestGenerateDataset:
         assert len(errors) == 1 and "junk.hdr" in errors[0]
 
     def test_derived_seed_stability(self):
-        assert derive_seed(7, "a.hdr", 0) == derive_seed(7, "a.hdr", 0)
-        assert derive_seed(7, "a.hdr", 0) != derive_seed(7, "a.hdr", 1)
-        assert derive_seed(7, "a.hdr", 0) != derive_seed(8, "a.hdr", 0)
+        assert _derive_seed(7, "a.hdr", 0) == _derive_seed(7, "a.hdr", 0)
+        assert _derive_seed(7, "a.hdr", 0) != _derive_seed(7, "a.hdr", 1)
+        assert _derive_seed(7, "a.hdr", 0) != _derive_seed(8, "a.hdr", 0)
 
 
 @pytest.mark.parametrize("field", ["crf_family", "crop_mode", "ldr_format", "hdr_format"])

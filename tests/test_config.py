@@ -1,7 +1,7 @@
 import re
 from pathlib import Path
 
-from itmbench.config import _SCHEMA, Config, parse_config_text
+from itmbench.config import _SCHEMA, Config, _parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,7 +13,7 @@ def readme_ini() -> str:
 
 
 def test_readme_block_parses_to_the_defaults():
-    assert parse_config_text(readme_ini()) == Config()
+    assert _parse_config_text(readme_ini()) == Config()
 
 
 def test_readme_block_names_every_key():
@@ -28,6 +28,6 @@ def test_readme_block_names_every_key():
 
 
 def test_lo_hi_keys_set_one_end_of_the_range():
-    cfg = parse_config_text("[synth]\ngamma_hi = 0.9\nsigma_lo = 0.002\n")
+    cfg = _parse_config_text("[synth]\ngamma_hi = 0.9\nsigma_lo = 0.002\n")
     assert cfg.synth.gamma_range == (0.35, 0.9)
     assert cfg.synth.sigma_range == (0.002, 0.01)

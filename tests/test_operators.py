@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,19 +8,19 @@ from hypothesis import strategies as st
 from itmbench.camera import Crf, simulate_ldr
 from itmbench.errors import DomainError
 from itmbench.image_io import LinearImage, Ldr8Image
-from itmbench.operators import (MaskParams, MaskTriple, blurred_luminance,
+from itmbench.operators import (MaskParams, MaskTriple, _thresholds, blurred_luminance,
                                 exposure_masks, fuse_exposures, naive_expand,
-                                residual_project, thresholds)
+                                residual_project)
 
 import oracles
 
 
 class TestThresholds:
     def test_zero_logits(self):
-        assert thresholds((0.0, 0.0)) == pytest.approx((0.5, 1.0), abs=1e-12)
+        assert _thresholds((0.0, 0.0)) == pytest.approx((0.5, 1.0), abs=1e-12)
 
     def test_ordering_holds_for_any_logits(self):
-        t1, t2 = thresholds((3.0, -2.0))
+        t1, t2 = _thresholds((3.0, -2.0))
         assert 0 < t1 < t2 <= 1.0
 
     def test_params_validation(self):
@@ -29,6 +31,12 @@ class TestThresholds:
     def test_alpha_must_be_finite(self, alpha):
         with pytest.raises(DomainError, match="alpha must be finite"):
             MaskParams(alpha=alpha)
+
+    @pytest.mark.parametrize("theta", [(float("inf"), 0.0), (0.0, -float("inf")),
+                                       (float("nan"), 0.0)])
+    def test_logits_must_be_finite(self, theta):
+        with pytest.raises(DomainError, match="finite threshold logits"):
+            MaskParams(theta=theta)
 
 
 class TestBlurredLuminance:
@@ -55,6 +63,23 @@ class TestBlurredLuminance:
             got = blurred_luminance(img, k)
             want = oracles.naive_box_luminance(img.data, k)
             assert np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (1, 3)])
+    def test_kernel_wider_than_the_image(self, rng, shape):
+        img = LinearImage(rng.uniform(0, 2, shape + (3,)).astype(np.float32))
+        got = blurred_luminance(img, 41)
+        assert np.abs(got - oracles.naive_box_luminance(img.data, 41)).max() <= 1e-10
+
+    def test_memory_grows_with_the_image_not_the_kernel(self, rng):
+        img = LinearImage(rng.uniform(0, 2, (16, 16, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = blurred_luminance(img, 10**9 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # ~10 float64 16^2 RGB images
+        assert np.isfinite(out).all() and out.shape == (16, 16)
 
     def test_even_kernel_rejected(self, rng):
         img = LinearImage(rng.uniform(0, 1, (4, 4, 3)).astype(np.float32))
@@ -131,7 +156,9 @@ class TestFuseExposures:
         with pytest.raises(DomainError):
             fuse_exposures(img, self._masks(img), weights=(0.5, 0.5, 0.5))
 
-    @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (1.0, 0.0, float("nan"))])
+    # each weight is checked before the three are summed, so inf and 1e308 do not overflow
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (1.0, 0.0, float("nan")),
+                                         (float("inf"), -float("inf"), 1.0), (1e308, 1e308, 0.0)])
     def test_nan_weights_fail_the_simplex_check(self, rng, weights):
         img = LinearImage(rng.uniform(0, 1, (4, 4, 3)).astype(np.float32))
         with pytest.raises(DomainError, match="simplex"):
@@ -158,6 +185,13 @@ class TestResidualProject:
         img = LinearImage(rng.uniform(0, 1, (2, 2, 3)).astype(np.float32))
         with pytest.raises(DomainError):
             residual_project(img, 1.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("gain, value", [(0.0, float("inf")), (0.5, float("nan")),
+                                             (0.5, -float("inf"))])
+    def test_residual_must_be_finite(self, gain, value):
+        img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
+        with pytest.raises(DomainError, match="residual must be finite"):
+            residual_project(img, gain, np.full((2, 2), value))
 
 
 class TestNaiveExpand:

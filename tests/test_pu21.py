@@ -46,6 +46,11 @@ class TestEncoding:
         with pytest.raises(DomainError):
             pu_encode(float("nan"))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.array([1.0, np.nan])])
+    def test_decode_rejects_non_finite(self, value):
+        with pytest.raises(DomainError, match="PU values must be finite"):
+            pu_decode(value)
+
     def test_decode_inverts_encode(self):
         enc = PuEncoding.default()
         grid = np.logspace(np.log10(enc.y_min), np.log10(enc.y_max), 100)

@@ -11,9 +11,8 @@ from itmbench.errors import DomainError, NumericError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import naive_expand
 from itmbench.pu21 import PuEncoding, pu_fields
-from itmbench.sde import (SdeSchedule, backward_simulate, chain_moments,
-                          forward_simulate, itm_sde_demo, make_ou_score,
-                          ou_moments, philox4x32)
+from itmbench.sde import (SdeSchedule, _chain_scalars, _philox4x32, backward_simulate,
+                          forward_simulate, itm_sde_demo, make_ou_score, ou_moments)
 from oracles import naive_chain_moments, naive_philox4x32
 
 
@@ -126,7 +125,7 @@ class TestForward:
         for dt in (0.02, 0.01, 0.005):
             steps = int(round(horizon / dt))
             sched = SdeSchedule.constant(theta, sigma, dt, steps)
-            _, variances = chain_moments(1.0, 0.0, sched)
+            _, variances = _chain_scalars(sched)
             errors.append(abs(variances[-1] - var_ou))
         assert errors[0] > errors[1] > errors[2]
 
@@ -153,6 +152,14 @@ class TestOuMoments:
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(DomainError, match="t finite"):
             ou_moments(1.0, 0.0, 1.0, 0.5, t)
+
+    @pytest.mark.parametrize("theta, sigma", [(float("inf"), 0.5), (float("nan"), 0.5),
+                                              (1.0, float("nan")), (1.0, float("inf")),
+                                              (1.0, -0.5)])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_coefficients_must_be_finite(self, theta, sigma, t):
+        with pytest.raises(DomainError, match="theta must be finite and positive, sigma finite"):
+            ou_moments(1.0, 0.0, theta, sigma, t)
 
 
 class TestBackward:
@@ -219,7 +226,9 @@ class TestBackward:
 class TestChainMoments:
     def test_zero_noise_has_zero_variance(self):
         sched = SdeSchedule.constant(0.5, 0.0, 0.01, 20)
-        means, variances = chain_moments(1.0, 0.0, sched)
+        a, variances = _chain_scalars(sched)
+        x0, mu = 1.0, 0.0
+        means = mu + (x0 - mu) * a[:, None]
         assert variances.max() == 0.0
         assert means[-1, 0] == pytest.approx((1 - 0.5 * 0.01) ** 20, abs=1e-12)
 
@@ -227,7 +236,8 @@ class TestChainMoments:
                                        SdeSchedule.constant(0.8, 0.2, 0.01, 300)])
     def test_closed_form_matches_per_row_recurrence(self, rng, sched):
         x0, mu = rng.uniform(0.05, 1.0, (2, 64))
-        means, variances = chain_moments(x0, mu, sched)
+        a, variances = _chain_scalars(sched)
+        means = mu + (x0 - mu) * a[:, None]
         want_means, want_variances = naive_chain_moments(x0.tolist(), mu.tolist(),
                                                          sched.theta, sched.sigma, sched.dt)
         np.testing.assert_allclose(means, want_means, rtol=1e-13, atol=0.0)
@@ -235,7 +245,9 @@ class TestChainMoments:
 
     def test_matches_forward_ensemble(self):
         sched = SdeSchedule.constant(1.0, 0.4, 0.01, 100)
-        means, variances = chain_moments(1.5, 0.0, sched)
+        a, variances = _chain_scalars(sched)
+        x0, mu = 1.5, 0.0
+        means = mu + (x0 - mu) * a[:, None]
         traj = forward_simulate(1.5, 0.0, sched, seed=3, n_traj=4000)
         final = traj[:, -1, 0]
         se = final.std(ddof=1) / np.sqrt(final.size)
@@ -319,7 +331,7 @@ class TestPhilox:
 
     @pytest.mark.parametrize("ctr, key, expected", PHILOX_KNOWN_ANSWERS)
     def test_kernel_reproduces_known_answers(self, ctr, key, expected):
-        words = philox4x32(ctr, key)
+        words = _philox4x32(ctr, key)
         assert tuple(int(w) for w in words) == expected
 
     def test_kernel_matches_oracle_bit_for_bit(self, rng):
@@ -330,7 +342,7 @@ class TestPhilox:
             ctr = rng.integers(0, 2**32, (4, 64), dtype=np.uint64)
             ctr[:, :len(edge)] = np.array(edge, dtype=np.uint64)  # one edge word per lane, all words
             ctr[rng.integers(0, 4, 32), rng.integers(0, 64, 32)] = 0xFFFFFFFF
-            got = np.stack(philox4x32(tuple(ctr), key))
+            got = np.stack(_philox4x32(tuple(ctr), key))
             assert got.dtype == np.uint64
             want = [naive_philox4x32(tuple(int(c) for c in ctr[:, i]), key) for i in range(64)]
             assert np.array_equal(got, np.array(want, dtype=np.uint64).T)
