@@ -21,9 +21,9 @@ from .camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,
 from .operators import (MaskParams, MaskTriple, blurred_luminance,
                         exposure_masks, fuse_exposures, naive_expand,
                         residual_project)
-from .losses import (LossWeights, UpfParams, color_loss, denoise_loss,
-                     linear_l1, recon_loss, score_matching_loss,
-                     ssim_pu_loss, total_loss, tv_loss, upf_loss)
+from .losses import (color_loss, denoise_loss, linear_l1, recon_loss,
+                     score_matching_loss, ssim_pu_loss, total_loss, tv_loss,
+                     upf_loss)
 from .sde import (SdeSchedule, backward_simulate, forward_simulate,
                   itm_sde_demo, make_ou_score, ou_moments)
 from .analysis import (SaturationSplit, error_map, error_stats,

@@ -203,7 +203,12 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     """
     if not (-np.inf < ev <= _EV_MAX):
         raise DomainError(f"exposure ev must be finite and at most {_EV_MAX:g}; got {ev!r}")
-    exposed = as_radiance(hdr, "camera input") * 2.0**ev  # a float32 image's copy is reused
+    try:  # float32 data cannot overflow below _EV_MAX, but float64 data can
+        with np.errstate(over="raise"):
+            # a float32 image's copy is reused: numpy elides the unnamed temporary
+            exposed = as_radiance(hdr, "camera input") * 2.0**ev
+    except FloatingPointError:
+        raise DomainError(f"exposure ev={ev!r} takes camera input beyond float64's range") from None
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         exposed += noise.sigma_read * rng.standard_normal(exposed.shape)

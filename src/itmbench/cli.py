@@ -25,7 +25,7 @@ from .config import Config, parse_config
 from .errors import ConfigError, ItmError
 from .image_io import LINEAR_WRITERS, LinearImage, read_ldr8, read_linear, write_linear, write_pfm
 from .image_io import read_hdr  # noqa: F401  still bound: bench/test_perfbench.py reads cli.read_hdr
-from .losses import LossWeights, total_loss
+from .losses import WEIGHTS, total_loss
 from .operators import naive_expand
 from .pu21 import SCHEMA_VERSION, score_dataset
 from .sde import SdeSchedule, itm_sde_demo
@@ -87,8 +87,7 @@ def _cmd_analyze(args, cfg: Config, out: Path) -> int:
         doc["intensity_error_joint"] = intensity_error_joint(ldr, err)
     if args.losses:
         total, weighted, raw = total_loss([pred], pred, gt)
-        doc["losses"] = {"raw": raw, "weighted": weighted, "weights": LossWeights().__dict__,
-                         "total": total}
+        doc["losses"] = {"raw": raw, "weighted": weighted, "weights": dict(WEIGHTS), "total": total}
     (out / "analysis.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote analysis to {args.out}")
     return 0

@@ -68,7 +68,11 @@ class LinearImage(_Raster):
 
     def __post_init__(self):
         super().__post_init__()
-        arr = self.data.astype(np.float32, copy=False)
+        try:
+            with np.errstate(over="raise"):
+                arr = self.data.astype(np.float32, copy=False)
+        except FloatingPointError:
+            raise FormatError("linear image components must lie within float32's range") from None
         if not np.isfinite(arr).all():
             raise FormatError("linear image components must be finite")
         if (arr < 0).any():

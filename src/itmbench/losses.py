@@ -1,14 +1,16 @@
 """Analytic loss evaluators for image pairs and SDE trajectories.
 
 Pure functions, all mean-reduced so values are resolution-comparable.
-Epsilon constants (documented here once): Charbonnier eps 1e-3, log/color
-eps 1e-8. The VGG perceptual term is accepted as an externally supplied
-scalar, never computed.
+Every term has fixed constants, documented here once: Charbonnier eps 1e-3,
+log/color eps 1e-8, mu-law mu 5000 for `recon_loss` and 10^4 for
+`ssim_pu_loss`, UPF patch 16, focal gamma 1.5, 64 histogram bins of sigma
+0.1, and the objective's weights in `WEIGHTS`. The VGG perceptual term is
+accepted as an externally supplied scalar, never computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,58 +23,31 @@ EPS_LOG = 1e-8
 HIST_ROWS = 1024  # pixels per soft-histogram chunk: (HIST_ROWS + 1) x bins float64 fits in cache
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Default weights of the composite training objective."""
-
-    alpha_perc: float = 0.1
-    gamma_ssim: float = 0.1
-    gamma_color: float = 0.05
-    lambda_linear: float = 0.1
-    alpha_denoise: float = 0.1
-    alpha_upf: float = 0.1
-    gamma_tv: float = 0.1
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not (0 <= value < np.inf):
-                raise DomainError(f"{name} must be finite and non-negative")
+# Read-only weights of the composite objective's terms (`total_loss`); recon has weight 1.
+WEIGHTS = MappingProxyType({"alpha_perc": 0.1, "gamma_ssim": 0.1, "gamma_color": 0.05,
+                            "lambda_linear": 0.1, "alpha_denoise": 0.1, "alpha_upf": 0.1,
+                            "gamma_tv": 0.1})
+_RECON_MU = MuLawParams(5000.0)
+_SSIM_PU = MuLawParams(10000.0)  # PU approximation log10(1 + c x) / log10(1 + c), c = 10^4
+# Unified patch fidelity: patch side, focal exponent, histogram bins and vote sigma.
+_UPF_PATCH = 16
+_UPF_FOCAL_GAMMA = 1.5
+_UPF_BINS = 64
+_UPF_SIGMA = 0.1
 
 
-@dataclass(frozen=True)
-class UpfParams:
-    """Unified patch fidelity parameters; the two sub-term weights default to 1."""
-
-    patch: int = 16
-    focal_gamma: float = 1.5
-    hist_bins: int = 64
-    hist_sigma: float = 0.1
-    alpha_hist: float = 1.0
-    beta_smooth: float = 1.0
-
-    def __post_init__(self):
-        if self.patch < 2:
-            raise DomainError("patch must be >= 2")
-        if self.hist_bins < 2:
-            raise DomainError("hist_bins must be >= 2")
-        if not (0 < self.hist_sigma < np.inf and 0 <= self.focal_gamma < np.inf):
-            raise DomainError("hist_sigma must be finite and > 0, focal_gamma finite and >= 0")
-        if not (np.isfinite(self.alpha_hist) and np.isfinite(self.beta_smooth)):
-            raise DomainError("alpha_hist and beta_smooth must be finite")
-
-
-def recon_loss(preds, gt, mu: MuLawParams = MuLawParams()) -> float:
+def recon_loss(preds, gt) -> float:
     """Stage-weighted L1 in the mu-law compressed domain: sum_i (i/N) mean|R(p_i) - R(gt)|."""
     if not preds:
         raise DomainError("recon_loss needs at least one stage output")
     n = len(preds)
-    gt_c = mu_law(as_radiance(gt, "loss inputs"), mu)
+    gt_c = mu_law(as_radiance(gt, "loss inputs"), _RECON_MU)
     total = 0.0
     for i, pred in enumerate(preds, start=1):
         a = as_radiance(pred, "loss inputs")
         if a.shape != gt_c.shape:
             raise ShapeError("stage output shape does not match ground truth")
-        total += (i / n) * float(np.mean(np.abs(mu_law(a, mu) - gt_c)))
+        total += (i / n) * float(np.mean(np.abs(mu_law(a, _RECON_MU) - gt_c)))
     return total
 
 
@@ -87,24 +62,22 @@ def denoise_loss(denoised, gt) -> float:
     return linear_l1(denoised, gt)
 
 
-def ssim_pu_loss(pred, gt, pu: MuLawParams = MuLawParams(10000.0)) -> float:
+def ssim_pu_loss(pred, gt) -> float:
     """1 - SSIM on PU-approximated luminance (`mu_law`, c = mu = 10000), shared SSIM kernel."""
     a, b = radiance_pair(pred, gt, "loss inputs")
-    la = mu_law(luminance(a), pu)
-    lb = mu_law(luminance(b), pu)
+    la = mu_law(luminance(a), _SSIM_PU)
+    lb = mu_law(luminance(b), _SSIM_PU)
     return 1.0 - ssim_mean(la, lb, data_range=1.0)
 
 
-def color_loss(pred, gt, eps: float = EPS_LOG) -> float:
+def color_loss(pred, gt) -> float:
     """L1 over the three log-ratio channels R/G, G/B, B/R; invariant to global exposure."""
-    if not (0 < eps < np.inf):
-        raise DomainError(f"eps must be finite and positive; got {eps!r}")
     a, b = radiance_pair(pred, gt, "loss inputs")
     if a.shape[-1] != 3:
         raise ShapeError("color_loss expects RGB images")
 
     def ratios(img):
-        r, g, bl = img[..., 0] + eps, img[..., 1] + eps, img[..., 2] + eps
+        r, g, bl = img[..., 0] + EPS_LOG, img[..., 1] + EPS_LOG, img[..., 2] + EPS_LOG
         return np.stack([np.log(r / g), np.log(g / bl), np.log(bl / r)])
 
     return float(np.mean(np.abs(ratios(a) - ratios(b))))
@@ -122,25 +95,26 @@ def _log_luminance(img: np.ndarray) -> np.ndarray:
     return np.log(luminance(img) + EPS_LOG)
 
 
-def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
+def upf_loss(pred, gt) -> float:
     """Unified patch fidelity: focal Charbonnier on log-luminance patches,
     soft-histogram matching in the log domain, and edge-aware smoothness.
 
     The construction below is this toolkit's normative definition (the source
     describes the terms only in prose): Charbonnier is rho(d) =
-    sqrt(d^2 + eps^2) - eps averaged per non-overlapping patch, patches
-    weighted by (error / max error)^focal_gamma; histograms are Gaussian
-    votes over hist_bins centers spanning the joint log range, compared with
-    a mean absolute difference; smoothness is mean(|grad pred| *
-    exp(-|grad gt|)) on log luminance, averaged over both axes.
+    sqrt(d^2 + eps^2) - eps averaged per non-overlapping _UPF_PATCH-pixel
+    patch, patches weighted by (error / max error)^_UPF_FOCAL_GAMMA;
+    histograms are Gaussian votes of sigma _UPF_SIGMA over _UPF_BINS centers
+    spanning the joint log range, compared with a mean absolute difference;
+    smoothness is mean(|grad pred| * exp(-|grad gt|)) on log luminance,
+    averaged over both axes. The loss is the unweighted sum of the three.
     Histogram votes are summed over fixed chunks of HIST_ROWS pixels, so their
-    memory does not grow with the image; a hist_sigma at which every vote of
-    an image underflows is a DomainError.
+    memory does not grow with the image; an image whose every vote underflows
+    (its log luminance far from every center) is a DomainError.
     """
     a, b = radiance_pair(pred, gt, "loss inputs")
     la, lb = _log_luminance(a), _log_luminance(b)
     h, w = la.shape
-    p = params.patch
+    p = _UPF_PATCH
     if h < p or w < p:
         raise ShapeError(f"image smaller than the {p}px patch")
 
@@ -152,7 +126,7 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     patch_err = tiles.mean(axis=(1, 3))
     peak = patch_err.max()
     if peak > 0:
-        weights = (patch_err / peak) ** params.focal_gamma
+        weights = (patch_err / peak) ** _UPF_FOCAL_GAMMA
         charb = float(np.mean(weights * patch_err))
     else:
         charb = 0.0
@@ -163,14 +137,14 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     if hi - lo < 1e-12:
         hist = 0.0
     else:
-        centers = np.linspace(lo, hi, params.hist_bins)
-        scale = -(2.0 * params.hist_sigma**2)  # negating the divisor is exact
+        centers = np.linspace(lo, hi, _UPF_BINS)
+        scale = -(2.0 * _UPF_SIGMA**2)  # negating the divisor is exact
 
         def soft_hist(x):
             # Row 0 carries each bin's running sum into the next chunk's column
             # sum, so bins add up pixel by pixel as one (pixels, bins) matrix would.
             flat = x.ravel()
-            buf = np.zeros((HIST_ROWS + 1, params.hist_bins))
+            buf = np.zeros((HIST_ROWS + 1, _UPF_BINS))
             for start in range(0, flat.size, HIST_ROWS):
                 chunk = flat[start:start + HIST_ROWS]
                 votes = buf[1:chunk.size + 1]
@@ -181,8 +155,8 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
                 buf[0] = buf[:chunk.size + 1].sum(axis=0)
             total = buf[0].sum()
             if total == 0:
-                raise DomainError(f"hist_sigma={params.hist_sigma!r} is too small: "
-                                  "every histogram vote underflows")
+                raise DomainError("every histogram vote of an image underflows: its log "
+                                  "luminance lies too far from every bin center")
             return buf[0] / total
         hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb))))
 
@@ -191,15 +165,14 @@ def upf_loss(pred, gt, params: UpfParams = UpfParams()) -> float:
     sm_v = np.mean(np.abs(np.diff(la, axis=0)) * np.exp(-np.abs(np.diff(lb, axis=0))))
     smooth = 0.5 * float(sm_h + sm_v)
 
-    return charb + params.alpha_hist * hist + params.beta_smooth * smooth
+    return charb + hist + smooth
 
 
-def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
-               perceptual: float = 0.0) -> tuple:
+def total_loss(stages, pred, gt, *, perceptual: float = 0.0) -> tuple:
     """Composite training objective; returns (total, weighted, raw).
 
-    `raw` holds each term at its own default constants, `weighted` each
-    term's weighted contribution, so its values sum to `total` exactly. The
+    `raw` holds each term, `weighted` each term's contribution under
+    `WEIGHTS` (recon unweighted), so its values sum to `total` exactly. The
     denoise term is the prediction's linear L1. `perceptual` is the
     externally computed VGG scalar (0 when unavailable).
     """
@@ -216,13 +189,13 @@ def total_loss(stages, pred, gt, weights: LossWeights = LossWeights(), *,
     raw["upf"] = upf_loss(pred, gt)
     weighted = {
         "recon": raw["recon"],
-        "perceptual": weights.alpha_perc * float(perceptual),
-        "ssim_pu": weights.gamma_ssim * raw["ssim_pu"],
-        "color": weights.gamma_color * raw["color"],
-        "tv": weights.gamma_tv * raw["tv"],
-        "linear": weights.lambda_linear * raw["linear"],
-        "denoise": weights.alpha_denoise * raw["denoise"],
-        "upf": weights.alpha_upf * raw["upf"],
+        "perceptual": WEIGHTS["alpha_perc"] * float(perceptual),
+        "ssim_pu": WEIGHTS["gamma_ssim"] * raw["ssim_pu"],
+        "color": WEIGHTS["gamma_color"] * raw["color"],
+        "tv": WEIGHTS["gamma_tv"] * raw["tv"],
+        "linear": WEIGHTS["lambda_linear"] * raw["linear"],
+        "denoise": WEIGHTS["alpha_denoise"] * raw["denoise"],
+        "upf": WEIGHTS["alpha_upf"] * raw["upf"],
     }
     return float(sum(weighted.values())), weighted, raw
 

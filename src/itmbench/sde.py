@@ -52,17 +52,16 @@ class SdeSchedule:
         return SdeSchedule((theta,) * steps, (sigma,) * steps, dt)
 
     @staticmethod
-    def cosine(steps: int = 100, theta_min: float = 0.1, theta_max: float = 2.0,
-               stationary_std: float = 0.1, dt: float = 0.05) -> "SdeSchedule":
-        """Cosine ramp on theta; sigma_t = lam * sqrt(2 theta_t) keeps the
-        stationary standard deviation at `stationary_std` (a documented,
+    def cosine(steps: int = 100) -> "SdeSchedule":
+        """Cosine ramp of theta from 0.1 to 2.0 at dt 0.05; sigma_t = 0.1 sqrt(2 theta_t)
+        keeps the stationary standard deviation at 0.1 (a documented,
         non-normative parameterization)."""
         if steps < 1:
             raise DomainError(f"steps must be >= 1; got {steps!r}")
         i = np.arange(steps)
-        theta = theta_min + 0.5 * (theta_max - theta_min) * (1.0 - np.cos(np.pi * (i + 0.5) / steps))
-        sigma = stationary_std * np.sqrt(2.0 * theta)
-        return SdeSchedule(tuple(theta), tuple(sigma), dt)
+        theta = 0.1 + 0.5 * (2.0 - 0.1) * (1.0 - np.cos(np.pi * (i + 0.5) / steps))
+        sigma = 0.1 * np.sqrt(2.0 * theta)
+        return SdeSchedule(tuple(theta), tuple(sigma), 0.05)
 
 
 def _state(x, name: str) -> np.ndarray:
@@ -308,7 +307,8 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
 
 
 def ou_moments(x0, mu, theta: float, sigma: float, t):
-    """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t."""
+    """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t; a
+    variance beyond float64's range is a DomainError, and no smaller one overflows."""
     tv = np.asarray(t, dtype=np.float64)
     if not (0 < theta < np.inf and 0 <= sigma < np.inf and np.isfinite(tv).all()
             and (tv >= 0).all()):
@@ -316,8 +316,14 @@ def ou_moments(x0, mu, theta: float, sigma: float, t):
                           "and t finite and non-negative")
     x0v = np.asarray(x0, dtype=np.float64)
     muv = np.asarray(mu, dtype=np.float64)
-    mean = muv + (x0v - muv) * np.exp(-theta * tv)
-    var = sigma**2 / (2.0 * theta) * (1.0 - np.exp(-2.0 * theta * tv))
+    with np.errstate(over="ignore"):
+        # theta t beyond float64's range is inf, whose decay e^-inf = 0 is the limit
+        rate = theta * tv
+        var = 0.5 * sigma * (sigma * (-np.expm1(-2.0 * rate) / theta))
+    if not np.isfinite(var).all():
+        raise DomainError(f"the OU variance for sigma={sigma!r}, theta={theta!r} "
+                          "exceeds float64's range")
+    mean = muv + (x0v - muv) * np.exp(-rate)
     if mean.ndim == 0 and var.ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -353,6 +359,7 @@ def _chain_scalars(sched: SdeSchedule) -> tuple:
 
 
 _TRACKED_PIXELS = 4  # leading state elements whose forward path the demo records
+_ENSEMBLE = 16  # backward trajectories the demo averages
 
 
 @dataclass
@@ -367,7 +374,7 @@ class SdeDemoResult:
 def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | None = None,
                  encoding: PuEncoding | None = None,
                  mapping: DisplayMapping = DisplayMapping(),
-                 seed: int = 0, ensemble: int = 16) -> SdeDemoResult:
+                 seed: int = 0) -> SdeDemoResult:
     """Diagnostic run of the restoration SDE machinery (no learned score).
 
     The clean state is the PU-encoded ground truth, the mean-reversion target
@@ -376,18 +383,16 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     from the forward chain's closed-form statistics. Zero-noise schedules are
     reversed by exact algebraic inversion of each forward Euler step (the
     score is undefined at zero variance). Reports PU-space errors of the
-    decoded reconstruction.
+    decoded reconstruction, the mean of `_ENSEMBLE` backward trajectories.
 
     The simulation runs one tile of elements at a time, each a call of
     `forward_simulate` or `backward_simulate` with the tile's element offset,
     so its noise, and every output byte, equals a whole-image run's. A
-    backward tile holds `_LANE_CHUNK // ensemble` elements; the forward pass,
+    backward tile holds `_LANE_CHUNK // _ENSEMBLE` elements; the forward pass,
     one trajectory, takes `_LANE_CHUNK` elements a tile, after a first tile of
     the tracked elements alone that records their paths. Working memory is
     O(ensemble x tile + pixels), whatever the number of steps.
     """
-    if ensemble < 1:
-        raise DomainError(f"ensemble must be >= 1; got {ensemble!r}")
     schedule = sched or SdeSchedule.cosine()
     pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, encoding, mapping)
     u_gt = pu_gt / peak
@@ -416,8 +421,8 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
         decay, variances = _chain_scalars(schedule)
         gap = x0 - target
         restored_u = np.empty_like(x0)
-        tile = max(1, _LANE_CHUNK // ensemble)
-        work = np.empty((ensemble, tile))
+        tile = _LANE_CHUNK // _ENSEMBLE
+        work = np.empty((_ENSEMBLE, tile))
         for lo in range(0, x0.size, tile):
             hi = min(lo + tile, x0.size)
 
@@ -430,7 +435,7 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
                 return np.divide(out, -variances[step], out=out)
 
             finals = backward_simulate(x_end[lo:hi], target[lo:hi], schedule, score, seed=seed,
-                                       n_traj=ensemble, offset=lo)
+                                       n_traj=_ENSEMBLE, offset=lo)
             restored_u[lo:hi] = finals.mean(axis=0)
 
     restored_pu = np.clip(restored_u, 0.0, 1.0).reshape(u_gt.shape) * peak

@@ -171,7 +171,7 @@ def test_criterion_6_loss_suite():
     base = rng.uniform(0.05, 0.9, (16, 16, 3))
     for scale in (0.25, 4.0):
         value = color_loss(LinearImage((scale * base).astype(np.float32)),
-                           LinearImage(base.astype(np.float32)), eps=1e-8)
+                           LinearImage(base.astype(np.float32)))
         assert value <= 1e-6, f"scale {scale}: {value}"
 
     # additive weighted breakdown

@@ -220,6 +220,12 @@ class TestSimulate:
         assert (simulate_ldr(constant_image(top), 896.0, Crf("gamma")).data == 255).all()
         assert (simulate_ldr(constant_image(top), -2000.0, Crf("gamma")).data == 0).all()
 
+    def test_float64_input_overflowing_at_the_exposure_rejected(self):
+        data = np.full((2, 2, 3), 1e300)
+        with pytest.raises(DomainError, match="beyond float64's range"):
+            simulate_ldr(data, 100.0, Crf("gamma"))
+        assert (simulate_ldr(data, 0.0, Crf("gamma")).data == 255).all()
+
     def test_quantize_round_half_up(self):
         # the camera's last stage, floor(255 x + 0.5), on an array input with an identity CRF
         ldr = simulate_ldr(np.array([[[0.0, 0.5, 1.0], [127.5 / 255.0] * 3]]), 0.0, Crf("gamma"))

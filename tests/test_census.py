@@ -34,3 +34,28 @@ def test_a_new_public_name_without_a_reacher_is_listed(monkeypatch):
     orphan.__module__ = itmbench.sde.__name__
     monkeypatch.setattr(itmbench.sde, "orphan", orphan, raising=False)
     assert load_tool().unreached() == ["sde.orphan"]
+
+
+def test_static_and_class_method_defaults_are_settable(monkeypatch):
+    tool = load_tool()
+    public, settable = tool.census(itmbench.sde)
+
+    class Knobs:
+        @staticmethod
+        def make(a, b=1, c=2):
+            pass
+
+        @classmethod
+        def build(cls, d=3):
+            pass
+
+        def instance(self, e=4):
+            pass
+
+        @staticmethod
+        def _private(f=5):
+            pass
+
+    Knobs.__module__ = itmbench.sde.__name__
+    monkeypatch.setattr(itmbench.sde, "Knobs", Knobs, raising=False)
+    assert tool.census(itmbench.sde) == (public + 1, settable + 3)

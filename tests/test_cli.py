@@ -495,6 +495,7 @@ def test_analyze_losses_computes_each_term_once(tmp_path, rng, monkeypatch):
     assert len(calls) == 1
     doc = json.loads((out / "analysis.json").read_text())["losses"]
     assert doc["raw"] == expected
+    assert doc["weights"] == losses.WEIGHTS
     assert doc["total"] == pytest.approx(sum(doc["weighted"].values()), rel=1e-12)
 
 

@@ -381,6 +381,18 @@ class TestContainers:
         with pytest.raises(FormatError):
             LinearImage(np.full((1, 1, 3), np.inf, dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [1e300, -1e300, 3.5e38])
+    def test_float64_beyond_float32_range_rejected(self, value):
+        # the float32 cast's overflow is the FormatError, not a RuntimeWarning
+        with pytest.raises(FormatError, match="within float32's range"):
+            LinearImage(np.full((2, 2, 3), value))
+        with pytest.raises(FormatError, match="within float32's range"):
+            LinearImage(np.array([[[value, np.inf, 0.0]]]))
+
+    def test_float64_at_the_largest_float32_accepted(self):
+        top = float(np.finfo(np.float32).max)
+        assert (LinearImage(np.full((1, 1, 3), top)).data == np.float32(top)).all()
+
     def test_linear_image_shape_checked(self):
         with pytest.raises(ShapeError):
             LinearImage(np.zeros((4, 4), dtype=np.float32))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmbench.camera import Crf, simulate_ldr
-from itmbench.errors import DomainError
+from itmbench.errors import DomainError, FormatError
 from itmbench.image_io import LinearImage, Ldr8Image
 from itmbench.operators import (MaskParams, MaskTriple, _thresholds, blurred_luminance,
                                 exposure_masks, fuse_exposures, naive_expand,
@@ -192,6 +192,11 @@ class TestResidualProject:
         img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
         with pytest.raises(DomainError, match="residual must be finite"):
             residual_project(img, gain, np.full((2, 2), value))
+
+    def test_output_beyond_float32_range_rejected(self):
+        img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
+        with pytest.raises(FormatError, match="within float32's range"):
+            residual_project(img, 1.0, np.full((2, 2), 1e308))
 
 
 class TestNaiveExpand:

@@ -30,6 +30,15 @@ class TestSchedule:
         # theta ramps monotonically under the half-cosine
         assert all(a <= b for a, b in zip(sched.theta, sched.theta[1:]))
 
+    def test_cosine_constants(self):
+        # theta from 0.1 to 2.0 at dt 0.05, stationary standard deviation 0.1
+        sched = SdeSchedule.cosine(steps=2)
+        assert sched.dt == 0.05
+        assert sched.theta == pytest.approx((0.1 + 0.95 * (1 - np.cos(np.pi / 4)),
+                                             0.1 + 0.95 * (1 - np.cos(3 * np.pi / 4))), rel=1e-15)
+        assert sched.sigma == pytest.approx(tuple(0.1 * np.sqrt(2 * t) for t in sched.theta),
+                                            rel=1e-15)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SdeSchedule((0.0,), (0.1,), 0.01)
@@ -147,6 +156,17 @@ class TestOuMoments:
     def test_validation(self):
         with pytest.raises(DomainError):
             ou_moments(0.0, 0.0, 0.0, 1.0, 1.0)
+
+    def test_huge_theta_at_time_zero(self):
+        # 2 theta is beyond float64's range; the variance is 0 at t = 0, not NaN
+        assert ou_moments(1.0, 0.0, 1e308, 1.0, 0.0) == (1.0, 0.0)
+        mean, var = ou_moments(1.0, 0.0, 1e308, 1e200, 2.0)
+        assert mean == 0.0
+        assert var == pytest.approx(5e91, rel=1e-15)  # sigma^2 / (2 theta)
+
+    def test_huge_sigma_variance_beyond_float64_is_domain_error(self):
+        with pytest.raises(DomainError, match="exceeds float64's range"):
+            ou_moments(1.0, 0.0, 1.0, 1e200, 1.0)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), np.array([0.5, np.nan])])
     def test_non_finite_time_rejected(self, t):
@@ -520,17 +540,6 @@ class TestArgumentValidation:
             backward_simulate(0.0, 0.0, sched, lambda x, s: 0.0, n_traj=0)
         with pytest.raises(DomainError):
             backward_simulate(np.zeros((0, 3)), np.zeros(3), sched, lambda x, s: 0.0)
-
-    def test_demo_rejects_empty_ensemble(self, rng):
-        gt = LinearImage(rng.uniform(0.05, 1.0, (8, 8, 3)).astype(np.float32))
-        with pytest.raises(DomainError):
-            itm_sde_demo(gt, gt, sched=SdeSchedule.cosine(steps=5), ensemble=0)
-        # a zero-noise schedule is inverted without an ensemble, which must not hide it
-        degraded = LinearImage(np.minimum(gt.data, 0.5))
-        for ensemble in (0, -3):
-            with pytest.raises(DomainError, match="ensemble must be >= 1"):
-                itm_sde_demo(degraded, gt, sched=SdeSchedule.constant(1.0, 0.0, 0.01, 5),
-                             ensemble=ensemble)
 
     def test_negative_seed_rejected(self):
         sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)

@@ -7,7 +7,8 @@ For each module of the package it prints two counts:
   start with an underscore. Exception classes are the error vocabulary, not
   API surface, and are not counted, so `errors` has nothing to count.
 - settable: the fields of its public dataclasses plus the parameters with a
-  default of its public module-level functions (methods are not counted).
+  default of its public module-level functions and of the public static and
+  class methods of its public classes (instance methods are not counted).
 
 Modules with nothing to count are left out; the last line is the total. To
 compare two source trees, run against each and diff the outputs:
@@ -56,8 +57,11 @@ def census(module) -> tuple:
     """(public, settable) counts of one module."""
     public = list(public_names(module).values())
     fields = sum(len(dataclasses.fields(obj)) for obj in public if dataclasses.is_dataclass(obj))
-    defaults = sum(1 for obj in public if inspect.isfunction(obj)
-                   for p in inspect.signature(obj).parameters.values()
+    methods = [attr.__func__ for cls in public if inspect.isclass(cls)
+               for name, attr in vars(cls).items()
+               if not name.startswith("_") and isinstance(attr, (staticmethod, classmethod))]
+    defaults = sum(1 for fn in [obj for obj in public if inspect.isfunction(obj)] + methods
+                   for p in inspect.signature(fn).parameters.values()
                    if p.default is not p.empty)
     return len(public), fields + defaults
 
