@@ -43,7 +43,7 @@ def _demo_fixture() -> tuple:
 
 def _write_error_map(err: np.ndarray, path: Path):
     """Write a 2-D error map as a PFM whose three channels are equal."""
-    write_pfm(LinearImage(np.repeat(err[..., None], 3, axis=-1).astype(np.float32)), path)
+    write_pfm(LinearImage(np.repeat(err.astype(np.float32)[..., None], 3, axis=-1)), path)
 
 
 def _cmd_synthesize(args, cfg: Config, out: Path) -> int:

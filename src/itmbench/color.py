@@ -25,12 +25,24 @@ def as_unit(v, name: str) -> np.ndarray:
     return arr
 
 
-def as_radiance(x, name: str) -> np.ndarray:
-    """`x` (a LinearImage or an array) as float64; non-finite or negative is a DomainError."""
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
+def _radiance(x, name: str) -> np.ndarray:
+    """`x` (a LinearImage or an array) checked like `as_radiance`, not converted.
+
+    Boolean, integer and float data up to 64 bits keep their dtype: each
+    caller's first operation upcasts with `dtype=np.float64` into a buffer it
+    owns, which gives the bits a float64 copy would. Other data is converted.
+    """
+    arr = np.asarray(getattr(x, "data", x))
+    if arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
+        arr = arr.astype(np.float64)
     if not np.isfinite(arr).all() or (arr < 0).any():
         raise DomainError(f"{name} must be finite and non-negative")
     return arr
+
+
+def as_radiance(x, name: str) -> np.ndarray:
+    """`x` (a LinearImage or an array) as float64; non-finite or negative is a DomainError."""
+    return np.asarray(_radiance(x, name), dtype=np.float64)
 
 
 def check_same_shape(a, b) -> None:
@@ -40,20 +52,32 @@ def check_same_shape(a, b) -> None:
         raise ShapeError(f"image shapes differ: {sa} vs {sb}")
 
 
-def radiance_pair(a, b, name: str) -> tuple:
-    """`as_radiance` of two images of one shape."""
-    check_same_shape(a, b)
-    return as_radiance(a, name), as_radiance(b, name)
-
-
 def luminance(rgb):
     """Rec.709 luminance 0.2126 R + 0.7152 G + 0.0722 B of a LinearImage or (..., 3) array."""
-    arr = as_radiance(rgb, "luminance components")
+    out = _luma(_radiance(rgb, "luminance components"))
+    return out if out.ndim else float(out)
+
+
+def _luma(arr: np.ndarray, mapping: DisplayMapping | None = None) -> np.ndarray:
+    """Rec.709 luminance of checked (..., 3) data, one channel at a time, in a new float64 array.
+
+    Each channel is upcast (and display-mapped as `to_display_luminance` maps
+    it, when `mapping` is given), weighted, and added left to right.
+    """
     if arr.shape[-1] != 3:
         raise DomainError("luminance expects RGB triples on the last axis")
-    r, g, b = LUMA_WEIGHTS
-    out = r * arr[..., 0] + g * arr[..., 1] + b * arr[..., 2]
-    return out if out.ndim else float(out)
+    out, term = np.empty(arr.shape[:-1]), np.empty(arr.shape[:-1])
+    for k, weight in enumerate(LUMA_WEIGHTS):
+        channel = term if k else out
+        if mapping is None:
+            np.multiply(arr[..., k], weight, out=channel, dtype=np.float64)
+        else:
+            np.multiply(arr[..., k], mapping.scale, out=channel, dtype=np.float64)
+            np.maximum(channel, mapping.black_floor, out=channel)
+            channel *= weight
+        if k:
+            out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,8 +99,10 @@ def mu_law(x, params: MuLawParams = MuLawParams()):
     is the log10 PU approximation log10(1 + c*x) / log10(1 + c), c = 10000,
     of `losses.ssim_pu_loss`.
     """
-    arr = as_radiance(x, "mu-law input")
-    out = np.log1p(params.mu * arr) / np.log1p(params.mu)
+    arr = _radiance(x, "mu-law input")
+    out = np.multiply(arr, params.mu, out=np.empty(arr.shape), dtype=np.float64)
+    np.log1p(out, out=out)
+    out /= np.log1p(params.mu)
     return out if out.ndim else float(out)
 
 

@@ -449,10 +449,9 @@ def read_pfm(path) -> LinearImage:
 
 def write_pfm(image: LinearImage, path):
     """Write a color PFM file (little-endian, scale -1.0, bottom-up rows). Lossless."""
-    header = f"PF\n{image.width} {image.height}\n-1.0\n".encode("ascii")
-    body = image.data[::-1].astype("<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(f"PF\n{image.width} {image.height}\n-1.0\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(image.data[::-1], dtype="<f4"))
 
 
 # The one suffix -> codec table for linear images; values are the codec

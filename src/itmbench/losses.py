@@ -6,6 +6,11 @@ log/color eps 1e-8, mu-law mu 5000 for `recon_loss` and 10^4 for
 `ssim_pu_loss`, UPF patch 16, focal gamma 1.5, 64 histogram bins of sigma
 0.1, and the objective's weights in `WEIGHTS`. The VGG perceptual term is
 accepted as an externally supplied scalar, never computed.
+
+Each term checks its images without converting them: a float32 image is not
+copied to float64. The term's first operation upcasts into an array the term
+owns, and the rest runs in place on it, so no caller array is written and
+the values are those of a float64 copy, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .color import MuLawParams, as_radiance, luminance, mu_law, radiance_pair
+from .color import MuLawParams, _radiance, check_same_shape, luminance, mu_law
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -41,20 +46,23 @@ def recon_loss(preds, gt) -> float:
     if not preds:
         raise DomainError("recon_loss needs at least one stage output")
     n = len(preds)
-    gt_c = mu_law(as_radiance(gt, "loss inputs"), _RECON_MU)
+    gt_c = mu_law(_radiance(gt, "loss inputs"), _RECON_MU)
     total = 0.0
     for i, pred in enumerate(preds, start=1):
-        a = as_radiance(pred, "loss inputs")
+        a = _radiance(pred, "loss inputs")
         if a.shape != gt_c.shape:
             raise ShapeError("stage output shape does not match ground truth")
-        total += (i / n) * float(np.mean(np.abs(mu_law(a, _RECON_MU) - gt_c)))
+        diff = mu_law(a, _RECON_MU)
+        diff -= gt_c
+        total += (i / n) * float(np.mean(np.abs(diff, out=diff)))
     return total
 
 
 def linear_l1(pred, gt) -> float:
     """Mean absolute error in linear space."""
-    a, b = radiance_pair(pred, gt, "loss inputs")
-    return float(np.mean(np.abs(a - b)))
+    a, b = _pair(pred, gt)
+    diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 def denoise_loss(denoised, gt) -> float:
@@ -64,7 +72,7 @@ def denoise_loss(denoised, gt) -> float:
 
 def ssim_pu_loss(pred, gt) -> float:
     """1 - SSIM on PU-approximated luminance (`mu_law`, c = mu = 10000), shared SSIM kernel."""
-    a, b = radiance_pair(pred, gt, "loss inputs")
+    a, b = _pair(pred, gt)
     la = mu_law(luminance(a), _SSIM_PU)
     lb = mu_law(luminance(b), _SSIM_PU)
     return 1.0 - ssim_mean(la, lb, data_range=1.0)
@@ -72,27 +80,48 @@ def ssim_pu_loss(pred, gt) -> float:
 
 def color_loss(pred, gt) -> float:
     """L1 over the three log-ratio channels R/G, G/B, B/R; invariant to global exposure."""
-    a, b = radiance_pair(pred, gt, "loss inputs")
+    a, b = _pair(pred, gt)
     if a.shape[-1] != 3:
         raise ShapeError("color_loss expects RGB images")
 
     def ratios(img):
-        r, g, bl = img[..., 0] + EPS_LOG, img[..., 1] + EPS_LOG, img[..., 2] + EPS_LOG
-        return np.stack([np.log(r / g), np.log(g / bl), np.log(bl / r)])
+        # planes r, g, b (+ EPS_LOG, upcast) become log(r/g), log(g/b), log(b/r) in place
+        out = np.empty((3,) + img.shape[:-1])
+        for k in range(3):
+            np.add(img[..., k], EPS_LOG, out=out[k, ...], dtype=np.float64)
+        r = out[0].copy()
+        out[0] /= out[1]
+        out[1] /= out[2]
+        out[2] /= r
+        return np.log(out, out=out)
 
-    return float(np.mean(np.abs(ratios(a) - ratios(b))))
+    diff = ratios(a)
+    diff -= ratios(b)
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 def tv_loss(pred) -> float:
     """Anisotropic total variation: mean |forward horizontal diff| + mean |vertical diff|."""
-    a = as_radiance(pred, "loss inputs")
-    dh = np.abs(np.diff(a, axis=1))
-    dv = np.abs(np.diff(a, axis=0))
-    return float(np.mean(dh) + np.mean(dv))
+    a = _radiance(pred, "loss inputs")
+    return float(np.mean(_abs_diff(a[:, 1:], a[:, :-1])) + np.mean(_abs_diff(a[1:], a[:-1])))
+
+
+def _pair(pred, gt) -> tuple:
+    """Two loss inputs of one shape, checked and not converted."""
+    check_same_shape(pred, gt)
+    return _radiance(pred, "loss inputs"), _radiance(gt, "loss inputs")
+
+
+def _abs_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """|hi - lo| upcast to float64, in one new array (with shifted views, |np.diff|)."""
+    diff = np.subtract(hi, lo, dtype=np.float64)
+    return np.abs(diff, out=diff)
 
 
 def _log_luminance(img: np.ndarray) -> np.ndarray:
-    return np.log(luminance(img) + EPS_LOG)
+    lum = luminance(img)
+    lum += EPS_LOG
+    return np.log(lum, out=lum)
 
 
 def upf_loss(pred, gt) -> float:
@@ -111,7 +140,7 @@ def upf_loss(pred, gt) -> float:
     memory does not grow with the image; an image whose every vote underflows
     (its log luminance far from every center) is a DomainError.
     """
-    a, b = radiance_pair(pred, gt, "loss inputs")
+    a, b = _pair(pred, gt)
     la, lb = _log_luminance(a), _log_luminance(b)
     h, w = la.shape
     p = _UPF_PATCH
@@ -119,11 +148,15 @@ def upf_loss(pred, gt) -> float:
         raise ShapeError(f"image smaller than the {p}px patch")
 
     # focal Charbonnier over full patches (trailing partial tiles dropped)
-    d = la - lb
-    rho = np.sqrt(d * d + EPS_CHARB**2) - EPS_CHARB
+    rho = la - lb  # sqrt(d * d + eps^2) - eps, in place
+    np.multiply(rho, rho, out=rho)
+    rho += EPS_CHARB**2
+    np.sqrt(rho, out=rho)
+    rho -= EPS_CHARB
     ph, pw = h // p, w // p
     tiles = rho[:ph * p, :pw * p].reshape(ph, p, pw, p)
     patch_err = tiles.mean(axis=(1, 3))
+    del rho, tiles
     peak = patch_err.max()
     if peak > 0:
         weights = (patch_err / peak) ** _UPF_FOCAL_GAMMA
@@ -161,8 +194,16 @@ def upf_loss(pred, gt) -> float:
         hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb))))
 
     # edge-aware smoothness on log luminance
-    sm_h = np.mean(np.abs(np.diff(la, axis=1)) * np.exp(-np.abs(np.diff(lb, axis=1))))
-    sm_v = np.mean(np.abs(np.diff(la, axis=0)) * np.exp(-np.abs(np.diff(lb, axis=0))))
+    def smoothness(hi, lo):
+        # mean(|grad la| * exp(-|grad lb|)) in two buffers
+        grad = _abs_diff(la[hi], la[lo])
+        edge = _abs_diff(lb[hi], lb[lo])
+        np.negative(edge, out=edge)
+        grad *= np.exp(edge, out=edge)
+        return np.mean(grad)
+
+    sm_h = smoothness(np.s_[:, 1:], np.s_[:, :-1])
+    sm_v = smoothness(np.s_[1:], np.s_[:-1])
     smooth = 0.5 * float(sm_h + sm_v)
 
     return charb + hist + smooth

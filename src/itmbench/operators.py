@@ -87,7 +87,7 @@ def blurred_luminance(image, kernel: int) -> np.ndarray:
     """Box-filtered luminance with edge replication; kernel must be odd."""
     if kernel < 1 or kernel % 2 == 0:
         raise DomainError("kernel must be odd and >= 1")
-    lum = luminance(np.asarray(image.data, dtype=np.float64))
+    lum = luminance(image.data)
     if kernel == 1:
         return lum
     return _edge_box_mean(_edge_box_mean(lum, kernel // 2).T, kernel // 2).T
@@ -135,7 +135,11 @@ def residual_project(image, gain: float, residual) -> LinearImage:
         raise DomainError("residual must be finite")
     if res.ndim == 2:
         res = res[..., None]
-    out = data * (1.0 + gain * res)
+    try:
+        with np.errstate(over="raise"):
+            out = data * (1.0 + gain * res)
+    except FloatingPointError:
+        raise DomainError("the residual takes the image beyond float64's range") from None
     return LinearImage(np.maximum(out, 0.0))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import DisplayMapping, as_radiance, check_same_shape, luminance, to_display_luminance
+from .color import DisplayMapping, _luma, _radiance, check_same_shape, to_display_luminance
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
@@ -176,10 +176,12 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
     when `luma` is set; peak is the PU value of the display peak.
     """
     def encode(image):
-        # the mapping and the luma are new arrays: the PU encode overwrites the last of them
-        display = to_display_luminance(image, mapping)
+        # the display field is a new array, which the PU encode overwrites; the luma
+        # is display-mapped and weighted one channel at a time, with no RGB display
         if luma:
-            display = luminance(display)
+            display = _luma(_radiance(image, "display mapping input"), mapping)
+        else:
+            display = to_display_luminance(image, mapping)
         return _encode_owned(display, encoding or PuEncoding.default())
 
     check_same_shape(pred, gt)
@@ -207,8 +209,8 @@ def pu_ssim(pred, gt, encoding: PuEncoding | None = None,
 def rmse_linear(pred, gt) -> float:
     """Root mean square error in the linear HDR domain."""
     check_same_shape(pred, gt)
-    # numpy forms the difference in the left operand when that is a fresh float64 copy
-    diff = as_radiance(pred, "linear RMSE inputs") - as_radiance(gt, "linear RMSE inputs")
+    a, b = _radiance(pred, "linear RMSE inputs"), _radiance(gt, "linear RMSE inputs")
+    diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
     diff **= 2
     return float(np.sqrt(np.mean(diff)))
 

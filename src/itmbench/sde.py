@@ -307,8 +307,11 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
 
 
 def ou_moments(x0, mu, theta: float, sigma: float, t):
-    """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t; a
-    variance beyond float64's range is a DomainError, and no smaller one overflows."""
+    """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t.
+
+    Non-finite states, and an x0 - mu or a variance beyond float64's range,
+    are a DomainError; nothing smaller overflows (the mean lies between mu
+    and x0)."""
     tv = np.asarray(t, dtype=np.float64)
     if not (0 < theta < np.inf and 0 <= sigma < np.inf and np.isfinite(tv).all()
             and (tv >= 0).all()):
@@ -316,14 +319,19 @@ def ou_moments(x0, mu, theta: float, sigma: float, t):
                           "and t finite and non-negative")
     x0v = np.asarray(x0, dtype=np.float64)
     muv = np.asarray(mu, dtype=np.float64)
+    if not (np.isfinite(x0v).all() and np.isfinite(muv).all()):
+        raise DomainError("x0 and mu must be finite")
     with np.errstate(over="ignore"):
         # theta t beyond float64's range is inf, whose decay e^-inf = 0 is the limit
         rate = theta * tv
         var = 0.5 * sigma * (sigma * (-np.expm1(-2.0 * rate) / theta))
+        gap = x0v - muv
     if not np.isfinite(var).all():
         raise DomainError(f"the OU variance for sigma={sigma!r}, theta={theta!r} "
                           "exceeds float64's range")
-    mean = muv + (x0v - muv) * np.exp(-rate)
+    if not np.isfinite(gap).all():
+        raise DomainError("x0 - mu exceeds float64's range")
+    mean = muv + gap * np.exp(-rate)
     if mean.ndim == 0 and var.ndim == 0:
         return float(mean), float(var)
     return mean, var

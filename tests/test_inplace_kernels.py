@@ -1,7 +1,9 @@
 """The in-place image kernels against frozen copies of their one-expression forms.
 
-`pu21`, `analysis` and `camera` compute their hot kernels in work buffers they
-allocate themselves. Three things are pinned here:
+`color`, `pu21`, `analysis`, `camera` and `losses` compute their hot kernels in
+work buffers they allocate themselves; the color and loss kernels, the luma
+path of `pu_fields` and `rmse_linear` read float32 (or integer) data as it is
+and upcast it in their first operation. Three things are pinned here:
 
 - no public function writes an array its caller passed in (`as_radiance` and
   `as_unit` hand a float64 array through without copying it);
@@ -16,12 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from itmbench import losses
 from itmbench.analysis import error_map
 from itmbench.camera import Crf, NoiseParams, simulate_ldr
-from itmbench.color import DisplayMapping, luminance
+from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law
 from itmbench.image_io import LinearImage, _rgbe_decode_rows
 from itmbench.pu21 import (PuEncoding, _pu_forward, _windowed_mean, _gaussian_window,
-                           pu_encode, pu_psnr, pu_ssim, rmse_linear, ssim_mean)
+                           pu_encode, pu_fields, pu_psnr, pu_ssim, rmse_linear, ssim_mean)
 
 CRFS = [Crf("gamma"), Crf("gamma", gamma=0.45), Crf("gamma", gamma=2.0),
         Crf("sigmoid", n=0.9, sigma_c=0.6), Crf("table", table=np.linspace(0, 1, 256) ** 0.7)]
@@ -56,17 +59,90 @@ def frozen_ssim_mean(x, y, data_range):
     return float(ssim_map.mean())
 
 
+def f64(image):
+    return np.asarray(getattr(image, "data", image), dtype=np.float64)
+
+
+def frozen_luminance(rgb):
+    arr = f64(rgb)
+    out = 0.2126 * arr[..., 0] + 0.7152 * arr[..., 1] + 0.0722 * arr[..., 2]
+    return out if out.ndim else float(out)
+
+
+def frozen_mu_law(x, mu):
+    out = np.log1p(mu * f64(x)) / np.log1p(mu)
+    return out if out.ndim else float(out)
+
+
 def frozen_fields(pred, gt, luma, mapping=DisplayMapping()):
     enc = PuEncoding.default()
 
     def encode(image):
-        arr = np.asarray(getattr(image, "data", image), dtype=np.float64)
-        display = np.maximum(arr * mapping.scale, mapping.black_floor)
+        display = np.maximum(f64(image) * mapping.scale, mapping.black_floor)
         if luma:
-            display = luminance(display)
+            display = frozen_luminance(display)
         return frozen_pu_encode(display, enc)
 
     return encode(pred), encode(gt), float(frozen_pu_encode(mapping.peak_luminance, enc))
+
+
+def frozen_recon_loss(preds, gt):
+    gt_c = frozen_mu_law(gt, 5000.0)
+    return sum((i / len(preds)) * float(np.mean(np.abs(frozen_mu_law(p, 5000.0) - gt_c)))
+               for i, p in enumerate(preds, start=1))
+
+
+def frozen_linear_l1(pred, gt):
+    return float(np.mean(np.abs(f64(pred) - f64(gt))))
+
+
+def frozen_ssim_pu_loss(pred, gt):
+    la, lb = (frozen_mu_law(frozen_luminance(x), 10000.0) for x in (pred, gt))
+    return 1.0 - frozen_ssim_mean(la, lb, data_range=1.0)
+
+
+def frozen_color_loss(pred, gt):
+    def ratios(img):
+        r, g, bl = img[..., 0] + 1e-8, img[..., 1] + 1e-8, img[..., 2] + 1e-8
+        return np.stack([np.log(r / g), np.log(g / bl), np.log(bl / r)])
+
+    return float(np.mean(np.abs(ratios(f64(pred)) - ratios(f64(gt)))))
+
+
+def frozen_tv_loss(pred):
+    a = f64(pred)
+    return float(np.mean(np.abs(np.diff(a, axis=1))) + np.mean(np.abs(np.diff(a, axis=0))))
+
+
+def frozen_upf_loss(pred, gt):
+    la, lb = (np.log(frozen_luminance(x) + 1e-8) for x in (pred, gt))
+    h, w = la.shape
+    d = la - lb
+    rho = np.sqrt(d * d + 1e-3**2) - 1e-3
+    patch_err = rho[:h // 16 * 16, :w // 16 * 16].reshape(h // 16, 16, w // 16, 16).mean(axis=(1, 3))
+    peak = patch_err.max()
+    charb = float(np.mean((patch_err / peak) ** 1.5 * patch_err)) if peak > 0 else 0.0
+    lo, hi = min(la.min(), lb.min()), max(la.max(), lb.max())
+    centers = np.linspace(lo, hi, 64)
+
+    def soft_hist(x):  # the whole (pixels, bins) vote matrix, summed row after row
+        votes = np.exp((x.ravel()[:, None] - centers) ** 2 / -(2.0 * 0.1**2))
+        return votes.sum(axis=0) / votes.sum(axis=0).sum()
+
+    hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb)))) if hi - lo >= 1e-12 else 0.0
+    sm_h = np.mean(np.abs(np.diff(la, axis=1)) * np.exp(-np.abs(np.diff(lb, axis=1))))
+    sm_v = np.mean(np.abs(np.diff(la, axis=0)) * np.exp(-np.abs(np.diff(lb, axis=0))))
+    return charb + hist + 0.5 * float(sm_h + sm_v)
+
+
+FROZEN_LOSSES = {"recon_loss": lambda p, g: frozen_recon_loss([p, g, p], g),
+                 "linear_l1": frozen_linear_l1, "denoise_loss": frozen_linear_l1,
+                 "ssim_pu_loss": frozen_ssim_pu_loss, "color_loss": frozen_color_loss,
+                 "tv_loss": lambda p, g: frozen_tv_loss(p), "upf_loss": frozen_upf_loss}
+LOSSES = {"recon_loss": lambda p, g: losses.recon_loss([p, g, p], g),
+          "linear_l1": losses.linear_l1, "denoise_loss": losses.denoise_loss,
+          "ssim_pu_loss": losses.ssim_pu_loss, "color_loss": losses.color_loss,
+          "tv_loss": lambda p, g: losses.tv_loss(p), "upf_loss": losses.upf_loss}
 
 
 def frozen_rgbe_decode(rgbe):
@@ -101,6 +177,17 @@ def lognormal_pair(rng, size, dtype=np.float32):
     shape = (size, size, 3)
     return (rng.lognormal(-1.5, 1.2, shape).astype(dtype),
             rng.lognormal(-1.5, 1.2, shape).astype(dtype))
+
+
+def typed_pair(rng, dtype, shape=(40, 57, 3)):
+    """A pred/gt pair as a file gives it (float32 LinearImages), as float64 or as uint8 arrays."""
+    if dtype == np.uint8:
+        return tuple(rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(2))
+    a, b = (rng.lognormal(-1.5, 1.2, shape).astype(dtype) for _ in range(2))
+    return (LinearImage(a), LinearImage(b)) if dtype == np.float32 else (a, b)
+
+
+DTYPES = [np.float32, np.float64, np.uint8]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +252,44 @@ def test_scores_match_one_expression(rng, dtype):
     assert rmse_linear(pred, gt) == float(np.sqrt(np.mean((da - db) ** 2)))
 
 
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+def test_color_kernels_match_one_expression(rng, dtype):
+    pred, gt = typed_pair(rng, dtype)
+    assert same_bits(luminance(pred), frozen_luminance(pred))
+    for mu in (5000.0, 10000.0):
+        assert same_bits(mu_law(gt, MuLawParams(mu)), frozen_mu_law(gt, mu))
+    triple = np.asarray(getattr(pred, "data", pred))[3, 5]
+    assert luminance(triple) == frozen_luminance(triple)
+    assert mu_law(triple[0]) == frozen_mu_law(triple[0], 5000.0)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", sorted(LOSSES))
+def test_loss_terms_match_one_expression(rng, dtype, name):
+    pred, gt = typed_pair(rng, dtype)
+    assert LOSSES[name](pred, gt) == FROZEN_LOSSES[name](pred, gt)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+def test_total_loss_matches_one_expression(rng, dtype):
+    pred, gt = typed_pair(rng, dtype, shape=(32, 48, 3))
+    _, _, raw = losses.total_loss([pred], pred, gt)
+    want = {name: FROZEN_LOSSES[name + "_loss"](pred, gt)
+            for name in ("ssim_pu", "color", "tv", "upf")}
+    want.update(recon=frozen_recon_loss([pred], gt), linear=frozen_linear_l1(pred, gt),
+                denoise=frozen_linear_l1(pred, gt))
+    assert raw == want
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+def test_luma_fields_and_rmse_match_one_expression(rng, dtype):
+    pred, gt = typed_pair(rng, dtype)
+    la, lb, peak = pu_fields(pred, gt, luma=True)
+    fa, fb, fpeak = frozen_fields(pred, gt, luma=True)
+    assert same_bits(la, fa) and same_bits(lb, fb) and peak == fpeak
+    assert rmse_linear(pred, gt) == float(np.sqrt(np.mean((f64(pred) - f64(gt)) ** 2)))
+
+
 @pytest.mark.parametrize("crf", CRFS, ids=lambda c: c.family)
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
 def test_simulate_ldr_matches_one_expression(rng, crf, sigma):
@@ -180,21 +305,28 @@ def test_simulate_ldr_matches_one_expression(rng, crf, sigma):
 
 
 def test_caller_arrays_are_not_written(rng):
-    a, b = lognormal_pair(rng, 24, np.float64)
     unit = rng.uniform(0.0, 1.0, (24, 24, 3))
     fields = rng.uniform(0.0, 600.0, (2, 24, 24))
-    kept = [arr.copy() for arr in (a, b, unit, fields)]
-    pu_psnr(a, b)
-    pu_ssim(a, b)
-    rmse_linear(a, b)
-    error_map(a, b)
-    pu_encode(a)
-    ssim_mean(fields[0], fields[1], 600.0)
-    simulate_ldr(a, 0.5, Crf("sigmoid", n=0.9, sigma_c=0.6), NoiseParams(0.01), seed=3)
-    for crf in CRFS:
-        crf.apply(unit)
-    for arr, copy in zip((a, b, unit, fields), kept):
-        assert same_bits(arr, copy)
+    for dtype in (np.float32, np.float64):
+        a, b = lognormal_pair(rng, 24, dtype)
+        kept = [arr.copy() for arr in (a, b, unit, fields)]
+        pu_psnr(a, b)
+        pu_ssim(a, b)
+        pu_fields(a, b, luma=True)
+        rmse_linear(a, b)
+        error_map(a, b)
+        pu_encode(a)
+        luminance(a)
+        mu_law(a)
+        losses.total_loss([a, b], a, b)
+        for loss in LOSSES.values():
+            loss(a, b)
+        ssim_mean(fields[0], fields[1], 600.0)
+        simulate_ldr(a, 0.5, Crf("sigmoid", n=0.9, sigma_c=0.6), NoiseParams(0.01), seed=3)
+        for crf in CRFS:
+            crf.apply(unit)
+        for arr, copy in zip((a, b, unit, fields), kept):
+            assert same_bits(arr, copy)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +344,15 @@ def traced_peak(run) -> int:
 
 
 # bound per call, in float64 RGB images; the one-expression kernels read 6.0 (pu_psnr,
-# simulate_ldr), 4.06 (pu_ssim), 3.33 (error_map) and 3.0 (rmse_linear) on these inputs
-PEAK_BOUNDS = {"pu_psnr": 3.5, "simulate_ldr": 3.5, "pu_ssim": 3.5, "error_map": 2.5,
-               "rmse_linear": 2.5}
+# simulate_ldr), 4.06 (pu_ssim), 3.33 (error_map) and 3.0 (rmse_linear) on these inputs.
+# Taking a float64 copy of each input, then upcasting per operation instead, they read:
+# total_loss 6.0 -> 2.86, color_loss 6.0 -> 2.33, ssim_pu_loss 4.86 -> 2.86, upf_loss
+# 4.33 -> 1.42, recon_loss 4.0 -> 2.04, linear_l1 and tv_loss 4.0 -> 1.08, rmse_linear
+# 2.13 -> 1.08 and error_map 2.0 -> 1.04
+PEAK_BOUNDS = {"pu_psnr": 3.5, "simulate_ldr": 3.5, "pu_ssim": 3.5, "error_map": 1.5,
+               "rmse_linear": 1.5, "total_loss": 3.5, "recon_loss": 2.5, "linear_l1": 1.5,
+               "denoise_loss": 1.5, "ssim_pu_loss": 3.5, "color_loss": 3.0, "tv_loss": 1.5,
+               "upf_loss": 2.0}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_BOUNDS))
@@ -228,6 +366,11 @@ def test_traced_peak_at_256(rng, name):
         "error_map": lambda: error_map(pred, gt),
         "rmse_linear": lambda: rmse_linear(pred, gt),
         "simulate_ldr": lambda: simulate_ldr(pred, 0.5, crf, NoiseParams(0.01), seed=3),
+        "total_loss": lambda: losses.total_loss([pred], pred, gt),
+        "recon_loss": lambda: losses.recon_loss([pred], gt),
+        "tv_loss": lambda: losses.tv_loss(pred),
+        **{name: (lambda f=getattr(losses, name): f(pred, gt))
+           for name in ("linear_l1", "denoise_loss", "ssim_pu_loss", "color_loss", "upf_loss")},
     }
     image_bytes = 256 * 256 * 3 * 8
     assert traced_peak(calls[name]) <= PEAK_BOUNDS[name] * image_bytes

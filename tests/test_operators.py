@@ -198,6 +198,12 @@ class TestResidualProject:
         with pytest.raises(FormatError, match="within float32's range"):
             residual_project(img, 1.0, np.full((2, 2), 1e308))
 
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_product_beyond_float64_range_is_domain_error(self, value):
+        img = LinearImage(np.full((2, 2, 3), 4.0, dtype=np.float32))
+        with pytest.raises(DomainError, match="beyond float64's range"):
+            residual_project(img, 1.0, np.full((2, 2), value))
+
 
 class TestNaiveExpand:
     def test_endpoints_identity_crf(self):

@@ -181,6 +181,25 @@ class TestOuMoments:
         with pytest.raises(DomainError, match="theta must be finite and positive, sigma finite"):
             ou_moments(1.0, 0.0, theta, sigma, t)
 
+    @pytest.mark.parametrize("x0, mu", [(float("nan"), 0.0), (0.0, float("nan")),
+                                        (float("inf"), 0.0), (0.0, -float("inf")),
+                                        (np.array([1.0, np.nan]), 0.0)])
+    def test_states_must_be_finite(self, x0, mu):
+        with pytest.raises(DomainError, match="x0 and mu must be finite"):
+            ou_moments(x0, mu, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x0, mu", [(1e308, -1e308), (-1e308, 1e308),
+                                        (np.array([0.0, 1e308]), -1e308)])
+    def test_gap_beyond_float64_is_domain_error(self, x0, mu):
+        with pytest.raises(DomainError, match="x0 - mu exceeds float64's range"):
+            ou_moments(x0, mu, 1.0, 1.0, 1.0)
+
+    def test_largest_finite_gap_is_accepted(self):
+        top = np.finfo(np.float64).max
+        assert ou_moments(top, 0.0, 1.0, 1.0, 0.0) == (top, 0.0)
+        mean, _ = ou_moments(top / 2, -top / 2, 1.0, 1.0, 1e9)
+        assert mean == -top / 2
+
 
 class TestBackward:
     def test_zero_noise_zero_score_recurrence(self):
