@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import as_radiance, as_unit, luminance
+from .color import _overflow_raises, as_radiance, as_unit, luminance
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
                        ordered_map, read_linear, write_ldr8, write_linear)
@@ -203,12 +203,10 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     """
     if not (-np.inf < ev <= _EV_MAX):
         raise DomainError(f"exposure ev must be finite and at most {_EV_MAX:g}; got {ev!r}")
-    try:  # float32 data cannot overflow below _EV_MAX, but float64 data can
-        with np.errstate(over="raise"):
-            # a float32 image's copy is reused: numpy elides the unnamed temporary
-            exposed = as_radiance(hdr, "camera input") * 2.0**ev
-    except FloatingPointError:
-        raise DomainError(f"exposure ev={ev!r} takes camera input beyond float64's range") from None
+    # float32 data cannot overflow below _EV_MAX, but float64 data can
+    with _overflow_raises(f"exposure ev={ev!r} takes camera input beyond float64's range"):
+        # a float32 image's copy is reused: numpy elides the unnamed temporary
+        exposed = as_radiance(hdr, "camera input") * 2.0**ev
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         exposed += noise.sigma_read * rng.standard_normal(exposed.shape)

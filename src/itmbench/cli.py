@@ -46,10 +46,10 @@ def _write_error_map(err: np.ndarray, path: Path):
     write_pfm(LinearImage(np.repeat(err.astype(np.float32)[..., None], 3, axis=-1)), path)
 
 
-def _cmd_synthesize(args, cfg: Config, out: Path) -> int:
+def _cmd_synthesize(args, out: Path) -> int:
     records, errors = generate_dataset(
         args.hdr_dir, out, count_per_image=args.count,
-        settings=cfg.synth, master_seed=args.seed, jobs=args.jobs,
+        settings=args.cfg.synth, master_seed=args.seed, jobs=args.jobs,
     )
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
@@ -57,9 +57,9 @@ def _cmd_synthesize(args, cfg: Config, out: Path) -> int:
     return 1 if errors else 0
 
 
-def _cmd_score(args, cfg: Config, out: Path) -> int:
-    report = score_dataset(args.pred, args.gt, encoding=cfg.encoding(),
-                           mapping=cfg.display, jobs=args.jobs)
+def _cmd_score(args, out: Path) -> int:
+    report = score_dataset(args.pred, args.gt, encoding=args.cfg.encoding(),
+                           mapping=args.cfg.display, jobs=args.jobs)
     (out / "report.json").write_text(report.to_json())
     (out / "report.csv").write_text(report.to_csv())
     for err in report.errors:
@@ -70,10 +70,9 @@ def _cmd_score(args, cfg: Config, out: Path) -> int:
     return 1 if report.errors else 0
 
 
-def _cmd_analyze(args, cfg: Config, out: Path) -> int:
-    pred = read_linear(args.pred)
-    gt = read_linear(args.gt)
-    err = error_map(pred, gt, encoding=cfg.encoding(), mapping=cfg.display)
+def _cmd_analyze(args, out: Path) -> int:
+    pred, gt = read_linear(args.pred), read_linear(args.gt)
+    err = error_map(pred, gt, encoding=args.cfg.encoding(), mapping=args.cfg.display)
     _write_error_map(err, out / "error_map.pfm")
     doc: dict = {"schema": SCHEMA_VERSION}
     if args.ldr:
@@ -93,25 +92,24 @@ def _cmd_analyze(args, cfg: Config, out: Path) -> int:
     return 0
 
 
-def _cmd_expand(args, cfg: Config, out: Path) -> int:
+def _cmd_expand(args, out: Path) -> int:
     crf = Crf.from_spec(args.crf)
     ldr = read_ldr8(Path(args.input))
-    expanded = naive_expand(ldr, crf)
     name = Path(args.input).stem + ("." + args.format)
-    write_linear(expanded, out / name)
+    write_linear(naive_expand(ldr, crf), out / name)
     print(f"wrote {out / name}")
     return 0
 
 
-def _cmd_sde_demo(args, cfg: Config, out: Path) -> int:
+def _cmd_sde_demo(args, out: Path) -> int:
     if args.hdr:
         gt = read_linear(args.hdr)
         degraded = read_linear(args.ldr)
     else:
         degraded, gt = _demo_fixture()
     sched = SdeSchedule.cosine(steps=args.steps)
-    result = itm_sde_demo(degraded, gt, sched=sched, encoding=cfg.encoding(),
-                          mapping=cfg.display, seed=args.seed)
+    result = itm_sde_demo(degraded, gt, sched=sched, encoding=args.cfg.encoding(),
+                          mapping=args.cfg.display, seed=args.seed)
     (out / "sde_report.json").write_text(result.report.to_json())
     _write_error_map(result.error_map, out / "sde_error_map.pfm")
     buf = io.StringIO()
@@ -127,31 +125,34 @@ def _cmd_sde_demo(args, cfg: Config, out: Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="itmbench",
-        description="Inverse tone mapping benchmark toolkit",
-    )
+    parser = argparse.ArgumentParser(prog="itmbench",
+                                     description="Inverse tone mapping benchmark toolkit")
     parser.add_argument("--version", action="version",
                         version=f"itmbench {__version__} (schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="master random seed")
-        p.add_argument("--config", type=str, default=None, help="key = value config file")
+    shared = {
+        "--seed": {"type": int, "default": None, "help": "master random seed"},
+        "--config": {"type": str, "default": None, "help": "key = value config file"},
+        "--jobs": {"type": int, "default": 1, "help": "parallel workers"},
+    }
+
+    def finish(p, func, *options):
+        """Bind `func`, which reads `--out` and each of the shared `options`."""
+        for name in options:
+            p.add_argument(name, **shared[name])
         p.add_argument("--out", type=str, required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("synthesize", help="generate LDR/HDR training pairs")
     p.add_argument("--hdr-dir", required=True, help="directory of source HDR images")
     p.add_argument("--count", type=int, default=1, help="pairs per source image")
-    common(p)
-    p.set_defaults(func=_cmd_synthesize)
+    finish(p, _cmd_synthesize, "--seed", "--config", "--jobs")
 
     p = sub.add_parser("score", help="score HDR reconstructions against ground truth")
     p.add_argument("--pred", required=True, help="directory of predictions")
     p.add_argument("--gt", required=True, help="directory of ground truth")
-    common(p)
-    p.set_defaults(func=_cmd_score)
+    finish(p, _cmd_score, "--config", "--jobs")
 
     p = sub.add_parser("analyze", help="error maps, saturation stats, loss breakdown")
     p.add_argument("--pred", required=True, help="prediction image (.hdr/.pfm)")
@@ -159,23 +160,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ldr", default=None, help="input LDR image for saturation analysis")
     p.add_argument("--quantile", type=float, default=0.85, help="saturation quantile")
     p.add_argument("--losses", action="store_true", help="emit per-term loss breakdown")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
+    finish(p, _cmd_analyze, "--config")
 
     p = sub.add_parser("expand", help="naive linearization baseline (8-bit -> linear)")
     p.add_argument("--input", required=True, help="8-bit input image")
     p.add_argument("--crf", default="identity",
                    help="CRF spec: identity | gamma:G | sigmoid:N,C | table:PATH")
     p.add_argument("--format", choices=[suffix[1:] for suffix in LINEAR_WRITERS], default="hdr")
-    common(p)
-    p.set_defaults(func=_cmd_expand)
+    finish(p, _cmd_expand)
 
     p = sub.add_parser("sde-demo", help="mean-reverting restoration SDE diagnostic")
     p.add_argument("--hdr", default=None, help="ground-truth image (.hdr/.pfm)")
     p.add_argument("--ldr", default=None, help="degraded linear image (.hdr/.pfm)")
     p.add_argument("--steps", type=int, default=100, help="SDE step count")
-    common(p)
-    p.set_defaults(func=_cmd_sde_demo)
+    finish(p, _cmd_sde_demo, "--seed", "--config")
     return parser
 
 
@@ -185,12 +183,13 @@ def main(argv=None) -> int:
     if args.command == "sde-demo" and bool(args.hdr) != bool(args.ldr):
         parser.error("sde-demo takes --hdr and --ldr together, or neither")
     try:
-        cfg = parse_config(args.config) if args.config else Config()
-        if args.seed is None:
-            args.seed = cfg.master_seed
+        if "config" in args:  # a handler reads the loaded settings as args.cfg
+            args.cfg = parse_config(args.config) if args.config else Config()
+        if "seed" in args and args.seed is None:
+            args.seed = args.cfg.master_seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out)
+        return args.func(args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,24 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
+_DISPLAY_OVERFLOW = "display mapping input times the display scale exceeds float64's range"
+
+
+class _overflow_raises:
+    """`with _overflow_raises(message):` numpy arithmetic that overflows inside the
+    block raises DomainError(message) in place of numpy's RuntimeWarning."""
+
+    def __init__(self, message: str):
+        self.message = message
+        self.state = np.errstate(over="raise")
+
+    def __enter__(self):
+        self.state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self.state.__exit__(kind, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            raise DomainError(self.message) from None
 
 
 def as_unit(v, name: str) -> np.ndarray:
@@ -72,7 +90,8 @@ def _luma(arr: np.ndarray, mapping: DisplayMapping | None = None) -> np.ndarray:
         if mapping is None:
             np.multiply(arr[..., k], weight, out=channel, dtype=np.float64)
         else:
-            np.multiply(arr[..., k], mapping.scale, out=channel, dtype=np.float64)
+            with _overflow_raises(_DISPLAY_OVERFLOW):
+                np.multiply(arr[..., k], mapping.scale, out=channel, dtype=np.float64)
             np.maximum(channel, mapping.black_floor, out=channel)
             channel *= weight
         if k:
@@ -100,7 +119,8 @@ def mu_law(x, params: MuLawParams = MuLawParams()):
     of `losses.ssim_pu_loss`.
     """
     arr = _radiance(x, "mu-law input")
-    out = np.multiply(arr, params.mu, out=np.empty(arr.shape), dtype=np.float64)
+    with _overflow_raises("mu-law input times mu exceeds float64's range"):
+        out = np.multiply(arr, params.mu, out=np.empty(arr.shape), dtype=np.float64)
     np.log1p(out, out=out)
     out /= np.log1p(params.mu)
     return out if out.ndim else float(out)
@@ -134,5 +154,6 @@ class DisplayMapping:
 
 def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
     """Scale relative radiance by `mapping.scale` and clamp at the black floor, in a new array."""
-    display = as_radiance(image, "display mapping input") * mapping.scale
+    with _overflow_raises(_DISPLAY_OVERFLOW):
+        display = as_radiance(image, "display mapping input") * mapping.scale
     return np.maximum(display, mapping.black_floor, out=display if display.ndim else None)

@@ -19,7 +19,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .color import MuLawParams, _radiance, check_same_shape, luminance, mu_law
+from .color import (MuLawParams, _overflow_raises, _radiance, check_same_shape, luminance,
+                    mu_law)
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -62,7 +63,8 @@ def linear_l1(pred, gt) -> float:
     """Mean absolute error in linear space."""
     a, b = _pair(pred, gt)
     diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
-    return float(np.mean(np.abs(diff, out=diff)))
+    with _overflow_raises("the linear L1's sum exceeds float64's range"):
+        return float(np.mean(np.abs(diff, out=diff)))
 
 
 def denoise_loss(denoised, gt) -> float:
@@ -103,7 +105,8 @@ def color_loss(pred, gt) -> float:
 def tv_loss(pred) -> float:
     """Anisotropic total variation: mean |forward horizontal diff| + mean |vertical diff|."""
     a = _radiance(pred, "loss inputs")
-    return float(np.mean(_abs_diff(a[:, 1:], a[:, :-1])) + np.mean(_abs_diff(a[1:], a[:-1])))
+    with _overflow_raises("the total variation's sum exceeds float64's range"):
+        return float(np.mean(_abs_diff(a[:, 1:], a[:, :-1])) + np.mean(_abs_diff(a[1:], a[:-1])))
 
 
 def _pair(pred, gt) -> tuple:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Crf
-from .color import luminance
+from .color import _overflow_raises, luminance
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage, Ldr8Image
 
@@ -135,11 +135,8 @@ def residual_project(image, gain: float, residual) -> LinearImage:
         raise DomainError("residual must be finite")
     if res.ndim == 2:
         res = res[..., None]
-    try:
-        with np.errstate(over="raise"):
-            out = data * (1.0 + gain * res)
-    except FloatingPointError:
-        raise DomainError("the residual takes the image beyond float64's range") from None
+    with _overflow_raises("the residual takes the image beyond float64's range"):
+        out = data * (1.0 + gain * res)
     return LinearImage(np.maximum(out, 0.0))
 
 

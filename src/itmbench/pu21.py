@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import DisplayMapping, _luma, _radiance, check_same_shape, to_display_luminance
+from .color import (DisplayMapping, _luma, _overflow_raises, _radiance, check_same_shape,
+                    to_display_luminance)
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
@@ -211,8 +212,9 @@ def rmse_linear(pred, gt) -> float:
     check_same_shape(pred, gt)
     a, b = _radiance(pred, "linear RMSE inputs"), _radiance(gt, "linear RMSE inputs")
     diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
-    diff **= 2
-    return float(np.sqrt(np.mean(diff)))
+    with _overflow_raises("the linear RMSE's squared errors exceed float64's range"):
+        diff **= 2
+        return float(np.sqrt(np.mean(diff)))
 
 
 # ---------------------------------------------------------------------------

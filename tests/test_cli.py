@@ -241,11 +241,14 @@ class TestConfigErrors:
 
 class TestExpandCommand:
     def test_missing_config_is_exit_two(self, tmp_path, capsys):
+        # expand reads no settings, so any --config is a usage error
         write_ldr8(Ldr8Image(np.zeros((4, 4, 3), dtype=np.uint8)), tmp_path / "in.png")
-        code = main(["expand", "--input", str(tmp_path / "in.png"),
-                     "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "missing.ini" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--input", str(tmp_path / "in.png"),
+                  "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_expand_writes_linear_image(self, tmp_path, rng):
         data = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)

@@ -3,6 +3,8 @@
 Each takes a LinearImage or an array; a non-finite or negative value is a
 DomainError whose text says "must be finite and non-negative", mismatched
 shapes are a ShapeError, and a LinearImage gives the value its `.data` gives.
+Finite float64 data whose product or sum would leave float64's range is a
+DomainError from the function that multiplies or sums, not a RuntimeWarning.
 """
 
 import numpy as np
@@ -72,3 +74,21 @@ def test_linear_image_and_its_data_agree(images, name):
     from_images = _call(name, images)
     from_arrays = _call(name, [image.data for image in images])
     np.testing.assert_array_equal(from_images, from_arrays)
+
+
+_STEP = np.zeros((2, 2, 3))
+_STEP[:, 1] = 1.7e308
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mu_law(np.full((2, 2, 3), 1e305)),  # times mu = 5000
+    lambda: pu_psnr(np.full(SHAPE, 1e306), np.ones(SHAPE)),  # times the display scale 1000
+    lambda: pu_ssim(np.full(SHAPE, 1e306), np.ones(SHAPE)),  # the same, one channel at a time
+    lambda: error_map(np.full(SHAPE, 1e306), np.ones(SHAPE)),
+    lambda: losses.linear_l1(np.full((2, 2, 3), 1.7e308), np.zeros((2, 2, 3))),  # the mean's sum
+    lambda: losses.tv_loss(_STEP),
+    lambda: rmse_linear(np.full(SHAPE, 1e200), np.zeros(SHAPE)),  # the square
+], ids=["mu_law", "pu_psnr", "pu_ssim", "error_map", "linear_l1", "tv_loss", "rmse_linear"])
+def test_overflow_beyond_float64_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="exceeds? float64's range"):
+        call()

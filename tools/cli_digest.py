@@ -58,6 +58,14 @@ COMMANDS = [
     # 37 x 23 x 3 = 2,553 elements end in a partial tile, 9 steps in a partial 4-step noise block
     ("sde_odd", ["sde-demo", "--hdr", "in/sde/gt.pfm", "--ldr", "in/sde/degraded.pfm",
                  "--steps", "9", "--seed", "3"]),
+    # options no handler reads: each is a usage error (exit 2) that writes nothing
+    ("score_seed", ["score", "--pred", "in/pred", "--gt", "in/gt", "--seed", "1"]),
+    ("analyze_seed", ["analyze", "--pred", "in/pred/a.hdr", "--gt", "in/gt/a.pfm", "--seed", "1"]),
+    ("analyze_jobs", ["analyze", "--pred", "in/pred/a.hdr", "--gt", "in/gt/a.pfm", "--jobs", "2"]),
+    ("expand_seed", ["expand", "--input", "in/ldr.png", "--seed", "1"]),
+    ("expand_jobs", ["expand", "--input", "in/ldr.png", "--jobs", "2"]),
+    ("expand_config", ["expand", "--input", "in/ldr.png", "--config", "in/ppm.ini"]),
+    ("sde_jobs", ["sde-demo", "--steps", "4", "--jobs", "2"]),
 ]
 
 
