@@ -4,8 +4,8 @@ Pure functions, all mean-reduced so values are resolution-comparable.
 Every term has fixed constants, documented here once: Charbonnier eps 1e-3,
 log/color eps 1e-8, mu-law mu 5000 for `recon_loss` and 10^4 for
 `ssim_pu_loss`, UPF patch 16, focal gamma 1.5, 64 histogram bins of sigma
-0.1, and the objective's weights in `WEIGHTS`. The VGG perceptual term is
-accepted as an externally supplied scalar, never computed.
+0.1 that take votes within 8.5 sigma, and the objective's weights in
+`WEIGHTS`. The VGG perceptual term is an externally supplied scalar.
 
 Each term checks its images without converting them: a float32 image is not
 copied to float64. The term's first operation upcasts into an array the term
@@ -26,7 +26,6 @@ from .pu21 import ssim_mean
 
 EPS_CHARB = 1e-3
 EPS_LOG = 1e-8
-HIST_ROWS = 1024  # pixels per soft-histogram chunk: (HIST_ROWS + 1) x bins float64 fits in cache
 
 
 # Read-only weights of the composite objective's terms (`total_loss`); recon has weight 1.
@@ -139,9 +138,9 @@ def upf_loss(pred, gt) -> float:
     spanning the joint log range, compared with a mean absolute difference;
     smoothness is mean(|grad pred| * exp(-|grad gt|)) on log luminance,
     averaged over both axes. The loss is the unweighted sum of the three.
-    Histogram votes are summed over fixed chunks of HIST_ROWS pixels, so their
-    memory does not grow with the image; an image whose every vote underflows
-    (its log luminance far from every center) is a DomainError.
+    A bin sums the votes of one slice c - r <= x <= c + r of the sorted field,
+    r = max(8.5 sigma, center spacing): a dropped vote is below e^-36 of its
+    pixel's nearest-center vote, which is kept. All votes underflowing is a DomainError.
     """
     a, b = _pair(pred, gt)
     la, lb = _log_luminance(a), _log_luminance(b)
@@ -175,25 +174,27 @@ def upf_loss(pred, gt) -> float:
     else:
         centers = np.linspace(lo, hi, _UPF_BINS)
         scale = -(2.0 * _UPF_SIGMA**2)  # negating the divisor is exact
+        # at least one spacing, so rounding cannot push a pixel out of its nearest center's window
+        radius = max(8.5 * _UPF_SIGMA, centers[1] - centers[0])
 
         def soft_hist(x):
-            # Row 0 carries each bin's running sum into the next chunk's column
-            # sum, so bins add up pixel by pixel as one (pixels, bins) matrix would.
-            flat = x.ravel()
-            buf = np.zeros((HIST_ROWS + 1, _UPF_BINS))
-            for start in range(0, flat.size, HIST_ROWS):
-                chunk = flat[start:start + HIST_ROWS]
-                votes = buf[1:chunk.size + 1]
-                np.subtract(chunk[:, None], centers, out=votes)
+            xs = np.sort(x, axis=None)
+            first = np.searchsorted(xs, centers - radius, "left")
+            last = np.searchsorted(xs, centers + radius, "right")
+            work = np.empty(xs.size)
+            sums = np.empty(_UPF_BINS)
+            for k in range(_UPF_BINS):
+                votes = work[:last[k] - first[k]]
+                np.subtract(xs[first[k]:last[k]], centers[k], out=votes)
                 np.square(votes, out=votes)
                 np.divide(votes, scale, out=votes)
                 np.exp(votes, out=votes)
-                buf[0] = buf[:chunk.size + 1].sum(axis=0)
-            total = buf[0].sum()
+                sums[k] = votes.sum()
+            total = sums.sum()
             if total == 0:
                 raise DomainError("every histogram vote of an image underflows: its log "
                                   "luminance lies too far from every bin center")
-            return buf[0] / total
+            return sums / total
         hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb))))
 
     # edge-aware smoothness on log luminance
@@ -255,15 +256,16 @@ def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
     if not (0 <= lam < np.inf):
         raise DomainError(f"lam must be finite and non-negative; got {lam!r}")
     total = 0.0
-    for (x, x_star), gamma in zip(trajectory, gammas):
-        if not (0 < gamma < np.inf):
-            raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
-        a = np.asarray(x, dtype=np.float64)
-        b = np.asarray(x_star, dtype=np.float64)
-        if a.shape != b.shape:
-            raise ShapeError("trajectory pair shapes differ")
-        term = float(np.mean(np.abs(a - b)))
-        if lam > 0:
-            term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
-        total += gamma * term
-    return total
+    with _overflow_raises("the score-matching difference or sum exceeds float64's range"):
+        for (x, x_star), gamma in zip(trajectory, gammas):
+            if not (0 < gamma < np.inf):
+                raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
+            a = np.asarray(x, dtype=np.float64)
+            b = np.asarray(x_star, dtype=np.float64)
+            if a.shape != b.shape:
+                raise ShapeError("trajectory pair shapes differ")
+            term = np.mean(np.abs(a - b))  # a float64 scalar, so the running total raises too
+            if lam > 0:
+                term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
+            total += gamma * term
+    return float(total)

@@ -147,26 +147,27 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
         raise ShapeError(f"SSIM inputs differ in shape: {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
-    w = _gaussian_window()
-    mx = _windowed_mean(x, w)
-    my = _windowed_mean(y, w)
-    # x and y may be the caller's: the products share one scratch, the rest is in place
-    prod = x * x
-    vx = _windowed_mean(prod, w) - mx * mx
-    vy = _windowed_mean(np.multiply(y, y, out=prod), w) - my * my
-    cov = _windowed_mean(np.multiply(x, y, out=prod), w) - mx * my
-    del prod
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
-    # ((2 mx my + c1)(2 cov + c2)) / ((mx mx + my my + c1)(vx + vy + c2))
-    num = 2 * mx * my + c1
-    num *= 2 * cov + c2
-    mx *= mx
-    mx += my * my
-    mx += c1
-    mx *= vx + vy + c2
-    num /= mx
-    return float(num.mean())
+    with _overflow_raises("the SSIM statistics exceed float64's range"):
+        w = _gaussian_window()
+        mx = _windowed_mean(x, w)
+        my = _windowed_mean(y, w)
+        # x and y may be the caller's: the products share one scratch, the rest is in place
+        prod = x * x
+        vx = _windowed_mean(prod, w) - mx * mx
+        vy = _windowed_mean(np.multiply(y, y, out=prod), w) - my * my
+        cov = _windowed_mean(np.multiply(x, y, out=prod), w) - mx * my
+        del prod
+        c1 = (SSIM_K1 * data_range) ** 2
+        c2 = (SSIM_K2 * data_range) ** 2
+        # ((2 mx my + c1)(2 cov + c2)) / ((mx mx + my my + c1)(vx + vy + c2))
+        num = 2 * mx * my + c1
+        num *= 2 * cov + c2
+        mx *= mx
+        mx += my * my
+        mx += c1
+        mx *= vx + vy + c2
+        num /= mx
+        return float(num.mean())
 
 
 def pu_fields(pred, gt, encoding: PuEncoding | None = None,

@@ -125,9 +125,13 @@ def frozen_upf_loss(pred, gt):
     lo, hi = min(la.min(), lb.min()), max(la.max(), lb.max())
     centers = np.linspace(lo, hi, 64)
 
-    def soft_hist(x):  # the whole (pixels, bins) vote matrix, summed row after row
-        votes = np.exp((x.ravel()[:, None] - centers) ** 2 / -(2.0 * 0.1**2))
-        return votes.sum(axis=0) / votes.sum(axis=0).sum()
+    r = max(8.5 * 0.1, centers[1] - centers[0])
+
+    def soft_hist(x):  # each center's votes from the sorted pixels within r of it
+        xs = np.sort(x, axis=None)
+        h = np.array([np.exp((xs[(xs >= c - r) & (xs <= c + r)] - c) ** 2 / -(2.0 * 0.1**2)).sum()
+                      for c in centers])
+        return h / h.sum()
 
     hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb)))) if hi - lo >= 1e-12 else 0.0
     sm_h = np.mean(np.abs(np.diff(la, axis=1)) * np.exp(-np.abs(np.diff(lb, axis=1))))

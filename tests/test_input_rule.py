@@ -7,6 +7,8 @@ Finite float64 data whose product or sum would leave float64's range is a
 DomainError from the function that multiplies or sums, not a RuntimeWarning.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from itmbench.analysis import error_map
 from itmbench.color import luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage
-from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear
+from itmbench.operators import blurred_luminance
+from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear, ssim_mean
 
 UNARY = {
     "luminance": luminance,
@@ -78,6 +81,8 @@ def test_linear_image_and_its_data_agree(images, name):
 
 _STEP = np.zeros((2, 2, 3))
 _STEP[:, 1] = 1.7e308
+_HALF = np.zeros((16, 16, 3))  # float64 rows beyond any LinearImage's float32 range
+_HALF[:8] = 1.7e308
 
 
 @pytest.mark.parametrize("call", [
@@ -88,7 +93,14 @@ _STEP[:, 1] = 1.7e308
     lambda: losses.linear_l1(np.full((2, 2, 3), 1.7e308), np.zeros((2, 2, 3))),  # the mean's sum
     lambda: losses.tv_loss(_STEP),
     lambda: rmse_linear(np.full(SHAPE, 1e200), np.zeros(SHAPE)),  # the square
-], ids=["mu_law", "pu_psnr", "pu_ssim", "error_map", "linear_l1", "tv_loss", "rmse_linear"])
+    lambda: ssim_mean(np.full((16, 16), 1.7e308), np.zeros((16, 16)), 1.0),  # the square
+    lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.full(4, -1.7e308))], [1.0]),
+    lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.zeros(4))] * 3, [1.0] * 3),
+    lambda: losses.score_matching_loss([(np.full(1, 1e308), np.zeros(1))] * 3, [1.0] * 3),
+    lambda: blurred_luminance(SimpleNamespace(data=_HALF), 5),  # the running sums
+], ids=["mu_law", "pu_psnr", "pu_ssim", "error_map", "linear_l1", "tv_loss", "rmse_linear",
+        "ssim_mean", "score_matching_difference", "score_matching_mean", "score_matching_total",
+        "blurred_luminance"])
 def test_overflow_beyond_float64_is_a_domain_error(call):
     with pytest.raises(DomainError, match="exceeds? float64's range"):
         call()

@@ -7,7 +7,7 @@ import pytest
 from itmbench.color import mu_law
 from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage
-from itmbench.losses import (HIST_ROWS, _UPF_BINS, _UPF_SIGMA, WEIGHTS, color_loss, denoise_loss,
+from itmbench.losses import (_UPF_BINS, _UPF_SIGMA, WEIGHTS, color_loss, denoise_loss,
                              linear_l1, recon_loss, score_matching_loss,
                              ssim_pu_loss, total_loss, tv_loss, upf_loss)
 
@@ -151,7 +151,6 @@ class TestUpfLoss:
     @pytest.mark.parametrize("shape", [(33, 31), (32, 32), (25, 41), (33, 65)],
                              ids=["below-chunk", "one-chunk", "one-above", "chunks-plus-partial"])
     def test_chunked_histogram_matches_oracle(self, rng, shape):
-        assert HIST_ROWS == 1024  # the shapes straddle this many pixels
         a = rng.uniform(0.05, 1.0, shape + (3,)).astype(np.float32)
         b = rng.uniform(0.05, 1.0, shape + (3,)).astype(np.float32)
         _, _, _, want = oracles.naive_upf(a.astype(np.float64), b.astype(np.float64))
@@ -175,6 +174,32 @@ class TestUpfLoss:
 
         _, _, _, want = oracles.naive_upf(a.astype(np.float64), b.astype(np.float64))
         assert upf_loss(img(a), img(b)) == pytest.approx(want, rel=1e-12)
+
+    def test_truncated_votes_match_oracle(self, rng):
+        # a 64^2 lognormal pair spans ~17 log units, so the centers lie ~2.7 sigma
+        # apart and each pixel skips the votes of every center beyond 8.5 sigma
+        a, b = (rng.lognormal(-1.5, 1.2, (64, 64, 3)) for _ in range(2))
+        logs = [np.log(oracles.naive_luminance(x) + 1e-8) for x in (a, b)]
+        span = max(map(np.max, logs)) - min(map(np.min, logs))
+        assert span / (_UPF_BINS - 1) < 8.5 * _UPF_SIGMA < span
+        _, _, _, want = oracles.naive_upf(a, b)
+        assert upf_loss(a, b) == pytest.approx(want, rel=1e-12)
+
+    def test_widely_spaced_centers_keep_every_pixel(self):
+        # centers ~40 sigma apart and a prediction midway between two of them:
+        # its votes, ~e^-200 each, are normal numbers. A window of 8.5 sigma
+        # would drop them all, and one of half a spacing drops them at some
+        # midpoints through rounding (here 9, 12, 18 and 24); one whole spacing
+        # keeps every pixel inside the windows of both centers around it.
+        gt = np.ones((16, 16, 3))
+        gt[0, 0], gt[5, 7] = 0.0, 1e102
+        centers = np.linspace(np.log(1e-8), np.log(1e102), _UPF_BINS)
+        assert 35 < (centers[31] - centers[30]) / _UPF_SIGMA < 45
+        midpoints = np.exp(0.5 * (centers[1:] + centers[:-1]))
+        values = [upf_loss(np.full((16, 16, 3), m), gt) for m in midpoints]
+        assert np.isfinite(values).all()
+        _, _, _, want = oracles.naive_upf(np.full((16, 16, 3), midpoints[12]), gt)
+        assert values[12] == pytest.approx(want, rel=1e-12)
 
     def test_all_votes_underflowing_is_domain_error(self):
         # float64 data spanning log 1e-8 (a black pixel) to log 1e250 spaces the
