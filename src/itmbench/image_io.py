@@ -565,11 +565,44 @@ def _ppm_decode(raw: bytes) -> Ldr8Image:
 
 
 def _png_encode(image: Ldr8Image) -> bytes:
-    """Minimal deterministic PNG writer: 8-bit RGB, filter 0, zlib level 9."""
+    """Minimal deterministic PNG writer: 8-bit RGB, one filter type for every row.
+
+    Of None, Sub and Up (ISO 15948 section 9), the filter whose bytes have the
+    least sum of min(b, 256 - b) is kept, the lower type on a tie (the
+    minimum-sum-of-absolute-differences heuristic of section 12.8). A reader
+    then undoes one filter type, not a mix. The scanlines are deflated with
+    zlib's run-length strategy (Z_RLE), whose output is the same at every level.
+    """
     h, w = image.height, image.width
     rows = image.data.reshape(h, w * 3)
-    scan = b"".join(b"\x00" + rows[y].tobytes() for y in range(h))
-    idat = zlib.compress(scan, 9)
+    scan = np.empty((h, w * 3 + 1), dtype=np.uint8)
+    line = scan[:, 1:]
+    work = np.empty_like(line)
+
+    def build(ftype: int) -> None:
+        scan[:, 0] = ftype
+        if ftype == 0:
+            line[...] = rows
+        elif ftype == 1:
+            line[:, :3] = rows[:, :3]
+            np.subtract(rows[:, 3:], rows[:, :-3], out=line[:, 3:])
+        else:
+            line[:1] = rows[:1]
+            np.subtract(rows[1:], rows[:-1], out=line[1:])
+
+    scores = []
+    for ftype in range(3):
+        build(ftype)
+        np.negative(line, out=work)  # 256 - b, modulo 256
+        np.minimum(line, work, out=work)
+        scores.append(int(work.sum(dtype=np.int64)))
+    del work  # one image-sized buffer less while deflate's output grows
+    best = scores.index(min(scores))  # the first minimum: the lower type on a tie
+    if best != 2:
+        build(best)
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    idat = deflate.compress(scan) + deflate.flush()
+    del scan, line  # and another while the file's bytes are joined
 
     def chunk(kind: bytes, body: bytes) -> bytes:
         crc = zlib.crc32(kind + body) & 0xFFFFFFFF

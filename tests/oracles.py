@@ -455,6 +455,33 @@ def naive_png_unfilter(scan: bytes, width: int, height: int):
     return rows
 
 
+def naive_png_scan(pixels) -> bytes:
+    """The scanlines an 8-bit RGB PNG writer stores, one filter byte per row.
+
+    Builds the whole image with each of None, Sub and Up (ISO 15948 section 9:
+    x - 0, x - a, x - b modulo 256, with a the same byte of the pixel to the
+    left and b the byte above, 0 outside the image), scores each by the sum of
+    min(d, 256 - d) over its filtered bytes d (section 12.8's minimum sum of
+    absolute differences) and returns the lowest, the lower type on a tie.
+    """
+    rows = [[int(v) for px in row for v in px] for row in np.asarray(pixels).tolist()]
+    best = None
+    for ftype in range(3):
+        out, score = bytearray(), 0
+        prev = [0] * len(rows[0])
+        for cur in rows:
+            out.append(ftype)
+            for i, x in enumerate(cur):
+                a = cur[i - 3] if i >= 3 else 0
+                d = (x - (0, a, prev[i])[ftype]) % 256
+                out.append(d)
+                score += min(d, 256 - d)
+            prev = cur
+        if best is None or score < best[0]:
+            best = (score, bytes(out))
+    return best[1]
+
+
 def naive_philox4x32(ctr, key):
     """Philox4x32-10 of one block, in Python integers.
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from itmbench.errors import DomainError, FormatError, ItmError, ParseError, ShapeError
 from itmbench.image_io import (LinearImage, Ldr8Image, _rgbe_decode_rows, _rgbe_encode_rows,
                                index_linear_dir, ordered_map, read_hdr, read_ldr8, read_linear,
-                               read_pfm, write_hdr, write_ldr8, write_linear, write_pfm)
+                               read_pfm, write_hdr, write_ldr8, write_linear, write_pfm,
+                               _png_encode)
 
 
 def _stored(tmp_path, *rgb) -> list:
@@ -479,6 +481,10 @@ class TestLinearRegistry:
             read_linear(path)
 
 
+# image shapes (height, width) for the PNG writer and reader tests
+SHAPES = ((1, 1), (1, 6), (6, 1), (2, 2), (7, 5), (5, 7), (33, 17))
+
+
 def _png(ihdr_size, idat: bytes) -> bytes:
     def chunk(kind, body):
         crc = zlib.crc32(kind + body) & 0xFFFFFFFF
@@ -514,3 +520,56 @@ class TestPngInflateBound:
         (tmp_path / "cut.png").write_bytes(_png((4, 4), idat[:-6]))
         with pytest.raises(ParseError):
             read_ldr8(tmp_path / "cut.png")
+
+
+def _inflated_idat(blob: bytes) -> bytes:
+    """The concatenated IDAT bodies of a PNG file, inflated."""
+    pos, idat = 8, b""
+    while pos < len(blob):
+        (length,) = struct.unpack(">I", blob[pos:pos + 4])
+        if blob[pos + 4:pos + 8] == b"IDAT":
+            idat += blob[pos + 8:pos + 8 + length]
+        pos += 12 + length
+    return zlib.decompress(idat)
+
+
+def _gradient(shape, axis) -> np.ndarray:
+    """Bytes that step by 7 along `axis` (0: down the rows, 1: along them), per channel."""
+    h, w = shape
+    ramp = np.arange(h)[:, None] if axis == 0 else np.arange(w)[None, :]
+    values = (7 * ramp[..., None] + np.array([20, 90, 160])) % 256
+    return np.broadcast_to(values, (h, w, 3)).astype(np.uint8)
+
+
+class TestPngWriter:
+    """`_png_encode` stores the oracle's scanlines: None, Sub or Up by minimum sum."""
+
+    def check(self, tmp_path, data: np.ndarray) -> bytes:
+        blob = _png_encode(Ldr8Image(data))
+        scan = _inflated_idat(blob)
+        assert scan == oracles.naive_png_scan(data)
+        (tmp_path / "w.png").write_bytes(blob)
+        assert np.array_equal(read_ldr8(tmp_path / "w.png").data, data)
+        return scan[::3 * data.shape[1] + 1]  # the filter byte of each row
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_noise(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0] * 40 + shape[1])
+        self.check(tmp_path, rng.integers(0, 256, shape + (3,), dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("axis", (0, 1), ids=["vertical", "horizontal"])
+    def test_gradients(self, tmp_path, shape, axis):
+        self.check(tmp_path, _gradient(shape, axis))
+
+    @pytest.mark.parametrize("value", (3, 200))
+    def test_constant(self, tmp_path, value):
+        self.check(tmp_path, np.full((5, 7, 3), value, dtype=np.uint8))
+
+    @pytest.mark.parametrize("axis, ftype", ((0, 1), (1, 2)), ids=["vertical-sub", "horizontal-up"])
+    def test_gradient_takes_one_filter_on_every_row(self, tmp_path, axis, ftype):
+        assert set(self.check(tmp_path, _gradient((33, 17), axis))) == {ftype}
+
+    def test_all_zero_image_takes_none_on_a_tie(self, tmp_path):
+        # every filter scores 0; the lowest type wins
+        assert set(self.check(tmp_path, np.zeros((4, 4, 3), dtype=np.uint8))) == {0}

@@ -10,7 +10,8 @@ and upcast it in their first operation. Three things are pinned here:
 - every result is bit-identical to the expressions below, which are the
   kernels as they were written before the rewrite (kept here, not in
   `oracles.py`, which holds naive loops and stays independent of both);
-- the traced peak of one call at 256^2, as a multiple of one float64 RGB image.
+- the traced peak of one call at 256^2, as a multiple of one float64 RGB image,
+  and of the PNG writer at 512^2.
 """
 
 import tracemalloc
@@ -22,7 +23,7 @@ from itmbench import losses
 from itmbench.analysis import error_map
 from itmbench.camera import Crf, NoiseParams, simulate_ldr
 from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law
-from itmbench.image_io import LinearImage, _rgbe_decode_rows
+from itmbench.image_io import LinearImage, Ldr8Image, _png_encode, _rgbe_decode_rows
 from itmbench.pu21 import (PuEncoding, _pu_forward, _windowed_mean, _gaussian_window,
                            pu_encode, pu_fields, pu_psnr, pu_ssim, rmse_linear, ssim_mean)
 
@@ -378,3 +379,11 @@ def test_traced_peak_at_256(rng, name):
     }
     image_bytes = 256 * 256 * 3 * 8
     assert traced_peak(calls[name]) <= PEAK_BOUNDS[name] * image_bytes
+
+
+def test_png_encode_traced_peak_at_512(rng):
+    # the filter choice reuses one scanline buffer and one scratch buffer; noise, which
+    # deflate cannot shrink, gives the largest IDAT. 3.1 MiB measured; keeping a copy
+    # of each filtered candidate read 5.4 MiB.
+    image = Ldr8Image(rng.integers(0, 256, (512, 512, 3), dtype=np.uint8))
+    assert traced_peak(lambda: _png_encode(image)) <= 4 << 20

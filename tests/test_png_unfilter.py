@@ -17,9 +17,7 @@ import oracles
 from itmbench.errors import ItmError, ParseError
 from itmbench.image_io import Ldr8Image, read_ldr8
 from test_acceptance import _mutate
-from test_image_io import _png
-
-SHAPES = ((1, 1), (1, 6), (6, 1), (2, 2), (7, 5), (5, 7), (33, 17))
+from test_image_io import SHAPES, _png
 
 
 def png_of(tmp_path, ftypes, filtered) -> tuple:
