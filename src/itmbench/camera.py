@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import _overflow_raises, as_radiance, as_unit, luminance
+from .color import _GAIN_MAX, _GAIN_STOPS, _int_at_least, as_radiance, as_unit, luminance
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
                        ordered_map, read_linear, write_ldr8, write_linear)
 
 # Exposure clamp when an image has too few bright/dark pixels to pin a bound.
 _EV_LIMIT = 30.0
-_EV_MAX = 896.0  # largest exposure: 2^ev times any finite float32 (< 2^128) is < 2^1024
 
 
 # family -> the parameters that define it; as_dict, from_dict and from_spec follow this table
@@ -143,19 +142,19 @@ class ExposureRange:
     ev_max: float
 
     def __post_init__(self):
-        if not (-np.inf < self.ev_min <= self.ev_max <= _EV_MAX):
-            raise DomainError(f"require finite ev_min <= ev_max <= {_EV_MAX:g}")
+        if not (-np.inf < self.ev_min <= self.ev_max <= _GAIN_STOPS):
+            raise DomainError(f"require finite ev_min <= ev_max <= {_GAIN_STOPS}")
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Gaussian read-noise level in linear [0, 1] units."""
+    """Gaussian read-noise level in linear [0, 1] units, a gain on unit normal noise."""
 
     sigma_read: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.sigma_read < np.inf):
-            raise DomainError(f"noise level must be finite and non-negative; "
+        if not (0 <= self.sigma_read <= _GAIN_MAX):
+            raise DomainError(f"noise level must be finite and non-negative, at most 2**896; "
                               f"got {self.sigma_read!r}")
 
 
@@ -201,17 +200,15 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     `hdr` (a LinearImage or an array) is not written: every stage after the scaling
     works in place on the float64 product hdr * 2^ev, which this call allocates.
     """
-    if not (-np.inf < ev <= _EV_MAX):
-        raise DomainError(f"exposure ev must be finite and at most {_EV_MAX:g}; got {ev!r}")
-    # float32 data cannot overflow below _EV_MAX, but float64 data can
-    with _overflow_raises(f"exposure ev={ev!r} takes camera input beyond float64's range"):
-        # a float32 image's copy is reused: numpy elides the unnamed temporary
-        exposed = as_radiance(hdr, "camera input") * 2.0**ev
+    if not (-np.inf < ev <= _GAIN_STOPS):  # the gain 2^ev is at most 2^896
+        raise DomainError(f"exposure ev must be finite and at most {_GAIN_STOPS}; got {ev!r}")
+    # a float32 image's copy is reused: numpy elides the unnamed temporary
+    exposed = as_radiance(hdr, "camera input") * 2.0**ev
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         exposed += noise.sigma_read * rng.standard_normal(exposed.shape)
     np.clip(exposed, 0.0, 1.0, out=exposed)
-    crf._apply_owned(as_unit(exposed, "CRF input"))
+    crf._apply_owned(exposed)
     exposed *= 255.0  # 8 bits, round half up
     exposed += 0.5
     return Ldr8Image(np.floor(exposed, out=exposed).astype(np.uint8))
@@ -260,8 +257,7 @@ class SynthesisSettings:
             lo, hi = getattr(self, name)
             if not (low_ok and lo <= hi < np.inf):
                 raise DomainError(f"{name} must satisfy {low} lo <= hi < inf; got ({lo!r}, {hi!r})")
-        if self.crop < 0:
-            raise DomainError(f"crop must be >= 0; got {self.crop!r}")
+        object.__setattr__(self, "crop", _int_at_least(self.crop, "crop", 0))
 
 
 @dataclass(frozen=True)
@@ -327,8 +323,8 @@ def _synthesize_pair(source: LinearImage, name: str, index: int, seed: int,
     # ground truth is exposure-aligned: LDR == quantize(crf(clip(gt))), so both read one product
     exposed = data.astype(np.float64) * (2.0**ev)
     ldr = simulate_ldr(exposed, 0.0, crf, NoiseParams(sigma_read=sigma), seed=seed)
+    write_linear(LinearImage(exposed), out_dir / hdr_file)  # first: it may reject the content
     write_ldr8(ldr, out_dir / ldr_file)
-    write_linear(LinearImage(exposed), out_dir / hdr_file)
     return SynthesisRecord(
         source=name, index=index, seed=seed, ev=ev, crf=crf.as_dict(),
         noise_sigma=sigma, crop=crop, ldr_file=ldr_file, hdr_file=hdr_file,
@@ -345,8 +341,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     rows, follow the sources' file-name order, then the pair index. Output is
     byte-identical for any `jobs`.
     """
-    if count_per_image < 1:
-        raise DomainError(f"count_per_image must be >= 1; got {count_per_image!r}")
+    count_per_image = _int_at_least(count_per_image, "count_per_image", 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sources, errors = index_linear_dir(hdr_dir)

@@ -7,6 +7,7 @@ absolute display luminance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +15,17 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
-_DISPLAY_OVERFLOW = "display mapping input times the display scale exceeds float64's range"
+# Radiance stops at float32's top (< 2^128) and each gain on it (exposure, mu, display scale,
+# noise level) at 2^896, so no product of the two exceeds 2^1024 - 2^1000, inside float64.
+_F32_MAX = np.finfo(np.float32).max  # a float32 scalar: float16 data compares without a cast
+_GAIN_STOPS = 896
+_GAIN_MAX = 2.0**_GAIN_STOPS
 
 
 class _overflow_raises:
     """`with _overflow_raises(message):` numpy arithmetic that overflows inside the
-    block raises DomainError(message) in place of numpy's RuntimeWarning."""
+    block raises DomainError(message) in place of numpy's RuntimeWarning. Only
+    arithmetic on inputs that are not radiance needs it: see the bounds above."""
 
     def __init__(self, message: str):
         self.message = message
@@ -34,6 +40,15 @@ class _overflow_raises:
             raise DomainError(self.message) from None
 
 
+def _int_at_least(value, name: str, low: int) -> int:
+    """`value`, a Python or numpy integer >= `low`, as an int; otherwise a DomainError."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer; got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}; got {value!r}")
+    return int(value)
+
+
 def as_unit(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -43,8 +58,8 @@ def as_unit(v, name: str) -> np.ndarray:
     return arr
 
 
-def _radiance(x, name: str) -> np.ndarray:
-    """`x` (a LinearImage or an array) checked like `as_radiance`, not converted.
+def _radiance(x, name: str, error: type = DomainError) -> np.ndarray:
+    """`x` (a LinearImage or an array) with every value in [0, float32's top], else `error`.
 
     Boolean, integer and float data up to 64 bits keep their dtype: each
     caller's first operation upcasts with `dtype=np.float64` into a buffer it
@@ -53,13 +68,18 @@ def _radiance(x, name: str) -> np.ndarray:
     arr = np.asarray(getattr(x, "data", x))
     if arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
         arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise DomainError(f"{name} must be finite and non-negative")
+    if not _in_radiance_range(arr):
+        raise error(f"{name} must be finite and non-negative and lie within float32's range")
     return arr
 
 
+def _in_radiance_range(arr: np.ndarray) -> bool:
+    """Every value in [0, float32's top]; NaN and infinities fail, with no warning."""
+    return arr.size == 0 or bool(arr.min() >= 0 and arr.max() <= _F32_MAX)
+
+
 def as_radiance(x, name: str) -> np.ndarray:
-    """`x` (a LinearImage or an array) as float64; non-finite or negative is a DomainError."""
+    """`x` (a LinearImage or an array) as float64, checked as `_radiance` checks it."""
     return np.asarray(_radiance(x, name), dtype=np.float64)
 
 
@@ -90,8 +110,7 @@ def _luma(arr: np.ndarray, mapping: DisplayMapping | None = None) -> np.ndarray:
         if mapping is None:
             np.multiply(arr[..., k], weight, out=channel, dtype=np.float64)
         else:
-            with _overflow_raises(_DISPLAY_OVERFLOW):
-                np.multiply(arr[..., k], mapping.scale, out=channel, dtype=np.float64)
+            np.multiply(arr[..., k], mapping.scale, out=channel, dtype=np.float64)
             np.maximum(channel, mapping.black_floor, out=channel)
             channel *= weight
         if k:
@@ -101,26 +120,25 @@ def _luma(arr: np.ndarray, mapping: DisplayMapping | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MuLawParams:
-    """mu-law compressor constant (paper value 5000)."""
+    """mu-law compressor constant (paper value 5000), a gain on radiance."""
 
     mu: float = 5000.0
 
     def __post_init__(self):
-        if not (0 < self.mu < np.inf):
-            raise DomainError("mu must be finite and positive")
+        if not (0 < self.mu <= _GAIN_MAX):
+            raise DomainError(f"mu must be finite and positive, at most 2**896; got {self.mu!r}")
 
 
 def mu_law(x, params: MuLawParams = MuLawParams()):
     """R_mu(x) = log(1 + mu*x) / log(1 + mu); strictly increasing, 0 -> 0, 1 -> 1.
 
-    The domain is radiance: any finite x >= 0, so unbounded HDR predictions
-    map above 1. The log base cancels in the ratio, so with mu = 10000 this
+    The domain is radiance, x in [0, float32's top], so HDR predictions above
+    1 map above 1. The log base cancels in the ratio, so with mu = 10000 this
     is the log10 PU approximation log10(1 + c*x) / log10(1 + c), c = 10000,
     of `losses.ssim_pu_loss`.
     """
     arr = _radiance(x, "mu-law input")
-    with _overflow_raises("mu-law input times mu exceeds float64's range"):
-        out = np.multiply(arr, params.mu, out=np.empty(arr.shape), dtype=np.float64)
+    out = np.multiply(arr, params.mu, out=np.empty(arr.shape), dtype=np.float64)
     np.log1p(out, out=out)
     out /= np.log1p(params.mu)
     return out if out.ndim else float(out)
@@ -145,6 +163,8 @@ class DisplayMapping:
             raise DomainError(f"peak_luminance must be finite; got {self.peak_luminance!r}")
         if not (0 < self.reference_white < np.inf):
             raise DomainError("reference_white must be finite and positive")
+        if not (self.scale <= _GAIN_MAX):
+            raise DomainError("peak_luminance / reference_white must be at most 2**896")
 
     @property
     def scale(self) -> float:
@@ -154,6 +174,5 @@ class DisplayMapping:
 
 def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
     """Scale relative radiance by `mapping.scale` and clamp at the black floor, in a new array."""
-    with _overflow_raises(_DISPLAY_OVERFLOW):
-        display = as_radiance(image, "display mapping input") * mapping.scale
+    display = as_radiance(image, "display mapping input") * mapping.scale
     return np.maximum(display, mapping.black_floor, out=display if display.ndim else None)

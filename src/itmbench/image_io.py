@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InputError, ParseError, ShapeError
+from .color import _in_radiance_range, _int_at_least, _radiance
+from .errors import FormatError, InputError, ParseError, ShapeError
 
 # Upper bound on width*height accepted by any parser; keeps a hostile header
 # from provoking a giant allocation before the payload is validated.
@@ -68,16 +69,8 @@ class LinearImage(_Raster):
 
     def __post_init__(self):
         super().__post_init__()
-        try:
-            with np.errstate(over="raise"):
-                arr = self.data.astype(np.float32, copy=False)
-        except FloatingPointError:
-            raise FormatError("linear image components must lie within float32's range") from None
-        if not np.isfinite(arr).all():
-            raise FormatError("linear image components must be finite")
-        if (arr < 0).any():
-            raise FormatError("linear image components must be non-negative")
-        self.data = arr
+        self.data = _radiance(self.data, "linear image components", FormatError).astype(
+            np.float32, copy=False)
         self.header = tuple(self.header)
         for line in self.header:
             # each entry is written as one .hdr header line, which read_hdr must read back
@@ -442,7 +435,7 @@ def read_pfm(path) -> LinearImage:
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype, count=width * height * 3, offset=pos)
     data = data.reshape(height, width, 3)[::-1]  # rows are stored bottom-up
-    if not np.isfinite(data).all() or (data < 0).any():
+    if not _in_radiance_range(data):
         raise ParseError("PFM samples must be finite and non-negative", offset=pos)
     return LinearImage(np.ascontiguousarray(data, dtype=np.float32))
 
@@ -505,8 +498,7 @@ def ordered_map(fn, items, jobs: int = 1) -> list:
     Results keep the order of `items` for any `jobs` >= 1; with `jobs == 1`
     every call runs in the calling thread, and no thread is started.
     """
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1; got {jobs!r}")
+    jobs = _int_at_least(jobs, "jobs", 1)
     if jobs == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -62,8 +62,7 @@ def linear_l1(pred, gt) -> float:
     """Mean absolute error in linear space."""
     a, b = _pair(pred, gt)
     diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
-    with _overflow_raises("the linear L1's sum exceeds float64's range"):
-        return float(np.mean(np.abs(diff, out=diff)))
+    return float(np.mean(np.abs(diff, out=diff)))
 
 
 def denoise_loss(denoised, gt) -> float:
@@ -104,8 +103,7 @@ def color_loss(pred, gt) -> float:
 def tv_loss(pred) -> float:
     """Anisotropic total variation: mean |forward horizontal diff| + mean |vertical diff|."""
     a = _radiance(pred, "loss inputs")
-    with _overflow_raises("the total variation's sum exceeds float64's range"):
-        return float(np.mean(_abs_diff(a[:, 1:], a[:, :-1])) + np.mean(_abs_diff(a[1:], a[:-1])))
+    return float(np.mean(_abs_diff(a[:, 1:], a[:, :-1])) + np.mean(_abs_diff(a[1:], a[:-1])))
 
 
 def _pair(pred, gt) -> tuple:
@@ -140,7 +138,8 @@ def upf_loss(pred, gt) -> float:
     averaged over both axes. The loss is the unweighted sum of the three.
     A bin sums the votes of one slice c - r <= x <= c + r of the sorted field,
     r = max(8.5 sigma, center spacing): a dropped vote is below e^-36 of its
-    pixel's nearest-center vote, which is kept. All votes underflowing is a DomainError.
+    pixel's nearest-center vote, which is kept: radiance's log range spaces the
+    centers at most ~17 sigma apart, so that vote is at least e^-37.
     """
     a, b = _pair(pred, gt)
     la, lb = _log_luminance(a), _log_luminance(b)
@@ -190,11 +189,7 @@ def upf_loss(pred, gt) -> float:
                 np.divide(votes, scale, out=votes)
                 np.exp(votes, out=votes)
                 sums[k] = votes.sum()
-            total = sums.sum()
-            if total == 0:
-                raise DomainError("every histogram vote of an image underflows: its log "
-                                  "luminance lies too far from every bin center")
-            return sums / total
+            return sums / sums.sum()
         hist = float(np.mean(np.abs(soft_hist(la) - soft_hist(lb))))
 
     # edge-aware smoothness on log luminance

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .color import DisplayMapping
+from .color import DisplayMapping, _int_at_least
 from .errors import DomainError, NumericError, ShapeError
 from .image_io import LinearImage
 from .pu21 import (SSIM_WINDOW, MetricReport, PerImageScore, PuEncoding, pu_decode,
@@ -47,8 +47,7 @@ class SdeSchedule:
 
     @staticmethod
     def constant(theta: float, sigma: float, dt: float, steps: int) -> "SdeSchedule":
-        if steps < 1:
-            raise DomainError(f"steps must be >= 1; got {steps!r}")
+        steps = _int_at_least(steps, "steps", 1)
         return SdeSchedule((theta,) * steps, (sigma,) * steps, dt)
 
     @staticmethod
@@ -56,8 +55,7 @@ class SdeSchedule:
         """Cosine ramp of theta from 0.1 to 2.0 at dt 0.05; sigma_t = 0.1 sqrt(2 theta_t)
         keeps the stationary standard deviation at 0.1 (a documented,
         non-normative parameterization)."""
-        if steps < 1:
-            raise DomainError(f"steps must be >= 1; got {steps!r}")
+        steps = _int_at_least(steps, "steps", 1)
         i = np.arange(steps)
         theta = 0.1 + 0.5 * (2.0 - 0.1) * (1.0 - np.cos(np.pi * (i + 0.5) / steps))
         sigma = 0.1 * np.sqrt(2.0 * theta)

@@ -9,7 +9,7 @@ from itmbench.camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,
                              SynthesisSettings, _derive_seed, estimate_exposure_range,
                              generate_dataset, simulate_ldr)
 from itmbench.errors import DomainError, RangeError
-from itmbench.image_io import LinearImage, write_hdr
+from itmbench.image_io import LinearImage, write_hdr, write_pfm
 
 import oracles
 
@@ -112,7 +112,8 @@ class TestExposureRange:
     # 2^ev times a finite float32 value overflows float64 for some ev > 896
     @pytest.mark.parametrize("bounds", [(float("nan"), 1.0), (0.0, float("nan")),
                                         (-float("inf"), 0.0), (0.0, float("inf")), (1.0, 0.0),
-                                        (0.0, 5000.0), (896.5, 897.0), (-1.0, 1024.0)])
+                                        (0.0, 5000.0), (896.5, 897.0), (-1.0, 1024.0),
+                                        (0.0, np.nextafter(896.0, np.inf))])
     def test_bounds_must_be_finite_and_ordered(self, bounds):
         with pytest.raises(DomainError, match="require finite ev_min <= ev_max"):
             ExposureRange(*bounds)
@@ -181,10 +182,18 @@ class TestSimulate:
         ldr = simulate_ldr(constant_image(0.25), ev=0.0, crf=Crf("gamma", gamma=1 / 2.2))
         assert (ldr.data == 136).all()
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e308,
+                                       np.nextafter(2.0**896, np.inf)])
     def test_noise_level_must_be_finite(self, sigma):
         with pytest.raises(DomainError, match="noise level must be finite"):
             NoiseParams(sigma)
+
+    def test_largest_noise_on_the_largest_exposure_stays_finite(self):
+        # 2^896 of noise on float32's largest value times 2^896 stays inside float64
+        noise = NoiseParams(2.0**896)
+        top = constant_image(float(np.finfo(np.float32).max))
+        assert (simulate_ldr(top, 896.0, Crf("gamma"), noise, seed=3).data == 255).all()
+        assert simulate_ldr(constant_image(0.0), 0.0, Crf("gamma"), noise, seed=3).data.max() == 255
 
     def test_deterministic_given_seed(self, rng):
         img = LinearImage(rng.uniform(0, 1, (8, 8, 3)).astype(np.float32))
@@ -210,7 +219,7 @@ class TestSimulate:
         assert all(x <= y for x, y in zip(fracs, fracs[1:]))
 
     @pytest.mark.parametrize("ev", [float("inf"), -float("inf"), float("nan"),
-                                    896.5, 1023.0, 1024.0, 2000.0])
+                                    np.nextafter(896.0, np.inf), 896.5, 1023.0, 1024.0, 2000.0])
     def test_exposure_must_be_finite(self, ev):
         with pytest.raises(DomainError, match="exposure ev must be finite"):
             simulate_ldr(constant_image(0.5), ev, Crf("gamma"))
@@ -221,10 +230,13 @@ class TestSimulate:
         assert (simulate_ldr(constant_image(top), -2000.0, Crf("gamma")).data == 0).all()
 
     def test_float64_input_overflowing_at_the_exposure_rejected(self):
-        data = np.full((2, 2, 3), 1e300)
-        with pytest.raises(DomainError, match="beyond float64's range"):
-            simulate_ldr(data, 100.0, Crf("gamma"))
-        assert (simulate_ldr(data, 0.0, Crf("gamma")).data == 255).all()
+        # radiance stops at float32's largest value, whatever the exposure: 1e300 at
+        # ev 0 no longer saturates to 255
+        message = "camera input must be finite and non-negative"
+        for value in (1e300, np.nextafter(float(np.finfo(np.float32).max), np.inf)):
+            for ev in (100.0, 0.0, -100.0):
+                with pytest.raises(DomainError, match=message):
+                    simulate_ldr(np.full((2, 2, 3), value), ev, Crf("gamma"))
 
     def test_quantize_round_half_up(self):
         # the camera's last stage, floor(255 x + 0.5), on an array input with an identity CRF
@@ -275,6 +287,34 @@ class TestGenerateDataset:
             generate_dataset(src, tmp_path / "out", count_per_image=count)
         assert not (tmp_path / "out" / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("count", [2.5, float("nan"), "2"])
+    def test_non_integer_count_rejected(self, tmp_path, rng, count):
+        src = self._sources(tmp_path, rng, n=1)
+        with pytest.raises(DomainError, match="count_per_image must be an integer"):
+            generate_dataset(src, tmp_path / "out", count_per_image=count)
+        assert not (tmp_path / "out" / "manifest.jsonl").exists()
+
+    def test_numpy_integer_count_accepted(self, tmp_path, rng):
+        src = self._sources(tmp_path, rng, n=1)
+        records, errors = generate_dataset(src, tmp_path / "out", count_per_image=np.int64(2))
+        assert len(records) == 2 and not errors
+
+    def test_failed_pair_writes_no_file(self, tmp_path):
+        # exposures of this source put its bright row beyond float32's range (the ground
+        # truth image rejects it) or beyond RGBE's largest exponent (its encoder rejects it)
+        src = tmp_path / "src"
+        src.mkdir()
+        data = np.full((32, 32, 3), 1e-6, np.float32)
+        data[5] = 2.5e33
+        write_pfm(LinearImage(data), src / "source.pfm")
+        out = tmp_path / "out"
+        records, errors = generate_dataset(src, out, count_per_image=8, master_seed=1)
+        assert sum("within float32's range" in e for e in errors) == 4
+        assert sum("too large for RGBE encoding" in e for e in errors) == 2
+        written = {p.name for p in out.iterdir()}
+        assert written == {"manifest.jsonl"} | {r.ldr_file for r in records} | {
+            r.hdr_file for r in records}
+
     def test_same_master_seed_is_bit_identical(self, tmp_path, rng):
         src = self._sources(tmp_path, rng)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -292,7 +332,8 @@ class TestGenerateDataset:
         data = rng.uniform(0.01, 1.5, (48, 48, 3)).astype(np.float32)
         write_hdr(LinearImage(data), src / "big.hdr")
         out = tmp_path / "out"
-        settings = SynthesisSettings(crop=24)
+        settings = SynthesisSettings(crop=np.int64(24))
+        assert type(settings.crop) is int
         records, errors = generate_dataset(src, out, settings=settings, master_seed=1)
         assert not errors
         from itmbench.image_io import read_hdr, read_ldr8
@@ -330,6 +371,7 @@ def test_settings_reject_unknown_choice(field):
     ("sigma_range", (0.0, float("inf"))), ("gamma_range", (0.35, float("inf"))),
     ("gamma_range", (float("inf"), float("inf"))), ("sigmoid_n_range", (0.7, float("inf"))),
     ("sigmoid_c_range", (0.4, float("inf"))),
+    ("crop", 2.5), ("crop", float("nan")), ("crop", "24"),
 ])
 def test_settings_reject_bad_number(field, value):
     with pytest.raises(DomainError, match=field):

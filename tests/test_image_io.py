@@ -383,9 +383,11 @@ class TestContainers:
         with pytest.raises(FormatError):
             LinearImage(np.full((1, 1, 3), np.inf, dtype=np.float32))
 
-    @pytest.mark.parametrize("value", [1e300, -1e300, 3.5e38])
+    @pytest.mark.parametrize("value", [1e300, -1e300, 3.5e38,
+                                       np.nextafter(float(np.finfo(np.float32).max), np.inf)])
     def test_float64_beyond_float32_range_rejected(self, value):
-        # the float32 cast's overflow is the FormatError, not a RuntimeWarning
+        # a value the float32 cast would overflow, or round down to the largest float32,
+        # is the FormatError, not a RuntimeWarning
         with pytest.raises(FormatError, match="within float32's range"):
             LinearImage(np.full((2, 2, 3), value))
         with pytest.raises(FormatError, match="within float32's range"):
@@ -394,6 +396,13 @@ class TestContainers:
     def test_float64_at_the_largest_float32_accepted(self):
         top = float(np.finfo(np.float32).max)
         assert (LinearImage(np.full((1, 1, 3), top)).data == np.float32(top)).all()
+
+    @pytest.mark.parametrize("data", [np.array([[[1, 2, 3]]], dtype=np.int64),
+                                      np.array([[[True, False, True]]]),
+                                      np.array([[[0.5, 1, 65504]]], dtype=np.float16)])
+    def test_integer_boolean_and_half_data_accepted(self, data):
+        # the float32 bound is compared without casting it to the data's dtype
+        assert LinearImage(data).data.tolist() == data.astype(np.float32).tolist()
 
     def test_linear_image_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -447,6 +456,16 @@ class TestLinearRegistry:
         with pytest.raises(DomainError, match="jobs must be >= 1"):
             ordered_map(calls.append, range(5), jobs)
         assert calls == []
+
+    @pytest.mark.parametrize("jobs", [2.5, float("nan"), np.float64(2.0)])
+    def test_ordered_map_rejects_a_non_integer_jobs(self, jobs):
+        calls = []
+        with pytest.raises(DomainError, match="jobs must be an integer"):
+            ordered_map(calls.append, range(5), jobs)
+        assert calls == []
+
+    def test_ordered_map_accepts_a_numpy_integer(self):
+        assert ordered_map(lambda i: i * i, range(5), np.int64(2)) == [0, 1, 4, 9, 16]
 
     def test_ordered_map_keeps_item_order_across_threads(self):
         barrier = threading.Barrier(2, timeout=10)

@@ -1,10 +1,12 @@
 """The input rule shared by every color, metric and loss function.
 
-Each takes a LinearImage or an array; a non-finite or negative value is a
-DomainError whose text says "must be finite and non-negative", mismatched
-shapes are a ShapeError, and a LinearImage gives the value its `.data` gives.
-Finite float64 data whose product or sum would leave float64's range is a
-DomainError from the function that multiplies or sums, not a RuntimeWarning.
+Each takes a LinearImage or an array; a value that is non-finite, negative or
+beyond float32's range (the range of a LinearImage) is a DomainError whose
+text says "must be finite and non-negative", mismatched shapes are a
+ShapeError, and a LinearImage gives the value its `.data` gives. With radiance
+at most float32's largest value and every gain on it at most 2^896, radiance
+arithmetic cannot leave float64's range; the functions whose inputs are not
+radiance raise DomainError where a product or sum would, not a RuntimeWarning.
 """
 
 from types import SimpleNamespace
@@ -14,7 +16,7 @@ import pytest
 
 from itmbench import losses
 from itmbench.analysis import error_map
-from itmbench.color import luminance, mu_law, to_display_luminance
+from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import blurred_luminance
@@ -39,6 +41,7 @@ BINARY = {
     "upf_loss": losses.upf_loss,
 }
 SHAPE = (16, 16, 3)  # the smallest side upf_loss's default 16 px patch accepts
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @pytest.fixture
@@ -55,9 +58,9 @@ def _call(name, args):
 
 
 @pytest.mark.parametrize("name, position", ARGUMENTS)
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 3.5e38, np.nextafter(F32_MAX, np.inf)])
 def test_non_finite_or_negative_is_a_domain_error(images, name, position, bad):
-    args = [image.data.copy() for image in images]
+    args = [image.data.astype(np.float64) for image in images]
     args[position][3, 5, 1] = bad
     with pytest.raises(DomainError, match="must be finite and non-negative"):
         _call(name, args)
@@ -79,28 +82,66 @@ def test_linear_image_and_its_data_agree(images, name):
     np.testing.assert_array_equal(from_images, from_arrays)
 
 
+@pytest.mark.parametrize("name", [*UNARY, *BINARY])
+def test_largest_float32_gives_a_finite_value(images, name):
+    # every value at the bound, against an ordinary image: finite, with no warning
+    args = [np.full(SHAPE, F32_MAX), images[1].data]
+    assert np.isfinite(_call(name, args)).all()
+
+
 _STEP = np.zeros((2, 2, 3))
 _STEP[:, 1] = 1.7e308
 _HALF = np.zeros((16, 16, 3))  # float64 rows beyond any LinearImage's float32 range
 _HALF[:8] = 1.7e308
 
 
-@pytest.mark.parametrize("call", [
-    lambda: mu_law(np.full((2, 2, 3), 1e305)),  # times mu = 5000
-    lambda: pu_psnr(np.full(SHAPE, 1e306), np.ones(SHAPE)),  # times the display scale 1000
-    lambda: pu_ssim(np.full(SHAPE, 1e306), np.ones(SHAPE)),  # the same, one channel at a time
-    lambda: error_map(np.full(SHAPE, 1e306), np.ones(SHAPE)),
-    lambda: losses.linear_l1(np.full((2, 2, 3), 1.7e308), np.zeros((2, 2, 3))),  # the mean's sum
-    lambda: losses.tv_loss(_STEP),
-    lambda: rmse_linear(np.full(SHAPE, 1e200), np.zeros(SHAPE)),  # the square
-    lambda: ssim_mean(np.full((16, 16), 1.7e308), np.zeros((16, 16)), 1.0),  # the square
-    lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.full(4, -1.7e308))], [1.0]),
-    lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.zeros(4))] * 3, [1.0] * 3),
-    lambda: losses.score_matching_loss([(np.full(1, 1e308), np.zeros(1))] * 3, [1.0] * 3),
-    lambda: blurred_luminance(SimpleNamespace(data=_HALF), 5),  # the running sums
+_INPUT_RULE = "must be finite and non-negative"
+_OVERFLOW = "exceeds? float64's range"
+
+
+@pytest.mark.parametrize("call, message", [
+    # radiance: data a product or sum would take beyond float64 is outside the input rule
+    (lambda: mu_law(np.full((2, 2, 3), 1e305)), _INPUT_RULE),  # times mu = 5000
+    (lambda: pu_psnr(np.full(SHAPE, 1e306), np.ones(SHAPE)), _INPUT_RULE),  # times the scale
+    (lambda: pu_ssim(np.full(SHAPE, 1e306), np.ones(SHAPE)), _INPUT_RULE),  # one channel at a time
+    (lambda: error_map(np.full(SHAPE, 1e306), np.ones(SHAPE)), _INPUT_RULE),
+    (lambda: losses.linear_l1(np.full((2, 2, 3), 1.7e308), np.zeros((2, 2, 3))), _INPUT_RULE),
+    (lambda: losses.tv_loss(_STEP), _INPUT_RULE),
+    (lambda: rmse_linear(np.full(SHAPE, 1e200), np.zeros(SHAPE)), _INPUT_RULE),  # the square
+    (lambda: blurred_luminance(SimpleNamespace(data=_HALF), 5), _INPUT_RULE),  # running sums
+    # not radiance: the function that multiplies or sums raises
+    (lambda: ssim_mean(np.full((16, 16), 1.7e308), np.zeros((16, 16)), 1.0), _OVERFLOW),
+    (lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.full(4, -1.7e308))], [1.0]),
+     _OVERFLOW),
+    (lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.zeros(4))] * 3, [1.0] * 3),
+     _OVERFLOW),
+    (lambda: losses.score_matching_loss([(np.full(1, 1e308), np.zeros(1))] * 3, [1.0] * 3),
+     _OVERFLOW),
 ], ids=["mu_law", "pu_psnr", "pu_ssim", "error_map", "linear_l1", "tv_loss", "rmse_linear",
-        "ssim_mean", "score_matching_difference", "score_matching_mean", "score_matching_total",
-        "blurred_luminance"])
-def test_overflow_beyond_float64_is_a_domain_error(call):
-    with pytest.raises(DomainError, match="exceeds? float64's range"):
+        "blurred_luminance", "ssim_mean", "score_matching_difference", "score_matching_mean",
+        "score_matching_total"])
+def test_overflow_beyond_float64_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_largest_gains_on_the_largest_radiance_stay_finite():
+    # each gain's owner admits 2^896, which times float32's largest value is below 2^1024
+    top = np.full(SHAPE, F32_MAX)
+    assert np.isfinite(mu_law(top, MuLawParams(2.0**896))).all()
+    mapping = DisplayMapping(peak_luminance=2.0**896)
+    assert mapping.scale == 2.0**896
+    assert np.isfinite(to_display_luminance(top, mapping)).all()
+    assert np.isfinite(pu_psnr(top, np.zeros(SHAPE), mapping=mapping))
+    assert np.isfinite(pu_ssim(top, np.zeros(SHAPE), mapping=mapping))
+
+
+@pytest.mark.parametrize("make", [
+    lambda big: MuLawParams(big),
+    lambda big: DisplayMapping(peak_luminance=big),
+    lambda big: DisplayMapping(peak_luminance=1000.0, reference_white=1000.0 / big),
+], ids=["mu", "peak_luminance", "reference_white"])
+@pytest.mark.parametrize("big", [np.nextafter(2.0**896, np.inf), 1e308])
+def test_gain_beyond_two_to_the_896_is_a_domain_error(make, big):
+    with pytest.raises(DomainError, match=r"at most 2\*\*896"):
+        make(big)

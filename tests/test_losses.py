@@ -186,15 +186,17 @@ class TestUpfLoss:
         assert upf_loss(a, b) == pytest.approx(want, rel=1e-12)
 
     def test_widely_spaced_centers_keep_every_pixel(self):
-        # centers ~40 sigma apart and a prediction midway between two of them:
-        # its votes, ~e^-200 each, are normal numbers. A window of 8.5 sigma
-        # would drop them all, and one of half a spacing drops them at some
-        # midpoints through rounding (here 9, 12, 18 and 24); one whole spacing
-        # keeps every pixel inside the windows of both centers around it.
+        # a black pixel and one at float32's largest value space the centers ~17 sigma
+        # apart, the widest radiance allows, and a prediction midway between two of them
+        # is ~8.5 sigma from both: a window of 8.5 sigma drops all the votes of most
+        # midpoints, and one of half a spacing those of 16 through rounding; one whole
+        # spacing keeps every pixel inside the windows of both centers around it
+        top = float(np.finfo(np.float32).max)
         gt = np.ones((16, 16, 3))
-        gt[0, 0], gt[5, 7] = 0.0, 1e102
-        centers = np.linspace(np.log(1e-8), np.log(1e102), _UPF_BINS)
-        assert 35 < (centers[31] - centers[30]) / _UPF_SIGMA < 45
+        gt[0, 0], gt[5, 7] = 0.0, top
+        centers = np.linspace(np.log(1e-8), np.log(oracles.naive_luminance(np.full(3, top))),
+                              _UPF_BINS)
+        assert 16.9 < (centers[31] - centers[30]) / _UPF_SIGMA < 17.1
         midpoints = np.exp(0.5 * (centers[1:] + centers[:-1]))
         values = [upf_loss(np.full((16, 16, 3), m), gt) for m in midpoints]
         assert np.isfinite(values).all()
@@ -202,15 +204,15 @@ class TestUpfLoss:
         assert values[12] == pytest.approx(want, rel=1e-12)
 
     def test_all_votes_underflowing_is_domain_error(self):
-        # float64 data spanning log 1e-8 (a black pixel) to log 1e250 spaces the
-        # centers ~9.4 apart, ~94 sigma; a prediction midway between two centers
-        # is ~47 sigma from both, so every one of its votes underflows to 0
+        # float64 data spanning log 1e-8 (a black pixel) to log 1e250 would space the
+        # centers ~94 sigma apart, so that every vote of a prediction midway underflowed;
+        # such data lies beyond float32's range, outside the loss inputs' domain
         gt = np.ones((16, 16, 3))
         gt[0, 0], gt[5, 7] = 0.0, 1e250
         centers = np.linspace(np.log(1e-8), np.log(1e250), _UPF_BINS)
         assert (centers[31] - centers[30]) / _UPF_SIGMA > 90
         pred = np.full((16, 16, 3), np.exp(0.5 * (centers[30] + centers[31])))
-        with pytest.raises(DomainError, match="every histogram vote of an image underflows"):
+        with pytest.raises(DomainError, match="loss inputs must be finite and non-negative"):
             upf_loss(pred, gt)
 
     def test_peak_memory_does_not_grow_with_image(self, rng):

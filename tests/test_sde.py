@@ -61,6 +61,18 @@ class TestSchedule:
         with pytest.raises(DomainError, match="steps must be >= 1"):
             SdeSchedule.constant(1.0, 0.1, 0.01, steps)
 
+    @pytest.mark.parametrize("steps", [2.5, float("nan"), np.float64(3.0)])
+    def test_factories_reject_non_integer_steps(self, steps):
+        # cosine(2.5) once gave 3 steps through np.arange, constant(..., 2.5) a TypeError
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            SdeSchedule.cosine(steps=steps)
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            SdeSchedule.constant(1.0, 0.1, 0.01, steps)
+
+    def test_factories_accept_numpy_integer_steps(self):
+        assert SdeSchedule.cosine(np.int64(3)) == SdeSchedule.cosine(3)
+        assert SdeSchedule.constant(1.0, 0.1, 0.01, np.int32(4)).steps == 4
+
 
 class TestForward:
     def test_fixed_point_at_target(self):
