@@ -202,6 +202,9 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     """
     if not (-np.inf < ev <= _GAIN_STOPS):  # the gain 2^ev is at most 2^896
         raise DomainError(f"exposure ev must be finite and at most {_GAIN_STOPS}; got {ev!r}")
+    seed = _int_at_least(seed, "seed", 0)
+    if seed >= 2**128:
+        raise DomainError(f"seed must be below 2**128, the size of Philox's key; got {seed!r}")
     # a float32 image's copy is reused: numpy elides the unnamed temporary
     exposed = as_radiance(hdr, "camera input") * 2.0**ev
     if noise.sigma_read > 0:
@@ -342,6 +345,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     byte-identical for any `jobs`.
     """
     count_per_image = _int_at_least(count_per_image, "count_per_image", 1)
+    master_seed = _int_at_least(master_seed, "master_seed", -np.inf)  # of either sign
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sources, errors = index_linear_dir(hdr_dir)

@@ -23,9 +23,10 @@ _GAIN_MAX = 2.0**_GAIN_STOPS
 
 
 class _overflow_raises:
-    """`with _overflow_raises(message):` numpy arithmetic that overflows inside the
-    block raises DomainError(message) in place of numpy's RuntimeWarning. Only
-    arithmetic on inputs that are not radiance needs it: see the bounds above."""
+    """`with _overflow_raises(message):` arithmetic that overflows inside the block
+    raises DomainError(message) in place of numpy's RuntimeWarning or a Python
+    float's OverflowError. Only arithmetic on inputs that are not radiance
+    needs it: see the bounds above."""
 
     def __init__(self, message: str):
         self.message = message
@@ -36,7 +37,7 @@ class _overflow_raises:
 
     def __exit__(self, kind, exc, tb):
         self.state.__exit__(kind, exc, tb)
-        if isinstance(exc, FloatingPointError):
+        if isinstance(exc, (FloatingPointError, OverflowError)):
             raise DomainError(self.message) from None
 
 
@@ -58,19 +59,25 @@ def as_unit(v, name: str) -> np.ndarray:
     return arr
 
 
+def _pixels(x):
+    """A raster's (a LinearImage's) `.data`, or `x` itself: an array's `.data` is a memoryview."""
+    return x if isinstance(x, (np.ndarray, np.generic)) else getattr(x, "data", x)
+
+
 def _radiance(x, name: str, error: type = DomainError) -> np.ndarray:
     """`x` (a LinearImage or an array) with every value in [0, float32's top], else `error`.
 
-    Boolean, integer and float data up to 64 bits keep their dtype: each
-    caller's first operation upcasts with `dtype=np.float64` into a buffer it
-    owns, which gives the bits a float64 copy would. Other data is converted.
+    The data must be boolean, integer or real float. Up to 64 bits it keeps
+    its dtype: each caller's first operation upcasts with `dtype=np.float64`
+    into a buffer it owns, which gives the bits a float64 copy would. Wider
+    floats are converted.
     """
-    arr = np.asarray(getattr(x, "data", x))
-    if arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
-        arr = arr.astype(np.float64)
+    arr = np.asarray(_pixels(x))
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be boolean, integer or real float data; got dtype {arr.dtype}")
     if not _in_radiance_range(arr):
         raise error(f"{name} must be finite and non-negative and lie within float32's range")
-    return arr
+    return arr.astype(np.float64) if arr.dtype.itemsize > 8 else arr
 
 
 def _in_radiance_range(arr: np.ndarray) -> bool:
@@ -85,7 +92,7 @@ def as_radiance(x, name: str) -> np.ndarray:
 
 def check_same_shape(a, b) -> None:
     """Raise ShapeError unless `a` and `b` (LinearImages or arrays) share a shape."""
-    sa, sb = np.shape(getattr(a, "data", a)), np.shape(getattr(b, "data", b))
+    sa, sb = np.shape(_pixels(a)), np.shape(_pixels(b))
     if sa != sb:
         raise ShapeError(f"image shapes differ: {sa} vs {sb}")
 

@@ -41,17 +41,21 @@ _SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     display: DisplayMapping = field(default_factory=DisplayMapping)
     synth: SynthesisSettings = field(default_factory=SynthesisSettings)
     pu_coefficients: str = ""
     master_seed: int = 0
 
+    def __post_init__(self):
+        # loaded once, as the Config is built: an unusable file is a ConfigError here
+        object.__setattr__(self, "_encoding", PuEncoding.from_json(self.pu_coefficients)
+                           if self.pu_coefficients else PuEncoding.default())
+
     def encoding(self) -> PuEncoding:
-        if self.pu_coefficients:
-            return PuEncoding.from_json(self.pu_coefficients)
-        return PuEncoding.default()
+        """The PU encoding `pu_coefficients` names, or the packaged one when it is empty."""
+        return self._encoding
 
 
 def _parse_config_text(text: str) -> Config:

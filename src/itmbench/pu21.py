@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,7 +23,7 @@ from .color import (DisplayMapping, _luma, _overflow_raises, _radiance, check_sa
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -140,13 +139,19 @@ def _windowed_mean(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
-    """Mean local SSIM over two 2-D fields (11x11 Gaussian window, sigma 1.5)."""
+    """Mean local SSIM over two 2-D fields (11x11 Gaussian window, sigma 1.5).
+
+    `data_range` must be finite and positive; one whose constants (K data_range)^2
+    overflow is a DomainError, as are statistics that leave float64's range.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ShapeError(f"SSIM inputs differ in shape: {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
+    if not (0 < data_range < np.inf):
+        raise DomainError(f"SSIM data_range must be finite and positive; got {data_range!r}")
     with _overflow_raises("the SSIM statistics exceed float64's range"):
         w = _gaussian_window()
         mx = _windowed_mean(x, w)
@@ -231,30 +236,40 @@ class PerImageScore:
 
 @dataclass
 class MetricReport:
+    """Per-image scores of a set, its errors, and `expected`, the number of ground
+    truths in the set (the number of rows when not given)."""
+
     per_image: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    runtime_ms_per_image: float = 0.0
+    expected: int | None = None
+
+    def __post_init__(self):
+        if self.expected is None:
+            self.expected = len(self.per_image)
 
     @property
-    def aggregate(self) -> dict:
-        if not self.per_image:
-            return {"pu_psnr": None, "pu_ssim": None, "rmse_linear": None}
+    def aggregate(self) -> dict | None:
+        """Mean scores of a complete set, else None: a set scores only when every
+        expected ground truth has a row. PSNR is the mean over the finite rows (inf
+        when every row is exact), so one exact prediction does not hide the others."""
+        if not self.per_image or len(self.per_image) != self.expected:
+            return None
+        finite = [r.pu_psnr for r in self.per_image if r.pu_psnr != np.inf]
         return {
-            "pu_psnr": float(np.mean([r.pu_psnr for r in self.per_image])),
+            "pu_psnr": float(np.mean(finite)) if finite else np.inf,
             "pu_ssim": float(np.mean([r.pu_ssim for r in self.per_image])),
             "rmse_linear": float(np.mean([r.rmse_linear for r in self.per_image])),
         }
 
     def to_json(self) -> str:
         def num(v):
-            if v is None:
-                return None
             if np.isnan(v):
                 return None
             if np.isinf(v):
                 return "inf" if v > 0 else "-inf"
             return float(v)
 
+        agg = self.aggregate
         doc = {
             "schema": SCHEMA_VERSION,
             "per_image": [
@@ -266,14 +281,16 @@ class MetricReport:
                 }
                 for r in self.per_image
             ],
-            "aggregate": {k: num(v) for k, v in self.aggregate.items()},
-            "runtime_ms_per_image": float(self.runtime_ms_per_image),
+            "aggregate": None if agg is None else {k: num(v) for k, v in agg.items()},
+            "scored": len(self.per_image),
+            "expected": self.expected,
+            "exact": sum(1 for r in self.per_image if r.pu_psnr == np.inf),
             "errors": list(self.errors),
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        # column order is frozen: image,psnr,ssim,rmse (schema version 1)
+        # column order is frozen: image,psnr,ssim,rmse (since schema version 1)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["image", "psnr", "ssim", "rmse"])
@@ -298,7 +315,8 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
     """
     preds, pred_errors = index_linear_dir(pred_dir)
     gts, gt_errors = index_linear_dir(gt_dir)
-    report = MetricReport(errors=pred_errors + gt_errors)
+    # gt_errors holds one line per stem that two ground-truth files share: expected, unscored
+    report = MetricReport(errors=pred_errors + gt_errors, expected=len(gts) + len(gt_errors))
     if not gts:
         report.errors.append("no ground-truth images found")
     for stem in sorted(set(preds) - set(gts)):
@@ -320,19 +338,12 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
         except ItmError as exc:
             return stem, None, f"{stem}: {exc}"
 
-    stems = sorted(gts)
-    start = time.perf_counter()
-    results = ordered_map(score_one, stems, jobs)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-
-    for _, row, err in results:
+    for _, row, err in ordered_map(score_one, sorted(gts), jobs):
         if row is not None:
             report.per_image.append(row)
         if err is not None:
             report.errors.append(err)
     report.errors.sort()
-    if stems:
-        report.runtime_ms_per_image = elapsed_ms / len(stems)
     return report
 
 

@@ -152,12 +152,11 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, off
     elements at a time holds O(n_traj x tile); a block call allocates no
     array memory.
     """
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
-    if offset < 0 or max(offset + dim, n_traj, steps // 4) >= 2**32:
-        raise DomainError("offset must be >= 0, and offset + dim, n_traj and steps // 4 "
-                          "must each stay below 2^32")
-    keys = _round_keys(np.random.SeedSequence(int(seed)).generate_state(2, np.uint32))
+    seed = _int_at_least(seed, "seed", 0)
+    offset = _int_at_least(offset, "offset", 0)
+    if max(offset + dim, n_traj, steps // 4) >= 2**32:
+        raise DomainError("offset + dim, n_traj and steps // 4 must each stay below 2^32")
+    keys = _round_keys(np.random.SeedSequence(seed).generate_state(2, np.uint32))
     # A pass takes a group of trajectories times a range of elements, so that
     # round 0, whose products see only the block index m and the trajectory
     # k, is one XOR of a trajectory column and an element row, both built at
@@ -230,9 +229,8 @@ def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1,
     Working memory beyond the history is O(n_traj x dim), or O(n_traj x tile)
     for a state run one tile at a time.
     """
+    n_traj = _int_at_least(n_traj, "n_traj", 1)
     x0v, muv = _paired(_state(x0, "x0"), "x0", mu)
-    if n_traj < 1:
-        raise DomainError("n_traj must be >= 1")
     steps, dt = sched.steps, sched.dt
     noise = _noise_blocks(seed, 0, n_traj, x0v.size, steps, offset)
     history = np.empty((n_traj, steps + 1, x0v.size)) if return_history else None
@@ -272,14 +270,13 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
     (n_traj, dim). Working memory beyond the score is O(n_traj x dim), or
     O(n_traj x tile) for a state run one tile at a time.
     """
+    n_traj = _int_at_least(n_traj, "n_traj", 1)
     xT_arr = np.asarray(xT, dtype=np.float64)
     starts = xT_arr if xT_arr.ndim == 2 else None
     if starts is not None:
         if n_traj not in (1, len(starts)):
             raise ShapeError("n_traj conflicts with the per-trajectory xT stack")
-        n_traj = len(starts)
-    if n_traj < 1:
-        raise DomainError("n_traj must be >= 1")
+        n_traj = _int_at_least(len(starts), "n_traj", 1)  # an empty stack has no trajectory
     flat = _state(xT_arr, "xT")
     xv, muv = _paired(flat if starts is None else starts[0], "xT", mu)
     steps, dt = sched.steps, sched.dt

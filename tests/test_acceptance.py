@@ -222,7 +222,8 @@ def _tree_bytes(directory):
 
 
 def test_criterion_8_cli_determinism(tmp_path):
-    """synthesize is byte-identical across runs and job counts, sde-demo across runs."""
+    """synthesize and score are byte-identical across runs and job counts, sde-demo across
+    runs."""
     rng = np.random.default_rng(808)
     src = tmp_path / "src"
     src.mkdir()
@@ -246,7 +247,25 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert code == 0
         demos.append(_tree_bytes(out))
     assert demos[0] == demos[1] == demos[2]
-    report(8, "synthesize byte-identical across runs and --jobs 1 vs 8, sde-demo across runs")
+
+    for sub in ("gt", "pred"):
+        (tmp_path / sub).mkdir()
+    for i in range(3):
+        gt = rng.uniform(0.01, 2.0, (20, 20, 3)).astype(np.float32)
+        pred = gt * rng.lognormal(0.0, 0.1, gt.shape).astype(np.float32)
+        write_hdr(LinearImage(gt), tmp_path / "gt" / f"p{i}.hdr")
+        write_pfm(LinearImage(pred), tmp_path / "pred" / f"p{i}.pfm")
+    scores = []
+    for name, jobs in (("r1", "1"), ("r2", "1"), ("r2j", "2"), ("r8", "8")):
+        out = tmp_path / f"score_{name}"
+        code = main(["score", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 0
+        scores.append(_tree_bytes(out))
+    assert sorted(scores[0]) == ["report.csv", "report.json"]
+    assert scores[0] == scores[1] == scores[2] == scores[3]
+    report(8, "synthesize byte-identical across runs and --jobs 1 vs 8, score across runs and "
+              "--jobs 1, 2 and 8, sde-demo across runs")
 
 
 def test_criterion_9_leaderboard_order():

@@ -2,7 +2,8 @@
 
 Each takes a LinearImage or an array; a value that is non-finite, negative or
 beyond float32's range (the range of a LinearImage) is a DomainError whose
-text says "must be finite and non-negative", mismatched shapes are a
+text says "must be finite and non-negative", data that is not boolean,
+integer or real float is a DomainError too, mismatched shapes are a
 ShapeError, and a LinearImage gives the value its `.data` gives. With radiance
 at most float32's largest value and every gain on it at most 2^896, radiance
 arithmetic cannot leave float64's range; the functions whose inputs are not
@@ -17,7 +18,7 @@ import pytest
 from itmbench import losses
 from itmbench.analysis import error_map
 from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
-from itmbench.errors import DomainError, ShapeError
+from itmbench.errors import DomainError, FormatError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import blurred_luminance
 from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear, ssim_mean
@@ -64,6 +65,31 @@ def test_non_finite_or_negative_is_a_domain_error(images, name, position, bad):
     args[position][3, 5, 1] = bad
     with pytest.raises(DomainError, match="must be finite and non-negative"):
         _call(name, args)
+
+
+# data that is not boolean, integer or real float: each used to reach numpy, which raised
+# its own ValueError (datetime), warned (complex) or computed with it (strings, objects)
+BAD_DTYPES = ["datetime64[s]", "timedelta64[s]", "complex128", "complex64", "U8", "S8", "O"]
+
+
+@pytest.mark.parametrize("name, position", ARGUMENTS)
+@pytest.mark.parametrize("dtype", BAD_DTYPES)
+def test_data_of_another_kind_is_a_domain_error(images, name, position, dtype):
+    args = [image.data for image in images]
+    args[position] = args[position].astype(np.int64).astype(dtype)
+    with pytest.raises(DomainError, match="must be boolean, integer or real float data"):
+        _call(name, args)
+
+
+@pytest.mark.parametrize("dtype", BAD_DTYPES)
+def test_linear_image_of_another_kind_is_a_format_error(dtype):
+    with pytest.raises(FormatError, match="must be boolean, integer or real float data"):
+        LinearImage(np.ones((2, 2, 3), dtype=np.int64).astype(dtype))
+
+
+def test_string_triple_is_not_a_luminance():
+    with pytest.raises(DomainError, match="got dtype <U1"):
+        luminance([["1", "2", "3"]])
 
 
 @pytest.mark.parametrize("name", BINARY)

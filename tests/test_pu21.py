@@ -145,6 +145,19 @@ class TestSsim:
         x = np.full((16, 16), 3.0)
         assert ssim_mean(x, x, data_range=10.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("data_range", [np.inf, np.nan, 0.0, -1.0, -np.inf])
+    def test_data_range_must_be_finite_and_positive(self, rng, data_range):
+        x = rng.uniform(0, 1, (16, 16))
+        with pytest.raises(DomainError, match="data_range must be finite and positive"):
+            ssim_mean(x, x * 0.9, data_range)
+
+    @pytest.mark.parametrize("data_range", [1e300, np.float64(1e300), 1e200],
+                             ids=["float_1e300", "float64_1e300", "float_1e200"])
+    def test_data_range_whose_constants_overflow_is_domain_error(self, rng, data_range):
+        x = rng.uniform(0, 1, (16, 16))
+        with pytest.raises(DomainError, match="exceed float64's range"):
+            ssim_mean(x, x * 0.9, data_range)
+
 
 class TestRankInvariance:
     def test_peak_rescale_preserves_ordering(self, rng):
@@ -219,6 +232,77 @@ class TestScoreDataset:
         par = score_dataset(tmp_path / "pred", tmp_path / "gt", jobs=8)
         assert seq.to_csv() == par.to_csv()
 
+    @staticmethod
+    def _three_pairs(root, rng, exact=(), missing=()):
+        """Ground truths im0..im2 and their predictions: im2 the hardest, an `exact`
+        one equal to its ground truth, a `missing` one not written."""
+        for sub in ("pred", "gt"):
+            (root / sub).mkdir()
+        for i, noise in enumerate((0.02, 0.05, 0.3)):
+            gt = rng.uniform(0.1, 1.0, (16, 16, 3)).astype(np.float32)
+            pred = gt * rng.lognormal(0.0, noise, gt.shape).astype(np.float32)
+            if i in exact:
+                pred = gt
+            write_pfm(LinearImage(gt), root / "gt" / f"im{i}.pfm")
+            if i not in missing:
+                write_pfm(LinearImage(pred), root / "pred" / f"im{i}.pfm")
+
+    def test_incomplete_set_has_no_aggregate(self, tmp_path, rng):
+        self._three_pairs(tmp_path, rng, missing=(2,))
+        report = score_dataset(tmp_path / "pred", tmp_path / "gt")
+        assert report.errors == ["missing prediction: im2"]
+        assert report.aggregate is None
+        doc = json.loads(report.to_json())
+        assert doc["aggregate"] is None
+        assert (doc["scored"], doc["expected"], doc["exact"]) == (2, 3, 0)
+        assert [row["image"] for row in doc["per_image"]] == ["im0", "im1"]
+
+    def test_ground_truth_stem_shared_by_two_files_leaves_the_set_incomplete(self, tmp_path,
+                                                                             rng):
+        self._three_pairs(tmp_path, rng)
+        write_pfm(LinearImage(np.ones((16, 16, 3), np.float32)), tmp_path / "gt" / "im1.hdr")
+        report = score_dataset(tmp_path / "pred", tmp_path / "gt")
+        assert [r.image for r in report.per_image] == ["im0", "im2"]
+        assert report.aggregate is None
+        assert report.expected == 3
+        assert report.errors[1:] == ["unmatched prediction: im1"]
+        assert "share the stem 'im1'" in report.errors[0]
+
+    def test_complete_set_counts_every_row(self, tmp_path, rng):
+        self._three_pairs(tmp_path, rng)
+        report = score_dataset(tmp_path / "pred", tmp_path / "gt")
+        doc = json.loads(report.to_json())
+        assert (doc["scored"], doc["expected"], doc["exact"]) == (3, 3, 0)
+        assert doc["aggregate"]["pu_psnr"] == pytest.approx(
+            np.mean([r.pu_psnr for r in report.per_image]), abs=1e-12)
+        assert "runtime_ms_per_image" not in doc
+
+    def test_exact_prediction_leaves_a_finite_psnr_over_the_others(self, tmp_path, rng):
+        self._three_pairs(tmp_path, rng, exact=(0,))
+        report = score_dataset(tmp_path / "pred", tmp_path / "gt")
+        assert report.per_image[0].pu_psnr == np.inf
+        others = [r.pu_psnr for r in report.per_image[1:]]
+        assert report.aggregate["pu_psnr"] == pytest.approx(np.mean(others), abs=1e-12)
+        assert report.aggregate["pu_ssim"] == pytest.approx(
+            np.mean([r.pu_ssim for r in report.per_image]), abs=1e-12)
+        doc = json.loads(report.to_json())
+        assert doc["per_image"][0]["pu_psnr"] == "inf"
+        assert isinstance(doc["aggregate"]["pu_psnr"], float)
+        assert (doc["scored"], doc["expected"], doc["exact"]) == (3, 3, 1)
+
+    def test_every_prediction_exact_aggregates_to_inf(self, tmp_path, rng):
+        self._three_pairs(tmp_path, rng, exact=(0, 1, 2))
+        doc = json.loads(score_dataset(tmp_path / "pred", tmp_path / "gt").to_json())
+        assert doc["aggregate"]["pu_psnr"] == "inf"
+        assert doc["exact"] == 3
+
+    def test_empty_set_has_no_aggregate(self, tmp_path):
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "gt").mkdir()
+        doc = json.loads(score_dataset(tmp_path / "pred", tmp_path / "gt").to_json())
+        assert doc["aggregate"] is None
+        assert (doc["scored"], doc["expected"], doc["exact"]) == (0, 0, 0)
+
     def test_aggregate_is_mean_of_rows(self, tmp_path, rng):
         report = MetricReport(per_image=[
             PerImageScore("a", 30.0, 0.9, 0.1),
@@ -231,7 +315,7 @@ class TestScoreDataset:
         report = MetricReport(per_image=[PerImageScore("a", float("inf"), 1.0, 0.0)])
         doc = json.loads(report.to_json())
         assert doc["per_image"][0]["pu_psnr"] == "inf"
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
 
     def test_csv_layout(self):
         report = MetricReport(per_image=[PerImageScore("a", float("inf"), 1.0, 0.0)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from itmbench import sde
-from itmbench.camera import Crf, simulate_ldr
+from itmbench.camera import Crf, NoiseParams, generate_dataset, simulate_ldr
 from itmbench.color import DisplayMapping
 from itmbench.errors import DomainError, NumericError, ShapeError
 from itmbench.image_io import LinearImage
@@ -598,3 +598,48 @@ class TestArgumentValidation:
             with pytest.raises(DomainError, match="offset"):
                 sde._noise_blocks(0, 0, 1, dim, 4, offset)
         sde._noise_blocks(0, 0, 1, 3, 4, 2**32 - 4)(0)  # largest accepted: element 2^32 - 2
+
+
+_SCHED = SdeSchedule.constant(1.0, 0.1, 0.01, 4)
+_IMAGE = LinearImage(np.full((16, 16, 3), 0.5, dtype=np.float32))
+
+
+def _camera(seed):
+    return simulate_ldr(_IMAGE, 0.0, Crf("gamma"), NoiseParams(0.01), seed=seed)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: forward_simulate(0.5, 0.1, _SCHED, seed=1.5), "seed must be an integer"),
+    (lambda: backward_simulate(0.5, 0.1, _SCHED, lambda x, s: 0.0, seed=1.5),
+     "seed must be an integer"),
+    (lambda: forward_simulate(0.5, 0.1, _SCHED, n_traj=2.5), "n_traj must be an integer"),
+    (lambda: backward_simulate(0.5, 0.1, _SCHED, lambda x, s: 0.0, n_traj=2.5),
+     "n_traj must be an integer"),
+    (lambda: forward_simulate(0.5, 0.1, _SCHED, offset=1.5), "offset must be an integer"),
+    (lambda: backward_simulate(0.5, 0.1, _SCHED, lambda x, s: 0.0, offset=1.5),
+     "offset must be an integer"),
+    (lambda: itm_sde_demo(_IMAGE, _IMAGE, _SCHED, seed=1.5), "seed must be an integer"),
+    (lambda: _camera(1.5), "seed must be an integer"),
+    (lambda: _camera(np.float64(3.0)), "seed must be an integer"),
+    (lambda: _camera(-1), "seed must be >= 0; got -1"),
+    (lambda: _camera(2**128), r"seed must be below 2\*\*128"),
+    (lambda: generate_dataset("missing", "unused", master_seed=1.5),
+     "master_seed must be an integer"),
+], ids=["forward_seed", "backward_seed", "forward_n_traj", "backward_n_traj", "forward_offset",
+        "backward_offset", "demo_seed", "camera_seed", "camera_float64_seed",
+        "camera_negative_seed", "camera_seed_beyond_philox_key", "master_seed"])
+def test_seeds_and_counts_are_integers_checked_by_their_owner(tmp_path, monkeypatch, call,
+                                                              message):
+    monkeypatch.chdir(tmp_path)  # a check after generate_dataset's mkdir would leave "unused"
+    with pytest.raises(DomainError, match=message):
+        call()
+    assert not any(tmp_path.iterdir())
+
+
+def test_integer_seeds_of_any_integer_type_agree():
+    assert np.array_equal(_camera(np.uint64(7)).data, _camera(7).data)
+    _camera(2**128 - 1)  # the largest Philox key
+    numpy_ints = forward_simulate(0.5, 0.1, _SCHED, seed=np.int32(3), n_traj=np.int64(2),
+                                  offset=np.uint8(1))
+    np.testing.assert_array_equal(numpy_ints,
+                                  forward_simulate(0.5, 0.1, _SCHED, seed=3, n_traj=2, offset=1))

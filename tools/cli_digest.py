@@ -4,9 +4,8 @@
 Writes seeded inputs under OUT, runs a fixed list of command lines in-process
 through `itmbench.cli.main` (working directory OUT, relative paths only), and
 prints, per command, its exit code and the sha256 of its stdout and stderr,
-then the sha256 of every file it wrote. `report.json` is hashed without its
-`runtime_ms_per_image`, the one wall-clock field of any output. To compare
-two source trees, run against each and diff the outputs:
+then the sha256 of every file it wrote. To compare two source trees, run
+against each and diff the outputs:
 
     PYTHONPATH=<tree>/src python tools/cli_digest.py OUT [--size N] > digest.txt
 
@@ -17,7 +16,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -102,12 +100,7 @@ def write_inputs(root: Path, size: int):
 
 
 def file_digest(path: Path) -> str:
-    data = path.read_bytes()
-    if path.name == "report.json":
-        doc = json.loads(data)
-        doc.pop("runtime_ms_per_image", None)
-        data = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run(label: str, argv: list) -> list:
