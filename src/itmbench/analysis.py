@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import DisplayMapping, luminance
+from .color import DisplayMapping, as_radiance, luminance
 from .errors import DomainError, ShapeError
 from .image_io import Ldr8Image
 from .pu21 import PuEncoding, pu_fields
@@ -71,8 +71,8 @@ def _region_stats(values: np.ndarray) -> dict:
 
 
 def error_stats(err_map: np.ndarray, split: SaturationSplit) -> dict:
-    """Summary statistics of the residual map inside/outside the saturated mask."""
-    err = np.asarray(err_map, dtype=np.float64)
+    """Summary statistics of a residual map (radiance-range data) inside/outside the mask."""
+    err = as_radiance(err_map, "error map")
     mask = split.saturated_mask
     if err.shape != mask.shape:
         raise ShapeError("error map and mask shapes differ")
@@ -87,7 +87,7 @@ def error_stats(err_map: np.ndarray, split: SaturationSplit) -> dict:
 
 def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray) -> dict:
     """Joint 2-D histogram of input LDR luminance versus prediction error, HIST_BINS a side."""
-    err = np.asarray(err_map, dtype=np.float64)
+    err = as_radiance(err_map, "error map")
     lum = luminance(ldr_input.data)
     if err.shape != lum.shape:
         raise ShapeError("error map and input shapes differ")

@@ -171,7 +171,7 @@ def estimate_exposure_range(image, sat_frac: float = 0.05, dark_frac: float = 0.
     """
     if not (0 < sat_frac < 1 and 0 < dark_frac < 1):
         raise DomainError("sat_frac and dark_frac must lie in (0, 1)")
-    lum = np.sort(luminance(image.data).ravel())
+    lum = np.sort(luminance(image).ravel())
     n = lum.size
     if lum[-1] <= 0:
         raise RangeError("cannot estimate exposure range of an all-zero image")

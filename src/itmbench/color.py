@@ -15,35 +15,17 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
-# Radiance stops at float32's top (< 2^128) and each gain on it (exposure, mu, display scale,
-# noise level) at 2^896, so no product of the two exceeds 2^1024 - 2^1000, inside float64.
+# Radiance lies in [0, float32's top] (< 2^128), a signed field within +-float32's top, and each
+# gain on either (exposure, mu, display scale, noise level, residual; mask sharpness) at 2^896,
+# so no product of the two exceeds 2^1024 - 2^1000. Each is checked where it enters.
 _F32_MAX = np.finfo(np.float32).max  # a float32 scalar: float16 data compares without a cast
 _GAIN_STOPS = 896
 _GAIN_MAX = 2.0**_GAIN_STOPS
 
 
-class _overflow_raises:
-    """`with _overflow_raises(message):` arithmetic that overflows inside the block
-    raises DomainError(message) in place of numpy's RuntimeWarning or a Python
-    float's OverflowError. Only arithmetic on inputs that are not radiance
-    needs it: see the bounds above."""
-
-    def __init__(self, message: str):
-        self.message = message
-        self.state = np.errstate(over="raise")
-
-    def __enter__(self):
-        self.state.__enter__()
-
-    def __exit__(self, kind, exc, tb):
-        self.state.__exit__(kind, exc, tb)
-        if isinstance(exc, (FloatingPointError, OverflowError)):
-            raise DomainError(self.message) from None
-
-
 def _int_at_least(value, name: str, low: int) -> int:
-    """`value`, a Python or numpy integer >= `low`, as an int; otherwise a DomainError."""
-    if not isinstance(value, numbers.Integral):
+    """`value`, a Python or numpy integer (not a bool) >= `low`, as an int; else a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer; got {value!r}")
     if value < low:
         raise DomainError(f"{name} must be >= {low}; got {value!r}")
@@ -64,30 +46,36 @@ def _pixels(x):
     return x if isinstance(x, (np.ndarray, np.generic)) else getattr(x, "data", x)
 
 
-def _radiance(x, name: str, error: type = DomainError) -> np.ndarray:
-    """`x` (a LinearImage or an array) with every value in [0, float32's top], else `error`.
+def _radiance(x, name: str, error: type = DomainError, low=0) -> np.ndarray:
+    """`x` (a LinearImage or an array) with every value in [low, float32's top], else `error`.
 
-    The data must be boolean, integer or real float. Up to 64 bits it keeps
-    its dtype: each caller's first operation upcasts with `dtype=np.float64`
-    into a buffer it owns, which gives the bits a float64 copy would. Wider
-    floats are converted.
+    `low` is 0 for radiance, -float32's top for a signed field. The data must
+    be boolean, integer or real float. Up to 64 bits it keeps its dtype: each
+    caller's first operation upcasts with `dtype=np.float64` into a buffer it
+    owns, which gives the bits a float64 copy would. Wider floats are converted.
     """
     arr = np.asarray(_pixels(x))
     if arr.dtype.kind not in "biuf":
         raise error(f"{name} must be boolean, integer or real float data; got dtype {arr.dtype}")
-    if not _in_radiance_range(arr):
-        raise error(f"{name} must be finite and non-negative and lie within float32's range")
+    if not _in_radiance_range(arr, low):
+        sign = "non-negative and " if low == 0 else ""
+        raise error(f"{name} must be finite and {sign}lie within float32's range")
     return arr.astype(np.float64) if arr.dtype.itemsize > 8 else arr
 
 
-def _in_radiance_range(arr: np.ndarray) -> bool:
-    """Every value in [0, float32's top]; NaN and infinities fail, with no warning."""
-    return arr.size == 0 or bool(arr.min() >= 0 and arr.max() <= _F32_MAX)
+def _in_radiance_range(arr: np.ndarray, low) -> bool:
+    """Every value in [low, float32's top]; NaN and infinities fail, with no warning."""
+    return arr.size == 0 or bool(arr.min() >= low and arr.max() <= _F32_MAX)
 
 
 def as_radiance(x, name: str) -> np.ndarray:
     """`x` (a LinearImage or an array) as float64, checked as `_radiance` checks it."""
     return np.asarray(_radiance(x, name), dtype=np.float64)
+
+
+def _signed(x, name: str) -> np.ndarray:
+    """`x` as float64, checked as `_radiance` checks a signed field (low -float32's top)."""
+    return np.asarray(_radiance(x, name, low=-_F32_MAX), dtype=np.float64)
 
 
 def check_same_shape(a, b) -> None:

@@ -435,7 +435,7 @@ def read_pfm(path) -> LinearImage:
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype, count=width * height * 3, offset=pos)
     data = data.reshape(height, width, 3)[::-1]  # rows are stored bottom-up
-    if not _in_radiance_range(data):
+    if not _in_radiance_range(data, 0):
         raise ParseError("PFM samples must be finite and non-negative", offset=pos)
     return LinearImage(np.ascontiguousarray(data, dtype=np.float32))
 

@@ -15,12 +15,12 @@ the values are those of a float64 copy, bit for bit.
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 
 import numpy as np
 
-from .color import (MuLawParams, _overflow_raises, _radiance, check_same_shape, luminance,
-                    mu_law)
+from .color import MuLawParams, _radiance, _signed, check_same_shape, luminance, mu_law
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -243,24 +243,24 @@ def total_loss(stages, pred, gt, *, perceptual: float = 0.0) -> tuple:
 def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
     """Gamma-weighted sum over (x, x*) pairs of mean|x - x*| + lam * (1 - SSIM).
 
-    Entries may be scalars or arrays; with lam > 0 they must be 2-D images that
-    `ssim_mean` accepts.
+    Entries are scalars or arrays, signed fields (see `ssim_mean`); with lam > 0,
+    2-D images. The sum runs in Python floats: beyond float64 it is inf, then a DomainError.
     """
     if len(trajectory) != len(gammas):
         raise DomainError("gammas length must match the trajectory")
     if not (0 <= lam < np.inf):
         raise DomainError(f"lam must be finite and non-negative; got {lam!r}")
-    total = 0.0
-    with _overflow_raises("the score-matching difference or sum exceeds float64's range"):
-        for (x, x_star), gamma in zip(trajectory, gammas):
-            if not (0 < gamma < np.inf):
-                raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
-            a = np.asarray(x, dtype=np.float64)
-            b = np.asarray(x_star, dtype=np.float64)
-            if a.shape != b.shape:
-                raise ShapeError("trajectory pair shapes differ")
-            term = np.mean(np.abs(a - b))  # a float64 scalar, so the running total raises too
-            if lam > 0:
-                term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
-            total += gamma * term
-    return float(total)
+    lam, total = float(lam), 0.0
+    for (x, x_star), gamma in zip(trajectory, gammas):
+        if not (0 < gamma < np.inf):
+            raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
+        a, b = _signed(x, "trajectory entries"), _signed(x_star, "trajectory entries")
+        if a.shape != b.shape or not a.size:  # an empty pair has no mean
+            raise ShapeError(f"trajectory pair shapes differ or are empty: {a.shape}, {b.shape}")
+        term = float(np.mean(np.abs(a - b)))
+        if lam > 0:
+            term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
+        total += float(gamma) * term
+    if not math.isfinite(total):
+        raise DomainError("the score-matching sum exceeds float64's range")
+    return total

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Crf
-from .color import _overflow_raises, luminance
+from .color import _GAIN_MAX, _int_at_least, _signed, as_radiance, luminance
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage, Ldr8Image
 
@@ -25,6 +25,7 @@ class MaskParams:
 
     Thresholds come from cumsum(softmax(theta)); with two logits the second
     threshold is exactly 1. Defaults are documented choices, not paper values.
+    `alpha` is a gain on the mask field, at most 2**896.
     """
 
     theta: tuple = (0.0, 0.0)
@@ -33,8 +34,9 @@ class MaskParams:
     def __post_init__(self):
         if len(self.theta) != 2 or not np.isfinite(self.theta).all():
             raise DomainError(f"theta holds exactly 2 finite threshold logits; got {self.theta!r}")
-        if not (0 < self.alpha < np.inf):
-            raise DomainError(f"alpha must be finite and positive; got {self.alpha!r}")
+        if not (0 < self.alpha <= _GAIN_MAX):
+            raise DomainError(f"alpha must be finite and positive, at most 2**896; "
+                              f"got {self.alpha!r}")
         t1, t2 = _thresholds(self.theta)
         if not (0 < t1 < t2 <= 1):
             raise DomainError("thresholds must satisfy 0 < tau1 < tau2 <= 1")
@@ -85,17 +87,18 @@ def _edge_box_mean(a: np.ndarray, r: int) -> np.ndarray:
 
 def blurred_luminance(image, kernel: int) -> np.ndarray:
     """Box-filtered luminance with edge replication; kernel must be odd."""
-    if kernel < 1 or kernel % 2 == 0:
+    kernel = _int_at_least(kernel, "kernel", 1)
+    if kernel % 2 == 0:
         raise DomainError("kernel must be odd and >= 1")
-    lum = luminance(image.data)
+    lum = luminance(image)
     if kernel == 1:
         return lum
     return _edge_box_mean(_edge_box_mean(lum, kernel // 2).T, kernel // 2).T
 
 
 def exposure_masks(lum_blurred: np.ndarray, params: MaskParams = MaskParams()) -> MaskTriple:
-    """Soft partition into under/mid/over exposure by telescoping sigmoids."""
-    field = np.asarray(lum_blurred, dtype=np.float64)
+    """Soft under/mid/over exposure partition of a signed level field by telescoping sigmoids."""
+    field = _signed(lum_blurred, "mask field")
     t1, t2 = _thresholds(params.theta)
     s1 = _sigmoid(params.alpha * (field - t1))
     s2 = _sigmoid(params.alpha * (field - t2))
@@ -108,7 +111,7 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
     `weights` is a triple of scalars or (H, W) fields forming a per-pixel
     simplex; None means uniform 1/3 each.
     """
-    data = np.asarray(image.data, dtype=np.float64)
+    data = as_radiance(image, "fusion input")
     h, w = data.shape[:2]
     if weights is None:
         weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -126,18 +129,17 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
 
 
 def residual_project(image, gain: float, residual) -> LinearImage:
-    """out = img * (1 + gain * residual); output clamped at zero to stay radiometric."""
+    """out = img * (1 + gain * residual), clamped at zero; the residual is a gain, |r| <= 2**896."""
     if not (0.0 <= gain <= 1.0):
         raise DomainError("gain must lie in [0, 1]")
-    data = np.asarray(image.data, dtype=np.float64)
-    res = np.asarray(residual, dtype=np.float64)
-    if not np.isfinite(res).all():
-        raise DomainError("residual must be finite")
+    data = as_radiance(image, "residual projection input")
+    res = np.asarray(residual)
+    if res.dtype.kind not in "biuf" or not (np.abs(res) <= _GAIN_MAX).all():
+        raise DomainError("residual must be finite real data, at most 2**896 in magnitude")
+    res = np.asarray(res, dtype=np.float64)
     if res.ndim == 2:
         res = res[..., None]
-    with _overflow_raises("the residual takes the image beyond float64's range"):
-        out = data * (1.0 + gain * res)
-    return LinearImage(np.maximum(out, 0.0))
+    return LinearImage(np.maximum(data * (1.0 + gain * res), 0.0))
 
 
 def naive_expand(ldr: Ldr8Image, crf: Crf) -> LinearImage:

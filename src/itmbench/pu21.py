@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (DisplayMapping, _luma, _overflow_raises, _radiance, check_same_shape,
+from .color import (_F32_MAX, DisplayMapping, _luma, _radiance, _signed, check_same_shape,
                     to_display_luminance)
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
@@ -89,16 +89,17 @@ def _pu_forward(y, p: tuple, out=None):
 
 
 def _encode_owned(lum, enc: PuEncoding):
-    """PU values of luminance `lum`, a float64 array the caller allocated: it is overwritten."""
-    if not np.isfinite(lum).all():
-        raise DomainError("luminance must be finite")
+    """PU values of finite luminance `lum`, a float64 array the caller owns: it is overwritten."""
     out = lum if np.ndim(lum) else None  # numpy's scalar power differs from the array loop's
     return _pu_forward(np.clip(lum, enc.y_min, enc.y_max, out=out), enc.p, out=out)
 
 
 def pu_encode(y, encoding: PuEncoding | None = None):
     """Encode absolute luminance (cd/m^2) to PU units; input clamped to the fit range."""
-    out = _encode_owned(np.array(y, dtype=np.float64), encoding or PuEncoding.default())
+    lum = np.array(y, dtype=np.float64)
+    if not np.isfinite(lum).all():
+        raise DomainError("luminance must be finite")
+    out = _encode_owned(lum, encoding or PuEncoding.default())
     return out if out.ndim else float(out)
 
 
@@ -141,38 +142,39 @@ def _windowed_mean(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     """Mean local SSIM over two 2-D fields (11x11 Gaussian window, sigma 1.5).
 
-    `data_range` must be finite and positive; one whose constants (K data_range)^2
-    overflow is a DomainError, as are statistics that leave float64's range.
+    Both fields must be finite and within float32's top in magnitude, and
+    `data_range` in [2^-126, float32's top], so the constants (K data_range)^2
+    are normal floats and no statistic reaches 2^600: nothing leaves float64.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _signed(x, "SSIM inputs"), _signed(y, "SSIM inputs")
     if x.shape != y.shape:
         raise ShapeError(f"SSIM inputs differ in shape: {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
-    if not (0 < data_range < np.inf):
-        raise DomainError(f"SSIM data_range must be finite and positive; got {data_range!r}")
-    with _overflow_raises("the SSIM statistics exceed float64's range"):
-        w = _gaussian_window()
-        mx = _windowed_mean(x, w)
-        my = _windowed_mean(y, w)
-        # x and y may be the caller's: the products share one scratch, the rest is in place
-        prod = x * x
-        vx = _windowed_mean(prod, w) - mx * mx
-        vy = _windowed_mean(np.multiply(y, y, out=prod), w) - my * my
-        cov = _windowed_mean(np.multiply(x, y, out=prod), w) - mx * my
-        del prod
-        c1 = (SSIM_K1 * data_range) ** 2
-        c2 = (SSIM_K2 * data_range) ** 2
-        # ((2 mx my + c1)(2 cov + c2)) / ((mx mx + my my + c1)(vx + vy + c2))
-        num = 2 * mx * my + c1
-        num *= 2 * cov + c2
-        mx *= mx
-        mx += my * my
-        mx += c1
-        mx *= vx + vy + c2
-        num /= mx
-        return float(num.mean())
+    data_range = float(data_range)  # a numpy scalar would round the bounds to its dtype
+    if not (2.0**-126 <= data_range <= float(_F32_MAX)):
+        raise DomainError(f"SSIM data_range must be finite and positive, in [2**-126, float32's "
+                          f"top]; got {data_range!r}")
+    w = _gaussian_window()
+    mx = _windowed_mean(x, w)
+    my = _windowed_mean(y, w)
+    # x and y may be the caller's: the products share one scratch, the rest is in place
+    prod = x * x
+    vx = _windowed_mean(prod, w) - mx * mx
+    vy = _windowed_mean(np.multiply(y, y, out=prod), w) - my * my
+    cov = _windowed_mean(np.multiply(x, y, out=prod), w) - mx * my
+    del prod
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
+    # ((2 mx my + c1)(2 cov + c2)) / ((mx mx + my my + c1)(vx + vy + c2))
+    num = 2 * mx * my + c1
+    num *= 2 * cov + c2
+    mx *= mx
+    mx += my * my
+    mx += c1
+    mx *= vx + vy + c2
+    num /= mx
+    return float(num.mean())
 
 
 def pu_fields(pred, gt, encoding: PuEncoding | None = None,
@@ -352,6 +354,11 @@ def score_dataset(pred_dir, gt_dir, encoding: PuEncoding | None = None,
 
 
 def rank_teams(rows) -> list:
-    """Sort (team, psnr, ssim) rows: PSNR desc, then SSIM desc, then name."""
-    return sorted(rows, key=lambda r: (-float(r[1]), -float(r[2]), str(r[0])))
+    """Sort (team, psnr, ssim) rows: PSNR desc (+inf first), then SSIM desc, then name."""
+    def key(row):
+        psnr, ssim = float(row[1]), float(row[2])
+        if np.isnan(psnr) or np.isnan(ssim):  # NaN has no place in the order
+            raise DomainError(f"team {row[0]!r} has a NaN score: ({psnr!r}, {ssim!r})")
+        return -psnr, -ssim, str(row[0])
+    return sorted(rows, key=key)
 

@@ -135,3 +135,28 @@ class TestJointHistogram:
         ldr = gray_ldr(rng.integers(0, 256, (4, 4)))
         with pytest.raises(ShapeError):
             intensity_error_joint(ldr, np.zeros((5, 5)))
+
+
+class TestErrorMapInputRule:
+    """An error map is non-negative, radiance-range data: a NaN map gave NaN statistics or
+    lost its NaNs silently, an infinite one raised numpy's bare ValueError, and a negative
+    one was accepted."""
+
+    @staticmethod
+    def _calls(err):
+        ldr = gray_ldr(np.full((4, 4), 128))
+        yield lambda: error_stats(err, saturation_split(ldr))
+        yield lambda: intensity_error_joint(ldr, err)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 3.5e38])
+    def test_bad_value_is_domain_error(self, bad):
+        err = np.zeros((4, 4))
+        err[1, 2] = bad
+        for call in self._calls(err):
+            with pytest.raises(DomainError, match="error map must be finite and non-negative"):
+                call()
+
+    def test_datetime_map_is_domain_error(self):
+        for call in self._calls(np.zeros((4, 4), dtype="datetime64[s]")):
+            with pytest.raises(DomainError, match="must be boolean, integer or real float data"):
+                call()

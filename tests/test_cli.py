@@ -548,3 +548,43 @@ def test_cli_digest_is_identical_across_runs(tmp_path_factory):
     assert "  score_j2/report.json " in digests[0]
     commands = [line.split()[0] for line in digests[0].splitlines() if not line.startswith(" ")]
     assert {"synthesize_j1", "score_j2", "analyze", "expand_hdr", "sde_builtin"} <= set(commands)
+
+
+# numpy picks each ufunc's SIMD kernel at import, among the CPU features it dispatches to beyond
+# its build's baseline. exp, log, log1p, power and tan round differently on those paths, so these
+# files move in their last digits when the features are switched off: SSIM in score_j2's reports,
+# the losses and region means of analysis.json, and every sde-demo report (its noise). Image
+# files, and every synthesize and expand output, are identical across the paths.
+DISPATCH_SENSITIVE = {
+    "score_j2/report.csv", "score_j2/report.json", "analyze/analysis.json",
+    "sde_builtin/sde_diagnostics.json", "sde_builtin/sde_report.json",
+    "sde_files/sde_diagnostics.json", "sde_files/sde_report.json",
+    "sde_files/sde_trajectories.csv",
+    "sde_odd/sde_diagnostics.json", "sde_odd/sde_report.json",
+}
+
+
+def test_cli_digest_across_cpu_dispatch_differs_only_in_listed_files(tmp_path):
+    # the determinism contract holds for one numpy version and one CPU feature set: run
+    # tools/cli_digest.py natively and with every dispatched feature this CPU has disabled
+    # (NPY_DISABLE_CPU_FEATURES); on a CPU with only the baseline's features the two runs
+    # take the same kernels and no file differs
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    dispatched = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+
+    def digest(name, env):
+        text = subprocess.run([sys.executable, str(root / "tools" / "cli_digest.py"),
+                               str(tmp_path / name), "--size", "16"],
+                              env=env, capture_output=True, text=True, check=True).stdout
+        return {line.split()[0]: line for line in text.splitlines()}
+
+    native = digest("native", env)
+    baseline = digest("baseline", dict(env, NPY_DISABLE_CPU_FEATURES=dispatched))
+    assert native.keys() == baseline.keys()
+    assert {key for key in native if native[key] != baseline[key]} <= DISPATCH_SENSITIVE

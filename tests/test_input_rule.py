@@ -1,13 +1,16 @@
-"""The input rule shared by every color, metric and loss function.
+"""The input rule shared by every color, metric, loss, operator and exposure function.
 
 Each takes a LinearImage or an array; a value that is non-finite, negative or
 beyond float32's range (the range of a LinearImage) is a DomainError whose
 text says "must be finite and non-negative", data that is not boolean,
 integer or real float is a DomainError too, mismatched shapes are a
-ShapeError, and a LinearImage gives the value its `.data` gives. With radiance
-at most float32's largest value and every gain on it at most 2^896, radiance
-arithmetic cannot leave float64's range; the functions whose inputs are not
-radiance raise DomainError where a product or sum would, not a RuntimeWarning.
+ShapeError, and a LinearImage gives the value its `.data` gives. A signed
+field (an SSIM input, a trajectory entry, a mask field) follows the same
+rule with its lower end at minus float32's top. With radiance at most
+float32's largest value and every gain on it (the residual and the mask
+sharpness among them) at most 2^896, no arithmetic can leave float64's
+range: each value is checked where it enters, with no RuntimeWarning, and no
+function traps floating-point errors.
 """
 
 from types import SimpleNamespace
@@ -17,17 +20,27 @@ import pytest
 
 from itmbench import losses
 from itmbench.analysis import error_map
+from itmbench.camera import estimate_exposure_range
 from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError, FormatError, ShapeError
 from itmbench.image_io import LinearImage
-from itmbench.operators import blurred_luminance
+from itmbench.operators import (MaskParams, MaskTriple, blurred_luminance, exposure_masks,
+                                fuse_exposures, residual_project)
 from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear, ssim_mean
+
+SHAPE = (16, 16, 3)  # the smallest side upf_loss's default 16 px patch accepts
+F32_MAX = float(np.finfo(np.float32).max)
+_MASKS = MaskTriple(under=np.ones(SHAPE[:2]), mid=np.zeros(SHAPE[:2]), over=np.zeros(SHAPE[:2]))
 
 UNARY = {
     "luminance": luminance,
     "to_display_luminance": to_display_luminance,
     "mu_law": mu_law,
     "tv_loss": losses.tv_loss,
+    "blurred_luminance": lambda image: blurred_luminance(image, 3),
+    "fuse_exposures": lambda image: fuse_exposures(image, _MASKS).data,
+    "residual_project": lambda image: residual_project(image, 0.5, np.zeros(SHAPE[:2])).data,
+    "estimate_exposure_range": lambda image: tuple(vars(estimate_exposure_range(image)).values()),
 }
 BINARY = {
     "pu_psnr": pu_psnr,
@@ -41,8 +54,6 @@ BINARY = {
     "color_loss": losses.color_loss,
     "upf_loss": losses.upf_loss,
 }
-SHAPE = (16, 16, 3)  # the smallest side upf_loss's default 16 px patch accepts
-F32_MAX = float(np.finfo(np.float32).max)
 
 
 @pytest.fixture
@@ -122,7 +133,7 @@ _HALF[:8] = 1.7e308
 
 
 _INPUT_RULE = "must be finite and non-negative"
-_OVERFLOW = "exceeds? float64's range"
+_SIGNED_RULE = "must be finite and lie within float32's range"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -135,20 +146,65 @@ _OVERFLOW = "exceeds? float64's range"
     (lambda: losses.tv_loss(_STEP), _INPUT_RULE),
     (lambda: rmse_linear(np.full(SHAPE, 1e200), np.zeros(SHAPE)), _INPUT_RULE),  # the square
     (lambda: blurred_luminance(SimpleNamespace(data=_HALF), 5), _INPUT_RULE),  # running sums
-    # not radiance: the function that multiplies or sums raises
-    (lambda: ssim_mean(np.full((16, 16), 1.7e308), np.zeros((16, 16)), 1.0), _OVERFLOW),
+    # signed fields: beyond float32's top in magnitude is outside their input rule
+    (lambda: ssim_mean(np.full((16, 16), 1.7e308), np.zeros((16, 16)), 1.0), _SIGNED_RULE),
     (lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.full(4, -1.7e308))], [1.0]),
-     _OVERFLOW),
+     _SIGNED_RULE),
     (lambda: losses.score_matching_loss([(np.full(4, 1.7e308), np.zeros(4))] * 3, [1.0] * 3),
-     _OVERFLOW),
+     _SIGNED_RULE),
     (lambda: losses.score_matching_loss([(np.full(1, 1e308), np.zeros(1))] * 3, [1.0] * 3),
-     _OVERFLOW),
+     _SIGNED_RULE),
 ], ids=["mu_law", "pu_psnr", "pu_ssim", "error_map", "linear_l1", "tv_loss", "rmse_linear",
         "blurred_luminance", "ssim_mean", "score_matching_difference", "score_matching_mean",
         "score_matching_total"])
 def test_overflow_beyond_float64_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+_NAN_16 = np.full((16, 16), np.nan)
+_INF_16 = np.full((16, 16), np.inf)
+
+
+# each of these returned NaN or inf, or warned, before its values were checked where they enter
+@pytest.mark.parametrize("call", [
+    lambda: ssim_mean(_NAN_16, np.zeros((16, 16)), 1.0),
+    lambda: ssim_mean(np.zeros((16, 16)), _INF_16, 1.0),
+    lambda: ssim_mean(-_INF_16, np.zeros((16, 16)), 1.0),
+    lambda: losses.score_matching_loss([(np.full(4, np.nan), np.zeros(4))], [1.0]),
+    lambda: losses.score_matching_loss([(np.zeros(4), np.full(4, -np.inf))], [1.0]),
+    lambda: losses.score_matching_loss([(np.nan, 0.0)], [1.0]),
+    lambda: exposure_masks(np.full((2, 2), np.nan)),
+    lambda: exposure_masks(np.full((2, 2), -np.inf)),
+], ids=["ssim_nan", "ssim_inf", "ssim_minus_inf", "score_matching_nan", "score_matching_inf",
+        "score_matching_scalar_nan", "mask_field_nan", "mask_field_minus_inf"])
+def test_non_finite_signed_field_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=_SIGNED_RULE):
+        call()
+
+
+@pytest.mark.parametrize("data_range", [1e-200, np.nextafter(2.0**-126, 0), 1e39])
+def test_ssim_data_range_whose_constants_leave_float64_is_a_domain_error(data_range):
+    # below 2^-126 the constants (K data_range)^2 can underflow to 0 and zero fields give 0/0
+    with pytest.raises(DomainError, match=r"data_range must be finite and positive, in \[2\*\*-126"):
+        ssim_mean(np.zeros((16, 16)), np.zeros((16, 16)), data_range)
+
+
+def test_ssim_extremes_of_its_bounds_stay_finite():
+    top = np.full((16, 16), F32_MAX)
+    for x, y, data_range in [(top, -top, 2.0**-126), (top, top, F32_MAX),
+                             (np.zeros((16, 16)), np.zeros((16, 16)), 2.0**-126)]:
+        assert np.isfinite(ssim_mean(x, y, data_range))
+
+
+@pytest.mark.parametrize("level, gammas, lam", [(3e38, [1e308], 0.0), (3e38, [1e308] * 2, 0.0),
+                                                (1.0, [1.0], 1e308)])
+def test_score_matching_sum_beyond_float64_is_a_domain_error(level, gammas, lam):
+    # every entry within float32's range; the Python-float sum reaches inf, then raises (with
+    # lam, 1 - SSIM of opposite constant fields is about 2)
+    pairs = [(np.full((16, 16), level), np.full((16, 16), -level))] * len(gammas)
+    with pytest.raises(DomainError, match="exceeds float64's range"):
+        losses.score_matching_loss(pairs, gammas, lam)
 
 
 def test_largest_gains_on_the_largest_radiance_stay_finite():
@@ -160,13 +216,28 @@ def test_largest_gains_on_the_largest_radiance_stay_finite():
     assert np.isfinite(to_display_luminance(top, mapping)).all()
     assert np.isfinite(pu_psnr(top, np.zeros(SHAPE), mapping=mapping))
     assert np.isfinite(pu_ssim(top, np.zeros(SHAPE), mapping=mapping))
+    # the residual: float32's top times (1 + 2^896) is below 2^1024 - 2^971
+    assert F32_MAX * (1.0 + 2.0**896) < 2.0**1023 * (2.0 - 2.0**-52)
+    out = residual_project(top, 1.0, np.full(SHAPE[:2], -2.0**896))
+    assert (out.data == 0).all()
+    with pytest.raises(FormatError, match="within float32's range"):  # finite, beyond float32
+        residual_project(top, 1.0, np.full(SHAPE[:2], 2.0**896))
+    # the mask sharpness, on a signed field at float32's top either way
+    for level in (F32_MAX, -F32_MAX):
+        masks = exposure_masks(np.full((2, 2), level), MaskParams(alpha=2.0**896))
+        assert all(np.isfinite(m).all() for m in (masks.under, masks.mid, masks.over))
 
 
 @pytest.mark.parametrize("make", [
     lambda big: MuLawParams(big),
     lambda big: DisplayMapping(peak_luminance=big),
     lambda big: DisplayMapping(peak_luminance=1000.0, reference_white=1000.0 / big),
-], ids=["mu", "peak_luminance", "reference_white"])
+    lambda big: MaskParams(alpha=big),
+    lambda big: exposure_masks(np.full((2, 2), 3e38), MaskParams(alpha=big)),
+    lambda big: residual_project(np.ones(SHAPE), 1.0, np.full(SHAPE[:2], big)),
+    lambda big: residual_project(np.ones(SHAPE), 0.5, np.full(SHAPE[:2], -big)),
+], ids=["mu", "peak_luminance", "reference_white", "mask_alpha", "exposure_masks",
+        "residual", "negative_residual"])
 @pytest.mark.parametrize("big", [np.nextafter(2.0**896, np.inf), 1e308])
 def test_gain_beyond_two_to_the_896_is_a_domain_error(make, big):
     with pytest.raises(DomainError, match=r"at most 2\*\*896"):

@@ -308,6 +308,11 @@ class TestScoreMatchingLoss:
         with pytest.raises(DomainError, match=message):
             score_matching_loss([(a, 0.5 * a)], [gamma], lam=lam)
 
+    def test_empty_pair_is_a_shape_error(self):
+        # its mean used to warn "Mean of empty slice" and make the loss NaN
+        with pytest.raises(ShapeError, match="or are empty"):
+            score_matching_loss([(np.zeros(0), np.zeros(0))], [1.0])
+
     def test_gamma_length_mismatch(self):
         with pytest.raises(DomainError):
             score_matching_loss([(np.zeros(2), np.zeros(2))], gammas=[1.0, 1.0])

@@ -86,6 +86,17 @@ class TestBlurredLuminance:
         with pytest.raises(DomainError):
             blurred_luminance(img, 2)
 
+    @pytest.mark.parametrize("kernel", [2.5, 3.0, True, np.float64(3.0), "3", None])
+    def test_kernel_must_be_an_integer(self, kernel):
+        # 2.5 used to raise a bare IndexError, and True was taken as 1
+        img = LinearImage(np.full((4, 4, 3), 0.5, dtype=np.float32))
+        with pytest.raises(DomainError, match="kernel must be an integer"):
+            blurred_luminance(img, kernel)
+
+    def test_numpy_integer_kernel(self, rng):
+        img = LinearImage(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))
+        np.testing.assert_array_equal(blurred_luminance(img, np.int64(3)), blurred_luminance(img, 3))
+
 
 class TestExposureMasks:
     def test_partition_of_unity(self, rng):
@@ -194,15 +205,33 @@ class TestResidualProject:
             residual_project(img, gain, np.full((2, 2), value))
 
     def test_output_beyond_float32_range_rejected(self):
+        # a residual of 1e308 is beyond the 2**896 gain bound, which is checked first
+        img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
+        with pytest.raises(DomainError, match=r"at most 2\*\*896"):
+            residual_project(img, 1.0, np.full((2, 2), 1e308))
+
+    def test_output_within_the_gain_bound_beyond_float32_is_a_format_error(self):
         img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
         with pytest.raises(FormatError, match="within float32's range"):
-            residual_project(img, 1.0, np.full((2, 2), 1e308))
+            residual_project(img, 1.0, np.full((2, 2), 1e200))
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_product_beyond_float64_range_is_domain_error(self, value):
         img = LinearImage(np.full((2, 2, 3), 4.0, dtype=np.float32))
-        with pytest.raises(DomainError, match="beyond float64's range"):
+        with pytest.raises(DomainError, match=r"at most 2\*\*896"):
             residual_project(img, 1.0, np.full((2, 2), value))
+
+    @pytest.mark.parametrize("image", [np.full((2, 2, 3), -1.0), np.full((2, 2, 3), np.nan)])
+    def test_image_outside_the_input_rule_is_domain_error(self, image):
+        # a negative image used to be clamped to zero silently
+        with pytest.raises(DomainError, match="must be finite and non-negative"):
+            residual_project(image, 0.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dtype", ["datetime64[s]", "complex128", "U8"])
+    def test_residual_of_another_kind_is_domain_error(self, dtype):
+        img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
+        with pytest.raises(DomainError, match="residual must be finite real data"):
+            residual_project(img, 0.5, np.zeros((2, 2), dtype=np.int64).astype(dtype))
 
 
 class TestNaiveExpand:

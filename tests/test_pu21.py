@@ -155,7 +155,7 @@ class TestSsim:
                              ids=["float_1e300", "float64_1e300", "float_1e200"])
     def test_data_range_whose_constants_overflow_is_domain_error(self, rng, data_range):
         x = rng.uniform(0, 1, (16, 16))
-        with pytest.raises(DomainError, match="exceed float64's range"):
+        with pytest.raises(DomainError, match=r"in \[2\*\*-126, float32's top\]"):
             ssim_mean(x, x * 0.9, data_range)
 
 
@@ -338,3 +338,15 @@ class TestLeaderboard:
         ranked = [row[0] for row in rank_teams(self.ROWS)]
         assert ranked == ["ToneMapper", "HDRer", "LiU_CGIP", "UESTC-ITM",
                           "Jowgik (DITM)", "NJ Challenger"]
+
+    @pytest.mark.parametrize("row", [("a", float("nan"), 0.5), ("a", 30.0, float("nan")),
+                                     ("a", np.float64("nan"), 0.5)])
+    def test_nan_score_is_domain_error(self, row):
+        # a NaN PSNR used to compare false both ways and could rank first
+        with pytest.raises(DomainError, match="NaN score"):
+            rank_teams([row, ("b", 30.0, 0.9)])
+
+    def test_exact_prediction_ranks_first(self):
+        ranked = rank_teams(self.ROWS + [("Exact", float("inf"), 1.0)])
+        assert ranked[0][0] == "Exact"
+        assert [row[0] for row in ranked[1:]] == [row[0] for row in rank_teams(self.ROWS)]
