@@ -9,7 +9,6 @@ results are identical regardless of worker count or iteration order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -283,6 +282,8 @@ class SynthesisRecord:
 
 def _derive_seed(master_seed: int, source_id: str, index: int) -> int:
     """Stable 63-bit per-pair seed; independent of iteration order and parallelism."""
+    import hashlib
+
     digest = hashlib.sha256(f"{master_seed}:{source_id}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

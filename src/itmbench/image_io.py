@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -501,6 +500,8 @@ def ordered_map(fn, items, jobs: int = 1) -> list:
     jobs = _int_at_least(jobs, "jobs", 1)
     if jobs == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # here: it pulls in logging
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

@@ -139,6 +139,10 @@ def residual_project(image, gain: float, residual) -> LinearImage:
     res = np.asarray(res, dtype=np.float64)
     if res.ndim == 2:
         res = res[..., None]
+    tail = data.shape[data.ndim - res.ndim:]
+    if res.ndim > data.ndim or any(r not in (1, d) for r, d in zip(res.shape, tail)):
+        raise ShapeError(f"residual of shape {np.shape(residual)} does not broadcast to the "
+                         f"image's {data.shape}")
     return LinearImage(np.maximum(data * (1.0 + gain * res), 0.0))
 
 

@@ -83,55 +83,25 @@ def _paired(x: np.ndarray, name: str, mu) -> tuple:
     return x, muv
 
 
-# Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-# SC'11): round multipliers and the Weyl increments of the key. The kernel
-# keeps the words in pairs, x = (c0, c2) and y = (c1, c3), so that one numpy
-# call does both halves of a round.
-_PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)
-_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
-_WORD = 0xFFFFFFFF
-# Lanes per Philox pass, and the demo's tile in lanes: small enough that a
-# pass's buffers stay in cache (the fastest of 8192, 16384 and 32768 for the
-# demo at 64^2 on a 2-CPU host).
+# SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): the Weyl increment and the finalizer's multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+# Lanes per pass, and the demo's tile in lanes. Re-timed against 8192 and
+# 32768 with this kernel (demo at 64^2, 2-CPU host, 7 alternating rounds), it
+# was fastest in 5 rounds and 32768 in 2; tiling moves no output byte.
 _LANE_CHUNK = 16_384
 
 
-def _round_keys(key) -> list:
-    """The key pair (k0, k1) of each of the 10 rounds, as a uint64 (2,) array."""
-    k0, k1 = (int(k) for k in key)
-    return [np.array([(k0 + r * _PHILOX_W[0]) & _WORD, (k1 + r * _PHILOX_W[1]) & _WORD],
-                     dtype=np.uint64) for r in range(10)]
-
-
-def _philox_rounds(x, y, p, keys) -> None:
-    """Philox4x32 rounds in place on the word pairs x = (c0, c2) and y = (c1, c3).
-
-    x, y and the scratch p are uint64 arrays of one shape (2, ...), one 32-bit
-    word per element; `keys` holds one key pair per round. No array is
-    allocated.
-    """
-    col = (2,) + (1,) * (x.ndim - 1)
-    mult = _PHILOX_M.reshape(col)
-    for key in keys:
-        np.multiply(x, mult, out=p)  # (c0 * M0, c2 * M1)
-        np.right_shift(p[::-1], 32, out=x)
-        np.bitwise_xor(x, y, out=x)
-        np.bitwise_xor(x, key.reshape(col), out=x)  # (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1)
-        np.bitwise_and(p[::-1], _WORD, out=y)  # (lo1, lo0)
-
-
-def _philox4x32(ctr, key) -> tuple:
-    """Philox4x32-10, vectorized over lanes.
-
-    `ctr` holds the four counter words and `key` the two key words, each a
-    32-bit value; counter words may be uint64 arrays (one 32-bit word per
-    element), broadcast together. Returns the four output words as uint64
-    arrays of 32-bit values.
-    """
-    c0, c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in ctr))
-    x, y = np.array([c0, c2]), np.array([c1, c3])
-    _philox_rounds(x, y, np.empty_like(x), _round_keys(key))
-    return x[0], y[0], x[1], y[1]
+def _mix64(z, t) -> None:
+    """SplitMix64's finalizer in place on the uint64 array z, mod 2^64; t is
+    scratch of z's shape, so no array is allocated."""
+    for shift, mult in zip((30, 27), _MIX):
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, 31, out=t)
+    np.bitwise_xor(z, t, out=z)
 
 
 def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, offset: int = 0):
@@ -140,27 +110,28 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, off
     Returns `block(m)`: an array (4, n_traj, dim) whose row s is the noise of
     step 4m + s. Every block is written into one buffer, allocated at the
     first call, so a returned block is valid only until the next call.
-    Lane (k, j) of block m is Philox4x32-10 of the counter
-    (m, offset + j, k, stream) under a key derived from `seed`, its four
-    words turned into four normals by Box-Muller. A value therefore depends
-    only on (seed, stream, k, element, step): element j of a flattened image
-    run follows the same noise as element j of any other run with the same
-    seed, a run over elements [lo, hi) with `offset=lo` draws exactly the
-    whole run's noise there, and extra trajectories leave the earlier ones
-    alone. Working memory is the block, O(n_traj x dim), plus scratch of at
-    most `_LANE_CHUNK` lanes, so a caller that runs a state one tile of
-    elements at a time holds O(n_traj x tile); a block call allocates no
-    array memory.
+    With mix SplitMix64's finalizer, gamma its increment, arithmetic mod
+    2^64 and K a key derived from `seed`, trajectory k of block m has the
+    stream seed S = mix(mix(K + (2m + stream + 1) gamma) + (k + 1) gamma),
+    and lane (k, j) the two words z_h = mix(S + (2(offset + j) + h + 1) gamma),
+    outputs 2(offset + j) + h + 1 of the SplitMix64 generator seeded with S.
+    Word h gives rows 2h and 2h + 1 by Box-Muller, its high 32 bits the
+    radius and its low 32 bits the angle. A value therefore depends only on
+    (seed, stream, k, element, step): element j of a flattened image run
+    follows the same noise as element j of any other run with the same seed,
+    a run over elements [lo, hi) with `offset=lo` draws exactly the whole
+    run's noise there, and extra trajectories leave the earlier ones alone.
+    Working memory is the block, O(n_traj x dim), plus scratch of at most
+    `_LANE_CHUNK` lanes, so a caller that runs a state one tile of elements
+    at a time holds O(n_traj x tile); a block call allocates no array memory.
     """
     seed = _int_at_least(seed, "seed", 0)
     offset = _int_at_least(offset, "offset", 0)
     if max(offset + dim, n_traj, steps // 4) >= 2**32:
         raise DomainError("offset + dim, n_traj and steps // 4 must each stay below 2^32")
-    keys = _round_keys(np.random.SeedSequence(seed).generate_state(2, np.uint32))
+    key = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
     # A pass takes a group of trajectories times a range of elements, so that
-    # round 0, whose products see only the block index m and the trajectory
-    # k, is one XOR of a trajectory column and an element row, both built at
-    # the first call.
+    # its words are one sum of a stream-seed column and an element row.
     nj = min(dim, _LANE_CHUNK)
     nk = min(n_traj, max(1, _LANE_CHUNK // nj))
     bufs = None
@@ -168,41 +139,43 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, off
     def block(m: int) -> np.ndarray:
         nonlocal bufs
         if bufs is None:
-            k_mul = np.arange(n_traj, dtype=np.uint64)[:, None] * _PHILOX_M[1]
-            bufs = ((k_mul >> 32) ^ keys[0][0], k_mul & _WORD,
-                    np.arange(offset, offset + dim, dtype=np.uint64),
-                    np.empty((4, n_traj, dim)), *np.empty((3, 2, nk, nj), np.uint64))
-        k_hi, k_lo, elem, out, x, y, p = bufs
-        pairs = out.reshape(2, 2, n_traj, dim)  # pairs[s, 0] and [s, 1]: rows 2s and 2s + 1
-        m_mul = m * int(_PHILOX_M[0])
+            lane = np.arange(2 * offset, 2 * (offset + dim), 2, dtype=np.uint64)
+            bufs = (np.arange(1, n_traj + 1, dtype=np.uint64) * _GAMMA,
+                    (lane + np.array([[1], [2]], dtype=np.uint64)) * _GAMMA,
+                    np.empty((2, n_traj), np.uint64), np.empty((4, n_traj, dim)),
+                    *np.empty((2, 2, nk, nj), np.uint64))
+        k_inc, lane_inc, seeds, out, z, t = bufs
+        pairs = out.reshape(2, 2, n_traj, dim)  # pairs[h, 0] and [h, 1]: rows 2h and 2h + 1
+        seeds[0].fill((key + (2 * m + stream + 1) * int(_GAMMA)) % 2**64)
+        _mix64(seeds[0], seeds[1])
+        np.add(seeds[0], k_inc, out=seeds[0])
+        _mix64(seeds[0], seeds[1])  # the stream seed S of each trajectory
         for klo in range(0, n_traj, nk):
             khi = min(klo + nk, n_traj)
             for jlo in range(0, dim, nj):
                 jhi = min(jlo + nj, dim)
-                xs, ys, ps = (b[:, :khi - klo, :jhi - jlo] for b in (x, y, p))
-                # round 0 of the counter (m, j, k, stream), then rounds 1 to 9
-                np.bitwise_xor(k_hi[klo:khi], elem[jlo:jhi], out=xs[0])
-                xs[1].fill((m_mul >> 32) ^ stream ^ int(keys[0][1]))
-                np.copyto(ys[0], k_lo[klo:khi])
-                ys[1].fill(m_mul & _WORD)
-                _philox_rounds(xs, ys, ps, keys[1:])
-                # Box-Muller of the pairs (c0, c1) and (c2, c3), u = (w + 1/2) 2^-32,
-                # at the angle 2 pi (u_a - 1/2): its cosine and sine from the
-                # tangent t of the half angle, which numpy evaluates several
-                # times faster than cos and sin of the full angle. Each line
-                # rounds the same real number as radius, pi (u_a - 1/2),
+                zs, ts = (b[:, :khi - klo, :jhi - jlo] for b in (z, t))
+                np.add(lane_inc[:, None, jlo:jhi], seeds[0, klo:khi, None], out=zs)
+                _mix64(zs, ts)
+                # Box-Muller of the word's halves, u = (w + 1/2) 2^-32, at the
+                # angle 2 pi (u_a - 1/2): its cosine and sine from the tangent
+                # t of the half angle, which numpy evaluates several times
+                # faster than cos and sin of the full angle. Each line rounds
+                # the same real number as radius, pi (u_a - 1/2),
                 # scale = radius / (1 + t^2), scale (1 - t^2) and (2 scale) t:
                 # the other steps are exact (scaling by 2, and w - (2^31 - 1/2)).
                 even, odd = pairs[:, 0, klo:khi, jlo:jhi], pairs[:, 1, klo:khi, jlo:jhi]
-                q = ps.view(np.float64)  # the rounds' scratch, free again
-                np.add(xs, 0.5, out=even)
+                np.right_shift(zs, 32, out=ts)
+                np.add(ts, 0.5, out=even)
                 np.multiply(even, 2.0**-32, out=even)
                 np.log(even, out=even)
                 np.multiply(even, -2.0, out=even)
                 np.sqrt(even, out=even)  # radius
-                np.subtract(ys, 2.0**31 - 0.5, out=odd)
+                np.bitwise_and(zs, 0xFFFFFFFF, out=zs)
+                np.subtract(zs, 2.0**31 - 0.5, out=odd)
                 np.multiply(odd, np.pi * 2.0**-32, out=odd)
                 np.tan(odd, out=odd)  # t
+                q = ts.view(np.float64)  # the high halves' scratch, free again
                 np.multiply(odd, odd, out=q)
                 np.add(q, 1.0, out=q)
                 np.divide(even, q, out=even)  # scale

@@ -482,24 +482,19 @@ def naive_png_scan(pixels) -> bytes:
     return best[1]
 
 
-def naive_philox4x32(ctr, key):
-    """Philox4x32-10 of one block, in Python integers.
+def naive_splitmix64(seed, n):
+    """Output n (counted from 1) of SplitMix64 seeded with `seed`, in Python integers.
 
-    `ctr` is four 32-bit counter words and `key` two 32-bit key words; the
-    constants and the round are those of Salmon et al., "Parallel Random
-    Numbers: As Easy as 1, 2, 3" (SC'11). Returns the four output words.
+    The generator of Steele, Lea & Flood ("Fast splittable pseudorandom
+    number generators", OOPSLA 2014) adds the increment gamma to its 64-bit
+    state before each output and returns the state's finalizer, so output n
+    is the finalizer of seed + n gamma, all mod 2^64.
     """
-    c0, c1, c2, c3 = ctr
-    k0, k1 = key
-    for r in range(10):
-        if r:
-            k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
-            k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
-        p0 = 0xD2511F53 * c0
-        p1 = 0xCD9E8D57 * c2
-        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF,
-                          (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF)
-    return c0, c1, c2, c3
+    mask = 2**64 - 1
+    z = (seed + n * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def naive_chain_moments(x0, mu, theta, sigma, dt):

@@ -550,6 +550,17 @@ def test_cli_digest_is_identical_across_runs(tmp_path_factory):
     assert {"synthesize_j1", "score_j2", "analyze", "expand_hdr", "sde_builtin"} <= set(commands)
 
 
+def test_importing_the_cli_loads_no_thread_pool_or_hash_module():
+    # concurrent.futures (and the logging it imports) serves only ordered_map's pool at
+    # --jobs > 1, and hashlib only synthesize's per-pair seeds; each is imported where used
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import itmbench.cli; "
+            "print(sorted({'logging', 'concurrent.futures', 'hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(root / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 # numpy picks each ufunc's SIMD kernel at import, among the CPU features it dispatches to beyond
 # its build's baseline. exp, log, log1p, power and tan round differently on those paths, so these
 # files move in their last digits when the features are switched off: SSIM in score_j2's reports,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmbench.camera import Crf, simulate_ldr
-from itmbench.errors import DomainError, FormatError
+from itmbench.errors import DomainError, FormatError, ShapeError
 from itmbench.image_io import LinearImage, Ldr8Image
 from itmbench.operators import (MaskParams, MaskTriple, _thresholds, blurred_luminance,
                                 exposure_masks, fuse_exposures, naive_expand,
@@ -226,6 +226,20 @@ class TestResidualProject:
         # a negative image used to be clamped to zero silently
         with pytest.raises(DomainError, match="must be finite and non-negative"):
             residual_project(image, 0.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4, 2), (4, 4, 3, 1), (4,), (1, 3),
+                                       (2, 4, 4, 3)])
+    def test_residual_that_does_not_broadcast_to_the_image_is_shape_error(self, shape):
+        img = LinearImage(np.full((4, 4, 3), 0.5, dtype=np.float32))
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            residual_project(img, 0.5, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 1), (4, 1, 3), (4, 4, 1), (4, 4, 3)])
+    def test_residual_that_broadcasts_to_the_image_is_applied(self, shape):
+        img = LinearImage(np.full((4, 4, 3), 2.0, dtype=np.float32))
+        out = residual_project(img, 0.5, np.full(shape, 0.1))
+        assert out.data.shape == (4, 4, 3)
+        assert np.allclose(out.data, 2.1, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", ["datetime64[s]", "complex128", "U8"])
     def test_residual_of_another_kind_is_domain_error(self, dtype):

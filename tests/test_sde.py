@@ -11,9 +11,9 @@ from itmbench.errors import DomainError, NumericError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import naive_expand
 from itmbench.pu21 import PuEncoding, pu_fields
-from itmbench.sde import (SdeSchedule, _chain_scalars, _philox4x32, backward_simulate,
+from itmbench.sde import (SdeSchedule, _chain_scalars, _mix64, backward_simulate,
                           forward_simulate, itm_sde_demo, make_ou_score, ou_moments)
-from oracles import naive_chain_moments, naive_philox4x32
+from oracles import naive_chain_moments, naive_splitmix64
 
 
 class TestSchedule:
@@ -366,37 +366,37 @@ class TestDemo:
             itm_sde_demo(a, b)
 
 
-# Random123 kat_vectors rows for philox4x32 10: counter, key, expected output.
-PHILOX_KNOWN_ANSWERS = [
-    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
-    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
-     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+# Seed and first outputs of SplitMix64: the published outputs for seed
+# 1234567, those of the reference splitmix64.c for seed 0, and seed -gamma,
+# whose state wraps to 0 (finalized to 0) before it walks seed 0's sequence.
+SPLITMIX64_KNOWN_ANSWERS = [
+    (1234567, [6457827717110365317, 3203168211198807973, 9817491932198370423,
+               4593380528125082431, 16408922859458223821]),
+    (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC,
+         0x1B39896A51A8749B]),
+    (2**64 - 0x9E3779B97F4A7C15, [0, 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]),
 ]
+SPLITMIX64_IDS = ["seed-1234567", "seed-0", "state-wraps-to-0"]
 
 
-class TestPhilox:
-    @pytest.mark.parametrize("ctr, key, expected", PHILOX_KNOWN_ANSWERS)
-    def test_oracle_reproduces_known_answers(self, ctr, key, expected):
-        assert naive_philox4x32(ctr, key) == expected
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed, expected", SPLITMIX64_KNOWN_ANSWERS, ids=SPLITMIX64_IDS)
+    def test_oracle_reproduces_known_answers(self, seed, expected):
+        assert [naive_splitmix64(seed, n) for n in range(1, len(expected) + 1)] == expected
 
-    @pytest.mark.parametrize("ctr, key, expected", PHILOX_KNOWN_ANSWERS)
-    def test_kernel_reproduces_known_answers(self, ctr, key, expected):
-        words = _philox4x32(ctr, key)
-        assert tuple(int(w) for w in words) == expected
+    @pytest.mark.parametrize("seed, expected", SPLITMIX64_KNOWN_ANSWERS, ids=SPLITMIX64_IDS)
+    def test_kernel_reproduces_known_answers(self, seed, expected):
+        z = np.uint64(seed) + np.arange(1, len(expected) + 1, dtype=np.uint64) * sde._GAMMA
+        _mix64(z, np.empty_like(z))
+        assert [int(w) for w in z] == expected
 
     def test_kernel_matches_oracle_bit_for_bit(self, rng):
-        edge = [0, 1, 0xFFFFFFFE, 0xFFFFFFFF]
-        keys = [(0, 0), (0xFFFFFFFF, 0xFFFFFFFF), (0, 0xFFFFFFFF)]
-        keys += [tuple(int(v) for v in rng.integers(0, 2**32, 2)) for _ in range(5)]
-        for key in keys:
-            ctr = rng.integers(0, 2**32, (4, 64), dtype=np.uint64)
-            ctr[:, :len(edge)] = np.array(edge, dtype=np.uint64)  # one edge word per lane, all words
-            ctr[rng.integers(0, 4, 32), rng.integers(0, 64, 32)] = 0xFFFFFFFF
-            got = np.stack(_philox4x32(tuple(ctr), key))
-            assert got.dtype == np.uint64
-            want = [naive_philox4x32(tuple(int(c) for c in ctr[:, i]), key) for i in range(64)]
-            assert np.array_equal(got, np.array(want, dtype=np.uint64).T)
+        seeds = [0, 1, 2**63, 2**64 - 1]
+        seeds += [int(v) for v in rng.integers(0, 2**64, 60, dtype=np.uint64)]
+        z = np.array([(s + int(sde._GAMMA)) % 2**64 for s in seeds], dtype=np.uint64)
+        _mix64(z, np.empty_like(z))
+        assert z.dtype == np.uint64
+        assert [int(w) for w in z] == [naive_splitmix64(s, 1) for s in seeds]
 
 
 def _traced_peak(run) -> int:
@@ -443,7 +443,10 @@ def _backward_noise(steps, n_traj, dim, seed=0, offset=0):
 def _step_noise(stream, steps, n_traj, dim, seed):
     """Noise of every step, (steps, n_traj, dim), copied out of the 4-step blocks."""
     block = sde._noise_blocks(seed, stream, n_traj, dim, steps)
-    return np.stack([block(i // 4)[i % 4].copy() for i in range(steps)])
+    z = np.empty((steps, n_traj, dim))
+    for i in range(steps):
+        z[i] = block(i // 4)[i % 4]
+    return z
 
 
 class TestNoiseLayout:
@@ -461,20 +464,23 @@ class TestNoiseLayout:
 
     @pytest.mark.parametrize("draw, stream", [(_forward_noise, 0), (_backward_noise, 1)])
     def test_noise_is_box_muller_of_the_counter_block(self, draw, stream):
-        # step i of lane (k, j) is normal i % 4 of the block at counter
-        # (i // 4, offset + j, k, stream)
+        # step i of lane (k, j) is normal i % 4 of the block m = i // 4: word
+        # h = i % 4 // 2 is output 2 (offset + j) + h + 1 of SplitMix64 seeded
+        # with the stream seed S, itself output k + 1 of the generator seeded
+        # with output 2m + stream + 1 of the one seeded with the key
         seed, steps, n_traj, dim = 8, 7, 2, 3
-        key = tuple(int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint32))
+        key = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
         for offset in (0, 1000, 2**32 - 4):
             run = draw(steps, n_traj, dim, seed=seed, offset=offset)
             for k in range(n_traj):
                 for j in range(dim):
                     for i in range(steps):
-                        words = naive_philox4x32((i // 4, offset + j, k, stream), key)
-                        u = [(w + 0.5) * 2.0**-32 for w in words]
-                        pair = i % 4 // 2
-                        radius = math.sqrt(-2.0 * math.log(u[2 * pair]))
-                        angle = 2.0 * math.pi * (u[2 * pair + 1] - 0.5)
+                        s = naive_splitmix64(naive_splitmix64(key, 2 * (i // 4) + stream + 1),
+                                             k + 1)
+                        word = naive_splitmix64(s, 2 * (offset + j) + i % 4 // 2 + 1)
+                        u = [(w + 0.5) * 2.0**-32 for w in (word >> 32, word & 0xFFFFFFFF)]
+                        radius = math.sqrt(-2.0 * math.log(u[0]))
+                        angle = 2.0 * math.pi * (u[1] - 0.5)
                         want = radius * (math.sin(angle) if i % 2 else math.cos(angle))
                         assert run[k, i, j] == pytest.approx(want, abs=1e-12)
 
@@ -546,6 +552,23 @@ class TestNoiseLayout:
         across_elements = np.mean(z[:, :, 1:] * z[:, :, :-1])
         assert abs(across_steps) <= 5 / np.sqrt(z[:, 1:, :].size)
         assert abs(across_elements) <= 5 / np.sqrt(z[:, :, 1:].size)
+
+    def test_moments_and_correlations_of_2_22_draws_within_six_standard_errors(self):
+        # 64 steps x 16 trajectories x 4,096 elements of each stream; each
+        # statistic's expected value is 0 and its standard error 1/sqrt(n)
+        # (sqrt(2/n) for the variance), over the n values or pairs it averages
+        streams = [_step_noise(stream, 64, 16, 4096, seed=5) for stream in (0, 1)]
+
+        def assert_uncorrelated(a, b):
+            assert abs(np.einsum("ijk,ijk->", a, b) / a.size) <= 6 / np.sqrt(a.size)
+
+        for z in streams:
+            assert abs(z.mean()) <= 6 / np.sqrt(z.size)
+            assert abs(z.var() - 1.0) <= 6 * np.sqrt(2.0 / z.size)
+            assert_uncorrelated(z[1:], z[:-1])  # step
+            assert_uncorrelated(z[:, 1:], z[:, :-1])  # trajectory
+            assert_uncorrelated(z[:, :, 1:], z[:, :, :-1])  # element
+        assert_uncorrelated(*streams)
 
     def test_backward_noise_memory_does_not_grow_with_steps(self):
         def peak(steps):
