@@ -27,7 +27,7 @@ from .image_io import read_hdr  # noqa: F401  still bound: bench/test_perfbench.
 from .losses import WEIGHTS, total_loss
 from .operators import naive_expand
 from .pu21 import SCHEMA_VERSION, score_dataset
-from .sde import SdeSchedule, itm_sde_demo
+from .sde import itm_sde_demo
 
 
 def _demo_fixture() -> tuple:
@@ -106,8 +106,7 @@ def _cmd_sde_demo(args, out: Path) -> int:
         degraded = read_linear(args.ldr)
     else:
         degraded, gt = _demo_fixture()
-    sched = SdeSchedule.cosine(steps=args.steps)
-    result = itm_sde_demo(degraded, gt, sched=sched, encoding=args.cfg.encoding(),
+    result = itm_sde_demo(degraded, gt, steps=args.steps, encoding=args.cfg.encoding(),
                           mapping=args.cfg.display, seed=args.seed)
     (out / "sde_report.json").write_text(result.report.to_json())
     _write_error_map(result.error_map, out / "sde_error_map.pfm")

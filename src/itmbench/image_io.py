@@ -27,8 +27,7 @@ from .errors import FormatError, InputError, ParseError, ShapeError
 MAX_PIXELS = 1 << 24
 
 
-# Longest .hdr header line, without its newline, that read_hdr accepts and so
-# the longest header entry a LinearImage may carry.
+# Longest .hdr header line, without its newline, that read_hdr accepts.
 _HDR_LINE_MAX = 4095
 
 
@@ -56,28 +55,13 @@ class _Raster:
 
 @dataclass
 class LinearImage(_Raster):
-    """Floating-point RGB raster in relative linear radiance.
-
-    data is (height, width, 3) float32; every component finite and >= 0.
-    `header` carries opaque Radiance header attributes (EXPOSURE, comments,
-    ...) preserved on read and ignored by all math: each is one non-empty
-    ASCII line with no newline, of at most 4095 characters.
-    """
-
-    header: tuple = ()
+    """Floating-point RGB raster in relative linear radiance; data is (height, width, 3)
+    float32, every component finite and >= 0."""
 
     def __post_init__(self):
         super().__post_init__()
         self.data = _radiance(self.data, "linear image components", FormatError).astype(
             np.float32, copy=False)
-        self.header = tuple(self.header)
-        for line in self.header:
-            # each entry is written as one .hdr header line, which read_hdr must read back
-            if not (isinstance(line, str) and line and line.isascii() and "\n" not in line):
-                raise FormatError(f"header entry {line!r} is not a non-empty ASCII line")
-            if len(line) > _HDR_LINE_MAX:
-                raise FormatError(f"header entry of {len(line)} characters exceeds "
-                                  f"the {_HDR_LINE_MAX}-character header line limit")
 
 
 @dataclass
@@ -165,12 +149,12 @@ def _read_file(path) -> bytes:
 
 
 def read_hdr(path) -> LinearImage:
-    """Read a Radiance RGBE file (flat, old-style RLE, or adaptive RLE scanlines)."""
+    """Read a Radiance RGBE file (flat, old-style RLE, or adaptive RLE scanlines);
+    header lines other than FORMAT (EXPOSURE, comments, ...) are skipped."""
     raw = _read_file(path)
     magic, pos = _header_line(raw, 0)
     if magic not in _HDR_MAGICS:
         raise ParseError("not a Radiance RGBE file", offset=0)
-    header = []
     while True:
         at = pos
         line, pos = _header_line(raw, pos)
@@ -180,11 +164,8 @@ def read_hdr(path) -> LinearImage:
             text = line.decode("ascii")
         except UnicodeDecodeError:
             raise ParseError("non-ASCII header line", offset=at) from None
-        if text.startswith("FORMAT="):
-            if text != "FORMAT=32-bit_rle_rgbe":
-                raise ParseError(f"unsupported pixel format {text!r}", offset=at)
-        else:
-            header.append(text)
+        if text.startswith("FORMAT=") and text != "FORMAT=32-bit_rle_rgbe":
+            raise ParseError(f"unsupported pixel format {text!r}", offset=at)
     at = pos
     line, pos = _header_line(raw, pos)
     parts = line.split()
@@ -200,7 +181,7 @@ def read_hdr(path) -> LinearImage:
     for y in range(height):
         pos = _read_hdr_scanline(raw, pos, rows[y])
     data = _rgbe_decode_rows(rows.reshape(-1, 4)).reshape(height, width, 3)
-    return LinearImage(data, header=tuple(header))
+    return LinearImage(data)
 
 
 def _eof(data: bytes) -> ParseError:
@@ -294,15 +275,11 @@ _HDR_BAND_PIXELS = 16384
 def write_hdr(image: LinearImage, path):
     """Write a Radiance RGBE file; adaptive RLE for widths in [8, 32767], flat otherwise.
 
-    The whole file is coded before it is opened, so an error leaves no file.
+    The header is the magic, FORMAT and resolution lines alone. The whole file
+    is coded before it is opened, so an error leaves no file.
     """
     h, w = image.height, image.width
-    out = bytearray(b"#?RADIANCE\n")
-    for line in image.header:
-        if not line.startswith("FORMAT="):
-            out += line.encode("ascii") + b"\n"
-    out += b"FORMAT=32-bit_rle_rgbe\n\n"
-    out += f"-Y {h} +X {w}\n".encode("ascii")
+    out = bytearray(f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {h} +X {w}\n".encode("ascii"))
     rows = max(1, _HDR_BAND_PIXELS // w)
     for y in range(0, h, rows):
         band = image.data[y:y + rows]

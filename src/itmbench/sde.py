@@ -2,8 +2,9 @@
 
 Forward degradation dx = theta_t (mu - x) dt + sigma_t dw drifts the clean
 state toward the degraded observation mu while injecting noise; the backward
-pass reverses it with a caller-supplied score function. Closed-form
-Ornstein-Uhlenbeck moments serve as the verification oracle.
+pass reverses it with a caller-supplied score function. Both directions run
+one Euler-Maruyama loop. Closed-form Ornstein-Uhlenbeck moments serve as the
+verification oracle.
 """
 
 from __future__ import annotations
@@ -28,18 +29,23 @@ class SdeSchedule:
     dt: float
 
     def __post_init__(self):
-        theta = tuple(float(v) for v in self.theta)
-        sigma = tuple(float(v) for v in self.sigma)
+        try:
+            theta = tuple(float(v) for v in self.theta)
+            sigma = tuple(float(v) for v in self.sigma)
+            dt = float(self.dt)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"theta, sigma and dt must be numbers: {exc}") from None
         if len(theta) != len(sigma) or not theta:
             raise DomainError("theta and sigma must be equal-length and non-empty")
         if not all(0 < v < np.inf for v in theta):
             raise DomainError("all theta must be finite and positive")
         if not all(0 <= v < np.inf for v in sigma):
             raise DomainError("all sigma must be finite and non-negative")
-        if not (0 < self.dt < np.inf):
+        if not (0 < dt < np.inf):
             raise DomainError("dt must be finite and positive")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "dt", dt)
 
     @property
     def steps(self) -> int:
@@ -74,6 +80,8 @@ def _state(x, name: str) -> np.ndarray:
 def _paired(x: np.ndarray, name: str, mu) -> tuple:
     """State vector x (called `name`) and mu as vectors of one size; a size-1 side is broadcast."""
     muv = _state(mu, "mu")
+    if x.size == 0 or muv.size == 0:
+        raise ShapeError(f"{name} and mu must hold at least one element")
     if x.size == 1 and muv.size > 1:
         x = np.full_like(muv, x[0])
     if muv.size == 1 and x.size > 1:
@@ -189,6 +197,39 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, off
     return block
 
 
+def _euler(x, muv, sched: SdeSchedule, noise, score_fn=None, history=None) -> None:
+    """Euler-Maruyama steps of the state stack x (n_traj, dim), in place, in this order of
+    operations. Without `score_fn`: steps 0 ... steps - 1 of x + theta (mu - x) dt +
+    sigma sqrt(dt) z, the state after step i into history[:, i + 1] if given. With it:
+    steps - 1 ... 0 of x - (theta (mu - x) - sigma^2 score) dt + sigma sqrt(dt) z, the
+    score read at step i + 1 before x is written. Each noise row is read once, so it
+    takes the scaled noise."""
+    backward = score_fn is not None
+    order = range(sched.steps - 1, -1, -1) if backward else range(sched.steps)
+    apply = np.subtract if backward else np.add
+    drift = np.empty_like(x)
+    term = np.empty_like(x) if backward else None
+    dt, sqdt = sched.dt, np.sqrt(sched.dt)
+    m = None
+    for i in order:
+        if i // 4 != m:
+            m = i // 4
+            block = noise(m)
+        if backward:
+            score = np.asarray(score_fn(x, i + 1), dtype=np.float64)
+        np.subtract(muv, x, out=drift)
+        np.multiply(drift, sched.theta[i], out=drift)
+        if backward:
+            np.multiply(score, sched.sigma[i] ** 2, out=term)
+            np.subtract(drift, term, out=drift)
+        np.multiply(drift, dt, out=drift)
+        apply(x, drift, out=drift)
+        np.multiply(block[i % 4], sched.sigma[i] * sqdt, out=block[i % 4])
+        np.add(drift, block[i % 4], out=x)
+        if history is not None:
+            history[:, i + 1, :] = x
+
+
 def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1,
                      return_history: bool = True, offset: int = 0) -> np.ndarray:
     """Euler-Maruyama ensemble of the forward SDE.
@@ -204,28 +245,13 @@ def forward_simulate(x0, mu, sched: SdeSchedule, seed: int = 0, n_traj: int = 1,
     """
     n_traj = _int_at_least(n_traj, "n_traj", 1)
     x0v, muv = _paired(_state(x0, "x0"), "x0", mu)
-    steps, dt = sched.steps, sched.dt
-    noise = _noise_blocks(seed, 0, n_traj, x0v.size, steps, offset)
-    history = np.empty((n_traj, steps + 1, x0v.size)) if return_history else None
+    noise = _noise_blocks(seed, 0, n_traj, x0v.size, sched.steps, offset)
+    history = np.empty((n_traj, sched.steps + 1, x0v.size)) if return_history else None
     if history is not None:
         history[:, 0, :] = x0v
     x = np.broadcast_to(x0v, (n_traj, x0v.size)).copy()
-    drift = np.empty_like(x)
-    sqdt = np.sqrt(dt)
-    for i in range(steps):
-        if i % 4 == 0:
-            block = noise(i // 4)
-        # x + theta (mu - x) dt + sigma sqrt(dt) z, in this order of operations;
-        # each noise row is read once, so it takes the scaled noise
-        np.subtract(muv, x, out=drift)
-        np.multiply(drift, sched.theta[i], out=drift)
-        np.multiply(drift, dt, out=drift)
-        np.add(x, drift, out=drift)
-        np.multiply(block[i % 4], sched.sigma[i] * sqdt, out=block[i % 4])
-        np.add(drift, block[i % 4], out=x)
-        if history is not None:
-            history[:, i + 1, :] = x
-    return history if return_history else x
+    _euler(x, muv, sched, noise, history=history)
+    return x if history is None else history
 
 
 def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
@@ -252,25 +278,9 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
         n_traj = _int_at_least(len(starts), "n_traj", 1)  # an empty stack has no trajectory
     flat = _state(xT_arr, "xT")
     xv, muv = _paired(flat if starts is None else starts[0], "xT", mu)
-    steps, dt = sched.steps, sched.dt
-    noise = _noise_blocks(seed, 1, n_traj, xv.size, steps, offset)
+    noise = _noise_blocks(seed, 1, n_traj, xv.size, sched.steps, offset)
     x = np.broadcast_to(xv if starts is None else starts, (n_traj, xv.size)).copy()
-    drift, term = np.empty_like(x), np.empty_like(x)
-    sqdt = np.sqrt(dt)
-    for i in range(steps - 1, -1, -1):
-        if i == steps - 1 or i % 4 == 3:
-            block = noise(i // 4)
-        score = np.asarray(score_fn(x, i + 1), dtype=np.float64)
-        # x - (theta (mu - x) - sigma^2 score) dt + sigma sqrt(dt) z, in this
-        # order of operations; the score is read before x is written
-        np.subtract(muv, x, out=drift)
-        np.multiply(drift, sched.theta[i], out=drift)
-        np.multiply(score, sched.sigma[i] ** 2, out=term)
-        np.subtract(drift, term, out=drift)
-        np.multiply(drift, dt, out=drift)
-        np.subtract(x, drift, out=drift)
-        np.multiply(block[i % 4], sched.sigma[i] * sqdt, out=block[i % 4])
-        np.add(drift, block[i % 4], out=x)
+    _euler(x, muv, sched, noise, score_fn)
     return x
 
 
@@ -347,19 +357,19 @@ class SdeDemoResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | None = None,
+def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, steps: int = 100,
                  encoding: PuEncoding | None = None,
                  mapping: DisplayMapping = DisplayMapping(),
                  seed: int = 0) -> SdeDemoResult:
     """Diagnostic run of the restoration SDE machinery (no learned score).
 
     The clean state is the PU-encoded ground truth, the mean-reversion target
-    the PU-encoded degraded input. Forward Euler-Maruyama degrades toward the
-    target; the backward pass restores with the analytic Gaussian score built
-    from the forward chain's closed-form statistics. Zero-noise schedules are
-    reversed by exact algebraic inversion of each forward Euler step (the
-    score is undefined at zero variance). Reports PU-space errors of the
-    decoded reconstruction, the mean of `_ENSEMBLE` backward trajectories.
+    the PU-encoded degraded input, and the schedule `SdeSchedule.cosine(steps)`.
+    Forward Euler-Maruyama degrades toward the target; the backward pass
+    restores with the analytic Gaussian score built from the forward chain's
+    closed-form statistics, whose variance the cosine schedule keeps positive
+    at every step. Reports PU-space errors of the decoded reconstruction, the
+    mean of `_ENSEMBLE` backward trajectories.
 
     The simulation runs one tile of elements at a time, each a call of
     `forward_simulate` or `backward_simulate` with the tile's element offset,
@@ -369,12 +379,11 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
     the tracked elements alone that records their paths. Working memory is
     O(ensemble x tile + pixels), whatever the number of steps.
     """
-    schedule = sched or SdeSchedule.cosine()
+    schedule = SdeSchedule.cosine(steps)
     pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, encoding, mapping)
     u_gt = pu_gt / peak
-    u_ldr = pu_ldr / peak
     x0 = u_gt.ravel()
-    target = u_ldr.ravel()
+    target = (pu_ldr / peak).ravel()
 
     head = min(_TRACKED_PIXELS, x0.size)
     tracked = forward_simulate(x0[:head], target[:head], schedule, seed=seed)[0]
@@ -385,34 +394,23 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, sched: SdeSchedule | Non
         x_end[lo:hi] = forward_simulate(x0[lo:hi], target[lo:hi], schedule, seed=seed,
                                         return_history=False, offset=lo)[0]
 
-    if all(s == 0 for s in schedule.sigma):
-        x = x_end.copy()
-        for i in range(schedule.steps - 1, -1, -1):
-            denom = 1.0 - schedule.theta[i] * schedule.dt
-            if abs(denom) < 1e-12:
-                raise NumericError("cannot invert a forward step with theta*dt == 1")
-            x = (x - schedule.theta[i] * target * schedule.dt) / denom
-        restored_u = x
-    else:
-        decay, variances = _chain_scalars(schedule)
-        gap = x0 - target
-        restored_u = np.empty_like(x0)
-        tile = _LANE_CHUNK // _ENSEMBLE
-        work = np.empty((_ENSEMBLE, tile))
-        for lo in range(0, x0.size, tile):
-            hi = min(lo + tile, x0.size)
+    decay, variances = _chain_scalars(schedule)
+    gap = x0 - target
+    restored_u = np.empty_like(x0)
+    tile = _LANE_CHUNK // _ENSEMBLE
+    work = np.empty((_ENSEMBLE, tile))
+    for lo in range(0, x0.size, tile):
+        hi = min(lo + tile, x0.size)
 
-            def score(x, step, target=target[lo:hi], gap=gap[lo:hi], out=work[:, :hi - lo]):
-                # -(x - (target + gap a_step)) / v_step, into one reused buffer;
-                # dividing by -v_step rounds to the same bytes as negating
-                if variances[step] <= 0:
-                    raise NumericError("score is undefined where the chain variance is <= 0")
-                np.subtract(x, target + gap * decay[step], out=out)
-                return np.divide(out, -variances[step], out=out)
+        def score(x, step, target=target[lo:hi], gap=gap[lo:hi], out=work[:, :hi - lo]):
+            # -(x - (target + gap a_step)) / v_step, into one reused buffer;
+            # dividing by -v_step rounds to the same bytes as negating
+            np.subtract(x, target + gap * decay[step], out=out)
+            return np.divide(out, -variances[step], out=out)
 
-            finals = backward_simulate(x_end[lo:hi], target[lo:hi], schedule, score, seed=seed,
-                                       n_traj=_ENSEMBLE, offset=lo)
-            restored_u[lo:hi] = finals.mean(axis=0)
+        finals = backward_simulate(x_end[lo:hi], target[lo:hi], schedule, score, seed=seed,
+                                   n_traj=_ENSEMBLE, offset=lo)
+        restored_u[lo:hi] = finals.mean(axis=0)
 
     restored_pu = np.clip(restored_u, 0.0, 1.0).reshape(u_gt.shape) * peak
     decoded = pu_decode(restored_pu, encoding) / mapping.scale

@@ -277,14 +277,14 @@ def naive_rgbe_encode(r: float, g: float, b: float) -> tuple:
 def naive_read_hdr(data: bytes):
     """Radiance RGBE decoder that walks the stream one byte or pixel at a time.
 
-    Returns (pixels, header): pixels is the decoded (height, width, 3) float32
-    array, each component mantissa * 2**(exponent - 136), black for exponent 0.
+    Returns the decoded (height, width, 3) float32 pixels, each component
+    mantissa * 2**(exponent - 136), black for exponent 0; header lines other
+    than FORMAT are skipped.
     Raises ParseError with the same message and byte offset as `read_hdr`.
     """
     rd = _NaiveBytes(data)
     if rd.line() not in (b"#?RADIANCE", b"#?RGBE"):
         raise ParseError("not a Radiance RGBE file", offset=0)
-    header = []
     while True:
         at = rd.pos
         line = rd.line()
@@ -294,11 +294,8 @@ def naive_read_hdr(data: bytes):
             text = line.decode("ascii")
         except UnicodeDecodeError:
             raise ParseError("non-ASCII header line", offset=at) from None
-        if text.startswith("FORMAT="):
-            if text != "FORMAT=32-bit_rle_rgbe":
-                raise ParseError(f"unsupported pixel format {text!r}", offset=at)
-        else:
-            header.append(text)
+        if text.startswith("FORMAT=") and text != "FORMAT=32-bit_rle_rgbe":
+            raise ParseError(f"unsupported pixel format {text!r}", offset=at)
     at = rd.pos
     parts = rd.line().split()
     if len(parts) != 4 or parts[0] != b"-Y" or parts[2] != b"+X":
@@ -321,7 +318,7 @@ def naive_read_hdr(data: bytes):
             r, g, b, e = rows[y][x]
             for c, m in enumerate((r, g, b)):
                 pixels[y, x, c] = 0.0 if e == 0 else m * 2.0 ** (e - 136)
-    return pixels, tuple(header)
+    return pixels
 
 
 def _naive_hdr_scanline(rd: _NaiveBytes, row: list, width: int):

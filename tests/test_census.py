@@ -19,12 +19,24 @@ def load_tool():
     return module
 
 
-def test_every_public_name_is_reached():
+def run_tool(*args) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    run = subprocess.run([sys.executable, str(TOOL), "--unreached"], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, str(TOOL), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_every_public_name_is_reached():
+    run = run_tool("--unreached")
     assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+
+def test_totals_are_pinned():
+    # public names and settable values over the ten modules: a change that adds
+    # or removes either edits this line
+    run = run_tool()
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == "total (10)     72      108"
 
 
 def test_a_new_public_name_without_a_reacher_is_listed(monkeypatch):

@@ -167,6 +167,27 @@ def test_output_order_where_file_name_and_stem_order_differ(tmp_path, rng, jobs)
     assert csv_stems == ["image", "a", "a-b", "ab"]
 
 
+def test_hdr_header_lines_change_no_output(tmp_path, rng):
+    # read_hdr skips every header line but FORMAT, so EXPOSURE and comments reach no output
+    images = {side: rng.uniform(0.01, 2.0, (20, 20, 3)) for side in ("pred", "gt")}
+    magic = b"#?RADIANCE\n"
+    outputs = []
+    for run, extra in (("plain", b""), ("header", b"EXPOSURE=2.0\n# a comment\n")):
+        for side, data in images.items():
+            path = tmp_path / run / side / "scene.hdr"
+            path.parent.mkdir(parents=True)
+            write_hdr(LinearImage(data.astype(np.float32)), path)
+            path.write_bytes(magic + extra + path.read_bytes()[len(magic):])
+        out = tmp_path / run / "out"
+        assert main(["synthesize", "--hdr-dir", str(tmp_path / run / "gt"), "--count", "2",
+                     "--seed", "5", "--out", str(out / "synth")]) == 0
+        assert main(["score", "--pred", str(tmp_path / run / "pred"),
+                     "--gt", str(tmp_path / run / "gt"), "--out", str(out / "score")]) == 0
+        outputs.append(snapshot(out))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) >= 5
+
+
 class TestScoreAtChallengeResolution:
     def test_512px_images_score_and_aggregate(self, tmp_path, rng):
         # benchmark-scale inputs (512x512); two images keep the suite quick

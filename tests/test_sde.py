@@ -53,6 +53,12 @@ class TestSchedule:
                 SdeSchedule((1.0, bad), (0.1, 0.1), 0.01)
             with pytest.raises(DomainError, match="sigma must be finite"):
                 SdeSchedule((1.0, 1.0), (0.1, bad), 0.01)
+        for theta, sigma, dt in (((1.0,), (0.1,), "x"), (None, (0.1,), 0.1),
+                                 (("x",), (0.1,), 0.1), ((1.0,), (0.1,), 10**400)):
+            with pytest.raises(DomainError, match="theta, sigma and dt must be numbers"):
+                SdeSchedule(theta, sigma, dt)
+        sched = SdeSchedule((1.0,), (0.1,), True)
+        assert type(sched.dt) is float and sched.dt == 1.0
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_factories_reject_non_positive_steps(self, steps):
@@ -312,43 +318,35 @@ class TestDemo:
         ldr = simulate_ldr(LinearImage(np.clip(gt.data, 0, 1)), 0.0, Crf("gamma"))
         return naive_expand(ldr, Crf("gamma")), gt
 
-    def test_zero_noise_schedule_recovers_ground_truth(self, rng):
-        degraded, gt = self._pair(rng)
-        sched = SdeSchedule.constant(0.9, 0.0, 0.02, 60)
-        result = itm_sde_demo(degraded, gt, sched=sched, seed=4)
-        assert result.diagnostics["restored_pu_l1"] <= 1e-6
-
     def test_error_map_matches_input_shape(self, rng):
         degraded, gt = self._pair(rng)
-        result = itm_sde_demo(degraded, gt, sched=SdeSchedule.cosine(steps=20), seed=4)
+        result = itm_sde_demo(degraded, gt, steps=20, seed=4)
         assert result.error_map.shape == (8, 8)
 
     def test_seeded_run_reproducible_bit_exact(self, rng):
         degraded, gt = self._pair(rng)
-        sched = SdeSchedule.cosine(steps=25)
-        r1 = itm_sde_demo(degraded, gt, sched=sched, seed=12)
-        r2 = itm_sde_demo(degraded, gt, sched=sched, seed=12)
+        r1 = itm_sde_demo(degraded, gt, steps=25, seed=12)
+        r2 = itm_sde_demo(degraded, gt, steps=25, seed=12)
         assert np.array_equal(r1.restored.data, r2.restored.data)
         assert np.array_equal(r1.forward_history, r2.forward_history)
 
     def test_forward_history_is_the_leading_columns_of_a_full_run(self, rng):
         degraded, gt = self._pair(rng)
-        sched = SdeSchedule.cosine(steps=25)
-        result = itm_sde_demo(degraded, gt, sched=sched, seed=12)
+        result = itm_sde_demo(degraded, gt, steps=25, seed=12)
         pu_ldr, pu_gt, peak = pu_fields(degraded, gt, PuEncoding.default(), DisplayMapping())
-        full = forward_simulate((pu_gt / peak).ravel(), (pu_ldr / peak).ravel(), sched, seed=12)
+        full = forward_simulate((pu_gt / peak).ravel(), (pu_ldr / peak).ravel(),
+                                SdeSchedule.cosine(25), seed=12)
         assert result.forward_history.shape == (26, 4)
         assert np.array_equal(result.forward_history, full[0, :, :4])
         tiny = itm_sde_demo(LinearImage(degraded.data[:1, :1]), LinearImage(gt.data[:1, :1]),
-                            sched=sched, seed=12)
+                            steps=25, seed=12)
         assert tiny.forward_history.shape == (26, 3)  # one pixel: three state elements
 
     def test_memory_does_not_grow_with_steps(self, rng):
         degraded, gt = self._pair(rng, size=32)
 
         def peak(steps):
-            sched = SdeSchedule.cosine(steps=steps)
-            return _traced_peak(lambda: itm_sde_demo(degraded, gt, sched=sched, seed=3))
+            return _traced_peak(lambda: itm_sde_demo(degraded, gt, steps=steps, seed=3))
 
         assert peak(200) <= 1.5 * peak(25)
 
@@ -356,7 +354,7 @@ class TestDemo:
         # tiles of _LANE_CHUNK lanes: a whole-image ensemble at this size read
         # a traced peak of about 56 MB, the tiled run about 6 MB
         degraded, gt = self._pair(rng, size=128)
-        peak = _traced_peak(lambda: itm_sde_demo(degraded, gt, sched=SdeSchedule.cosine(8), seed=3))
+        peak = _traced_peak(lambda: itm_sde_demo(degraded, gt, steps=8, seed=3))
         assert peak < 16 << 20, f"peak traced allocation {peak} bytes"
 
     def test_shape_mismatch_rejected(self, rng):
@@ -449,6 +447,11 @@ def _step_noise(stream, steps, n_traj, dim, seed):
     return z
 
 
+# score hooks that return the state itself, a Python scalar and a 0-d array
+SCORE_FNS = [lambda x, step: x, lambda x, step: 0.25, lambda x, step: np.array(-1.5)]
+SCORE_IDS = ["aliases-state", "python-scalar", "0-d-array"]
+
+
 class TestNoiseLayout:
     @pytest.mark.parametrize("draw", [_forward_noise, _backward_noise])
     @pytest.mark.parametrize("steps", [7, 13])
@@ -510,11 +513,9 @@ class TestNoiseLayout:
         assert np.array_equal(np.concatenate(tiles_b, axis=-1), whole_b[0])
         assert np.array_equal(np.concatenate(tiles_h, axis=-1), whole_b[1])
 
-    @pytest.mark.parametrize("score_fn", [lambda x, step: x, lambda x, step: 0.25,
-                                          lambda x, step: np.array(-1.5)],
-                             ids=["aliases-state", "python-scalar", "0-d-array"])
-    def test_backward_in_place_matches_fresh_array_steps(self, rng, score_fn):
-        sched, n_traj, dim = SdeSchedule.cosine(steps=9), 3, 50
+    @pytest.mark.parametrize("score_fn", SCORE_FNS, ids=SCORE_IDS)
+    def test_backward_in_place_matches_fresh_array_steps(self, rng, score_fn, steps=9):
+        sched, n_traj, dim = SdeSchedule.cosine(steps=steps), 3, 50
         xT, mu = rng.uniform(0.0, 1.0, (2, dim))
         z = _step_noise(1, sched.steps, n_traj, dim, seed=6)
         x = np.broadcast_to(xT, (n_traj, dim)).copy()
@@ -529,8 +530,14 @@ class TestNoiseLayout:
         assert np.array_equal(history, np.stack(want, axis=1))
         assert np.array_equal(backward_simulate(xT, mu, sched, score_fn, seed=6, n_traj=n_traj), x)
 
-    def test_forward_in_place_matches_fresh_array_steps(self, rng):
-        sched, n_traj, dim = SdeSchedule.cosine(steps=9), 3, 50
+    # 1, 4 and 5 steps: one partial block, one whole block, a block and one step
+    @pytest.mark.parametrize("steps", [1, 4, 5])
+    @pytest.mark.parametrize("score_fn", SCORE_FNS, ids=SCORE_IDS)
+    def test_backward_in_place_at_noise_block_edges(self, rng, score_fn, steps):
+        self.test_backward_in_place_matches_fresh_array_steps(rng, score_fn, steps)
+
+    def test_forward_in_place_matches_fresh_array_steps(self, rng, steps=9):
+        sched, n_traj, dim = SdeSchedule.cosine(steps=steps), 3, 50
         x0, mu = rng.uniform(0.0, 1.0, (2, dim))
         z = _step_noise(0, sched.steps, n_traj, dim, seed=6)
         x = np.broadcast_to(x0, (n_traj, dim)).copy()
@@ -542,6 +549,10 @@ class TestNoiseLayout:
         final = forward_simulate(x0, mu, sched, seed=6, n_traj=n_traj, return_history=False)
         assert np.array_equal(history, np.stack(want, axis=1))
         assert np.array_equal(final, x)
+
+    @pytest.mark.parametrize("steps", [1, 4, 5])
+    def test_forward_in_place_at_noise_block_edges(self, rng, steps):
+        self.test_forward_in_place_matches_fresh_array_steps(rng, steps)
 
     def test_standard_normal_moments_and_no_lag_one_correlation(self):
         z = _forward_noise(61, 16, 1024, seed=3)  # 999,424 draws, 61 = 15 blocks + 1 step
@@ -588,6 +599,16 @@ class TestNoiseLayout:
 
 
 class TestArgumentValidation:
+    def test_empty_state_rejected(self):
+        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 4)
+        empty = np.array([])
+        with pytest.raises(ShapeError, match="must hold at least one element"):
+            forward_simulate(empty, empty, sched)
+        with pytest.raises(ShapeError, match="must hold at least one element"):
+            backward_simulate(empty, empty, sched, lambda x, s: 0.0)
+        with pytest.raises(ShapeError, match="must hold at least one element"):
+            backward_simulate(np.zeros((3, 0)), empty, sched, lambda x, s: 0.0)
+
     def test_backward_rejects_no_trajectories(self):
         sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(DomainError):
@@ -641,7 +662,8 @@ def _camera(seed):
     (lambda: forward_simulate(0.5, 0.1, _SCHED, offset=1.5), "offset must be an integer"),
     (lambda: backward_simulate(0.5, 0.1, _SCHED, lambda x, s: 0.0, offset=1.5),
      "offset must be an integer"),
-    (lambda: itm_sde_demo(_IMAGE, _IMAGE, _SCHED, seed=1.5), "seed must be an integer"),
+    (lambda: itm_sde_demo(_IMAGE, _IMAGE, 4, seed=1.5), "seed must be an integer"),
+    (lambda: itm_sde_demo(_IMAGE, _IMAGE, steps=2.5), "steps must be an integer"),
     (lambda: _camera(1.5), "seed must be an integer"),
     (lambda: _camera(np.float64(3.0)), "seed must be an integer"),
     (lambda: _camera(-1), "seed must be >= 0; got -1"),
@@ -649,7 +671,7 @@ def _camera(seed):
     (lambda: generate_dataset("missing", "unused", master_seed=1.5),
      "master_seed must be an integer"),
 ], ids=["forward_seed", "backward_seed", "forward_n_traj", "backward_n_traj", "forward_offset",
-        "backward_offset", "demo_seed", "camera_seed", "camera_float64_seed",
+        "backward_offset", "demo_seed", "demo_steps", "camera_seed", "camera_float64_seed",
         "camera_negative_seed", "camera_seed_beyond_philox_key", "master_seed"])
 def test_seeds_and_counts_are_integers_checked_by_their_owner(tmp_path, monkeypatch, call,
                                                               message):
