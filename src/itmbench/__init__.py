@@ -8,7 +8,7 @@ simulator for the mean-reverting restoration SDE.
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, FormatError, InputError, ItmError,
-                     NumericError, ParseError, RangeError, ShapeError)
+                     ParseError, RangeError, ShapeError)
 from .image_io import (LinearImage, Ldr8Image, read_hdr, read_ldr8, read_pfm,
                        write_hdr, write_ldr8, write_pfm)
 from .color import (DisplayMapping, MuLawParams, luminance, mu_law,
@@ -24,7 +24,6 @@ from .operators import (MaskParams, MaskTriple, blurred_luminance,
 from .losses import (color_loss, denoise_loss, linear_l1, recon_loss,
                      score_matching_loss, ssim_pu_loss, total_loss, tv_loss,
                      upf_loss)
-from .sde import (SdeSchedule, backward_simulate, forward_simulate,
-                  itm_sde_demo, make_ou_score, ou_moments)
+from .sde import SdeSchedule, backward_simulate, forward_simulate, itm_sde_demo
 from .analysis import (SaturationSplit, error_map, error_stats,
                        intensity_error_joint, saturation_split)

@@ -49,7 +49,7 @@ class Crf:
             for name in ("gamma", "n", "sigma_c"):
                 object.__setattr__(self, name, float(getattr(self, name)))
             t = np.asarray(self.table, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"CRF parameters must be numbers: {exc}") from None
         if self.family == "gamma":
             if not (0 < self.gamma < np.inf):

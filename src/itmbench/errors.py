@@ -42,9 +42,5 @@ class RangeError(ItmError, ValueError):
     """Exposure-range estimation failed on a degenerate image."""
 
 
-class NumericError(ItmError, ArithmeticError):
-    """A numerical precondition failed at run time (e.g. variance <= 0)."""
-
-
 class ConfigError(ItmError, ValueError):
     """Bad configuration file or unknown key."""

@@ -3,8 +3,7 @@
 Forward degradation dx = theta_t (mu - x) dt + sigma_t dw drifts the clean
 state toward the degraded observation mu while injecting noise; the backward
 pass reverses it with a caller-supplied score function. Both directions run
-one Euler-Maruyama loop. Closed-form Ornstein-Uhlenbeck moments serve as the
-verification oracle.
+one Euler-Maruyama loop.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .color import DisplayMapping, _int_at_least
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, ShapeError
 from .image_io import LinearImage
 from .pu21 import (SSIM_WINDOW, MetricReport, PerImageScore, PuEncoding, pu_decode,
                    pu_fields, pu_psnr, pu_ssim, rmse_linear)
@@ -50,11 +49,6 @@ class SdeSchedule:
     @property
     def steps(self) -> int:
         return len(self.theta)
-
-    @staticmethod
-    def constant(theta: float, sigma: float, dt: float, steps: int) -> "SdeSchedule":
-        steps = _int_at_least(steps, "steps", 1)
-        return SdeSchedule((theta,) * steps, (sigma,) * steps, dt)
 
     @staticmethod
     def cosine(steps: int = 100) -> "SdeSchedule":
@@ -282,50 +276,6 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
     x = np.broadcast_to(xv if starts is None else starts, (n_traj, xv.size)).copy()
     _euler(x, muv, sched, noise, score_fn)
     return x
-
-
-def ou_moments(x0, mu, theta: float, sigma: float, t):
-    """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t.
-
-    Non-finite states, and an x0 - mu or a variance beyond float64's range,
-    are a DomainError; nothing smaller overflows (the mean lies between mu
-    and x0)."""
-    tv = np.asarray(t, dtype=np.float64)
-    if not (0 < theta < np.inf and 0 <= sigma < np.inf and np.isfinite(tv).all()
-            and (tv >= 0).all()):
-        raise DomainError("theta must be finite and positive, sigma finite and non-negative, "
-                          "and t finite and non-negative")
-    x0v = np.asarray(x0, dtype=np.float64)
-    muv = np.asarray(mu, dtype=np.float64)
-    if not (np.isfinite(x0v).all() and np.isfinite(muv).all()):
-        raise DomainError("x0 and mu must be finite")
-    with np.errstate(over="ignore"):
-        # theta t beyond float64's range is inf, whose decay e^-inf = 0 is the limit
-        rate = theta * tv
-        var = 0.5 * sigma * (sigma * (-np.expm1(-2.0 * rate) / theta))
-        gap = x0v - muv
-    if not np.isfinite(var).all():
-        raise DomainError(f"the OU variance for sigma={sigma!r}, theta={theta!r} "
-                          "exceeds float64's range")
-    if not np.isfinite(gap).all():
-        raise DomainError("x0 - mu exceeds float64's range")
-    mean = muv + gap * np.exp(-rate)
-    if mean.ndim == 0 and var.ndim == 0:
-        return float(mean), float(var)
-    return mean, var
-
-
-def make_ou_score(x0, mu, theta: float, sigma: float, dt: float):
-    """Analytic Gaussian score -(x - m_t)/v_t from the OU oracle moments."""
-    x0v, muv = _state(x0, "x0"), _state(mu, "mu")
-
-    def score(x, step):
-        mean, var = ou_moments(x0v, muv, theta, sigma, step * dt)
-        if np.any(np.asarray(var) <= 0):
-            raise NumericError("score is undefined where the OU variance is <= 0")
-        return -(x - mean) / var
-
-    return score
 
 
 def _chain_scalars(sched: SdeSchedule) -> tuple:

@@ -509,3 +509,28 @@ def naive_chain_moments(x0, mu, theta, sigma, dt):
         means.append([m + th * (u - m) * dt for m, u in zip(means[-1], mu)])
         variances.append((1.0 - th * dt) ** 2 * variances[-1] + sg * sg * dt)
     return means, variances
+
+
+def ou_moments(x0, mu, theta, sigma, t):
+    """Closed-form Ornstein-Uhlenbeck mean and variance at continuous time t.
+
+    For dx = theta (mu - x) dt + sigma dw from x0 at t = 0, the state is Gaussian with
+    mean mu + (x0 - mu) e^(-theta t) and variance sigma^2 (1 - e^(-2 theta t)) / (2 theta).
+    Scalars give floats; arrays broadcast.
+    """
+    rate = theta * np.asarray(t, dtype=np.float64)
+    mean = mu + (np.asarray(x0, dtype=np.float64) - mu) * np.exp(-rate)
+    var = 0.5 * sigma * (sigma * (-np.expm1(-2.0 * rate) / theta))
+    if mean.ndim == 0 and var.ndim == 0:
+        return float(mean), float(var)
+    return mean, var
+
+
+def make_ou_score(x0, mu, theta, sigma, dt):
+    """The Gaussian score -(x - m_t) / v_t of the OU moments at t = step * dt, as a
+    `backward_simulate` hook; the variance is positive for every step >= 1."""
+    def score(x, step):
+        mean, var = ou_moments(x0, mu, theta, sigma, step * dt)
+        return -(x - mean) / var
+
+    return score

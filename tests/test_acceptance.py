@@ -21,10 +21,10 @@ from itmbench.losses import (color_loss, denoise_loss, linear_l1, recon_loss,
                              tv_loss, upf_loss)
 from itmbench.operators import MaskParams, exposure_masks, naive_expand
 from itmbench.pu21 import pu_encode, pu_psnr, pu_ssim, rank_teams, rmse_linear
-from itmbench.sde import (SdeSchedule, backward_simulate, forward_simulate,
-                          make_ou_score, ou_moments)
+from itmbench.sde import SdeSchedule, backward_simulate, forward_simulate
 
 import oracles
+from oracles import make_ou_score, ou_moments
 
 GOLDENS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "pu_goldens.json").read_text())
@@ -195,7 +195,7 @@ def test_criterion_7_sde_moments():
     Gaussian score recovers the initial mean. n=10^4, theta=1, sigma=0.5,
     dt=0.01, T=500."""
     start = time.perf_counter()
-    sched = SdeSchedule.constant(theta=1.0, sigma=0.5, dt=0.01, steps=500)
+    sched = SdeSchedule((1.0,) * 500, (0.5,) * 500, 0.01)
     x0, mu = 2.0, 0.0
     ensemble = forward_simulate(x0, mu, sched, seed=701, n_traj=10_000)
     final = ensemble[:, -1, 0]

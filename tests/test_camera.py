@@ -87,10 +87,16 @@ class TestCrf:
         ({"family": "sigmoid", "n": 1.0}, "holds exactly the keys family, n, sigma_c; got family, n$"),
         ({"family": "gamma", "gamma": "x"}, "CRF parameters must be numbers"),
         ({"family": "gamma", "gamma": 0.5, "n": 3}, "holds exactly the keys family, gamma; got"),
-    ], ids=["missing-gamma", "missing-sigma_c", "non-number", "extra-key"])
+        ({"family": "gamma", "gamma": 10**400}, "CRF parameters must be numbers"),
+    ], ids=["missing-gamma", "missing-sigma_c", "non-number", "extra-key", "huge-integer"])
     def test_malformed_dict_rejected(self, record, message):
         with pytest.raises(DomainError, match=message):
             Crf.from_dict(record)
+
+    def test_table_of_integers_beyond_float64_rejected(self):
+        # converting such an integer raises OverflowError, not ValueError
+        with pytest.raises(DomainError, match="CRF parameters must be numbers"):
+            Crf("table", table=(10**400,) * 256)
 
     def test_constructor_coerces_numbers(self):
         crf = Crf("sigmoid", n=np.float32(0.75), sigma_c="0.5")

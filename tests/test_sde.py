@@ -7,21 +7,20 @@ import pytest
 from itmbench import sde
 from itmbench.camera import Crf, NoiseParams, generate_dataset, simulate_ldr
 from itmbench.color import DisplayMapping
-from itmbench.errors import DomainError, NumericError, ShapeError
+from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import naive_expand
 from itmbench.pu21 import PuEncoding, pu_fields
 from itmbench.sde import (SdeSchedule, _chain_scalars, _mix64, backward_simulate,
-                          forward_simulate, itm_sde_demo, make_ou_score, ou_moments)
-from oracles import naive_chain_moments, naive_splitmix64
+                          forward_simulate, itm_sde_demo)
+from oracles import make_ou_score, naive_chain_moments, naive_splitmix64, ou_moments
+
+
+def _constant(theta, sigma, dt, steps):
+    return SdeSchedule((theta,) * steps, (sigma,) * steps, dt)
 
 
 class TestSchedule:
-    def test_constant_factory(self):
-        sched = SdeSchedule.constant(1.0, 0.5, 0.01, 10)
-        assert sched.steps == 10
-        assert sched.theta == (1.0,) * 10
-
     def test_cosine_shape_and_positivity(self):
         sched = SdeSchedule.cosine(steps=100)
         assert sched.steps == 100
@@ -64,44 +63,39 @@ class TestSchedule:
     def test_factories_reject_non_positive_steps(self, steps):
         with pytest.raises(DomainError, match="steps must be >= 1"):
             SdeSchedule.cosine(steps=steps)
-        with pytest.raises(DomainError, match="steps must be >= 1"):
-            SdeSchedule.constant(1.0, 0.1, 0.01, steps)
 
     @pytest.mark.parametrize("steps", [2.5, float("nan"), np.float64(3.0)])
     def test_factories_reject_non_integer_steps(self, steps):
-        # cosine(2.5) once gave 3 steps through np.arange, constant(..., 2.5) a TypeError
+        # cosine(2.5) once gave 3 steps through np.arange
         with pytest.raises(DomainError, match="steps must be an integer"):
             SdeSchedule.cosine(steps=steps)
-        with pytest.raises(DomainError, match="steps must be an integer"):
-            SdeSchedule.constant(1.0, 0.1, 0.01, steps)
 
     def test_factories_accept_numpy_integer_steps(self):
         assert SdeSchedule.cosine(np.int64(3)) == SdeSchedule.cosine(3)
-        assert SdeSchedule.constant(1.0, 0.1, 0.01, np.int32(4)).steps == 4
 
 
 class TestForward:
     def test_fixed_point_at_target(self):
-        sched = SdeSchedule.constant(0.8, 0.0, 0.01, 50)
+        sched = _constant(0.8, 0.0, 0.01, 50)
         traj = forward_simulate(0.4, 0.4, sched, seed=1, n_traj=3)
         assert np.allclose(traj, 0.4, atol=0.0)
 
     def test_deterministic_geometric_decay(self):
         theta, dt, steps = 0.7, 0.02, 40
-        sched = SdeSchedule.constant(theta, 0.0, dt, steps)
+        sched = _constant(theta, 0.0, dt, steps)
         traj = forward_simulate(2.0, 0.5, sched, seed=0)[0, :, 0]
         t = np.arange(steps + 1)
         expected = 0.5 + 1.5 * (1.0 - theta * dt) ** t
         assert np.abs(traj - expected).max() <= 1e-12
 
     def test_seeded_reproducibility_per_trajectory(self):
-        sched = SdeSchedule.constant(1.0, 0.3, 0.01, 20)
+        sched = _constant(1.0, 0.3, 0.01, 20)
         a = forward_simulate(1.0, 0.0, sched, seed=9, n_traj=4)
         b = forward_simulate(1.0, 0.0, sched, seed=9, n_traj=8)
         assert np.array_equal(a, b[:4])  # extra trajectories do not disturb earlier ones
 
     def test_dimension_agnostic_per_element(self):
-        sched = SdeSchedule.constant(1.0, 0.3, 0.01, 20)
+        sched = _constant(1.0, 0.3, 0.01, 20)
         scalar = forward_simulate(1.0, 0.0, sched, seed=5, n_traj=2)
         vector = forward_simulate([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], sched, seed=5, n_traj=2)
         assert np.array_equal(scalar[:, :, 0], vector[:, :, 0])
@@ -126,7 +120,7 @@ class TestForward:
         assert np.array_equal(replay, full[:, :, :4])
 
     def test_moments_match_ou_oracle(self):
-        sched = SdeSchedule.constant(1.0, 0.5, 0.01, 200)
+        sched = _constant(1.0, 0.5, 0.01, 200)
         traj = forward_simulate(2.0, 0.0, sched, seed=77, n_traj=4000)
         final = traj[:, -1, 0]
         mean_th, var_th = ou_moments(2.0, 0.0, 1.0, 0.5, 200 * 0.01)
@@ -139,7 +133,7 @@ class TestForward:
         errors = []
         for dt in (0.02, 0.01, 0.005):
             steps = int(round(2.0 / dt))
-            sched = SdeSchedule.constant(1.0, 0.0, dt, steps)
+            sched = _constant(1.0, 0.0, dt, steps)
             final = forward_simulate(1.0, 0.0, sched, seed=0)[0, -1, 0]
             errors.append(abs(final - np.exp(-2.0)))
         assert errors[0] > errors[1] > errors[2]
@@ -151,79 +145,17 @@ class TestForward:
         errors = []
         for dt in (0.02, 0.01, 0.005):
             steps = int(round(horizon / dt))
-            sched = SdeSchedule.constant(theta, sigma, dt, steps)
+            sched = _constant(theta, sigma, dt, steps)
             _, variances = _chain_scalars(sched)
             errors.append(abs(variances[-1] - var_ou))
         assert errors[0] > errors[1] > errors[2]
-
-
-class TestOuMoments:
-    def test_time_zero(self):
-        assert ou_moments(2.0, 0.0, 1.0, 1.0, 0.0) == (2.0, 0.0)
-
-    def test_stationary_limit(self):
-        mean, var = ou_moments(2.0, 0.5, 1.5, 1.0, 1e9)
-        assert mean == pytest.approx(0.5, abs=1e-12)
-        assert var == pytest.approx(1.0 / (2 * 1.5), abs=1e-12)
-
-    def test_unit_evaluation(self):
-        mean, var = ou_moments(2.0, 0.0, 1.0, 1.0, 1.0)
-        assert mean == pytest.approx(2 * np.exp(-1.0), abs=1e-15)
-        assert var == pytest.approx((1 - np.exp(-2.0)) / 2, abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ou_moments(0.0, 0.0, 0.0, 1.0, 1.0)
-
-    def test_huge_theta_at_time_zero(self):
-        # 2 theta is beyond float64's range; the variance is 0 at t = 0, not NaN
-        assert ou_moments(1.0, 0.0, 1e308, 1.0, 0.0) == (1.0, 0.0)
-        mean, var = ou_moments(1.0, 0.0, 1e308, 1e200, 2.0)
-        assert mean == 0.0
-        assert var == pytest.approx(5e91, rel=1e-15)  # sigma^2 / (2 theta)
-
-    def test_huge_sigma_variance_beyond_float64_is_domain_error(self):
-        with pytest.raises(DomainError, match="exceeds float64's range"):
-            ou_moments(1.0, 0.0, 1.0, 1e200, 1.0)
-
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), np.array([0.5, np.nan])])
-    def test_non_finite_time_rejected(self, t):
-        with pytest.raises(DomainError, match="t finite"):
-            ou_moments(1.0, 0.0, 1.0, 0.5, t)
-
-    @pytest.mark.parametrize("theta, sigma", [(float("inf"), 0.5), (float("nan"), 0.5),
-                                              (1.0, float("nan")), (1.0, float("inf")),
-                                              (1.0, -0.5)])
-    @pytest.mark.parametrize("t", [0.0, 1.0])
-    def test_coefficients_must_be_finite(self, theta, sigma, t):
-        with pytest.raises(DomainError, match="theta must be finite and positive, sigma finite"):
-            ou_moments(1.0, 0.0, theta, sigma, t)
-
-    @pytest.mark.parametrize("x0, mu", [(float("nan"), 0.0), (0.0, float("nan")),
-                                        (float("inf"), 0.0), (0.0, -float("inf")),
-                                        (np.array([1.0, np.nan]), 0.0)])
-    def test_states_must_be_finite(self, x0, mu):
-        with pytest.raises(DomainError, match="x0 and mu must be finite"):
-            ou_moments(x0, mu, 1.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("x0, mu", [(1e308, -1e308), (-1e308, 1e308),
-                                        (np.array([0.0, 1e308]), -1e308)])
-    def test_gap_beyond_float64_is_domain_error(self, x0, mu):
-        with pytest.raises(DomainError, match="x0 - mu exceeds float64's range"):
-            ou_moments(x0, mu, 1.0, 1.0, 1.0)
-
-    def test_largest_finite_gap_is_accepted(self):
-        top = np.finfo(np.float64).max
-        assert ou_moments(top, 0.0, 1.0, 1.0, 0.0) == (top, 0.0)
-        mean, _ = ou_moments(top / 2, -top / 2, 1.0, 1.0, 1e9)
-        assert mean == -top / 2
 
 
 class TestBackward:
     def test_zero_noise_zero_score_recurrence(self):
         # backward is the forward recurrence with negated time step, exactly
         theta, dt, steps = 0.5, 0.02, 30
-        sched = SdeSchedule.constant(theta, 0.0, dt, steps)
+        sched = _constant(theta, 0.0, dt, steps)
         x_end = 1.25
         mu = 0.25
         final = backward_simulate(x_end, mu, sched, lambda x, step: 0.0, seed=0)[0, 0]
@@ -232,14 +164,14 @@ class TestBackward:
 
     def test_zero_noise_retrace_within_dt_squared_bound(self):
         theta, dt, steps = 1.0, 0.01, 100
-        sched = SdeSchedule.constant(theta, 0.0, dt, steps)
+        sched = _constant(theta, 0.0, dt, steps)
         fwd = forward_simulate(2.0, 0.0, sched, seed=0)[0, -1, 0]
         back = backward_simulate(fwd, 0.0, sched, lambda x, step: 0.0, seed=0)[0, 0]
         # per-step mismatch is theta^2 dt^2 (x - mu); total stays O(steps * dt^2)
         assert abs(back - 2.0) <= 2.0 * steps * (theta * dt) ** 2
 
     def test_single_step_hand_arithmetic(self):
-        sched = SdeSchedule.constant(0.5, 0.0, 0.1, 1)
+        sched = _constant(0.5, 0.0, 0.1, 1)
         score_value = 0.3
 
         def score(x, step):
@@ -252,7 +184,7 @@ class TestBackward:
         assert final == pytest.approx(expected, abs=1e-15)
 
     def test_gaussian_score_recovers_mean(self):
-        sched = SdeSchedule.constant(1.0, 0.5, 0.01, 300)
+        sched = _constant(1.0, 0.5, 0.01, 300)
         x0, mu = 1.0, 0.8
         fwd = forward_simulate(x0, mu, sched, seed=11, n_traj=3000)
         score = make_ou_score(x0, mu, 1.0, 0.5, 0.01)
@@ -261,20 +193,15 @@ class TestBackward:
         se = b.std(ddof=1) / np.sqrt(b.size)
         assert abs(b.mean() - x0) <= 3 * se
 
-    def test_score_raises_at_zero_variance(self):
-        score = make_ou_score(1.0, 0.0, 1.0, 0.5, 0.01)
-        with pytest.raises(NumericError):
-            score(np.array([1.0]), 0)
-
     def test_non_finite_trajectory_stack_rejected(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        sched = _constant(1.0, 0.1, 0.01, 5)
         stack = np.zeros((3, 2))
         stack[2, 1] = np.nan
         with pytest.raises(DomainError, match="xT must be finite"):
             backward_simulate(stack, np.zeros(2), sched, lambda x, s: 0.0)
 
     def test_shape_conflict_rejected(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        sched = _constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(ShapeError):
             backward_simulate(np.zeros((4, 2)), np.zeros(2), sched,
                               lambda x, s: 0.0, n_traj=3)
@@ -282,7 +209,7 @@ class TestBackward:
 
 class TestChainMoments:
     def test_zero_noise_has_zero_variance(self):
-        sched = SdeSchedule.constant(0.5, 0.0, 0.01, 20)
+        sched = _constant(0.5, 0.0, 0.01, 20)
         a, variances = _chain_scalars(sched)
         x0, mu = 1.0, 0.0
         means = mu + (x0 - mu) * a[:, None]
@@ -290,7 +217,7 @@ class TestChainMoments:
         assert means[-1, 0] == pytest.approx((1 - 0.5 * 0.01) ** 20, abs=1e-12)
 
     @pytest.mark.parametrize("sched", [SdeSchedule.cosine(steps=100),
-                                       SdeSchedule.constant(0.8, 0.2, 0.01, 300)])
+                                       _constant(0.8, 0.2, 0.01, 300)])
     def test_closed_form_matches_per_row_recurrence(self, rng, sched):
         x0, mu = rng.uniform(0.05, 1.0, (2, 64))
         a, variances = _chain_scalars(sched)
@@ -301,7 +228,7 @@ class TestChainMoments:
         np.testing.assert_allclose(variances, want_variances, rtol=1e-13, atol=0.0)
 
     def test_matches_forward_ensemble(self):
-        sched = SdeSchedule.constant(1.0, 0.4, 0.01, 100)
+        sched = _constant(1.0, 0.4, 0.01, 100)
         a, variances = _chain_scalars(sched)
         x0, mu = 1.5, 0.0
         means = mu + (x0 - mu) * a[:, None]
@@ -409,7 +336,7 @@ def _traced_peak(run) -> int:
 
 def _forward_noise(steps, n_traj, dim, seed=0, offset=0):
     # theta * dt = 1, mu = 0 and sigma * sqrt(dt) = 1 make each state the step's noise
-    sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
+    sched = _constant(1.0, 1.0, 1.0, steps)
     return forward_simulate(np.zeros(dim), 0.0, sched, seed=seed, n_traj=n_traj,
                             offset=offset)[:, 1:, :]
 
@@ -432,7 +359,7 @@ def _backward_history(xT, mu, sched, score_fn, **kwargs) -> tuple:
 
 def _backward_noise(steps, n_traj, dim, seed=0, offset=0):
     # with the score -2x the backward drift cancels the state, leaving the noise
-    sched = SdeSchedule.constant(1.0, 1.0, 1.0, steps)
+    sched = _constant(1.0, 1.0, 1.0, steps)
     _, history = _backward_history(np.zeros(dim), 0.0, sched, lambda x, step: -2.0 * x,
                                    seed=seed, n_traj=n_traj, offset=offset)
     return history[:, :-1, :]
@@ -583,7 +510,7 @@ class TestNoiseLayout:
 
     def test_backward_noise_memory_does_not_grow_with_steps(self):
         def peak(steps):
-            sched = SdeSchedule.constant(1.0, 0.1, 0.01, steps)
+            sched = _constant(1.0, 0.1, 0.01, steps)
             return _traced_peak(lambda: backward_simulate(np.zeros(4096), 0.0, sched,
                                                           lambda x, step: 0.0, seed=1, n_traj=16))
 
@@ -591,7 +518,7 @@ class TestNoiseLayout:
 
     def test_forward_final_state_memory_does_not_grow_with_steps(self):
         def peak(steps):
-            sched = SdeSchedule.constant(1.0, 0.1, 0.01, steps)
+            sched = _constant(1.0, 0.1, 0.01, steps)
             return _traced_peak(lambda: forward_simulate(np.zeros(4096), 0.0, sched, seed=1,
                                                          n_traj=16, return_history=False))
 
@@ -600,7 +527,7 @@ class TestNoiseLayout:
 
 class TestArgumentValidation:
     def test_empty_state_rejected(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 4)
+        sched = _constant(1.0, 0.1, 0.01, 4)
         empty = np.array([])
         with pytest.raises(ShapeError, match="must hold at least one element"):
             forward_simulate(empty, empty, sched)
@@ -610,21 +537,21 @@ class TestArgumentValidation:
             backward_simulate(np.zeros((3, 0)), empty, sched, lambda x, s: 0.0)
 
     def test_backward_rejects_no_trajectories(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        sched = _constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(DomainError):
             backward_simulate(0.0, 0.0, sched, lambda x, s: 0.0, n_traj=0)
         with pytest.raises(DomainError):
             backward_simulate(np.zeros((0, 3)), np.zeros(3), sched, lambda x, s: 0.0)
 
     def test_negative_seed_rejected(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        sched = _constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(DomainError):
             forward_simulate(0.0, 0.0, sched, seed=-1)
         with pytest.raises(DomainError):
             backward_simulate(0.0, 0.0, sched, lambda x, s: 0.0, seed=-1)
 
     def test_counter_words_never_wrap(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        sched = _constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(DomainError):
             forward_simulate(0.0, 0.0, sched, n_traj=2**32)
         for n_traj, dim, steps in ((2**32, 1, 4), (1, 2**32, 4), (1, 1, 4 * 2**32)):
@@ -633,7 +560,7 @@ class TestArgumentValidation:
         sde._noise_blocks(0, 0, 2**32 - 1, 2**32 - 1, 4 * 2**32 - 1)  # largest accepted
 
     def test_offset_keeps_element_words_below_2_32(self):
-        sched = SdeSchedule.constant(1.0, 0.1, 0.01, 5)
+        sched = _constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(DomainError, match="offset"):
             forward_simulate(0.0, 0.0, sched, offset=-1)
         with pytest.raises(DomainError, match="offset"):
@@ -644,7 +571,7 @@ class TestArgumentValidation:
         sde._noise_blocks(0, 0, 1, 3, 4, 2**32 - 4)(0)  # largest accepted: element 2^32 - 2
 
 
-_SCHED = SdeSchedule.constant(1.0, 0.1, 0.01, 4)
+_SCHED = _constant(1.0, 0.1, 0.01, 4)
 _IMAGE = LinearImage(np.full((16, 16, 3), 0.5, dtype=np.float32))
 
 

@@ -64,13 +64,19 @@ COMMANDS = [
     ("expand_jobs", ["expand", "--input", "in/ldr.png", "--jobs", "2"]),
     ("expand_config", ["expand", "--input", "in/ldr.png", "--config", "in/ppm.ini"]),
     ("sde_jobs", ["sde-demo", "--steps", "4", "--jobs", "2"]),
+    # readers no command above reaches: a .ppm capture, flat RGBE scanlines, a truncated file
+    ("expand_ppm", ["expand", "--input", "synthesize_ppm/a_0000.ppm"]),
+    ("synthesize_narrow", ["synthesize", "--hdr-dir", "in/narrow"]),
+    ("synthesize_cut", ["synthesize", "--hdr-dir", "in/cut"]),
 ]
 
 
 def write_inputs(root: Path, size: int):
     """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction);
-    a 256-value ascending CRF table `crf.txt`; and a 37 x 23 `sde/` pair of a ground truth
-    and its clipped capture, whatever `size` is."""
+    a 256-value ascending CRF table `crf.txt`; a 37 x 23 `sde/` pair of a ground truth
+    and its clipped capture, whatever `size` is; a 5 x 6 `narrow/` ground truth, which
+    the writer stores in flat scanlines (width below 8); and `cut/`, ground truth c cut
+    to the first half of its bytes."""
     rng = np.random.default_rng(2025)
     for sub in ("gt", "pred"):
         (root / sub).mkdir(parents=True)
@@ -97,6 +103,12 @@ def write_inputs(root: Path, size: int):
     gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
     write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
     write_pfm(LinearImage(np.minimum(gt, 0.5).astype(np.float32)), root / "sde" / "degraded.pfm")
+    for sub in ("narrow", "cut"):
+        (root / sub).mkdir()
+    narrow = np.random.default_rng(5).lognormal(-1.0, 1.0, (6, 5, 3))
+    write_hdr(LinearImage(narrow.astype(np.float32)), root / "narrow" / "n.hdr")
+    whole = (root / "gt" / "c.hdr").read_bytes()
+    (root / "cut" / "c.hdr").write_bytes(whole[:len(whole) // 2])
 
 
 def file_digest(path: Path) -> str:
