@@ -45,9 +45,8 @@ def saturation_split(ldr_input: Ldr8Image, quantile: float = 0.85) -> Saturation
     if not (0.0 <= quantile < 1.0):
         raise DomainError("quantile must lie in [0, 1)")
     lum = luminance(ldr_input.data)
-    flat = np.sort(lum.ravel())
-    n = flat.size
-    threshold = float(flat[min(int(np.floor(quantile * n)), n - 1)])
+    rank = min(int(np.floor(quantile * lum.size)), lum.size - 1)
+    threshold = float(np.partition(lum.ravel(), rank)[rank])
     mask = lum >= threshold
     return SaturationSplit(threshold=threshold, saturated_mask=mask, frac=float(mask.mean()))
 
@@ -85,6 +84,24 @@ def error_stats(err_map: np.ndarray, split: SaturationSplit) -> dict:
     }
 
 
+def _equal_width_bins(values: np.ndarray, top: float) -> tuple:
+    """The edges np.linspace(0, top, HIST_BINS + 1) and the bin among them of each value
+    in [0, top], the last bin closed, as `np.histogram2d` bins them.
+
+    This is np.histogram's equal-width method: a bin guessed by arithmetic is
+    corrected once each way against the edges. Below a normal float bin width the
+    edges round too coarsely for one correction, and the bins are searched for.
+    """
+    edges = np.linspace(0.0, top, HIST_BINS + 1)
+    if top < HIST_BINS * np.finfo(np.float64).tiny:
+        idx = np.searchsorted(edges, values, side="right") - 1
+    else:
+        idx = np.clip(values * (HIST_BINS / top), 0, HIST_BINS - 1).astype(np.intp)
+        idx -= values < edges[idx]
+        idx += values >= edges[idx + 1]
+    return np.minimum(idx, HIST_BINS - 1, out=idx), edges
+
+
 def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray) -> dict:
     """Joint 2-D histogram of input LDR luminance versus prediction error, HIST_BINS a side."""
     err = as_radiance(err_map, "error map")
@@ -92,12 +109,11 @@ def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray) -> dict:
     if err.shape != lum.shape:
         raise ShapeError("error map and input shapes differ")
     top = float(err.max())
-    counts, xedges, yedges = np.histogram2d(
-        lum.ravel(), err.ravel(), bins=HIST_BINS,
-        range=[[0.0, 255.0], [0.0, top if top > 0 else 1.0]],
-    )
+    ix, xedges = _equal_width_bins(lum.ravel(), 255.0)
+    iy, yedges = _equal_width_bins(err.ravel(), top if top > 0 else 1.0)
+    cells = np.bincount(ix * HIST_BINS + iy, minlength=HIST_BINS * HIST_BINS)
     return {
-        "counts": counts.astype(int).tolist(),
+        "counts": cells.reshape(HIST_BINS, HIST_BINS).tolist(),
         "intensity_edges": xedges.tolist(),
         "error_edges": yedges.tolist(),
     }

@@ -646,17 +646,27 @@ def _png_decode(raw: bytes) -> Ldr8Image:
 def _png_unfilter(ftypes: np.ndarray, filtered: np.ndarray) -> np.ndarray:
     """Undo the per-row PNG filters (ISO 15948 section 9) of (h, w, 3) bytes.
 
-    A pixel's predictor reads its left (a), upper (b) and upper-left (c)
-    neighbours, so the pixels of one anti-diagonal depend only on the two
-    diagonals before it and are rebuilt together. In the image padded with a
-    zero row and column and flattened to pixels (row stride w + 1), a
-    diagonal is a slice with step w, and a, b, c are that slice shifted back
-    by 1, w + 1 and w + 2.
+    A file whose rows all take one type of None, Sub or Up, as every file the
+    writer makes does, is one running sum in uint8, which wraps modulo 256 as
+    the filters do: None rows are their bytes, Sub rows their running sum
+    along the row (per channel), and Up rows the running sum down the columns.
+
+    Any other file takes an anti-diagonal sweep. An Average or Paeth row reads
+    a pixel's left (a), upper (b) and upper-left (c) neighbours, so the pixels
+    of one anti-diagonal depend only on the two diagonals before it and are
+    rebuilt together. In the image padded with a zero row and column and
+    flattened to pixels (row stride w + 1), a diagonal is a slice with step w,
+    and a, b, c are that slice shifted back by 1, w + 1 and w + 2.
     """
     bad = np.flatnonzero(ftypes > 4)
     if len(bad):
         raise ParseError(f"unknown PNG filter type {ftypes[bad[0]]}")
     height, width, _ = filtered.shape
+    if ftypes[0] <= 2 and (ftypes == ftypes[0]).all():
+        out = filtered.copy()
+        if ftypes[0]:  # Sub sums along the rows (axis 1), Up down the columns (axis 0)
+            np.cumsum(out, axis=2 - int(ftypes[0]), dtype=np.uint8, out=out)
+        return out
     s = width + 1
     # holds the filtered bytes until their diagonal is rebuilt in place
     out = np.zeros(((height + 1) * s, 3), dtype=np.int16)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from itmbench.analysis import (error_map, error_stats, intensity_error_joint,
-                               saturation_split)
+from itmbench.analysis import (_equal_width_bins, error_map, error_stats,
+                               intensity_error_joint, saturation_split)
+from itmbench.color import luminance
 from itmbench.errors import DomainError, ShapeError
 from itmbench.image_io import LinearImage, Ldr8Image
 
@@ -135,6 +136,77 @@ class TestJointHistogram:
         ldr = gray_ldr(rng.integers(0, 256, (4, 4)))
         with pytest.raises(ShapeError):
             intensity_error_joint(ldr, np.zeros((5, 5)))
+
+
+def _histogram2d(ldr, err) -> dict:
+    """The joint histogram as np.histogram2d bins it, the oracle of the equal-width method."""
+    err = np.asarray(err, dtype=np.float64).ravel()
+    top = float(err.max())
+    counts, xedges, yedges = np.histogram2d(
+        luminance(ldr.data).ravel(), err, bins=64,
+        range=[[0.0, 255.0], [0.0, top if top > 0 else 1.0]])
+    return {"counts": counts.astype(int).tolist(), "intensity_edges": xedges.tolist(),
+            "error_edges": yedges.tolist()}
+
+
+def _on_and_beside_edges(top: float) -> np.ndarray:
+    """Every edge of linspace(0, top, 65) and both its nextafter neighbours within [0, top]."""
+    edges = np.linspace(0.0, top, 65)
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return values[(values >= 0.0) & (values <= top)]
+
+
+class TestJointHistogramMatchesHistogram2d:
+    @pytest.mark.parametrize("top", [1.0, 3.7, 2 / 3, 1e-3, 255.0, 3e38, 1e-300, 1e-310, 5e-324])
+    def test_errors_on_and_beside_every_edge(self, rng, top):
+        err = _on_and_beside_edges(top)[None, :]
+        ldr = gray_ldr(rng.integers(0, 256, err.shape))
+        assert intensity_error_joint(ldr, err) == _histogram2d(ldr, err)
+
+    @pytest.mark.parametrize("top", [255.0, 1.0, 1e-310])
+    def test_bins_on_and_beside_every_edge(self, top):
+        # the intensity axis's values come from 8-bit pixels, which reach no
+        # interior edge, so its binning is checked value by value here
+        values = _on_and_beside_edges(top)
+        idx, edges = _equal_width_bins(values, top)
+        assert edges.tolist() == np.linspace(0.0, top, 65).tolist()
+        for v, i in zip(values.tolist(), idx.tolist()):
+            counts = np.histogram2d([v], [0.0], bins=[64, 1], range=[[0.0, top], [0.0, 1.0]])[0]
+            assert i == int(counts[:, 0].argmax()), v
+
+    def test_white_pixels_fall_in_the_last_intensity_bin(self, rng):
+        ldr = gray_ldr(np.full((4, 8), 255))
+        assert luminance(ldr.data).max() == 254.99999999999997
+        err = rng.uniform(0.0, 2.0, (4, 8))
+        joint = intensity_error_joint(ldr, err)
+        assert joint == _histogram2d(ldr, err)
+        assert np.asarray(joint["counts"])[63].sum() == 32
+
+    def test_all_zero_errors_span_zero_to_one(self, rng):
+        ldr = gray_ldr(rng.integers(0, 256, (5, 7)))
+        joint = intensity_error_joint(ldr, np.zeros((5, 7)))
+        assert joint == _histogram2d(ldr, np.zeros((5, 7)))
+        assert joint["error_edges"] == np.linspace(0.0, 1.0, 65).tolist()
+
+    def test_float32_errors(self, rng):
+        err = np.concatenate([_on_and_beside_edges(3.7).astype(np.float32),
+                              rng.uniform(0.0, 3.7, 300).astype(np.float32)])[None, :]
+        ldr = gray_ldr(rng.integers(0, 256, err.shape))
+        assert intensity_error_joint(ldr, err) == _histogram2d(ldr, err)
+
+    @pytest.mark.parametrize("top", [0.3, 5e-324])
+    def test_a_single_nonzero_error_is_top(self, rng, top):
+        err = np.zeros((6, 6))
+        err[2, 3] = top
+        ldr = gray_ldr(rng.integers(0, 256, (6, 6)))
+        joint = intensity_error_joint(ldr, err)
+        assert joint == _histogram2d(ldr, err)
+        assert np.asarray(joint["counts"])[:, 63].sum() == 1
+
+    def test_random_errors(self, rng):
+        ldr = Ldr8Image(rng.integers(0, 256, (40, 50, 3), dtype=np.uint8))
+        err = rng.lognormal(-2.0, 1.5, (40, 50))
+        assert intensity_error_joint(ldr, err) == _histogram2d(ldr, err)
 
 
 class TestErrorMapInputRule:

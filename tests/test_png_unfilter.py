@@ -55,6 +55,50 @@ def test_mixed_filter_types(tmp_path, seed):
     assert read_ldr8(path).data.tolist() == oracles.naive_png_unfilter(scan, w, h)
 
 
+# one type of None, Sub or Up on every row takes a running sum in place of the
+# diagonal sweep, and a mix of the three takes the sweep; each pattern is cut to
+# the image's height
+NONE_SUB_UP_ROWS = {
+    "none": [0] * 40,
+    "sub": [1] * 40,
+    "up": [2] * 40,
+    "up-from-row-0": [2] * 9 + [0] + [2] * 30,
+    "up-after-none": [0] + [2] * 20 + [0, 0] + [2] * 17,
+    "up-after-sub": [1] + [2] * 20 + [1, 1] + [2] * 17,
+    "alternating": [0, 2, 1, 2] * 10,
+}
+
+
+@pytest.mark.parametrize("rows", NONE_SUB_UP_ROWS.values(), ids=NONE_SUB_UP_ROWS.keys())
+@pytest.mark.parametrize("shape", [(37, 5), (40, 1), (1, 40)], ids=["37x5", "40x1", "1x40"])
+def test_none_sub_up_rows(tmp_path, rows, shape):
+    h, w = shape
+    filtered = np.random.default_rng(h * 41 + w).integers(0, 256, (h, w, 3), dtype=np.uint8)
+    path, scan = png_of(tmp_path, rows[:h], filtered)
+    got = read_ldr8(path).data
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert got.tolist() == oracles.naive_png_unfilter(scan, w, h)
+
+
+@pytest.mark.parametrize("ftype", range(3), ids=["none", "sub", "up"])
+def test_running_sum_read_peak(tmp_path, ftype):
+    # the file's bytes, its IDAT, the inflated scanlines and the image are the
+    # read's whole traced peak: no other image-sized copy is made
+    h = w = 512
+    rng = np.random.default_rng(512)
+    y, x = np.mgrid[0:h, 0:w]
+    image = np.stack([x // 2, y // 2, (x + y) // 4], axis=-1) + rng.integers(0, 4, (h, w, 3))
+    path, _ = png_of(tmp_path, np.full(h, ftype), image.astype(np.uint8))
+    read_ldr8(path)  # numpy's one-time allocations are not the read's
+    tracemalloc.start()
+    try:
+        read_ldr8(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * image.size + (64 << 10), f"peak {peak / image.size:.2f} x the image"
+
+
 def test_unknown_filter_type_names_the_first_bad_row(tmp_path):
     rng = np.random.default_rng(7)
     filtered = rng.integers(0, 256, (6, 4, 3), dtype=np.uint8)

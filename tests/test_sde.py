@@ -111,7 +111,7 @@ class TestForward:
 
     def test_leading_elements_replay_a_full_width_run(self, rng):
         # the demo's tracked paths: a run over the first 4 elements alone; the
-        # full width spans two Philox lane chunks
+        # full width spans two passes of `_LANE_CHUNK` lanes
         dim = sde._LANE_CHUNK + 1000
         sched = SdeSchedule.cosine(steps=9)
         x0, mu = rng.uniform(0.0, 1.0, (2, dim))

@@ -17,7 +17,9 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,8 @@ COMMANDS = [
     ("expand_pfm", ["expand", "--input", "in/ldr.png", "--crf", "gamma:0.45", "--format", "pfm"]),
     ("expand_identity", ["expand", "--input", "in/ldr.png", "--crf", "identity"]),
     ("expand_table", ["expand", "--input", "in/ldr.png", "--crf", "table:in/crf.txt"]),
+    # the PNG reader's diagonal sweep: rows filtered with Average and Paeth as well
+    ("expand_mixed", ["expand", "--input", "in/mixed.png", "--crf", "gamma:0.45"]),
     ("sde_builtin", ["sde-demo", "--steps", "20", "--seed", "5"]),
     ("sde_files", ["sde-demo", "--hdr", "in/gt/b.hdr", "--ldr", "in/pred/b.pfm", "--steps", "12"]),
     ("sde_steps0", ["sde-demo", "--steps", "0"]),
@@ -73,10 +77,11 @@ COMMANDS = [
 
 def write_inputs(root: Path, size: int):
     """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction);
-    a 256-value ascending CRF table `crf.txt`; a 37 x 23 `sde/` pair of a ground truth
-    and its clipped capture, whatever `size` is; a 5 x 6 `narrow/` ground truth, which
-    the writer stores in flat scanlines (width below 8); and `cut/`, ground truth c cut
-    to the first half of its bytes."""
+    a 256-value ascending CRF table `crf.txt`; `mixed.png`, the bytes of `ldr.png`'s pixels
+    stored as scanlines whose filter types cycle through None, Sub, Up, Average and Paeth;
+    a 37 x 23 `sde/` pair of a ground truth and its clipped capture, whatever `size` is;
+    a 5 x 6 `narrow/` ground truth, which the writer stores in flat scanlines (width
+    below 8); and `cut/`, ground truth c cut to the first half of its bytes."""
     rng = np.random.default_rng(2025)
     for sub in ("gt", "pred"):
         (root / sub).mkdir(parents=True)
@@ -92,6 +97,14 @@ def write_inputs(root: Path, size: int):
     write_pfm(LinearImage(np.minimum(gts["b"], 1.0).astype(np.float32)), root / "pred" / "b.pfm")
     ldr = np.round(255.0 * np.clip(gts["a"], 0.0, 1.0) ** (1 / 2.2)).astype(np.uint8)
     write_ldr8(Ldr8Image(ldr), root / "ldr.png")
+    scan = np.empty((size, 1 + 3 * size), dtype=np.uint8)
+    scan[:, 0] = np.arange(size) % 5
+    scan[:, 1:] = ldr.reshape(size, -1)
+    (root / "mixed.png").write_bytes(b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(body)) + kind + body
+        + struct.pack(">I", zlib.crc32(kind + body) & 0xFFFFFFFF)
+        for kind, body in [(b"IHDR", struct.pack(">IIBBBBB", size, size, 8, 2, 0, 0, 0)),
+                           (b"IDAT", zlib.compress(scan.tobytes())), (b"IEND", b"")]))
     (root / "bad.ini").write_text("[display]\nblack_floor = -1\n")
     (root / "ppm.ini").write_text("[synth]\nldr_format = ppm\n")
     (root / "jpg.ini").write_text("[synth]\nldr_format = jpg\n")
