@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import _GAIN_MAX, _GAIN_STOPS, _int_at_least, as_radiance, as_unit, luminance
+from .color import (_GAIN_MAX, _GAIN_STOPS, _float64, _int_at_least, _radiance, as_radiance,
+                    luminance)
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
                        ordered_map, read_linear, write_ldr8, write_linear)
@@ -70,7 +71,7 @@ class Crf:
             raise DomainError(f"unknown CRF family {self.family!r}")
 
     def apply(self, v):
-        out = self._apply_owned(np.array(as_unit(v, "CRF input")))
+        out = self._apply_owned(np.array(_radiance(v, "CRF input", "unit"), dtype=np.float64))
         return out if out.ndim else float(out)
 
     def _apply_owned(self, x: np.ndarray) -> np.ndarray:
@@ -87,7 +88,7 @@ class Crf:
         return x
 
     def inverse(self, v):
-        y = as_unit(v, "CRF inverse input")
+        y = _float64(v, "CRF inverse input", "unit")
         if self.family == "gamma":
             out = y ** (1.0 / self.gamma)
         elif self.family == "sigmoid":

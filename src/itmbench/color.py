@@ -15,12 +15,21 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
-# Radiance lies in [0, float32's top] (< 2^128), a signed field within +-float32's top, and each
-# gain on either (exposure, mu, display scale, noise level, residual; mask sharpness) at 2^896,
-# so no product of the two exceeds 2^1024 - 2^1000. Each is checked where it enters.
-_F32_MAX = np.finfo(np.float32).max  # a float32 scalar: float16 data compares without a cast
+_F32_MAX = float(np.finfo(np.float32).max)
+_F64_MAX = float(np.finfo(np.float64).max)
 _GAIN_STOPS = 896
 _GAIN_MAX = 2.0**_GAIN_STOPS
+# The ranges data is checked against where it enters: (low, high, what the message says).
+# Radiance stays below 2^128 and a signed field within +-float32's top, and each gain on either
+# (exposure, mu, display scale, noise level, residual; mask sharpness) at 2^896, so no product
+# of the two exceeds 2^1024 - 2^1000. `finite` is for data clamped before any arithmetic.
+_RANGES = {
+    "radiance": (0.0, _F32_MAX, "finite and non-negative and lie within float32's range"),
+    "signed": (-_F32_MAX, _F32_MAX, "finite and lie within float32's range"),
+    "unit": (0.0, 1.0, "finite and must lie in [0, 1]"),
+    "gain": (-_GAIN_MAX, _GAIN_MAX, "finite and at most 2**896 in magnitude"),
+    "finite": (-_F64_MAX, _F64_MAX, "finite"),
+}
 
 
 def _int_at_least(value, name: str, low: int) -> int:
@@ -32,50 +41,42 @@ def _int_at_least(value, name: str, low: int) -> int:
     return int(value)
 
 
-def as_unit(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    if (arr < 0).any() or (arr > 1).any():
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return arr
-
-
 def _pixels(x):
     """A raster's (a LinearImage's) `.data`, or `x` itself: an array's `.data` is a memoryview."""
     return x if isinstance(x, (np.ndarray, np.generic)) else getattr(x, "data", x)
 
 
-def _radiance(x, name: str, error: type = DomainError, low=0) -> np.ndarray:
-    """`x` (a LinearImage or an array) with every value in [low, float32's top], else `error`.
+def _radiance(x, name: str, within: str = "radiance", error: type = DomainError) -> np.ndarray:
+    """`x` (a LinearImage or an array) with every value in `_RANGES[within]`, else `error`.
 
-    `low` is 0 for radiance, -float32's top for a signed field. The data must
-    be boolean, integer or real float. Up to 64 bits it keeps its dtype: each
-    caller's first operation upcasts with `dtype=np.float64` into a buffer it
-    owns, which gives the bits a float64 copy would. Wider floats are converted.
+    The data must be boolean, integer or real float. Up to 64 bits it keeps
+    its dtype: each caller's first operation upcasts with `dtype=np.float64`
+    into a buffer it owns, which gives the bits a float64 copy would. Wider
+    floats are converted.
     """
     arr = np.asarray(_pixels(x))
     if arr.dtype.kind not in "biuf":
         raise error(f"{name} must be boolean, integer or real float data; got dtype {arr.dtype}")
-    if not _in_radiance_range(arr, low):
-        sign = "non-negative and " if low == 0 else ""
-        raise error(f"{name} must be finite and {sign}lie within float32's range")
+    if not _in_range(arr, within):
+        raise error(f"{name} must be {_RANGES[within][2]}")
     return arr.astype(np.float64) if arr.dtype.itemsize > 8 else arr
 
 
-def _in_radiance_range(arr: np.ndarray, low) -> bool:
-    """Every value in [low, float32's top]; NaN and infinities fail, with no warning."""
-    return arr.size == 0 or bool(arr.min() >= low and arr.max() <= _F32_MAX)
+def _in_range(arr: np.ndarray, within: str) -> bool:
+    """Every value of real data `arr` in the range `within`; NaN fails, with no warning. The
+    extremes are compared as Python floats, so no bound is rounded into the data's dtype."""
+    low, high, _ = _RANGES[within]
+    return arr.size == 0 or (low <= float(arr.min()) and float(arr.max()) <= high)
+
+
+def _float64(x, name: str, within: str) -> np.ndarray:
+    """`x` as float64, checked as `_radiance` checks it against the range `within`."""
+    return np.asarray(_radiance(x, name, within), dtype=np.float64)
 
 
 def as_radiance(x, name: str) -> np.ndarray:
     """`x` (a LinearImage or an array) as float64, checked as `_radiance` checks it."""
-    return np.asarray(_radiance(x, name), dtype=np.float64)
-
-
-def _signed(x, name: str) -> np.ndarray:
-    """`x` as float64, checked as `_radiance` checks a signed field (low -float32's top)."""
-    return np.asarray(_radiance(x, name, low=-_F32_MAX), dtype=np.float64)
+    return _float64(x, name, "radiance")
 
 
 def check_same_shape(a, b) -> None:
@@ -154,9 +155,9 @@ class DisplayMapping:
     def __post_init__(self):
         if not (0 < self.black_floor < self.peak_luminance):
             raise DomainError("require 0 < black_floor < peak_luminance")
-        if not (self.peak_luminance < np.inf):
+        if not (self.peak_luminance <= _F64_MAX):  # not `< inf`: a larger integer cannot divide
             raise DomainError(f"peak_luminance must be finite; got {self.peak_luminance!r}")
-        if not (0 < self.reference_white < np.inf):
+        if not (0 < self.reference_white <= _F64_MAX):
             raise DomainError("reference_white must be finite and positive")
         if not (self.scale <= _GAIN_MAX):
             raise DomainError("peak_luminance / reference_white must be at most 2**896")

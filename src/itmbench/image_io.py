@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import _in_radiance_range, _int_at_least, _radiance
+from .color import _in_range, _int_at_least, _radiance
 from .errors import FormatError, InputError, ParseError, ShapeError
 
 # Upper bound on width*height accepted by any parser; keeps a hostile header
@@ -60,7 +60,7 @@ class LinearImage(_Raster):
 
     def __post_init__(self):
         super().__post_init__()
-        self.data = _radiance(self.data, "linear image components", FormatError).astype(
+        self.data = _radiance(self.data, "linear image components", error=FormatError).astype(
             np.float32, copy=False)
 
 
@@ -411,7 +411,7 @@ def read_pfm(path) -> LinearImage:
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype, count=width * height * 3, offset=pos)
     data = data.reshape(height, width, 3)[::-1]  # rows are stored bottom-up
-    if not _in_radiance_range(data, 0):
+    if not _in_range(data, "radiance"):
         raise ParseError("PFM samples must be finite and non-negative", offset=pos)
     return LinearImage(np.ascontiguousarray(data, dtype=np.float32))
 

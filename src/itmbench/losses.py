@@ -20,7 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .color import MuLawParams, _radiance, _signed, check_same_shape, luminance, mu_law
+from .color import (_F64_MAX, MuLawParams, _float64, _radiance, check_same_shape, luminance,
+                    mu_law)
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -216,7 +217,7 @@ def total_loss(stages, pred, gt, *, perceptual: float = 0.0) -> tuple:
     denoise term is the prediction's linear L1. `perceptual` is the
     externally computed VGG scalar (0 when unavailable).
     """
-    if not (0 <= perceptual < np.inf):
+    if not (0 <= perceptual <= _F64_MAX):  # not `< inf`: float() of a larger integer raises
         raise DomainError(f"perceptual must be finite and non-negative; got {perceptual!r}")
     raw = {
         "recon": recon_loss(stages, gt),
@@ -248,13 +249,13 @@ def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
     """
     if len(trajectory) != len(gammas):
         raise DomainError("gammas length must match the trajectory")
-    if not (0 <= lam < np.inf):
+    if not (0 <= lam <= _F64_MAX):  # not `< inf`: float() of a larger integer raises
         raise DomainError(f"lam must be finite and non-negative; got {lam!r}")
     lam, total = float(lam), 0.0
     for (x, x_star), gamma in zip(trajectory, gammas):
-        if not (0 < gamma < np.inf):
+        if not (0 < gamma <= _F64_MAX):
             raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
-        a, b = _signed(x, "trajectory entries"), _signed(x_star, "trajectory entries")
+        a, b = (_float64(v, "trajectory entries", "signed") for v in (x, x_star))
         if a.shape != b.shape or not a.size:  # an empty pair has no mean
             raise ShapeError(f"trajectory pair shapes differ or are empty: {a.shape}, {b.shape}")
         term = float(np.mean(np.abs(a - b)))

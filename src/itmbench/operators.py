@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Crf
-from .color import _GAIN_MAX, _int_at_least, _signed, as_radiance, luminance
+from .color import _GAIN_MAX, _float64, _int_at_least, _radiance, as_radiance, luminance
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage, Ldr8Image
 
@@ -44,11 +44,15 @@ class MaskParams:
 
 @dataclass(frozen=True)
 class MaskTriple:
-    """Per-pixel exposure weights; under + mid + over == 1 at every pixel."""
+    """Per-pixel exposure weights, signed fields; under + mid + over == 1 at every pixel."""
 
     under: np.ndarray
     mid: np.ndarray
     over: np.ndarray
+
+    def __post_init__(self):
+        for name in ("under", "mid", "over"):
+            object.__setattr__(self, name, _radiance(getattr(self, name), f"{name} mask", "signed"))
 
 
 def _thresholds(theta) -> tuple:
@@ -98,7 +102,7 @@ def blurred_luminance(image, kernel: int) -> np.ndarray:
 
 def exposure_masks(lum_blurred: np.ndarray, params: MaskParams = MaskParams()) -> MaskTriple:
     """Soft under/mid/over exposure partition of a signed level field by telescoping sigmoids."""
-    field = _signed(lum_blurred, "mask field")
+    field = _float64(lum_blurred, "mask field", "signed")
     t1, t2 = _thresholds(params.theta)
     s1 = _sigmoid(params.alpha * (field - t1))
     s2 = _sigmoid(params.alpha * (field - t2))
@@ -115,10 +119,9 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
     h, w = data.shape[:2]
     if weights is None:
         weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    fields = [np.broadcast_to(np.asarray(wt, dtype=np.float64), (h, w)) for wt in weights]
     # each weight in [0, 1] before the sum, so NaN and inf fail here and the sum cannot overflow
-    if (not all(((0.0 <= f) & (f <= 1.0)).all() for f in fields)
-            or not (np.abs(fields[0] + fields[1] + fields[2] - 1.0) <= 1e-6).all()):
+    fields = [np.broadcast_to(_float64(wt, "simplex weights", "unit"), (h, w)) for wt in weights]
+    if not (np.abs(fields[0] + fields[1] + fields[2] - 1.0) <= 1e-6).all():
         raise DomainError("weights must form a per-pixel simplex")
     fused = np.zeros_like(data)
     for wt, mask in zip(fields, (masks.under, masks.mid, masks.over)):
@@ -133,10 +136,7 @@ def residual_project(image, gain: float, residual) -> LinearImage:
     if not (0.0 <= gain <= 1.0):
         raise DomainError("gain must lie in [0, 1]")
     data = as_radiance(image, "residual projection input")
-    res = np.asarray(residual)
-    if res.dtype.kind not in "biuf" or not (np.abs(res) <= _GAIN_MAX).all():
-        raise DomainError("residual must be finite real data, at most 2**896 in magnitude")
-    res = np.asarray(res, dtype=np.float64)
+    res = _float64(residual, "residual", "gain")
     if res.ndim == 2:
         res = res[..., None]
     tail = data.shape[data.ndim - res.ndim:]

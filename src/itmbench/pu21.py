@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (_F32_MAX, DisplayMapping, _luma, _radiance, _signed, check_same_shape,
+from .color import (_F32_MAX, DisplayMapping, _float64, _luma, _radiance, check_same_shape,
                     to_display_luminance)
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
@@ -96,9 +96,7 @@ def _encode_owned(lum, enc: PuEncoding):
 
 def pu_encode(y, encoding: PuEncoding | None = None):
     """Encode absolute luminance (cd/m^2) to PU units; input clamped to the fit range."""
-    lum = np.array(y, dtype=np.float64)
-    if not np.isfinite(lum).all():
-        raise DomainError("luminance must be finite")
+    lum = np.array(_radiance(y, "luminance", "finite"), dtype=np.float64)
     out = _encode_owned(lum, encoding or PuEncoding.default())
     return out if out.ndim else float(out)
 
@@ -107,9 +105,7 @@ def pu_decode(v, encoding: PuEncoding | None = None):
     """Inverse of pu_encode on the encoding's output range (used by the SDE demo)."""
     enc = encoding or PuEncoding.default()
     p = enc.p
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError("PU values must be finite")
+    arr = _float64(v, "PU values", "finite")
     lo = _pu_forward(np.asarray(enc.y_min), p)
     hi = _pu_forward(np.asarray(enc.y_max), p)
     arr = np.clip(arr, lo, hi)
@@ -146,13 +142,16 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     `data_range` in [2^-126, float32's top], so the constants (K data_range)^2
     are normal floats and no statistic reaches 2^600: nothing leaves float64.
     """
-    x, y = _signed(x, "SSIM inputs"), _signed(y, "SSIM inputs")
+    x, y = _float64(x, "SSIM inputs", "signed"), _float64(y, "SSIM inputs", "signed")
     if x.shape != y.shape:
         raise ShapeError(f"SSIM inputs differ in shape: {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
-    data_range = float(data_range)  # a numpy scalar would round the bounds to its dtype
-    if not (2.0**-126 <= data_range <= float(_F32_MAX)):
+    try:
+        data_range = float(data_range)  # a numpy scalar would round the bounds to its dtype
+    except OverflowError:  # an integer beyond float64
+        data_range = np.inf
+    if not (2.0**-126 <= data_range <= _F32_MAX):
         raise DomainError(f"SSIM data_range must be finite and positive, in [2**-126, float32's "
                           f"top]; got {data_range!r}")
     w = _gaussian_window()

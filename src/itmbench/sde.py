@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .color import DisplayMapping, _int_at_least
+from .color import DisplayMapping, _float64, _int_at_least
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage
 from .pu21 import (SSIM_WINDOW, MetricReport, PerImageScore, PuEncoding, pu_decode,
@@ -63,12 +63,7 @@ class SdeSchedule:
 
 
 def _state(x, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    return arr
+    return _float64(x, name, "signed").reshape(-1)
 
 
 def _paired(x: np.ndarray, name: str, mu) -> tuple:
@@ -264,14 +259,13 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
     O(n_traj x tile) for a state run one tile at a time.
     """
     n_traj = _int_at_least(n_traj, "n_traj", 1)
-    xT_arr = np.asarray(xT, dtype=np.float64)
+    xT_arr = _float64(xT, "xT", "signed")
     starts = xT_arr if xT_arr.ndim == 2 else None
     if starts is not None:
         if n_traj not in (1, len(starts)):
             raise ShapeError("n_traj conflicts with the per-trajectory xT stack")
         n_traj = _int_at_least(len(starts), "n_traj", 1)  # an empty stack has no trajectory
-    flat = _state(xT_arr, "xT")
-    xv, muv = _paired(flat if starts is None else starts[0], "xT", mu)
+    xv, muv = _paired(xT_arr.reshape(-1) if starts is None else starts[0], "xT", mu)
     noise = _noise_blocks(seed, 1, n_traj, xv.size, sched.steps, offset)
     x = np.broadcast_to(xv if starts is None else starts, (n_traj, xv.size)).copy()
     _euler(x, muv, sched, noise, score_fn)

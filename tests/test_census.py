@@ -83,7 +83,7 @@ def test_totals_are_pinned():
     # or removes either edits this line
     run = run_tool()
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout.splitlines()[-1] == "total (10)     70      108"
+    assert run.stdout.splitlines()[-1] == "total (10)     69      108"
 
 
 def test_a_new_public_name_without_a_reacher_is_listed(monkeypatch):

@@ -584,11 +584,13 @@ def test_importing_the_cli_loads_no_thread_pool_or_hash_module():
 
 # numpy picks each ufunc's SIMD kernel at import, among the CPU features it dispatches to beyond
 # its build's baseline. exp, log, log1p, power and tan round differently on those paths, so these
-# files move in their last digits when the features are switched off: SSIM in score_j2's reports,
+# files move in their last digits when the features are switched off: SSIM in score_j2's and
+# score_complete's reports (and the aggregate line score_complete prints, keyed by its label),
 # the losses and region means of analysis.json, and every sde-demo report (its noise). Image
 # files, and every synthesize and expand output, are identical across the paths.
 DISPATCH_SENSITIVE = {
     "score_j2/report.csv", "score_j2/report.json", "analyze/analysis.json",
+    "score_complete", "score_complete/report.csv", "score_complete/report.json",
     "sde_builtin/sde_diagnostics.json", "sde_builtin/sde_report.json",
     "sde_files/sde_diagnostics.json", "sde_files/sde_report.json",
     "sde_files/sde_trajectories.csv",

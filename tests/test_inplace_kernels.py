@@ -6,7 +6,8 @@ path of `pu_fields` and `rmse_linear` read float32 (or integer) data as it is
 and upcast it in their first operation. Three things are pinned here:
 
 - no public function writes an array its caller passed in (`as_radiance` and
-  `as_unit` hand a float64 array through without copying it);
+  the other range checks of `color` hand a float64 array through without
+  copying it);
 - every result is bit-identical to the expressions below, which are the
   kernels as they were written before the rewrite (kept here, not in
   `oracles.py`, which holds naive loops and stays independent of both);

@@ -1,16 +1,19 @@
-"""The input rule shared by every color, metric, loss, operator and exposure function.
+"""The input rule shared by every function that takes data, from the range table in `color`.
 
-Each takes a LinearImage or an array; a value that is non-finite, negative or
-beyond float32's range (the range of a LinearImage) is a DomainError whose
-text says "must be finite and non-negative", data that is not boolean,
-integer or real float is a DomainError too, mismatched shapes are a
-ShapeError, and a LinearImage gives the value its `.data` gives. A signed
-field (an SSIM input, a trajectory entry, a mask field) follows the same
-rule with its lower end at minus float32's top. With radiance at most
-float32's largest value and every gain on it (the residual and the mask
-sharpness among them) at most 2^896, no arithmetic can leave float64's
-range: each value is checked where it enters, with no RuntimeWarning, and no
-function traps floating-point errors.
+Each color, metric, loss, operator and exposure function takes a LinearImage
+or an array; a value that is non-finite, negative or beyond float32's range
+(the range of a LinearImage) is a DomainError whose text says "must be finite
+and non-negative", data that is not boolean, integer or real float is a
+DomainError too, mismatched shapes are a ShapeError, and a LinearImage gives
+the value its `.data` gives. The other entry points for data follow the same
+rule against another range of the table: a signed field (an SSIM input, a
+trajectory entry, a mask field or mask, an SDE state) lies within plus or
+minus float32's top, a CRF input or fusion weight in [0, 1], the residual
+within 2^896 in magnitude, and luminance or PU values given to `pu_encode`
+and `pu_decode` are finite. With radiance at most float32's largest value and
+every gain on it (the residual and the mask sharpness among them) at most
+2^896, no arithmetic can leave float64's range: each value is checked where it
+enters, with no RuntimeWarning, and no function traps floating-point errors.
 """
 
 from types import SimpleNamespace
@@ -20,13 +23,14 @@ import pytest
 
 from itmbench import losses
 from itmbench.analysis import error_map
-from itmbench.camera import estimate_exposure_range
+from itmbench.camera import Crf, estimate_exposure_range
 from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError, FormatError, ShapeError
 from itmbench.image_io import LinearImage
 from itmbench.operators import (MaskParams, MaskTriple, blurred_luminance, exposure_masks,
                                 fuse_exposures, residual_project)
-from itmbench.pu21 import pu_psnr, pu_ssim, rmse_linear, ssim_mean
+from itmbench.pu21 import pu_decode, pu_encode, pu_psnr, pu_ssim, rmse_linear, ssim_mean
+from itmbench.sde import SdeSchedule, backward_simulate, forward_simulate
 
 SHAPE = (16, 16, 3)  # the smallest side upf_loss's default 16 px patch accepts
 F32_MAX = float(np.finfo(np.float32).max)
@@ -56,6 +60,26 @@ BINARY = {
 }
 
 
+_SCHED = SdeSchedule.cosine(4)
+_FLAT = np.zeros(SHAPE[:2])
+# the entry points that check data against another range of the table, each given one array
+# (a residual, weight or mask takes its first channel)
+RANGED = {
+    "Crf.apply": lambda data: Crf("gamma", gamma=0.5).apply(data),
+    "Crf.inverse": lambda data: Crf("gamma", gamma=0.5).inverse(data),
+    "pu_encode": pu_encode,
+    "pu_decode": pu_decode,
+    "forward_simulate_x0": lambda data: forward_simulate(data, 0.0, _SCHED),
+    "forward_simulate_mu": lambda data: forward_simulate(0.0, data, _SCHED),
+    "backward_simulate_xT": lambda data: backward_simulate(data, 0.0, _SCHED, lambda x, s: 0.0),
+    "backward_simulate_mu": lambda data: backward_simulate(0.0, data, _SCHED, lambda x, s: 0.0),
+    "residual": lambda data: residual_project(np.ones(SHAPE), 0.5, data[..., 0]),
+    "fusion_weight": lambda data: fuse_exposures(np.ones(SHAPE), _MASKS, (data[..., 0], 0, 0)),
+    "fusion_mask": lambda data: fuse_exposures(np.ones(SHAPE), MaskTriple(data[..., 0], _FLAT,
+                                                                          _FLAT)),
+}
+
+
 @pytest.fixture
 def images(rng):
     return [LinearImage(rng.uniform(0.05, 1.5, SHAPE).astype(np.float32)) for _ in range(2)]
@@ -66,7 +90,9 @@ ARGUMENTS = [(name, 0) for name in UNARY] + [(name, k) for name in BINARY for k 
 
 
 def _call(name, args):
-    return UNARY[name](args[0]) if name in UNARY else BINARY[name](*args)
+    if name in BINARY:
+        return BINARY[name](*args)
+    return (UNARY[name] if name in UNARY else RANGED[name])(args[0])
 
 
 @pytest.mark.parametrize("name, position", ARGUMENTS)
@@ -83,7 +109,7 @@ def test_non_finite_or_negative_is_a_domain_error(images, name, position, bad):
 BAD_DTYPES = ["datetime64[s]", "timedelta64[s]", "complex128", "complex64", "U8", "S8", "O"]
 
 
-@pytest.mark.parametrize("name, position", ARGUMENTS)
+@pytest.mark.parametrize("name, position", ARGUMENTS + [(name, 0) for name in RANGED])
 @pytest.mark.parametrize("dtype", BAD_DTYPES)
 def test_data_of_another_kind_is_a_domain_error(images, name, position, dtype):
     args = [image.data for image in images]
@@ -154,9 +180,10 @@ _SIGNED_RULE = "must be finite and lie within float32's range"
      _SIGNED_RULE),
     (lambda: losses.score_matching_loss([(np.full(1, 1e308), np.zeros(1))] * 3, [1.0] * 3),
      _SIGNED_RULE),
+    (lambda: forward_simulate(1e308, -1e308, SdeSchedule.cosine(4)), _SIGNED_RULE),  # mu - x0
 ], ids=["mu_law", "pu_psnr", "pu_ssim", "error_map", "linear_l1", "tv_loss", "rmse_linear",
         "blurred_luminance", "ssim_mean", "score_matching_difference", "score_matching_mean",
-        "score_matching_total"])
+        "score_matching_total", "forward_simulate"])
 def test_overflow_beyond_float64_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=message):
         call()
@@ -236,9 +263,31 @@ def test_largest_gains_on_the_largest_radiance_stay_finite():
     lambda big: exposure_masks(np.full((2, 2), 3e38), MaskParams(alpha=big)),
     lambda big: residual_project(np.ones(SHAPE), 1.0, np.full(SHAPE[:2], big)),
     lambda big: residual_project(np.ones(SHAPE), 0.5, np.full(SHAPE[:2], -big)),
+    # whatever `big`: float32 and float16 hold no value between their top and inf. The bound is
+    # compared as a Python float, not rounded into their dtype (which warned on every such residual)
+    lambda big: residual_project(np.ones(SHAPE), 0.5, np.full(SHAPE[:2], -np.inf, np.float32)),
+    lambda big: residual_project(np.ones(SHAPE), 0.5, np.full(SHAPE[:2], np.inf, np.float16)),
 ], ids=["mu", "peak_luminance", "reference_white", "mask_alpha", "exposure_masks",
-        "residual", "negative_residual"])
+        "residual", "negative_residual", "float32_residual", "float16_residual"])
 @pytest.mark.parametrize("big", [np.nextafter(2.0**896, np.inf), 1e308])
 def test_gain_beyond_two_to_the_896_is_a_domain_error(make, big):
     with pytest.raises(DomainError, match=r"at most 2\*\*896"):
         make(big)
+
+
+_IMAGE = np.ones(SHAPE)
+_PAIR = [(np.zeros(4), np.zeros(4))]
+
+
+# a Python integer beyond float64 is not finite: each scalar's owner raises a DomainError, where
+# float() of it raised a bare OverflowError
+@pytest.mark.parametrize("make", [
+    lambda huge: DisplayMapping(peak_luminance=huge),
+    lambda huge: losses.total_loss([_IMAGE], _IMAGE, _IMAGE, perceptual=huge),
+    lambda huge: losses.score_matching_loss(_PAIR, [1.0], lam=huge),
+    lambda huge: losses.score_matching_loss(_PAIR, [huge]),
+    lambda huge: ssim_mean(np.zeros((16, 16)), np.zeros((16, 16)), data_range=huge),
+], ids=["peak_luminance", "perceptual", "lam", "gammas", "data_range"])
+def test_integer_beyond_float64_is_a_domain_error(make):
+    with pytest.raises(DomainError, match="must be finite"):
+        make(10**400)

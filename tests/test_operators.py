@@ -244,7 +244,7 @@ class TestResidualProject:
     @pytest.mark.parametrize("dtype", ["datetime64[s]", "complex128", "U8"])
     def test_residual_of_another_kind_is_domain_error(self, dtype):
         img = LinearImage(np.full((2, 2, 3), 0.5, dtype=np.float32))
-        with pytest.raises(DomainError, match="residual must be finite real data"):
+        with pytest.raises(DomainError, match="residual must be boolean, integer or real float"):
             residual_project(img, 0.5, np.zeros((2, 2), dtype=np.int64).astype(dtype))
 
 

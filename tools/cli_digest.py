@@ -44,6 +44,8 @@ COMMANDS = [
     ("score_jobs0", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "0"]),
     ("score_bad_config", ["score", "--pred", "in/pred", "--gt", "in/gt",
                           "--config", "in/bad.ini"]),
+    # a prediction for every ground truth: report.json's aggregate, and its stdout line
+    ("score_complete", ["score", "--pred", "in/pred", "--gt", "in/complete"]),
     ("analyze", ["analyze", "--pred", "in/pred/a.hdr", "--gt", "in/gt/a.pfm", "--ldr", "in/ldr.png",
                  "--losses"]),
     ("analyze_missing", ["analyze", "--pred", "in/pred/missing.hdr", "--gt", "in/gt/a.pfm"]),
@@ -77,6 +79,7 @@ COMMANDS = [
 
 def write_inputs(root: Path, size: int):
     """Seeded ground truths a, b, c; predictions for a and b only (c is a missing prediction);
+    `complete/`, ground truths a and b alone, so every one has a prediction;
     a 256-value ascending CRF table `crf.txt`; `mixed.png`, the bytes of `ldr.png`'s pixels
     stored as scanlines whose filter types cycle through None, Sub, Up, Average and Paeth;
     a 37 x 23 `sde/` pair of a ground truth and its clipped capture, whatever `size` is;
@@ -116,8 +119,10 @@ def write_inputs(root: Path, size: int):
     gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
     write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
     write_pfm(LinearImage(np.minimum(gt, 0.5).astype(np.float32)), root / "sde" / "degraded.pfm")
-    for sub in ("narrow", "cut"):
+    for sub in ("narrow", "cut", "complete"):
         (root / sub).mkdir()
+    for name in ("a.pfm", "b.hdr"):
+        (root / "complete" / name).write_bytes((root / "gt" / name).read_bytes())
     narrow = np.random.default_rng(5).lognormal(-1.0, 1.0, (6, 5, 3))
     write_hdr(LinearImage(narrow.astype(np.float32)), root / "narrow" / "n.hdr")
     whole = (root / "gt" / "c.hdr").read_bytes()
