@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import DisplayMapping, as_radiance, luminance
-from .errors import DomainError, ShapeError
+from .color import DisplayMapping, _number, as_radiance, luminance
+from .errors import ShapeError
 from .image_io import Ldr8Image
 from .pu21 import PuEncoding, pu_fields
 
@@ -42,8 +42,7 @@ def saturation_split(ldr_input: Ldr8Image, quantile: float = 0.85) -> Saturation
     order; pixels >= threshold are saturated, so ties at the threshold are
     included (a constant image is fully saturated).
     """
-    if not (0.0 <= quantile < 1.0):
-        raise DomainError("quantile must lie in [0, 1)")
+    quantile = _number(quantile, "quantile", "quantile")
     lum = luminance(ldr_input.data)
     rank = min(int(np.floor(quantile * lum.size)), lum.size - 1)
     threshold = float(np.partition(lum.ravel(), rank)[rank])

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (_GAIN_MAX, _GAIN_STOPS, _float64, _int_at_least, _radiance, as_radiance,
-                    luminance)
+from .color import (_GAIN_STOPS, _float64, _int_at_least, _number, _numbers, _radiance,
+                    as_radiance, luminance)
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
                        ordered_map, read_linear, write_ldr8, write_linear)
@@ -46,28 +46,17 @@ class Crf:
     table: tuple = ()
 
     def __post_init__(self):
-        try:
-            for name in ("gamma", "n", "sigma_c"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-            t = np.asarray(self.table, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"CRF parameters must be numbers: {exc}") from None
-        if self.family == "gamma":
-            if not (0 < self.gamma < np.inf):
-                raise DomainError(f"gamma must be finite and positive; got {self.gamma!r}")
-        elif self.family == "sigmoid":
-            if not (0 < self.n < np.inf and 0 < self.sigma_c < np.inf):
-                raise DomainError("sigmoid needs finite n > 0 and sigma_c > 0")
-        elif self.family == "table":
+        for name in ("gamma", "n", "sigma_c"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, "positive"))
+        if self.family == "table":
+            t = _float64(self.table, "table CRF entries", "finite")
             if t.shape != (256,):
                 raise DomainError("table CRF needs exactly 256 entries")
-            if not np.isfinite(t).all():
-                raise DomainError("table CRF entries must be finite")
             if not (np.diff(t) > 0).all():
                 raise DomainError("table CRF must be strictly increasing")
             t = (t - t[0]) / (t[-1] - t[0])  # normalize to f(0)=0, f(1)=1
             object.__setattr__(self, "table", tuple(t))
-        else:
+        elif self.family not in ("gamma", "sigmoid"):
             raise DomainError(f"unknown CRF family {self.family!r}")
 
     def apply(self, v):
@@ -142,8 +131,12 @@ class ExposureRange:
     ev_max: float
 
     def __post_init__(self):
-        if not (-np.inf < self.ev_min <= self.ev_max <= _GAIN_STOPS):
-            raise DomainError(f"require finite ev_min <= ev_max <= {_GAIN_STOPS}")
+        order = f"require finite ev_min <= ev_max <= {_GAIN_STOPS}"
+        for name in ("ev_min", "ev_max"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"{name} ({order})",
+                                                   "exposure"))
+        if not self.ev_min <= self.ev_max:
+            raise DomainError(order)
 
 
 @dataclass(frozen=True)
@@ -153,9 +146,8 @@ class NoiseParams:
     sigma_read: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.sigma_read <= _GAIN_MAX):
-            raise DomainError(f"noise level must be finite and non-negative, at most 2**896; "
-                              f"got {self.sigma_read!r}")
+        object.__setattr__(self, "sigma_read", _number(self.sigma_read, "noise level",
+                                                       "non-negative gain"))
 
 
 def estimate_exposure_range(image, sat_frac: float = 0.05, dark_frac: float = 0.10) -> ExposureRange:
@@ -169,8 +161,8 @@ def estimate_exposure_range(image, sat_frac: float = 0.05, dark_frac: float = 0.
     positive luminance; if the two bounds cross (inner band wider than 8
     stops) both collapse to their midpoint.
     """
-    if not (0 < sat_frac < 1 and 0 < dark_frac < 1):
-        raise DomainError("sat_frac and dark_frac must lie in (0, 1)")
+    sat_frac = _number(sat_frac, "sat_frac", "open unit")
+    dark_frac = _number(dark_frac, "dark_frac", "open unit")
     lum = np.sort(luminance(image).ravel())
     n = lum.size
     if lum[-1] <= 0:
@@ -200,8 +192,7 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     `hdr` (a LinearImage or an array) is not written: every stage after the scaling
     works in place on the float64 product hdr * 2^ev, which this call allocates.
     """
-    if not (-np.inf < ev <= _GAIN_STOPS):  # the gain 2^ev is at most 2^896
-        raise DomainError(f"exposure ev must be finite and at most {_GAIN_STOPS}; got {ev!r}")
+    ev = _number(ev, "exposure ev", "exposure")  # the gain 2^ev is at most 2^896
     seed = _int_at_least(seed, "seed", 0)
     if seed >= 2**128:
         raise DomainError(f"seed must be below 2**128, the size of Philox's key; got {seed!r}")
@@ -249,17 +240,13 @@ class SynthesisSettings:
             if value not in choices:
                 raise DomainError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
         for name in ("sat_frac", "dark_frac"):
-            if not (0 < getattr(self, name) < 1):
-                raise DomainError(f"{name} must lie in (0, 1); got {getattr(self, name)!r}")
-        for name, low, low_ok in (
-            ("sigma_range", "0 <=", self.sigma_range[0] >= 0),
-            ("gamma_range", "0 <", self.gamma_range[0] > 0),
-            ("sigmoid_n_range", "0 <", self.sigmoid_n_range[0] > 0),
-            ("sigmoid_c_range", "0 <", self.sigmoid_c_range[0] > 0),
-        ):
-            lo, hi = getattr(self, name)
-            if not (low_ok and lo <= hi < np.inf):
-                raise DomainError(f"{name} must satisfy {low} lo <= hi < inf; got ({lo!r}, {hi!r})")
+            object.__setattr__(self, name, _number(getattr(self, name), name, "open unit"))
+        for name, within in (("sigma_range", "non-negative"), ("gamma_range", "positive"),
+                             ("sigmoid_n_range", "positive"), ("sigmoid_c_range", "positive")):
+            pair = _numbers(getattr(self, name), name, within)
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise DomainError(f"{name} must be a pair that satisfies lo <= hi; got {pair!r}")
+            object.__setattr__(self, name, pair)
         object.__setattr__(self, "crop", _int_at_least(self.crop, "crop", 0))
 
 
@@ -347,7 +334,7 @@ def generate_dataset(hdr_dir, out_dir, count_per_image: int = 1,
     byte-identical for any `jobs`.
     """
     count_per_image = _int_at_least(count_per_image, "count_per_image", 1)
-    master_seed = _int_at_least(master_seed, "master_seed", -np.inf)  # of either sign
+    master_seed = _int_at_least(master_seed, "master_seed", None)  # of either sign
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sources, errors = index_linear_dir(hdr_dir)

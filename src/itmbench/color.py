@@ -19,26 +19,60 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _F64_MAX = float(np.finfo(np.float64).max)
 _GAIN_STOPS = 896
 _GAIN_MAX = 2.0**_GAIN_STOPS
-# The ranges data is checked against where it enters: (low, high, what the message says).
+_ABOVE_0, _BELOW_1 = float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0))  # open ends
+# The ranges a value is checked against where it enters: (low, high, what "<name> must" says).
 # Radiance stays below 2^128 and a signed field within +-float32's top, and each gain on either
 # (exposure, mu, display scale, noise level, residual; mask sharpness) at 2^896, so no product
-# of the two exceeds 2^1024 - 2^1000. `finite` is for data clamped before any arithmetic.
+# of the two exceeds 2^1024 - 2^1000. `finite` is for data clamped before any arithmetic; the
+# rows after it are for scalar settings (`_number`).
 _RANGES = {
-    "radiance": (0.0, _F32_MAX, "finite and non-negative and lie within float32's range"),
-    "signed": (-_F32_MAX, _F32_MAX, "finite and lie within float32's range"),
-    "unit": (0.0, 1.0, "finite and must lie in [0, 1]"),
-    "gain": (-_GAIN_MAX, _GAIN_MAX, "finite and at most 2**896 in magnitude"),
-    "finite": (-_F64_MAX, _F64_MAX, "finite"),
+    "radiance": (0.0, _F32_MAX, "be finite and non-negative and lie within float32's range"),
+    "signed": (-_F32_MAX, _F32_MAX, "be finite and lie within float32's range"),
+    "unit": (0.0, 1.0, "be finite and must lie in [0, 1]"),
+    "gain": (-_GAIN_MAX, _GAIN_MAX, "be finite and at most 2**896 in magnitude"),
+    "finite": (-_F64_MAX, _F64_MAX, "be finite"),
+    "positive gain": (_ABOVE_0, _GAIN_MAX, "be finite and positive, at most 2**896"),
+    "non-negative gain": (0.0, _GAIN_MAX, "be finite and non-negative, at most 2**896"),
+    "positive": (_ABOVE_0, _F64_MAX, "be finite and positive"),
+    "non-negative": (0.0, _F64_MAX, "be finite and non-negative"),
+    "open unit": (_ABOVE_0, _BELOW_1, "lie in (0, 1)"),
+    "quantile": (0.0, _BELOW_1, "lie in [0, 1)"),
+    "exposure": (-_F64_MAX, float(_GAIN_STOPS), f"be finite and at most {_GAIN_STOPS}"),
+    "data range": (2.0**-126, _F32_MAX, "be finite and positive, in [2**-126, float32's top]"),
 }
 
 
-def _int_at_least(value, name: str, low: int) -> int:
-    """`value`, a Python or numpy integer (not a bool) >= `low`, as an int; else a DomainError."""
+def _int_at_least(value, name: str, low: int | None) -> int:
+    """`value`, a Python or numpy integer (not a bool) >= `low` unless None, as an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer; got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise DomainError(f"{name} must be >= {low}; got {value!r}")
     return int(value)
+
+
+def _number(value, name: str, within: str) -> float:
+    """`value` as a Python float in the range `within`, else a DomainError naming `name`:
+    `float()` converts it (a numpy scalar, a bool, a numeric string), but no array or complex."""
+    low, high, text = _RANGES[within]
+    try:
+        if getattr(value, "ndim", 0) or isinstance(value, (complex, np.complexfloating)):
+            raise TypeError  # float() of a numpy complex warns and drops the imaginary part
+        number = float(value)
+    except OverflowError:  # compared exactly, as the integer it is
+        number = value
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number; got {value!r}") from None
+    if not low <= number <= high:
+        raise DomainError(f"{name} must {text}; got {number!r}")
+    return number
+
+
+def _numbers(values, name: str, within: str) -> tuple:
+    """Each of the sequence `values` through `_number`, as a tuple of Python floats."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise DomainError(f"{name} must be a sequence of real numbers; got {values!r}")
+    return tuple(_number(v, name, within) for v in values)
 
 
 def _pixels(x):
@@ -49,17 +83,25 @@ def _pixels(x):
 def _radiance(x, name: str, within: str = "radiance", error: type = DomainError) -> np.ndarray:
     """`x` (a LinearImage or an array) with every value in `_RANGES[within]`, else `error`.
 
-    The data must be boolean, integer or real float. Up to 64 bits it keeps
-    its dtype: each caller's first operation upcasts with `dtype=np.float64`
-    into a buffer it owns, which gives the bits a float64 copy would. Wider
-    floats are converted.
+    The data must pass `_real`. Up to 64 bits it keeps its dtype: each
+    caller's first operation upcasts with `dtype=np.float64` into a buffer it
+    owns, which gives the bits a float64 copy would. Wider floats are converted.
     """
-    arr = np.asarray(_pixels(x))
+    arr = _real(_pixels(x), name, error)
+    if not _in_range(arr, within):
+        raise error(f"{name} must {_RANGES[within][2]}")
+    return arr.astype(np.float64) if arr.dtype.itemsize > 8 else arr
+
+
+def _real(x, name: str, error: type = DomainError) -> np.ndarray:
+    """`x` as an array of boolean, integer or real float data, else `error`."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged sequence
+        raise error(f"{name} must be an array of one shape; got a ragged sequence") from None
     if arr.dtype.kind not in "biuf":
         raise error(f"{name} must be boolean, integer or real float data; got dtype {arr.dtype}")
-    if not _in_range(arr, within):
-        raise error(f"{name} must be {_RANGES[within][2]}")
-    return arr.astype(np.float64) if arr.dtype.itemsize > 8 else arr
+    return arr
 
 
 def _in_range(arr: np.ndarray, within: str) -> bool:
@@ -121,8 +163,7 @@ class MuLawParams:
     mu: float = 5000.0
 
     def __post_init__(self):
-        if not (0 < self.mu <= _GAIN_MAX):
-            raise DomainError(f"mu must be finite and positive, at most 2**896; got {self.mu!r}")
+        object.__setattr__(self, "mu", _number(self.mu, "mu", "positive gain"))
 
 
 def mu_law(x, params: MuLawParams = MuLawParams()):
@@ -153,14 +194,12 @@ class DisplayMapping:
     reference_white: float = 1.0
 
     def __post_init__(self):
+        for name, within in (("peak_luminance", "positive"), ("black_floor", "finite"),
+                             ("reference_white", "positive")):
+            object.__setattr__(self, name, _number(getattr(self, name), name, within))
         if not (0 < self.black_floor < self.peak_luminance):
             raise DomainError("require 0 < black_floor < peak_luminance")
-        if not (self.peak_luminance <= _F64_MAX):  # not `< inf`: a larger integer cannot divide
-            raise DomainError(f"peak_luminance must be finite; got {self.peak_luminance!r}")
-        if not (0 < self.reference_white <= _F64_MAX):
-            raise DomainError("reference_white must be finite and positive")
-        if not (self.scale <= _GAIN_MAX):
-            raise DomainError("peak_luminance / reference_white must be at most 2**896")
+        _number(self.scale, "peak_luminance / reference_white", "positive gain")
 
     @property
     def scale(self) -> float:

@@ -20,8 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .color import (_F64_MAX, MuLawParams, _float64, _radiance, check_same_shape, luminance,
-                    mu_law)
+from .color import (MuLawParams, _float64, _number, _numbers, _radiance, check_same_shape,
+                    luminance, mu_law)
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -217,8 +217,7 @@ def total_loss(stages, pred, gt, *, perceptual: float = 0.0) -> tuple:
     denoise term is the prediction's linear L1. `perceptual` is the
     externally computed VGG scalar (0 when unavailable).
     """
-    if not (0 <= perceptual <= _F64_MAX):  # not `< inf`: float() of a larger integer raises
-        raise DomainError(f"perceptual must be finite and non-negative; got {perceptual!r}")
+    perceptual = _number(perceptual, "perceptual", "non-negative")
     raw = {
         "recon": recon_loss(stages, gt),
         "ssim_pu": ssim_pu_loss(pred, gt),
@@ -230,7 +229,7 @@ def total_loss(stages, pred, gt, *, perceptual: float = 0.0) -> tuple:
     raw["upf"] = upf_loss(pred, gt)
     weighted = {
         "recon": raw["recon"],
-        "perceptual": WEIGHTS["alpha_perc"] * float(perceptual),
+        "perceptual": WEIGHTS["alpha_perc"] * perceptual,
         "ssim_pu": WEIGHTS["gamma_ssim"] * raw["ssim_pu"],
         "color": WEIGHTS["gamma_color"] * raw["color"],
         "tv": WEIGHTS["gamma_tv"] * raw["tv"],
@@ -247,21 +246,18 @@ def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
     Entries are scalars or arrays, signed fields (see `ssim_mean`); with lam > 0,
     2-D images. The sum runs in Python floats: beyond float64 it is inf, then a DomainError.
     """
+    gammas = _numbers(gammas, "gammas", "positive")
     if len(trajectory) != len(gammas):
         raise DomainError("gammas length must match the trajectory")
-    if not (0 <= lam <= _F64_MAX):  # not `< inf`: float() of a larger integer raises
-        raise DomainError(f"lam must be finite and non-negative; got {lam!r}")
-    lam, total = float(lam), 0.0
+    lam, total = _number(lam, "lam", "non-negative"), 0.0
     for (x, x_star), gamma in zip(trajectory, gammas):
-        if not (0 < gamma <= _F64_MAX):
-            raise DomainError(f"gammas must be finite and positive; got {gamma!r}")
         a, b = (_float64(v, "trajectory entries", "signed") for v in (x, x_star))
         if a.shape != b.shape or not a.size:  # an empty pair has no mean
             raise ShapeError(f"trajectory pair shapes differ or are empty: {a.shape}, {b.shape}")
         term = float(np.mean(np.abs(a - b)))
         if lam > 0:
             term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
-        total += float(gamma) * term
+        total += gamma * term
     if not math.isfinite(total):
         raise DomainError("the score-matching sum exceeds float64's range")
     return total

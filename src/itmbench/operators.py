@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Crf
-from .color import _GAIN_MAX, _float64, _int_at_least, _radiance, as_radiance, luminance
+from .color import _float64, _int_at_least, _number, _numbers, _radiance, as_radiance, luminance
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage, Ldr8Image
 
@@ -32,11 +32,11 @@ class MaskParams:
     alpha: float = 10.0
 
     def __post_init__(self):
-        if len(self.theta) != 2 or not np.isfinite(self.theta).all():
+        theta = _numbers(self.theta, "theta (2 finite threshold logits)", "finite")
+        if len(theta) != 2:
             raise DomainError(f"theta holds exactly 2 finite threshold logits; got {self.theta!r}")
-        if not (0 < self.alpha <= _GAIN_MAX):
-            raise DomainError(f"alpha must be finite and positive, at most 2**896; "
-                              f"got {self.alpha!r}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "positive gain"))
         t1, t2 = _thresholds(self.theta)
         if not (0 < t1 < t2 <= 1):
             raise DomainError("thresholds must satisfy 0 < tau1 < tau2 <= 1")
@@ -133,8 +133,7 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
 
 def residual_project(image, gain: float, residual) -> LinearImage:
     """out = img * (1 + gain * residual), clamped at zero; the residual is a gain, |r| <= 2**896."""
-    if not (0.0 <= gain <= 1.0):
-        raise DomainError("gain must lie in [0, 1]")
+    gain = _number(gain, "gain", "unit")
     data = as_radiance(image, "residual projection input")
     res = _float64(residual, "residual", "gain")
     if res.ndim == 2:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (_F32_MAX, DisplayMapping, _float64, _luma, _radiance, check_same_shape,
-                    to_display_luminance)
+from .color import (DisplayMapping, _float64, _luma, _number, _numbers, _radiance,
+                    check_same_shape, to_display_luminance)
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
@@ -41,10 +41,12 @@ class PuEncoding:
     name: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _numbers(self.p, "p", "finite"))
         if len(self.p) != 7:
             raise DomainError("PU encoding needs exactly 7 coefficients")
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if not (0 < self.y_min < self.y_max):
+        for name in ("y_min", "y_max"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, "positive"))
+        if not self.y_min < self.y_max:
             raise DomainError("require 0 < y_min < y_max")
         grid = np.logspace(np.log10(self.y_min), np.log10(self.y_max), 256)
         vals = _pu_forward(grid, self.p)
@@ -58,12 +60,7 @@ class PuEncoding:
         """Load a coefficient file; any unusable file raises ConfigError naming it."""
         try:
             doc = json.loads(Path(path).read_text())
-            return PuEncoding(
-                p=tuple(doc["p"]),
-                y_min=float(doc["y_min"]),
-                y_max=float(doc["y_max"]),
-                name=str(doc.get("name", "custom")),
-            )
+            return PuEncoding(doc["p"], doc["y_min"], doc["y_max"], str(doc.get("name", "custom")))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ConfigError(f"cannot load PU coefficients {path}: {detail}") from None
@@ -147,13 +144,7 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
         raise ShapeError(f"SSIM inputs differ in shape: {x.shape} vs {y.shape}")
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
-    try:
-        data_range = float(data_range)  # a numpy scalar would round the bounds to its dtype
-    except OverflowError:  # an integer beyond float64
-        data_range = np.inf
-    if not (2.0**-126 <= data_range <= _F32_MAX):
-        raise DomainError(f"SSIM data_range must be finite and positive, in [2**-126, float32's "
-                          f"top]; got {data_range!r}")
+    data_range = _number(data_range, "SSIM data_range", "data range")
     w = _gaussian_window()
     mx = _windowed_mean(x, w)
     my = _windowed_mean(y, w)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .color import DisplayMapping, _float64, _int_at_least
+from .color import DisplayMapping, _float64, _int_at_least, _number, _numbers, _real
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage
 from .pu21 import (SSIM_WINDOW, MetricReport, PerImageScore, PuEncoding, pu_decode,
@@ -28,23 +28,11 @@ class SdeSchedule:
     dt: float
 
     def __post_init__(self):
-        try:
-            theta = tuple(float(v) for v in self.theta)
-            sigma = tuple(float(v) for v in self.sigma)
-            dt = float(self.dt)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"theta, sigma and dt must be numbers: {exc}") from None
-        if len(theta) != len(sigma) or not theta:
+        object.__setattr__(self, "theta", _numbers(self.theta, "theta", "positive"))
+        object.__setattr__(self, "sigma", _numbers(self.sigma, "sigma", "non-negative"))
+        object.__setattr__(self, "dt", _number(self.dt, "dt", "positive"))
+        if len(self.theta) != len(self.sigma) or not self.theta:
             raise DomainError("theta and sigma must be equal-length and non-empty")
-        if not all(0 < v < np.inf for v in theta):
-            raise DomainError("all theta must be finite and positive")
-        if not all(0 <= v < np.inf for v in sigma):
-            raise DomainError("all sigma must be finite and non-negative")
-        if not (0 < dt < np.inf):
-            raise DomainError("dt must be finite and positive")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "dt", dt)
 
     @property
     def steps(self) -> int:
@@ -205,11 +193,11 @@ def _euler(x, muv, sched: SdeSchedule, noise, score_fn=None, history=None) -> No
             m = i // 4
             block = noise(m)
         if backward:
-            score = np.asarray(score_fn(x, i + 1), dtype=np.float64)
+            score = _real(score_fn(x, i + 1), "score")
         np.subtract(muv, x, out=drift)
         np.multiply(drift, sched.theta[i], out=drift)
         if backward:
-            np.multiply(score, sched.sigma[i] ** 2, out=term)
+            np.multiply(score, sched.sigma[i] ** 2, out=term, dtype=np.float64)
             np.subtract(drift, term, out=drift)
         np.multiply(drift, dt, out=drift)
         apply(x, drift, out=drift)

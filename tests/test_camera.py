@@ -86,9 +86,9 @@ class TestCrf:
     @pytest.mark.parametrize("record, message", [
         ({"family": "gamma"}, "holds exactly the keys family, gamma; got family$"),
         ({"family": "sigmoid", "n": 1.0}, "holds exactly the keys family, n, sigma_c; got family, n$"),
-        ({"family": "gamma", "gamma": "x"}, "CRF parameters must be numbers"),
+        ({"family": "gamma", "gamma": "x"}, "gamma must be a real number"),
         ({"family": "gamma", "gamma": 0.5, "n": 3}, "holds exactly the keys family, gamma; got"),
-        ({"family": "gamma", "gamma": 10**400}, "CRF parameters must be numbers"),
+        ({"family": "gamma", "gamma": 10**400}, "gamma must be finite and positive"),
     ], ids=["missing-gamma", "missing-sigma_c", "non-number", "extra-key", "huge-integer"])
     def test_malformed_dict_rejected(self, record, message):
         with pytest.raises(DomainError, match=message):
@@ -96,7 +96,7 @@ class TestCrf:
 
     def test_table_of_integers_beyond_float64_rejected(self):
         # converting such an integer raises OverflowError, not ValueError
-        with pytest.raises(DomainError, match="CRF parameters must be numbers"):
+        with pytest.raises(DomainError, match="table CRF entries must be boolean, integer or real"):
             Crf("table", table=(10**400,) * 256)
 
     def test_constructor_coerces_numbers(self):

@@ -16,20 +16,23 @@ every gain on it (the residual and the mask sharpness among them) at most
 enters, with no RuntimeWarning, and no function traps floating-point errors.
 """
 
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from itmbench import losses
-from itmbench.analysis import error_map
-from itmbench.camera import Crf, estimate_exposure_range
+from itmbench.analysis import error_map, saturation_split
+from itmbench.camera import (Crf, ExposureRange, NoiseParams, SynthesisSettings,
+                             estimate_exposure_range, simulate_ldr)
 from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError, FormatError, ShapeError
-from itmbench.image_io import LinearImage
+from itmbench.image_io import LinearImage, Ldr8Image
 from itmbench.operators import (MaskParams, MaskTriple, blurred_luminance, exposure_masks,
                                 fuse_exposures, residual_project)
-from itmbench.pu21 import pu_decode, pu_encode, pu_psnr, pu_ssim, rmse_linear, ssim_mean
+from itmbench.pu21 import PuEncoding, pu_decode, pu_encode, pu_psnr, pu_ssim, rmse_linear, ssim_mean
 from itmbench.sde import SdeSchedule, backward_simulate, forward_simulate
 
 SHAPE = (16, 16, 3)  # the smallest side upf_loss's default 16 px patch accepts
@@ -291,3 +294,127 @@ _PAIR = [(np.zeros(4), np.zeros(4))]
 def test_integer_beyond_float64_is_a_domain_error(make):
     with pytest.raises(DomainError, match="must be finite"):
         make(10**400)
+
+
+# Every real-valued setting follows one rule, `color._number`: float() converts it (a numpy
+# scalar, a bool or a numeric string works) and the result must lie in its range of the table.
+_TINY = float(np.nextafter(0.0, 1.0))
+_F64_MAX = float(np.finfo(np.float64).max)
+# each range as closed bounds: an open end is the float beside it
+POSITIVE_GAIN, NON_NEGATIVE_GAIN = (_TINY, 2.0**896), (0.0, 2.0**896)
+POSITIVE, NON_NEGATIVE, FINITE = (_TINY, _F64_MAX), (0.0, _F64_MAX), (-_F64_MAX, _F64_MAX)
+_BELOW_1 = float(np.nextafter(1.0, 0.0))
+OPEN_UNIT, UNIT, QUANTILE = (_TINY, _BELOW_1), (0.0, 1.0), (0.0, _BELOW_1)
+EXPOSURE, DATA_RANGE = (-_F64_MAX, 896.0), (2.0**-126, F32_MAX)
+
+_GRAY = np.full((16, 16, 3), 0.5)
+_ZEROS = np.zeros((16, 16))
+_P = PuEncoding.default().p
+
+
+def _with(values, k, value):
+    """`values` as a tuple with entry k replaced by `value`."""
+    return tuple(value if i == k else v for i, v in enumerate(values))
+
+
+def _ranges(field, bounds):
+    """The lo and hi ends of a SynthesisSettings `_range` pair, the other end at its bound."""
+    low, high = bounds
+    return {f"{field}_lo": (lambda v: SynthesisSettings(**{field: (v, high)}), bounds, 1.0,
+                            lambda s: getattr(s, field)[0], field),
+            f"{field}_hi": (lambda v: SynthesisSettings(**{field: (low, v)}), bounds, 1.0,
+                            lambda s: getattr(s, field)[1], field)}
+
+
+# setting -> (a call that takes the value, its range, a valid value, where the call stores it or
+# None, the name its message starts with)
+SETTINGS = {
+    "mu": (MuLawParams, POSITIVE_GAIN, 1.0, lambda o: o.mu, "mu"),
+    "peak_luminance": (lambda v: DisplayMapping(peak_luminance=v), POSITIVE, 1.0,
+                       lambda o: o.peak_luminance, "peak_luminance"),
+    "black_floor": (lambda v: DisplayMapping(black_floor=v), FINITE, 1.0,
+                    lambda o: o.black_floor, "black_floor"),
+    "reference_white": (lambda v: DisplayMapping(reference_white=v), POSITIVE, 1.0,
+                        lambda o: o.reference_white, "reference_white"),
+    "crf_gamma": (lambda v: Crf("gamma", gamma=v), POSITIVE, 1.0, lambda o: o.gamma, "gamma"),
+    "crf_n": (lambda v: Crf("sigmoid", n=v), POSITIVE, 1.0, lambda o: o.n, "n"),
+    "crf_sigma_c": (lambda v: Crf("sigmoid", sigma_c=v), POSITIVE, 1.0, lambda o: o.sigma_c,
+                    "sigma_c"),
+    "ev_min": (lambda v: ExposureRange(v, 896.0), EXPOSURE, 1.0, lambda o: o.ev_min, "ev_min"),
+    "ev_max": (lambda v: ExposureRange(-_F64_MAX, v), EXPOSURE, 1.0, lambda o: o.ev_max,
+               "ev_max"),
+    "sigma_read": (NoiseParams, NON_NEGATIVE_GAIN, 1.0, lambda o: o.sigma_read, "noise level"),
+    "estimate_sat_frac": (lambda v: estimate_exposure_range(_GRAY, sat_frac=v), OPEN_UNIT, 0.5,
+                          None, "sat_frac"),
+    "estimate_dark_frac": (lambda v: estimate_exposure_range(_GRAY, dark_frac=v), OPEN_UNIT, 0.5,
+                           None, "dark_frac"),
+    "ev": (lambda v: simulate_ldr(_GRAY, v, Crf("gamma")), EXPOSURE, 1.0, None, "exposure ev"),
+    "synth_sat_frac": (lambda v: SynthesisSettings(sat_frac=v), OPEN_UNIT, 0.5,
+                       lambda o: o.sat_frac, "sat_frac"),
+    "synth_dark_frac": (lambda v: SynthesisSettings(dark_frac=v), OPEN_UNIT, 0.5,
+                        lambda o: o.dark_frac, "dark_frac"),
+    **_ranges("sigma_range", NON_NEGATIVE),
+    **_ranges("gamma_range", POSITIVE),
+    **_ranges("sigmoid_n_range", POSITIVE),
+    **_ranges("sigmoid_c_range", POSITIVE),
+    "mask_alpha": (lambda v: MaskParams(alpha=v), POSITIVE_GAIN, 1.0, lambda o: o.alpha, "alpha"),
+    "mask_theta_0": (lambda v: MaskParams(theta=(v, 0.0)), FINITE, 1.0, lambda o: o.theta[0],
+                     "theta"),
+    "mask_theta_1": (lambda v: MaskParams(theta=(0.0, v)), FINITE, 1.0, lambda o: o.theta[1],
+                     "theta"),
+    "residual_gain": (lambda v: residual_project(_GRAY, v, _ZEROS), UNIT, 1.0, None, "gain"),
+    "quantile": (lambda v: saturation_split(Ldr8Image(np.full((4, 4, 3), 9, np.uint8)), v),
+                 QUANTILE, 0.5, None, "quantile"),
+    "perceptual": (lambda v: losses.total_loss([_GRAY], _GRAY, _GRAY, perceptual=v),
+                   NON_NEGATIVE, 1.0, None, "perceptual"),
+    "lam": (lambda v: losses.score_matching_loss([(_ZEROS, _ZEROS)], [1.0], lam=v), NON_NEGATIVE,
+            1.0, None, "lam"),
+    "gamma": (lambda v: losses.score_matching_loss([(_ZEROS, _ZEROS)], [v]), POSITIVE, 1.0, None,
+              "gammas"),
+    # p1 = 0.8359375 is a float32 value
+    "pu_p": (lambda v: PuEncoding(_with(_P, 0, v)), FINITE, _P[0], lambda o: o.p[0], "p"),
+    "pu_y_min": (lambda v: PuEncoding(_P, y_min=v), POSITIVE, 0.005, lambda o: o.y_min, "y_min"),
+    "pu_y_max": (lambda v: PuEncoding(_P, y_max=v), POSITIVE, 1.0, lambda o: o.y_max, "y_max"),
+    "data_range": (lambda v: ssim_mean(_ZEROS, _ZEROS, v), DATA_RANGE, 1.0, None,
+                   "SSIM data_range"),
+    "sde_theta": (lambda v: SdeSchedule((v,), (0.1,), 0.01), POSITIVE, 1.0, lambda o: o.theta[0],
+                  "theta"),
+    "sde_sigma": (lambda v: SdeSchedule((1.0,), (v,), 0.01), NON_NEGATIVE, 1.0,
+                  lambda o: o.sigma[0], "sigma"),
+    "sde_dt": (lambda v: SdeSchedule((1.0,), (0.1,), v), POSITIVE, 1.0, lambda o: o.dt, "dt"),
+}
+NOT_NUMBERS = {"abc": "abc", "None": None, "1j": 1j, "complex128": np.complex128(1),
+               "list": [1.0], "array": np.array([1.0]), "10**400": 10**400, "nan": np.nan,
+               "inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [*NOT_NUMBERS, "below", "above"])
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_setting_outside_its_rule_is_a_domain_error_naming_it(setting, value):
+    make, (low, high), _, _, name = SETTINGS[setting]
+    # math.nextafter: numpy's warns on overflow to inf
+    bad = {"below": math.nextafter(low, -math.inf), "above": math.nextafter(high, math.inf),
+           **NOT_NUMBERS}[value]
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)}\b.* must "):
+        make(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("setting, form", [
+    (setting, form) for setting, (_, _, valid, _, _) in SETTINGS.items()
+    for form in ("float32", "str", "bool") if form != "bool" or valid == 1.0])  # True is 1.0
+def test_setting_converts_with_float(setting, form):
+    make, _, valid, read, _ = SETTINGS[setting]
+    value = {"float32": np.float32(valid), "str": str(valid), "bool": True}[form]
+    made = make(value)
+    if read is not None:
+        assert type(read(made)) is float and read(made) == float(value)
+
+
+def test_crf_table_entry_of_another_kind_is_a_domain_error():
+    # the table is data: `_float64` checks it, so a ragged entry or a string is no number
+    for entry in ("abc", None, 1j, [1.0], np.array([1.0]), 10**400, np.nan, np.inf):
+        table = _with(np.linspace(0.0, 1.0, 256), 255, entry)
+        with pytest.raises(DomainError, match="^table CRF entries must "):
+            Crf("table", table=table)

@@ -54,7 +54,8 @@ class TestSchedule:
                 SdeSchedule((1.0, 1.0), (0.1, bad), 0.01)
         for theta, sigma, dt in (((1.0,), (0.1,), "x"), (None, (0.1,), 0.1),
                                  (("x",), (0.1,), 0.1), ((1.0,), (0.1,), 10**400)):
-            with pytest.raises(DomainError, match="theta, sigma and dt must be numbers"):
+            with pytest.raises(DomainError,
+                               match="^(theta|dt) must be (a real number|a sequence|finite)"):
                 SdeSchedule(theta, sigma, dt)
         sched = SdeSchedule((1.0,), (0.1,), True)
         assert type(sched.dt) is float and sched.dt == 1.0
@@ -205,6 +206,24 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward_simulate(np.zeros((4, 2)), np.zeros(2), sched,
                               lambda x, s: 0.0, n_traj=3)
+
+    # a string score was parsed, a complex one warned and dropped its imaginary part
+    @pytest.mark.parametrize("score", [np.array(["0.5"] * 3), "0.5", np.full(3, 1j), 1j,
+                                       np.array([None] * 3)], ids=["strings", "string", "complex",
+                                                                   "python_complex", "object"])
+    def test_score_of_another_kind_is_a_domain_error(self, score):
+        with pytest.raises(DomainError, match="^score must be boolean, integer or real float"):
+            backward_simulate(np.zeros(3), 0.0, _constant(1.0, 0.1, 0.01, 5), lambda x, s: score)
+
+    def test_float32_or_integer_score_enters_as_its_float64_value(self):
+        sched = _constant(1.0, 0.1, 0.01, 5)
+
+        def run(score):
+            return backward_simulate(np.ones(3), 0.0, sched, lambda x, s: score, seed=2)
+
+        tenth = np.full(3, 0.1, np.float32)
+        assert np.array_equal(run(tenth), run(tenth.astype(np.float64)))
+        assert np.array_equal(run(np.full(3, 2)), run(np.full(3, 2.0)))
 
 
 class TestChainMoments:

@@ -74,6 +74,9 @@ COMMANDS = [
     ("expand_ppm", ["expand", "--input", "synthesize_ppm/a_0000.ppm"]),
     ("synthesize_narrow", ["synthesize", "--hdr-dir", "in/narrow"]),
     ("synthesize_cut", ["synthesize", "--hdr-dir", "in/cut"]),
+    # a NaN setting from the command line and from a config file: each owner's range message
+    ("expand_crf_nan", ["expand", "--input", "in/ldr.png", "--crf", "gamma:nan"]),
+    ("synthesize_nan_config", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/nan.ini"]),
 ]
 
 
@@ -113,6 +116,7 @@ def write_inputs(root: Path, size: int):
     (root / "jpg.ini").write_text("[synth]\nldr_format = jpg\n")
     (root / "gamma.ini").write_text("[synth]\ncrf_family = gamma\n")
     (root / "identity.ini").write_text("[synth]\ncrf_family = identity\n")
+    (root / "nan.ini").write_text("[synth]\nsat_frac = nan\n")
     table = np.cumsum(np.random.default_rng(256).uniform(0.2, 1.0, 256))
     (root / "crf.txt").write_text("".join(f"{v!r}\n" for v in table.tolist()))
     (root / "sde").mkdir()
