@@ -243,8 +243,9 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
     scalar, a state vector (dim,), or a per-trajectory stack (n_traj, dim).
     `offset` is the element index of the state's first element in the run's
     noise counters, as in `forward_simulate`. Returns the restored states
-    (n_traj, dim). Working memory beyond the score is O(n_traj x dim), or
-    O(n_traj x tile) for a state run one tile at a time.
+    (n_traj, dim); a non-finite one is a DomainError that names the score,
+    as the other inputs are finite. Working memory beyond the score is
+    O(n_traj x dim), or O(n_traj x tile) for a state run one tile at a time.
     """
     n_traj = _int_at_least(n_traj, "n_traj", 1)
     xT_arr = _float64(xT, "xT", "signed")
@@ -257,6 +258,8 @@ def backward_simulate(xT, mu, sched: SdeSchedule, score_fn, seed: int = 0,
     noise = _noise_blocks(seed, 1, n_traj, xv.size, sched.steps, offset)
     x = np.broadcast_to(xv if starts is None else starts, (n_traj, xv.size)).copy()
     _euler(x, muv, sched, noise, score_fn)
+    if not np.isfinite(x).all():
+        raise DomainError("score_fn must return scores that keep the state finite")
     return x
 
 
@@ -277,7 +280,7 @@ def _chain_scalars(sched: SdeSchedule) -> tuple:
 
 
 _TRACKED_PIXELS = 4  # leading state elements whose forward path the demo records
-_ENSEMBLE = 16  # backward trajectories the demo averages
+_ENSEMBLE = 16  # backward trajectories whose mean the demo draws
 
 
 @dataclass
@@ -300,16 +303,15 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, steps: int = 100,
     Forward Euler-Maruyama degrades toward the target; the backward pass
     restores with the analytic Gaussian score built from the forward chain's
     closed-form statistics, whose variance the cosine schedule keeps positive
-    at every step. Reports PU-space errors of the decoded reconstruction, the
-    mean of `_ENSEMBLE` backward trajectories.
+    at every step. Reports PU-space errors of the decoded reconstruction, one
+    draw from the law of the mean of `_ENSEMBLE` backward trajectories: that
+    score is affine in the state, so the mean is itself one backward chain.
 
-    The simulation runs one tile of elements at a time, each a call of
-    `forward_simulate` or `backward_simulate` with the tile's element offset,
-    so its noise, and every output byte, equals a whole-image run's. A
-    backward tile holds `_LANE_CHUNK // _ENSEMBLE` elements; the forward pass,
-    one trajectory, takes `_LANE_CHUNK` elements a tile, after a first tile of
-    the tracked elements alone that records their paths. Working memory is
-    O(ensemble x tile + pixels), whatever the number of steps.
+    The simulation runs one tile of `_LANE_CHUNK` elements at a time, each a
+    call of `forward_simulate` and one of `backward_simulate` with the tile's
+    element offset, so its noise, and every output byte, equals a whole-image
+    run's. A first forward run of the tracked elements alone records their
+    paths. Working memory is O(tile + pixels), whatever the number of steps.
     """
     schedule = SdeSchedule.cosine(steps)
     pu_ldr, pu_gt, peak = pu_fields(ldr, hdr_gt, encoding, mapping)
@@ -319,30 +321,28 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, steps: int = 100,
 
     head = min(_TRACKED_PIXELS, x0.size)
     tracked = forward_simulate(x0[:head], target[:head], schedule, seed=seed)[0]
-    x_end = np.empty_like(x0)
-    x_end[:head] = tracked[-1]
-    for lo in range(head, x0.size, _LANE_CHUNK):
-        hi = lo + _LANE_CHUNK
+    decay, variances = _chain_scalars(schedule)
+    gap = x0 - target
+    # The score is affine in the state, so the mean of _ENSEMBLE backward chains from one
+    # start follows one chain whose sigma is divided by sqrt(_ENSEMBLE) and whose score is
+    # multiplied by _ENSEMBLE: sigma^2 score, the drift's score term, is unchanged.
+    mean_law = SdeSchedule(schedule.theta, tuple(np.divide(schedule.sigma, np.sqrt(_ENSEMBLE))),
+                           schedule.dt)
+    x_end, restored_u = np.empty((2, x0.size))
+    work = np.empty((1, min(_LANE_CHUNK, x0.size)))
+    for lo in range(0, x0.size, _LANE_CHUNK):
+        hi = min(lo + _LANE_CHUNK, x0.size)
         x_end[lo:hi] = forward_simulate(x0[lo:hi], target[lo:hi], schedule, seed=seed,
                                         return_history=False, offset=lo)[0]
 
-    decay, variances = _chain_scalars(schedule)
-    gap = x0 - target
-    restored_u = np.empty_like(x0)
-    tile = _LANE_CHUNK // _ENSEMBLE
-    work = np.empty((_ENSEMBLE, tile))
-    for lo in range(0, x0.size, tile):
-        hi = min(lo + tile, x0.size)
-
         def score(x, step, target=target[lo:hi], gap=gap[lo:hi], out=work[:, :hi - lo]):
-            # -(x - (target + gap a_step)) / v_step, into one reused buffer;
-            # dividing by -v_step rounds to the same bytes as negating
+            # -_ENSEMBLE (x - (target + gap a_step)) / v_step, into one reused buffer; as
+            # _ENSEMBLE is a power of 2, dividing by -v_step / _ENSEMBLE rounds to those bytes
             np.subtract(x, target + gap * decay[step], out=out)
-            return np.divide(out, -variances[step], out=out)
+            return np.divide(out, -variances[step] / _ENSEMBLE, out=out)
 
-        finals = backward_simulate(x_end[lo:hi], target[lo:hi], schedule, score, seed=seed,
-                                   n_traj=_ENSEMBLE, offset=lo)
-        restored_u[lo:hi] = finals.mean(axis=0)
+        restored_u[lo:hi] = backward_simulate(x_end[lo:hi], target[lo:hi], mean_law, score,
+                                              seed=seed, offset=lo)[0]
 
     restored_pu = np.clip(restored_u, 0.0, 1.0).reshape(u_gt.shape) * peak
     decoded = pu_decode(restored_pu, encoding) / mapping.scale

@@ -3,7 +3,6 @@ and every function in the package is entered by a run or listed with the reason 
 
 import ast
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -29,35 +28,6 @@ NEVER_ENTERED = {
     "pu21.rank_teams": "acceptance criterion 9's subject; no command ranks teams yet",
     "pu21.rank_teams.key": "`rank_teams`' sort key",
 }
-
-# Run in a fresh process, since cli_digest changes the working directory. It records the
-# (file name, first line, name) of each package function's code object at its call events,
-# in every thread: `score --jobs 2` scores its pairs in worker threads only.
-TRACE = """
-import contextlib, io, json, os, sys, threading
-package, work, tools, tests = sys.argv[1:]
-entered = set()
-
-
-def tracer(frame, event, arg):
-    code = frame.f_code
-    if os.path.dirname(code.co_filename) == package:
-        entered.add((os.path.basename(code.co_filename), code.co_firstlineno, code.co_name))
-
-
-threading.settrace(tracer)
-sys.settrace(tracer)
-sys.path[:0] = [tools, tests]
-import cli_digest
-from test_readme import run_example
-
-with contextlib.redirect_stdout(io.StringIO()):
-    cli_digest.main([work, "--size", "16"])
-    run_example()
-sys.settrace(None)
-print(json.dumps(sorted(entered)))
-"""
-
 
 def load_tool():
     spec = importlib.util.spec_from_file_location("settable_census", TOOL)
@@ -142,15 +112,8 @@ def defined_functions(sources: dict) -> dict:
 
 
 @pytest.fixture(scope="module")
-def entered(tmp_path_factory) -> set:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    run = subprocess.run([sys.executable, "-c", TRACE, str(PACKAGE),
-                          str(tmp_path_factory.mktemp("reach") / "digest"),
-                          str(ROOT / "tools"), str(ROOT / "tests")],
-                         env=env, capture_output=True, text=True, timeout=300)
-    assert (run.returncode, run.stderr) == (0, "")
-    return {tuple(key) for key in json.loads(run.stdout)}
+def entered(traced_digest) -> set:
+    return {tuple(key) for key in traced_digest["entered"]}
 
 
 def never_entered(entered: set, sources: dict) -> set:

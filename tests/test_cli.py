@@ -598,27 +598,60 @@ DISPATCH_SENSITIVE = {
 }
 
 
+def split_digest(text: str) -> tuple:
+    """A digest's `# ` header lines, and its other lines."""
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith("# ")]
+    return header, lines[len(header):]
+
+
 def test_cli_digest_across_cpu_dispatch_differs_only_in_listed_files(tmp_path):
     # the determinism contract holds for one numpy version and one CPU feature set: run
     # tools/cli_digest.py natively and with every dispatched feature this CPU has disabled
     # (NPY_DISABLE_CPU_FEATURES); on a CPU with only the baseline's features the two runs
     # take the same kernels and no file differs
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    dispatched = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
 
     def digest(name, env):
         text = subprocess.run([sys.executable, str(root / "tools" / "cli_digest.py"),
                                str(tmp_path / name), "--size", "16"],
                               env=env, capture_output=True, text=True, check=True).stdout
-        return {line.split()[0]: line for line in text.splitlines()}
+        header, lines = split_digest(text)
+        return header[-1].removeprefix("# cpu "), {line.split()[0]: line for line in lines}
 
-    native = digest("native", env)
-    baseline = digest("baseline", dict(env, NPY_DISABLE_CPU_FEATURES=dispatched))
+    dispatched, native = digest("native", env)
+    _, baseline = digest("baseline", dict(env, NPY_DISABLE_CPU_FEATURES=dispatched))
     assert native.keys() == baseline.keys()
     assert {key for key in native if native[key] != baseline[key]} <= DISPATCH_SENSITIVE
+
+
+@pytest.mark.parametrize("size", [16, 64])
+def test_cli_digest_matches_its_committed_golden(size, traced_digest, tmp_path):
+    # every output byte of every subcommand against tests/data/cli_digest_<size>.txt: every
+    # line where the run's header (numpy, zlib, Python, CPU features) is the golden's, the
+    # lines outside DISPATCH_SENSITIVE where only the CPU features differ. A declared byte
+    # change regenerates the golden in the same diff:
+    #   PYTHONPATH=src python tools/cli_digest.py OUT --size N > tests/data/cli_digest_N.txt
+    root = Path(__file__).resolve().parent.parent
+    if size == 16:  # the run that the reach trace of tests/test_census.py makes
+        text = traced_digest["digest"]
+    else:
+        text = subprocess.run([sys.executable, str(root / "tools" / "cli_digest.py"),
+                               str(tmp_path / "out"), "--size", str(size)],
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, check=True).stdout
+    golden_header, golden = split_digest((root / "tests" / "data" /
+                                          f"cli_digest_{size}.txt").read_text())
+    header, lines = split_digest(text)
+    if header[:-1] != golden_header[:-1]:  # all but the CPU features
+        pytest.skip(f"the golden was made with {golden_header[:-1]}, this run has {header[:-1]}")
+    full = header == golden_header
+    keyed, golden_keyed = ({line.split()[0]: line for line in run} for run in (lines, golden))
+    moved = sorted(key for key in keyed.keys() | golden_keyed.keys()
+                   if keyed.get(key) != golden_keyed.get(key)
+                   and (full or key not in DISPATCH_SENSITIVE))
+    compared = "every line" if full else "the lines outside DISPATCH_SENSITIVE"
+    assert not moved, f"{compared} compared ({header[-1]}); moved: {moved}"
+    assert not full or lines == golden  # in the golden's order too

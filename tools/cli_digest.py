@@ -9,6 +9,11 @@ against each and diff the outputs:
 
     PYTHONPATH=<tree>/src python tools/cli_digest.py OUT [--size N] > digest.txt
 
+A `# ` header comes first: what the bytes depend on besides the source, the numpy
+version, zlib's runtime version, Python's version and the CPU features numpy
+dispatched to. The committed goldens `tests/data/cli_digest_16.txt` and
+`cli_digest_64.txt` are its output at those sizes.
+
 Uses numpy and the standard library only.
 """
 
@@ -133,6 +138,19 @@ def write_inputs(root: Path, size: int):
     (root / "cut" / "c.hdr").write_bytes(whole[:len(whole) // 2])
 
 
+def environment() -> list:
+    """The header lines: numpy's version, zlib's runtime version, Python's version (its
+    argparse words the usage errors) and the CPU features numpy dispatched to beyond its
+    baseline, in numpy's order."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    dispatched = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    return [f"# numpy {np.__version__}", f"# zlib {zlib.ZLIB_RUNTIME_VERSION}",
+            f"# python {sys.version_info.major}.{sys.version_info.minor}", f"# cpu {dispatched}"]
+
+
 def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -169,7 +187,7 @@ def main(argv=None) -> int:
              if p.is_file()]
     for label, command in COMMANDS:
         lines += run(label, command)
-    sys.stdout.write("inputs\n" + "\n".join(lines) + "\n")
+    sys.stdout.write("\n".join([*environment(), "inputs", *lines]) + "\n")
     return 0
 
 
