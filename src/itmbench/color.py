@@ -38,6 +38,7 @@ _RANGES = {
     "open unit": (_ABOVE_0, _BELOW_1, "lie in (0, 1)"),
     "quantile": (0.0, _BELOW_1, "lie in [0, 1)"),
     "exposure": (-_F64_MAX, float(_GAIN_STOPS), f"be finite and at most {_GAIN_STOPS}"),
+    "logit": (-(2.0**1022), 2.0**1022, "be finite and at most 2**1022 in magnitude"),
     "data range": (2.0**-126, _F32_MAX, "be finite and positive, in [2**-126, float32's top]"),
 }
 

@@ -113,7 +113,7 @@ _RGBE_SCALE.flags.writeable = False
 
 def _rgbe_decode_rows(rgbe: np.ndarray) -> np.ndarray:
     """Decode (n, 4) uint8 RGBE pixels: component = mantissa / 256 * 2**(exponent - 128)."""
-    return rgbe[:, :3].astype(np.float32) * _RGBE_SCALE[rgbe[:, 3]][:, None]
+    return np.multiply(rgbe[:, :3], _RGBE_SCALE[rgbe[:, 3]][:, None], dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +177,27 @@ def read_hdr(path) -> LinearImage:
         raise ParseError("malformed resolution string", offset=at) from None
     _check_dims(width, height, at)
 
-    rows = np.empty((height, width, 4), dtype=np.uint8)
-    for y in range(height):
-        pos = _read_hdr_scanline(raw, pos, rows[y])
+    rows = _flat_payload(raw, pos, width, height)
+    if rows is None:
+        rows = np.empty((height, width, 4), dtype=np.uint8)
+        for y in range(height):
+            pos = _read_hdr_scanline(raw, pos, rows[y])
     data = _rgbe_decode_rows(rows.reshape(-1, 4)).reshape(height, width, 3)
     return LinearImage(data)
+
+
+def _flat_payload(data: bytes, pos: int, width: int, height: int):
+    """The (height, width, 4) RGBE pixels from data[pos], a view, when they are all of it in
+    plain pixels: exactly 4 * width * height bytes, no old-style repeat code (1, 1, 1, n),
+    and no scanline opening with an adaptive marker where one can (2, 2, then a clear high
+    bit, at widths 8 to 32767). Otherwise None, and the scanlines are read one by one."""
+    if len(data) - pos != 4 * width * height:
+        return None
+    rgb = np.frombuffer(data, dtype="<u4", offset=pos) & 0xFFFFFF  # R | G << 8 | B << 16
+    if (rgb == 0x010101).any() or (
+            8 <= width <= 32767 and ((rgb[::width] & 0x80FFFF) == 0x0202).any()):
+        return None
+    return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width, 4)
 
 
 def _eof(data: bytes) -> ParseError:

@@ -25,6 +25,7 @@ class MaskParams:
 
     Thresholds come from cumsum(softmax(theta)); with two logits the second
     threshold is exactly 1. Defaults are documented choices, not paper values.
+    Each logit is at most 2**1022 in magnitude, so their difference is finite.
     `alpha` is a gain on the mask field, at most 2**896.
     """
 
@@ -32,7 +33,7 @@ class MaskParams:
     alpha: float = 10.0
 
     def __post_init__(self):
-        theta = _numbers(self.theta, "theta (2 finite threshold logits)", "finite")
+        theta = _numbers(self.theta, "theta (2 finite threshold logits)", "logit")
         if len(theta) != 2:
             raise DomainError(f"theta holds exactly 2 finite threshold logits; got {self.theta!r}")
         object.__setattr__(self, "theta", theta)

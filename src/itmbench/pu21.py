@@ -173,15 +173,32 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
 
     Returns (pu_pred, pu_gt, peak): fields per RGB channel, or of Rec.709 luma
     when `luma` is set; peak is the PU value of the display peak.
+
+    A float32 image whose every value has zero low 16 bits, as every value an
+    RGBE file decodes to has (an 8-bit mantissa), takes its channel fields from
+    a table of the 32,640 such finite values, each encoded as the image's
+    values would be: the same bits, without a power per pixel.
     """
+    enc = encoding or PuEncoding.default()
+    table = None  # built by the first image that takes it
+
     def encode(image):
         # the display field is a new array, which the PU encode overwrites; the luma
         # is display-mapped and weighted one channel at a time, with no RGB display
+        nonlocal table
+        data = _radiance(image, "display mapping input")
         if luma:
-            display = _luma(_radiance(image, "display mapping input"), mapping)
-        else:
-            display = to_display_luminance(image, mapping)
-        return _encode_owned(display, encoding or PuEncoding.default())
+            return _encode_owned(_luma(data, mapping), enc)
+        if data.dtype == np.float32:
+            bits, half = data.view(np.uint32), np.empty(data.shape, np.uint16)
+            if not np.bitwise_and(bits, 0xFFFF, out=half, casting="unsafe").any():
+                if table is None:
+                    keys = (np.arange(0x7F80, dtype=np.uint32) << 16).view(np.float32)
+                    table = _encode_owned(to_display_luminance(keys, mapping), enc)
+                np.right_shift(bits, 16, out=half, casting="unsafe")
+                half &= 0x7FFF  # -0.0 maps as +0.0 does
+                return table[half]
+        return _encode_owned(to_display_luminance(data, mapping), enc)
 
     check_same_shape(pred, gt)
     return encode(pred), encode(gt), pu_encode(mapping.peak_luminance, encoding)

@@ -306,6 +306,7 @@ POSITIVE, NON_NEGATIVE, FINITE = (_TINY, _F64_MAX), (0.0, _F64_MAX), (-_F64_MAX,
 _BELOW_1 = float(np.nextafter(1.0, 0.0))
 OPEN_UNIT, UNIT, QUANTILE = (_TINY, _BELOW_1), (0.0, 1.0), (0.0, _BELOW_1)
 EXPOSURE, DATA_RANGE = (-_F64_MAX, 896.0), (2.0**-126, F32_MAX)
+LOGIT = (-(2.0**1022), 2.0**1022)
 
 _GRAY = np.full((16, 16, 3), 0.5)
 _ZEROS = np.zeros((16, 16))
@@ -358,9 +359,9 @@ SETTINGS = {
     **_ranges("sigmoid_n_range", POSITIVE),
     **_ranges("sigmoid_c_range", POSITIVE),
     "mask_alpha": (lambda v: MaskParams(alpha=v), POSITIVE_GAIN, 1.0, lambda o: o.alpha, "alpha"),
-    "mask_theta_0": (lambda v: MaskParams(theta=(v, 0.0)), FINITE, 1.0, lambda o: o.theta[0],
+    "mask_theta_0": (lambda v: MaskParams(theta=(v, 0.0)), LOGIT, 1.0, lambda o: o.theta[0],
                      "theta"),
-    "mask_theta_1": (lambda v: MaskParams(theta=(0.0, v)), FINITE, 1.0, lambda o: o.theta[1],
+    "mask_theta_1": (lambda v: MaskParams(theta=(0.0, v)), LOGIT, 1.0, lambda o: o.theta[1],
                      "theta"),
     "residual_gain": (lambda v: residual_project(_GRAY, v, _ZEROS), UNIT, 1.0, None, "gain"),
     "quantile": (lambda v: saturation_split(Ldr8Image(np.full((4, 4, 3), 9, np.uint8)), v),
@@ -410,6 +411,17 @@ def test_setting_converts_with_float(setting, form):
     made = make(value)
     if read is not None:
         assert type(read(made)) is float and read(made) == float(value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mask_logits_far_apart_are_a_domain_error_with_no_overflow(sign):
+    # beyond the logit row the owner names theta, where softmax's difference of the two
+    # overflowed; at the row's ends the difference is finite and the thresholds collapse
+    with pytest.raises(DomainError, match=r"^theta\b.* must "):
+        MaskParams(theta=(sign * 1e308, -sign * 1e308))
+    with pytest.raises(DomainError, match="^thresholds must"):
+        MaskParams(theta=(sign * 2.0**1022, -sign * 2.0**1022))
 
 
 def test_crf_table_entry_of_another_kind_is_a_domain_error():

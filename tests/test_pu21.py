@@ -4,11 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from itmbench.color import DisplayMapping
+from itmbench import pu21
+from itmbench.color import DisplayMapping, to_display_luminance
 from itmbench.errors import DomainError, ShapeError
-from itmbench.image_io import LinearImage, write_pfm
-from itmbench.pu21 import (MetricReport, PerImageScore, PuEncoding, pu_decode,
-                           pu_encode, pu_psnr, pu_ssim, rank_teams, rmse_linear,
+from itmbench.image_io import LinearImage, read_hdr, write_hdr, write_pfm
+from itmbench.pu21 import (MetricReport, PerImageScore, PuEncoding, _encode_owned, pu_decode,
+                           pu_encode, pu_fields, pu_psnr, pu_ssim, rank_teams, rmse_linear,
                            score_dataset, ssim_mean)
 
 import oracles
@@ -108,6 +109,92 @@ class TestPsnr:
         fa = LinearImage(a.data[:, ::-1].copy())
         fb = LinearImage(b.data[:, ::-1].copy())
         assert pu_psnr(a, b) == pytest.approx(pu_psnr(fa, fb), abs=1e-12)
+
+
+# The float32 values with zero low 16 bits, which every RGBE-decoded value is: the keys of
+# the table `pu_fields` builds once per call.
+TABLE_KEYS = (np.arange(0x7F80, dtype=np.uint32) << 16).view(np.float32)
+_DEFAULT_P = PuEncoding.default().p
+METRIC_SPACES = {
+    "default": (None, DisplayMapping()),
+    "other": (PuEncoding(_DEFAULT_P[:6] + (2 * _DEFAULT_P[6],), y_max=1000.0),
+              DisplayMapping(peak_luminance=4000.0, black_floor=0.01, reference_white=0.7)),
+}
+
+
+def direct_field(image, encoding=None, mapping=DisplayMapping()):
+    """The per-channel PU field of `image`, one power per value, as with no table."""
+    return _encode_owned(to_display_luminance(image, mapping), encoding or PuEncoding.default())
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def encoded_shapes(monkeypatch):
+    """The shape of every array but the peak that `pu_fields` PU-encodes: (32640,) for its
+    table, an image's shape for an image encoded directly."""
+    shapes = []
+
+    def spy(lum, enc):
+        if np.ndim(lum):
+            shapes.append(np.shape(lum))
+        return _encode_owned(lum, enc)
+
+    monkeypatch.setattr(pu21, "_encode_owned", spy)
+    return shapes
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("space", METRIC_SPACES)
+    def test_every_key_matches_the_direct_path(self, rng, encoded_shapes, space):
+        # every key at a shuffled place of an image, with -0.0 in place of some repeats,
+        # then a crop view of the image and a LinearImage of the crop
+        encoding, mapping = METRIC_SPACES[space]
+        values = np.concatenate([TABLE_KEYS, TABLE_KEYS])
+        values[len(TABLE_KEYS) + rng.choice(len(TABLE_KEYS), 6, replace=False)] = -0.0
+        image = rng.permutation(values).reshape(64, 340, 3)
+        crop = image[5:-3:2, 7:-11]
+        for data in (image, crop, LinearImage(crop)):
+            encoded_shapes.clear()
+            got, again, _ = pu_fields(data, data, encoding, mapping)
+            assert encoded_shapes == [TABLE_KEYS.shape]  # one table for both images
+            want = direct_field(data, encoding, mapping)
+            assert same_bits(got, want) and same_bits(again, want)
+
+    @pytest.mark.parametrize("space", METRIC_SPACES)
+    def test_rgbe_round_trip_from_near_black_to_float32_top(self, tmp_path, rng,
+                                                            encoded_shapes, space):
+        # exponents 10 ... 255 decode to normal float32 values, and 0 to black
+        encoding, mapping = METRIC_SPACES[space]
+        rgbe = rng.integers(0, 256, (64, 48, 4), dtype=np.uint8)
+        rgbe[..., 3] = np.linspace(10, 255, 64 * 48).astype(np.uint8).reshape(64, 48)
+        rgbe[::7, ::5, 3] = 0
+        scale = np.where(rgbe[..., 3:] > 0, 2.0 ** (rgbe[..., 3:] - 136.0), 0.0)
+        write_hdr(LinearImage((rgbe[..., :3] * scale).astype(np.float32)), tmp_path / "a.hdr")
+        data = read_hdr(tmp_path / "a.hdr").data
+        assert data.max() > 2.0**126 and 0 < data[data > 0].min() < 2.0**-120
+        assert (data == 0).any()
+        got, _, _ = pu_fields(data, data, encoding, mapping)
+        assert encoded_shapes == [TABLE_KEYS.shape]
+        assert same_bits(got, direct_field(data, encoding, mapping))
+
+    def test_full_precision_and_odd_subnormals_take_the_direct_path(self, rng, encoded_shapes):
+        full = rng.lognormal(-1.5, 1.2, (20, 30, 3)).astype(np.float32)
+        rgbe = (full.view(np.uint32) & 0xFFFF0000).view(np.float32)
+        # an odd mantissa at RGBE exponent 1 decodes to a subnormal with low bits set
+        subnormal = rgbe.copy()
+        subnormal[3, 4, 1] = 3 * 2.0**-135
+        assert subnormal[3, 4, 1].view(np.uint32) & 0xFFFF
+        for data in (full, subnormal):
+            encoded_shapes.clear()
+            got, _, _ = pu_fields(data, rgbe)
+            assert encoded_shapes == [data.shape, TABLE_KEYS.shape]
+            assert same_bits(got, direct_field(data))
+        encoded_shapes.clear()
+        pu_fields(rgbe.astype(np.float64), rgbe.astype(np.float64))  # not float32 data
+        assert encoded_shapes == [rgbe.shape, rgbe.shape]
 
 
 class TestSsim:

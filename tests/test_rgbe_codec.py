@@ -11,15 +11,20 @@ import numpy as np
 import pytest
 
 import oracles
+from itmbench import image_io
 from itmbench.errors import ParseError
 from itmbench.image_io import _HDR_BAND_PIXELS, LinearImage, read_hdr, write_hdr
 from test_acceptance import _mutate
 
 
+def hdr_header(h: int, w: int) -> bytes:
+    return f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {h} +X {w}\n".encode("ascii")
+
+
 def hdr_bytes(rgbe: np.ndarray) -> bytes:
     """The file `write_hdr` must write for (h, w, 4) RGBE pixels, RLE by the oracle."""
     h, w = rgbe.shape[:2]
-    out = bytearray(f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {h} +X {w}\n".encode("ascii"))
+    out = bytearray(hdr_header(h, w))
     for y in range(h):
         if 8 <= w <= 32767:
             out += bytes((2, 2, w >> 8, w & 0xFF))
@@ -199,3 +204,47 @@ def test_reader_matches_oracle_on_mutated_streams(tmp_path, kind):
         outcomes["ok" if want_err is None else "error"] += 1
     # both the decode and the error paths are exercised
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def flat_payload(rgbe: np.ndarray) -> bytes:
+    """A file of (h, w, 4) RGBE pixels stored as they are, in old-style scanlines."""
+    return hdr_header(*rgbe.shape[:2]) + rgbe.tobytes()
+
+
+def flat_case(case: str) -> tuple:
+    """(file bytes, whether read_hdr takes the payload as its pixels in one pass)."""
+    rng = np.random.default_rng(len(case))
+    width = 5 if case == "marker_w5" else 8 if case == "marker_w8" else 24
+    rgbe = normalized_pixels(rng, (6, width))  # a mantissa >= 128: no code, no marker
+    if case == "repeat":
+        rgbe[2, 5] = (1, 1, 1, 1)  # the previous pixel once more: still 4 w h bytes
+    if case.startswith("marker"):
+        rgbe[1, 0] = (2, 2, 0, width)  # a scanline opens with an adaptive marker
+    blob = flat_payload(rgbe)
+    if case == "trailing":
+        return blob + b"\x00", False
+    if case == "short":
+        return blob[:-1], False
+    return blob, case in ("plain", "marker_w5")
+
+
+@pytest.mark.parametrize("case", ["plain", "repeat", "marker_w8", "marker_w5", "trailing",
+                                  "short"])
+def test_flat_payload_matches_oracle(tmp_path, monkeypatch, case):
+    # a payload of exactly 4 w h bytes with no repeat code, and no marker where a scanline
+    # may be adaptive (widths 8 to 32767), is the pixels; every other file is read scanline
+    # by scanline, to the oracle's pixels or its ParseError
+    blob, one_pass = flat_case(case)
+    scanlines = []
+    read_scanline = image_io._read_hdr_scanline
+    monkeypatch.setattr(image_io, "_read_hdr_scanline",
+                        lambda *args: scanlines.append(args[1]) or read_scanline(*args))
+    path = tmp_path / "flat.hdr"
+    path.write_bytes(blob)
+    got, got_err = read_outcome(read_hdr, path)
+    want, want_err = read_outcome(oracles.naive_read_hdr, blob)
+    assert got_err == want_err
+    assert want_err is not None or np.array_equal(got.data, want)
+    assert (not scanlines) == one_pass
+    if case == "short":
+        assert want_err == (f"unexpected end of file (byte offset {len(blob)})", len(blob))

@@ -75,9 +75,11 @@ COMMANDS = [
     ("expand_jobs", ["expand", "--input", "in/ldr.png", "--jobs", "2"]),
     ("expand_config", ["expand", "--input", "in/ldr.png", "--config", "in/ppm.ini"]),
     ("sde_jobs", ["sde-demo", "--steps", "4", "--jobs", "2"]),
-    # readers no command above reaches: a .ppm capture, flat RGBE scanlines, a truncated file
+    # readers no command above reaches: a .ppm capture, flat RGBE scanlines (a plain payload,
+    # then one with an old-style repeat code, read scanline by scanline), a truncated file
     ("expand_ppm", ["expand", "--input", "synthesize_ppm/a_0000.ppm"]),
     ("synthesize_narrow", ["synthesize", "--hdr-dir", "in/narrow"]),
+    ("synthesize_repeat", ["synthesize", "--hdr-dir", "in/repeat"]),
     ("synthesize_cut", ["synthesize", "--hdr-dir", "in/cut"]),
     # a NaN setting from the command line and from a config file: each owner's range message
     ("expand_crf_nan", ["expand", "--input", "in/ldr.png", "--crf", "gamma:nan"]),
@@ -92,7 +94,9 @@ def write_inputs(root: Path, size: int):
     stored as scanlines whose filter types cycle through None, Sub, Up, Average and Paeth;
     a 37 x 23 `sde/` pair of a ground truth and its clipped capture, whatever `size` is;
     a 5 x 6 `narrow/` ground truth, which the writer stores in flat scanlines (width
-    below 8); and `cut/`, ground truth c cut to the first half of its bytes."""
+    below 8); a 5 x 6 `repeat/` ground truth in flat scanlines written by hand, one of
+    them two pixels and a repeat code (1, 1, 1, 3); and `cut/`, ground truth c cut to
+    the first half of its bytes."""
     rng = np.random.default_rng(2025)
     for sub in ("gt", "pred"):
         (root / sub).mkdir(parents=True)
@@ -128,12 +132,18 @@ def write_inputs(root: Path, size: int):
     gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
     write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
     write_pfm(LinearImage(np.minimum(gt, 0.5).astype(np.float32)), root / "sde" / "degraded.pfm")
-    for sub in ("narrow", "cut", "complete"):
+    for sub in ("narrow", "repeat", "cut", "complete"):
         (root / sub).mkdir()
     for name in ("a.pfm", "b.hdr"):
         (root / "complete" / name).write_bytes((root / "gt" / name).read_bytes())
     narrow = np.random.default_rng(5).lognormal(-1.0, 1.0, (6, 5, 3))
     write_hdr(LinearImage(narrow.astype(np.float32)), root / "narrow" / "n.hdr")
+    pixels = np.random.default_rng(6).integers((0, 0, 0, 120), (256, 256, 256, 136), (6, 5, 4),
+                                               dtype=np.uint8)
+    scanlines = [row.tobytes() for row in pixels]
+    scanlines[3] = pixels[3, :2].tobytes() + bytes((1, 1, 1, 3))  # the second pixel, 3 times
+    (root / "repeat" / "r.hdr").write_bytes(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 6 +X 5\n"
+                                            + b"".join(scanlines))
     whole = (root / "gt" / "c.hdr").read_bytes()
     (root / "cut" / "c.hdr").write_bytes(whole[:len(whole) // 2])
 
