@@ -112,8 +112,13 @@ _RGBE_SCALE.flags.writeable = False
 
 
 def _rgbe_decode_rows(rgbe: np.ndarray) -> np.ndarray:
-    """Decode (n, 4) uint8 RGBE pixels: component = mantissa / 256 * 2**(exponent - 128)."""
-    return np.multiply(rgbe[:, :3], _RGBE_SCALE[rgbe[:, 3]][:, None], dtype=np.float32)
+    """Decode (..., 4) uint8 RGBE pixels of any strides: component = mantissa / 256 *
+    2**(exponent - 128), one channel per pass."""
+    scale = _RGBE_SCALE[rgbe[..., 3]]
+    out = np.empty(rgbe.shape[:-1] + (3,), dtype=np.float32)
+    for c in range(3):
+        np.multiply(rgbe[..., c], scale, out=out[..., c])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +184,12 @@ def read_hdr(path) -> LinearImage:
 
     rows = _flat_payload(raw, pos, width, height)
     if rows is None:
+        rows = _rle_payload(raw, pos, width, height)
+    if rows is None:
         rows = np.empty((height, width, 4), dtype=np.uint8)
         for y in range(height):
             pos = _read_hdr_scanline(raw, pos, rows[y])
-    data = _rgbe_decode_rows(rows.reshape(-1, 4)).reshape(height, width, 3)
-    return LinearImage(data)
+    return LinearImage(_rgbe_decode_rows(rows))
 
 
 def _flat_payload(data: bytes, pos: int, width: int, height: int):
@@ -198,6 +204,63 @@ def _flat_payload(data: bytes, pos: int, width: int, height: int):
             8 <= width <= 32767 and ((rgb[::width] & 0x80FFFF) == 0x0202).any()):
         return None
     return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width, 4)
+
+
+# Bytes each adaptive RLE code takes (itself, a run's value or a literal's bytes), pixels it fills
+_RLE_FILL = np.where(np.arange(256) > 128, np.arange(256) - 128, np.arange(256)).astype(np.uint8)
+_RLE_TAKE = np.where(np.arange(256) > 128, 2, _RLE_FILL + (_RLE_FILL > 0)).astype(np.uint8)
+
+
+def _rle_payload(data: bytes, pos: int, width: int, height: int):
+    """The (height, width, 4) RGBE pixels from data[pos], a view, parsed in lock step (one
+    numpy step reads the next code of every scanline) when the marker (2, 2, width) opens the
+    payload and occurs `height` times, each scanline fills its components with codes crossing
+    none, ends where the next marker starts (the last at the end of the file) and takes at most
+    width // 2 + 8 codes. Otherwise None, and the scanlines are read one by one."""
+    budget, n = width // 2 + 8, len(data) - pos
+    # a code takes at most one byte more than the pixels it fills
+    if not 8 <= width <= 32767 or n > height * (4 + 4 * width + budget):
+        return None
+    marker = bytes((2, 2, width >> 8, width & 0xFF))
+    starts, found = [], pos
+    while len(starts) <= height and (found := data.find(marker, found)) >= 0:
+        starts.append(found - pos)
+        found += 1
+    if len(starts) != height or starts[0] != 0:
+        return None
+    payload, starts = np.frombuffer(data, dtype=np.uint8, offset=pos), np.array(starts)
+    cur, left, at, codes = starts + 4, np.full(height, 4 * width), [], []
+    for _ in range(budget + 1):  # one step more sees every scanline stopped
+        # a scanline reads code 0 from the step it is full or past the end of the file
+        code = payload.take(cur, mode="clip") * ((left > 0) & (cur < n))
+        if not code.any():
+            break
+        at.append(cur)
+        codes.append(code)
+        left -= _RLE_FILL[code]
+        cur = cur + _RLE_TAKE[code]
+    else:
+        return None
+    at, code = np.array(at), np.array(codes)  # (codes, height); 0 once a scanline stopped
+    fill = _RLE_FILL[code]
+    before = np.cumsum(fill, axis=0, dtype=np.int32) - fill  # pixels of the scanline before
+    # a code 0, a scanline cut short or overfilled, one ending short of the next marker, or
+    # a code crossing into the next component
+    if (left.any() or (cur != np.append(starts[1:], n)).any()
+            or (before % width + fill > width).any()):
+        return None
+    count = np.ones(n + 1, dtype=np.uint8)  # copies of each payload byte in the pixels
+    count[at] = 0  # codes, and where a scanline stopped: a marker or the end
+    count[at[code > 128] + 1] = code[code > 128] - 128
+    count[starts[:, None] + np.arange(4)] = 0
+    # each scanline's R, G, B and E planes in turn, a band of scanlines per np.repeat (which
+    # widens the counts to intp)
+    planes = np.empty(4 * width * height, dtype=np.uint8)
+    rows, bounds = max(1, _HDR_BAND_PIXELS // width), np.append(starts, n)
+    for y in range(0, height, rows):
+        a, b = bounds[y], bounds[min(y + rows, height)]
+        planes[4 * width * y:4 * width * (y + rows)] = np.repeat(payload[a:b], count[a:b])
+    return planes.reshape(height, 4, width).transpose(0, 2, 1)
 
 
 def _eof(data: bytes) -> ParseError:
@@ -283,8 +346,8 @@ def _read_flat_scanline(data: bytes, pos: int, row: np.ndarray) -> int:
         pos += 4 * k
 
 
-# Pixels the writer encodes and run-length codes per numpy pass, in whole
-# scanlines (at least one), so its working memory does not grow with the image.
+# Pixels the writer encodes and run-length codes, and the lock-step reader copies, per
+# numpy pass, in whole scanlines (at least one), so working memory does not grow with the image.
 _HDR_BAND_PIXELS = 16384
 
 

@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -48,6 +49,13 @@ class PuEncoding:
             object.__setattr__(self, name, _number(getattr(self, name), name, "positive"))
         if not self.y_min < self.y_max:
             raise DomainError("require 0 < y_min < y_max")
+        # each stage is monotone in Y while the denominator (if p5 < 0, the ratio too) keeps
+        # its sign, so its values at y_min and y_max bound it
+        lo, hi = (_pu_stages(y, self.p) for y in (self.y_min, self.y_max))
+        if (lo is None or hi is None or (lo[0] > 0) != (hi[0] > 0)
+                or (self.p[4] < 0 and (lo[1] > 0) != (hi[1] > 0))):
+            raise DomainError("p must keep every stage of the PU formula within float64 "
+                              "on [y_min, y_max]")
         grid = np.logspace(np.log10(self.y_min), np.log10(self.y_max), 256)
         vals = _pu_forward(grid, self.p)
         if not (np.diff(vals) > 0).all():
@@ -83,6 +91,20 @@ def _pu_forward(y, p: tuple, out=None):
     z -= p[5]
     z *= p[6]
     return z
+
+
+def _pu_stages(y: float, p: tuple):
+    """`_pu_forward`'s denominator, ratio, power and value at one luminance in Python floats;
+    None where numpy would warn: one of them leaves float64 (as an overflow in any other stage
+    makes one of them do) or is a fractional power of a negative ratio."""
+    try:
+        z = y ** p[2]
+        den = 1.0 + p[3] * z
+        ratio = (p[0] + p[1] * z) / den
+        stages = (den, ratio, ratio ** p[4], (ratio ** p[4] - p[5]) * p[6])
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return stages if all(isinstance(s, float) and math.isfinite(s) for s in stages) else None
 
 
 def _encode_owned(lum, enc: PuEncoding):

@@ -424,6 +424,29 @@ def test_mask_logits_far_apart_are_a_domain_error_with_no_overflow(sign):
         MaskParams(theta=(sign * 2.0**1022, -sign * 2.0**1022))
 
 
+# PU21 banding+glare (Mantiuk & Azimi, PCS 2021), exponent third and denominator fourth
+_PU21_P = (0.353487901, 0.3734658629, 0.9062562627, 8.277049286e-05, 0.09150303166,
+           0.9099517204, 596.3148142)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, value", [
+    (2, 1e308), (2, 500.0), (2, -500.0), (4, -1e308),  # overflow in a power
+    (0, 1e308), (1, 1e308), (3, 1e308), (5, 1e308),  # overflow in a product
+    (3, -1.0), (1, -5.0), (0, -1e308),  # a fractional power of a negative ratio
+])
+def test_pu_coefficients_leaving_float64_are_a_domain_error_naming_p(k, value):
+    # each warned in _pu_forward while the monotonicity grid was evaluated
+    with pytest.raises(DomainError, match=r"^p must keep every stage of the PU formula"):
+        PuEncoding(_with(_P, k, value))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [_P, _PU21_P], ids=["pq", "pu21"])
+def test_pq_and_pu21_coefficients_are_accepted_with_no_warning(p):
+    assert PuEncoding(p).p == p
+
+
 def test_crf_table_entry_of_another_kind_is_a_domain_error():
     # the table is data: `_float64` checks it, so a ragged entry or a string is no number
     for entry in ("abc", None, 1j, [1.0], np.array([1.0]), 10**400, np.nan, np.inf):

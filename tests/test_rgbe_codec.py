@@ -7,6 +7,8 @@ the oracle's pixels or raise the same ParseError (message and byte offset)
 on every stream, valid or mutated.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from itmbench import image_io
 from itmbench.errors import ParseError
 from itmbench.image_io import _HDR_BAND_PIXELS, LinearImage, read_hdr, write_hdr
 from test_acceptance import _mutate
+from test_inplace_kernels import traced_peak
 
 
 def hdr_header(h: int, w: int) -> bytes:
@@ -179,11 +182,41 @@ def read_outcome(reader, arg):
         return None, (str(exc), exc.offset)
 
 
-@pytest.mark.parametrize("kind", ["rle", "flat"])
-def test_reader_matches_oracle_on_mutated_streams(tmp_path, kind):
-    seed = rle_seed(tmp_path) if kind == "rle" else flat_seed()
+def wide_rle_seed(tmp_path) -> bytes:
+    """Writer output of 8 scanlines of width 40, noise between palette runs: long literals,
+    so most byte flips keep every marker and the lock-step parse reads the mutant."""
+    rng = np.random.default_rng(11)
+    rgbe = normalized_pixels(rng, (8, 40))
+    rgbe[::3, 10:25] = normalized_pixels(rng, (1,))[0]
+    path = tmp_path / "seed.hdr"
+    write_hdr(image_of(rgbe), path)
+    return path.read_bytes()
+
+
+def spy_lockstep(monkeypatch) -> list:
+    """Patch `_rle_payload` to append, at each call, whether it gave the pixels."""
+    taken, rle_payload = [], image_io._rle_payload
+
+    def spy(*args):
+        rows = rle_payload(*args)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(image_io, "_rle_payload", spy)
+    return taken
+
+
+SEEDS = {"rle": (rle_seed, (5, 24, 3)), "flat": (lambda _: flat_seed(), (3, 263, 3)),
+         "rle_wide": (wide_rle_seed, (8, 40, 3))}
+
+
+@pytest.mark.parametrize("kind", ["rle", "flat", "rle_wide"])
+def test_reader_matches_oracle_on_mutated_streams(tmp_path, monkeypatch, kind):
+    make_seed, shape = SEEDS[kind]
+    seed = make_seed(tmp_path)
     pixels = oracles.naive_read_hdr(seed)
-    assert pixels.shape == ((5, 24, 3) if kind == "rle" else (3, 263, 3))
+    assert pixels.shape == shape
+    taken = spy_lockstep(monkeypatch)
     (tmp_path / "seed.hdr").write_bytes(seed)
     assert np.array_equal(read_hdr(tmp_path / "seed.hdr").data, pixels)
     body = seed.index(b"\n", seed.index(b"+X")) + 1
@@ -204,6 +237,8 @@ def test_reader_matches_oracle_on_mutated_streams(tmp_path, kind):
         outcomes["ok" if want_err is None else "error"] += 1
     # both the decode and the error paths are exercised
     assert min(outcomes.values()) >= 10, outcomes
+    if kind == "rle_wide":  # and mutants that keep every marker take the lock-step parse
+        assert taken.count(True) >= 10, taken.count(True)
 
 
 def flat_payload(rgbe: np.ndarray) -> bytes:
@@ -248,3 +283,164 @@ def test_flat_payload_matches_oracle(tmp_path, monkeypatch, case):
     assert (not scanlines) == one_pass
     if case == "short":
         assert want_err == (f"unexpected end of file (byte offset {len(blob)})", len(blob))
+
+
+# ---------------------------------------------------------------------------
+# The lock-step parse of adaptive RLE payloads
+
+
+def lockstep_read(tmp_path, monkeypatch, blob) -> bool:
+    """Read `blob` as a file, check read_hdr against the oracle (pixels, or ParseError message
+    and offset), and return whether the lock-step parse gave the pixels; every file it
+    declines is read scanline by scanline."""
+    taken = spy_lockstep(monkeypatch)
+    scanlines, read_scanline = [], image_io._read_hdr_scanline
+    monkeypatch.setattr(image_io, "_read_hdr_scanline",
+                        lambda *args: scanlines.append(args[1]) or read_scanline(*args))
+    path = tmp_path / "lockstep.hdr"
+    path.write_bytes(blob)
+    got, got_err = read_outcome(read_hdr, path)
+    want, want_err = read_outcome(oracles.naive_read_hdr, blob)
+    assert got_err == want_err
+    assert want_err is not None or np.array_equal(got.data, want)
+    assert taken in ([True], [False])
+    assert taken[0] == (not scanlines)
+    return taken[0]
+
+
+@pytest.mark.parametrize("height", [1, 31, 33])
+@pytest.mark.parametrize("width", [8, 9, 130, 512])
+def test_writer_output_takes_the_lockstep_parse(tmp_path, monkeypatch, width, height):
+    # palette pixels in runs of 1..200, and every third scanline noise: runs, and literals
+    # of up to 128 bytes, across every scanline band of the copy
+    rng = np.random.default_rng(width * 100 + height)
+    palette = normalized_pixels(rng, (3,))
+    idx = np.repeat(rng.integers(0, 3, size=(height, width)),
+                    rng.integers(1, 200, size=width), axis=1)[:, :width]
+    rgbe = palette[idx]
+    rgbe[::3] = normalized_pixels(rng, (len(rgbe[::3]), width))
+    path = tmp_path / "w.hdr"
+    write_hdr(image_of(rgbe), path)
+    assert lockstep_read(tmp_path, monkeypatch, path.read_bytes())
+
+
+def lit(data: bytes) -> bytes:
+    return bytes((len(data),)) + data
+
+
+def run(count: int, value: int) -> bytes:
+    return bytes((128 + count, value))
+
+
+def lockstep_case(case: str) -> bytes:
+    """A hand-built file of 3 adaptive RLE scanlines of width 16, changed as `case` says."""
+    rng = np.random.default_rng(16)
+    comps = [[lit(rng.integers(128, 256, 16, dtype=np.uint8).tobytes()) for _ in range(3)]
+             + [run(16, 130)] for _ in range(3)]  # R, G, B literals, then an E run
+    marker = bytes((2, 2, 0, 16))
+    if case == "marker_in_literal":
+        comps[1][0] = lit(comps[1][0][1:4] + marker + comps[1][0][8:])
+    elif case == "short":  # the blue literal one byte short
+        comps[1][2] = comps[1][2][:-1]
+    elif case == "code_0":
+        comps[1][1] = b"\x00" + comps[1][1]
+    elif case == "run_across":  # fills 16 + 1 and 15 pixels: 4 w in all, across R and G
+        comps[1][:2] = run(17, 140), lit(comps[1][1][1:16])
+    elif case == "literal_across":
+        comps[1][:2] = lit(comps[1][0][1:] + b"\x99"), lit(comps[1][1][1:16])
+    elif case == "over_budget_codes":  # 16 one-byte red literals: 19 codes, budget 16
+        comps[1][0] = b"".join(lit(comps[1][0][i:i + 1]) for i in range(1, 17))
+    elif case == "over_budget_bytes":  # every component so: more bytes than 16 codes take
+        comps = [[b"".join(lit(c[i:i + 1]) for i in range(1, 17)) for c in row[:3]]
+                 + [row[3]] for row in comps]
+    lines = [marker + b"".join(row) for row in comps]
+    if case == "old_style_scanline":  # 16 plain pixels, the first not a marker
+        lines[1] = rng.integers(128, 256, 64, dtype=np.uint8).tobytes()
+    blob = hdr_header(3, 16) + b"".join(lines)
+    if case == "run_value_past_eof":
+        return blob[:-1]
+    return blob + (b"\x07\x07" if case == "trailing" else b"")
+
+
+@pytest.mark.parametrize("case", ["valid", "marker_in_literal", "short", "code_0", "run_across",
+                                  "literal_across", "run_value_past_eof", "old_style_scanline",
+                                  "trailing", "over_budget_codes", "over_budget_bytes"])
+def test_lockstep_parse_declines_all_but_plain_adaptive_payloads(tmp_path, monkeypatch, case):
+    # every file it declines is read scanline by scanline, to the oracle's pixels or its
+    # ParseError; so every error message and offset comes from the loop
+    assert lockstep_read(tmp_path, monkeypatch, lockstep_case(case)) == (case == "valid")
+
+
+# ---------------------------------------------------------------------------
+# Memory and time bounded by the declared size
+
+
+def no_scanline_loop(*args):
+    raise AssertionError("read scanline by scanline")
+
+
+def file_512(comps: np.ndarray) -> bytes:
+    """A 512^2 file of adaptive RLE scanlines: each its marker, then the codes `comps[y]`."""
+    markers = np.tile(np.array([2, 2, 2, 0], np.uint8), (512, 1))
+    body = np.concatenate([markers, comps.reshape(512, -1)], axis=1)
+    return hdr_header(512, 512) + body.tobytes()
+
+
+def at_budget(rng) -> tuple:
+    """A 512^2 file whose every scanline takes the whole code budget, 264 literals of 7 or 8
+    bytes (66 per component), and its (h, w, 4) RGBE pixels."""
+    planes = rng.integers(128, 256, (512, 4, 512), dtype=np.uint8)
+    sizes = np.array([8] * 50 + [7] * 16)
+    is_code = np.zeros(512 + 66, dtype=bool)
+    is_code[np.cumsum(sizes + 1) - sizes - 1] = True
+    comps = np.empty((512, 4, 512 + 66), dtype=np.uint8)
+    comps[..., is_code] = sizes
+    comps[..., ~is_code] = planes
+    return file_512(comps), planes.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("content", ["smooth", "texture", "at_budget"])
+def test_lockstep_read_traced_peak_at_512(tmp_path, monkeypatch, content):
+    # the file's bytes, the parse's code offsets, the pixels' RGBE planes and the float32
+    # image: 1.90x (smooth), 2.01x (texture) and 2.06x (at the budget) the float32 image
+    # measured, against 1.91x, 2.02x and 2.07x when the loop read the scanlines
+    rng = np.random.default_rng(512)
+    path = tmp_path / "a.hdr"
+    if content == "at_budget":
+        blob, rgbe = at_budget(rng)
+        path.write_bytes(blob)
+        assert np.array_equal(read_hdr(path).data, image_of(rgbe).data)
+    else:
+        y, x = np.mgrid[0:512, 0:512] / 512
+        data = (np.exp(0.6 * np.sin(2 * np.pi * x) + 1.2 * np.cos(2 * np.pi * y))[..., None]
+                * np.array([1.0, 0.85, 0.7]) if content == "smooth"
+                else rng.lognormal(-1.5, 1.2, (512, 512, 3)))
+        write_hdr(LinearImage(data.astype(np.float32)), path)
+    monkeypatch.setattr(image_io, "_read_hdr_scanline", no_scanline_loop)
+    assert traced_peak(lambda: read_hdr(path)) <= 2.25 * 512 * 512 * 12 + (64 << 10)
+
+
+def test_one_byte_literals_are_declined_before_the_parse(tmp_path):
+    # 4 codes per pixel take more bytes than the code budget (width // 2 + 8 codes per
+    # scanline) allows, so the lock-step parse declines before it allocates or parses
+    # anything, and the loop's cost is the whole read's: 7.04 MiB traced (7.07 MiB before
+    # the lock-step parse) and about 0.2 s. A traced read of this file's million codes
+    # takes ~9 s, so the loop's own peak is not pinned here.
+    rng = np.random.default_rng(1)
+    planes = rng.integers(128, 256, (512, 4, 512), dtype=np.uint8)
+    codes = np.ones((512, 4, 512, 2), dtype=np.uint8)  # (1, byte) per pixel and component
+    codes[..., 1] = planes
+    blob = file_512(codes)
+    (tmp_path / "lit.hdr").write_bytes(blob)
+    starts = time.perf_counter()
+    got = read_hdr(tmp_path / "lit.hdr")
+    read_s = time.perf_counter() - starts
+    assert np.array_equal(got.data, image_of(planes.transpose(0, 2, 1)).data)
+    pos = len(hdr_header(512, 512))
+    assert traced_peak(lambda: image_io._rle_payload(blob, pos, 512, 512)) < 1024
+    decline_s = []
+    for _ in range(5):
+        starts = time.perf_counter()
+        assert image_io._rle_payload(blob, pos, 512, 512) is None
+        decline_s.append(time.perf_counter() - starts)
+    assert min(decline_s) < 0.02 * read_s

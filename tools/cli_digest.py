@@ -76,11 +76,13 @@ COMMANDS = [
     ("expand_config", ["expand", "--input", "in/ldr.png", "--config", "in/ppm.ini"]),
     ("sde_jobs", ["sde-demo", "--steps", "4", "--jobs", "2"]),
     # readers no command above reaches: a .ppm capture, flat RGBE scanlines (a plain payload,
-    # then one with an old-style repeat code, read scanline by scanline), a truncated file
+    # then one with an old-style repeat code, read scanline by scanline), a truncated file,
+    # and adaptive RLE scanlines that the lock-step parse declines, read one by one
     ("expand_ppm", ["expand", "--input", "synthesize_ppm/a_0000.ppm"]),
     ("synthesize_narrow", ["synthesize", "--hdr-dir", "in/narrow"]),
     ("synthesize_repeat", ["synthesize", "--hdr-dir", "in/repeat"]),
     ("synthesize_cut", ["synthesize", "--hdr-dir", "in/cut"]),
+    ("synthesize_marker", ["synthesize", "--hdr-dir", "in/marker"]),
     # a NaN setting from the command line and from a config file: each owner's range message
     ("expand_crf_nan", ["expand", "--input", "in/ldr.png", "--crf", "gamma:nan"]),
     ("synthesize_nan_config", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/nan.ini"]),
@@ -95,8 +97,9 @@ def write_inputs(root: Path, size: int):
     a 37 x 23 `sde/` pair of a ground truth and its clipped capture, whatever `size` is;
     a 5 x 6 `narrow/` ground truth, which the writer stores in flat scanlines (width
     below 8); a 5 x 6 `repeat/` ground truth in flat scanlines written by hand, one of
-    them two pixels and a repeat code (1, 1, 1, 3); and `cut/`, ground truth c cut to
-    the first half of its bytes."""
+    them two pixels and a repeat code (1, 1, 1, 3); `cut/`, ground truth c cut to the
+    first half of its bytes; and a 16 x 6 `marker/` ground truth in adaptive RLE scanlines
+    written by hand, one literal per component, where a literal holds the scanline marker."""
     rng = np.random.default_rng(2025)
     for sub in ("gt", "pred"):
         (root / sub).mkdir(parents=True)
@@ -132,7 +135,7 @@ def write_inputs(root: Path, size: int):
     gt = np.random.default_rng(37).lognormal(-1.5, 1.0, (23, 37, 3))
     write_pfm(LinearImage(gt.astype(np.float32)), root / "sde" / "gt.pfm")
     write_pfm(LinearImage(np.minimum(gt, 0.5).astype(np.float32)), root / "sde" / "degraded.pfm")
-    for sub in ("narrow", "repeat", "cut", "complete"):
+    for sub in ("narrow", "repeat", "cut", "marker", "complete"):
         (root / sub).mkdir()
     for name in ("a.pfm", "b.hdr"):
         (root / "complete" / name).write_bytes((root / "gt" / name).read_bytes())
@@ -146,6 +149,14 @@ def write_inputs(root: Path, size: int):
                                             + b"".join(scanlines))
     whole = (root / "gt" / "c.hdr").read_bytes()
     (root / "cut" / "c.hdr").write_bytes(whole[:len(whole) // 2])
+    marker = bytes((2, 2, 0, 16))
+    pixels = np.random.default_rng(16).integers((0, 0, 0, 120), (256, 256, 256, 136), (6, 16, 4),
+                                                dtype=np.uint8)
+    pixels[2, 5:9, 0] = tuple(marker)  # scanline 2's red literal holds the marker
+    (root / "marker" / "m.hdr").write_bytes(
+        b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 6 +X 16\n" + b"".join(
+            marker + b"".join(bytes((16,)) + row[:, c].tobytes() for c in range(4))
+            for row in pixels))
 
 
 def environment() -> list:
