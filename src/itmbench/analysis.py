@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import DisplayMapping, _number, as_radiance, luminance
+from .color import DisplayMapping, _float64, _number, luminance
 from .errors import ShapeError
 from .image_io import Ldr8Image
 from .pu21 import PuEncoding, pu_fields
@@ -70,7 +70,7 @@ def _region_stats(values: np.ndarray) -> dict:
 
 def error_stats(err_map: np.ndarray, split: SaturationSplit) -> dict:
     """Summary statistics of a residual map (radiance-range data) inside/outside the mask."""
-    err = as_radiance(err_map, "error map")
+    err = _float64(err_map, "error map", "radiance")
     mask = split.saturated_mask
     if err.shape != mask.shape:
         raise ShapeError("error map and mask shapes differ")
@@ -103,7 +103,7 @@ def _equal_width_bins(values: np.ndarray, top: float) -> tuple:
 
 def intensity_error_joint(ldr_input: Ldr8Image, err_map: np.ndarray) -> dict:
     """Joint 2-D histogram of input LDR luminance versus prediction error, HIST_BINS a side."""
-    err = as_radiance(err_map, "error map")
+    err = _float64(err_map, "error map", "radiance")
     lum = luminance(ldr_input.data)
     if err.shape != lum.shape:
         raise ShapeError("error map and input shapes differ")

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (_GAIN_STOPS, _float64, _int_at_least, _number, _numbers, _radiance,
-                    as_radiance, luminance)
+from .color import _GAIN_STOPS, _float64, _int_at_least, _number, _numbers, _radiance, luminance
 from .errors import DomainError, ItmError, RangeError
 from .image_io import (LDR_ENCODERS, LINEAR_WRITERS, LinearImage, Ldr8Image, index_linear_dir,
                        ordered_map, read_linear, write_ldr8, write_linear)
@@ -197,7 +196,7 @@ def simulate_ldr(hdr, ev: float, crf: Crf, noise: NoiseParams = NoiseParams(),
     if seed >= 2**128:
         raise DomainError(f"seed must be below 2**128, the size of Philox's key; got {seed!r}")
     # a float32 image's copy is reused: numpy elides the unnamed temporary
-    exposed = as_radiance(hdr, "camera input") * 2.0**ev
+    exposed = _float64(hdr, "camera input", "radiance") * 2.0**ev
     if noise.sigma_read > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         exposed += noise.sigma_read * rng.standard_normal(exposed.shape)

@@ -23,14 +23,15 @@ _ABOVE_0, _BELOW_1 = float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0)
 # The ranges a value is checked against where it enters: (low, high, what "<name> must" says).
 # Radiance stays below 2^128 and a signed field within +-float32's top, and each gain on either
 # (exposure, mu, display scale, noise level, residual; mask sharpness) at 2^896, so no product
-# of the two exceeds 2^1024 - 2^1000. `finite` is for data clamped before any arithmetic; the
-# rows after it are for scalar settings (`_number`).
+# of the two exceeds 2^1024 - 2^1000. `finite` is for data clamped before any arithmetic and
+# `byte` for 8-bit pixels; the rows after them are for scalar settings (`_number`).
 _RANGES = {
     "radiance": (0.0, _F32_MAX, "be finite and non-negative and lie within float32's range"),
     "signed": (-_F32_MAX, _F32_MAX, "be finite and lie within float32's range"),
     "unit": (0.0, 1.0, "be finite and must lie in [0, 1]"),
     "gain": (-_GAIN_MAX, _GAIN_MAX, "be finite and at most 2**896 in magnitude"),
     "finite": (-_F64_MAX, _F64_MAX, "be finite"),
+    "byte": (0.0, 255.0, "lie in [0, 255]"),
     "positive gain": (_ABOVE_0, _GAIN_MAX, "be finite and positive, at most 2**896"),
     "non-negative gain": (0.0, _GAIN_MAX, "be finite and non-negative, at most 2**896"),
     "positive": (_ABOVE_0, _F64_MAX, "be finite and positive"),
@@ -117,16 +118,13 @@ def _float64(x, name: str, within: str) -> np.ndarray:
     return np.asarray(_radiance(x, name, within), dtype=np.float64)
 
 
-def as_radiance(x, name: str) -> np.ndarray:
-    """`x` (a LinearImage or an array) as float64, checked as `_radiance` checks it."""
-    return _float64(x, name, "radiance")
-
-
-def check_same_shape(a, b) -> None:
-    """Raise ShapeError unless `a` and `b` (LinearImages or arrays) share a shape."""
+def _pair(a, b, name: str) -> tuple:
+    """`a` and `b` (LinearImages or arrays) checked as `_radiance` checks them and not
+    converted; first a ShapeError unless they share a shape."""
     sa, sb = np.shape(_pixels(a)), np.shape(_pixels(b))
     if sa != sb:
         raise ShapeError(f"image shapes differ: {sa} vs {sb}")
+    return _radiance(a, name), _radiance(b, name)
 
 
 def luminance(rgb):
@@ -210,5 +208,5 @@ class DisplayMapping:
 
 def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
     """Scale relative radiance by `mapping.scale` and clamp at the black floor, in a new array."""
-    display = as_radiance(image, "display mapping input") * mapping.scale
+    display = _float64(image, "display mapping input", "radiance") * mapping.scale
     return np.maximum(display, mapping.black_floor, out=display if display.ndim else None)

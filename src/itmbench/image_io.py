@@ -73,9 +73,8 @@ class Ldr8Image(_Raster):
         if self.data.dtype != np.uint8:
             if not np.issubdtype(self.data.dtype, np.integer):
                 raise FormatError("8-bit image data must be integer")
-            if self.data.min() < 0 or self.data.max() > 255:
-                raise FormatError("8-bit image values must lie in [0, 255]")
-            self.data = self.data.astype(np.uint8)
+            self.data = _radiance(self.data, "8-bit image values", "byte",
+                                  error=FormatError).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

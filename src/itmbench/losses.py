@@ -20,8 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .color import (MuLawParams, _float64, _number, _numbers, _radiance, check_same_shape,
-                    luminance, mu_law)
+from .color import (MuLawParams, _float64, _number, _numbers, _pair, _radiance, luminance,
+                    mu_law)
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -47,13 +47,10 @@ def recon_loss(preds, gt) -> float:
     if not preds:
         raise DomainError("recon_loss needs at least one stage output")
     n = len(preds)
-    gt_c = mu_law(_radiance(gt, "loss inputs"), _RECON_MU)
+    gt_c = mu_law(_pair(preds[0], gt, "loss inputs")[1], _RECON_MU)
     total = 0.0
     for i, pred in enumerate(preds, start=1):
-        a = _radiance(pred, "loss inputs")
-        if a.shape != gt_c.shape:
-            raise ShapeError("stage output shape does not match ground truth")
-        diff = mu_law(a, _RECON_MU)
+        diff = mu_law(_pair(pred, gt, "loss inputs")[0], _RECON_MU)
         diff -= gt_c
         total += (i / n) * float(np.mean(np.abs(diff, out=diff)))
     return total
@@ -61,7 +58,7 @@ def recon_loss(preds, gt) -> float:
 
 def linear_l1(pred, gt) -> float:
     """Mean absolute error in linear space."""
-    a, b = _pair(pred, gt)
+    a, b = _pair(pred, gt, "loss inputs")
     diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
     return float(np.mean(np.abs(diff, out=diff)))
 
@@ -73,7 +70,7 @@ def denoise_loss(denoised, gt) -> float:
 
 def ssim_pu_loss(pred, gt) -> float:
     """1 - SSIM on PU-approximated luminance (`mu_law`, c = mu = 10000), shared SSIM kernel."""
-    a, b = _pair(pred, gt)
+    a, b = _pair(pred, gt, "loss inputs")
     la = mu_law(luminance(a), _SSIM_PU)
     lb = mu_law(luminance(b), _SSIM_PU)
     return 1.0 - ssim_mean(la, lb, data_range=1.0)
@@ -81,7 +78,7 @@ def ssim_pu_loss(pred, gt) -> float:
 
 def color_loss(pred, gt) -> float:
     """L1 over the three log-ratio channels R/G, G/B, B/R; invariant to global exposure."""
-    a, b = _pair(pred, gt)
+    a, b = _pair(pred, gt, "loss inputs")
     if a.shape[-1] != 3:
         raise ShapeError("color_loss expects RGB images")
 
@@ -105,12 +102,6 @@ def tv_loss(pred) -> float:
     """Anisotropic total variation: mean |forward horizontal diff| + mean |vertical diff|."""
     a = _radiance(pred, "loss inputs")
     return float(np.mean(_abs_diff(a[:, 1:], a[:, :-1])) + np.mean(_abs_diff(a[1:], a[:-1])))
-
-
-def _pair(pred, gt) -> tuple:
-    """Two loss inputs of one shape, checked and not converted."""
-    check_same_shape(pred, gt)
-    return _radiance(pred, "loss inputs"), _radiance(gt, "loss inputs")
 
 
 def _abs_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -142,7 +133,7 @@ def upf_loss(pred, gt) -> float:
     pixel's nearest-center vote, which is kept: radiance's log range spaces the
     centers at most ~17 sigma apart, so that vote is at least e^-37.
     """
-    a, b = _pair(pred, gt)
+    a, b = _pair(pred, gt, "loss inputs")
     la, lb = _log_luminance(a), _log_luminance(b)
     h, w = la.shape
     p = _UPF_PATCH

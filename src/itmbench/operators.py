@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Crf
-from .color import _float64, _int_at_least, _number, _numbers, _radiance, as_radiance, luminance
+from .color import _float64, _int_at_least, _number, _numbers, _radiance, luminance
 from .errors import DomainError, ShapeError
 from .image_io import LinearImage, Ldr8Image
 
@@ -116,7 +116,7 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
     `weights` is a triple of scalars or (H, W) fields forming a per-pixel
     simplex; None means uniform 1/3 each.
     """
-    data = as_radiance(image, "fusion input")
+    data = _float64(image, "fusion input", "radiance")
     h, w = data.shape[:2]
     if weights is None:
         weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -135,7 +135,7 @@ def fuse_exposures(image, masks: MaskTriple, weights=None) -> LinearImage:
 def residual_project(image, gain: float, residual) -> LinearImage:
     """out = img * (1 + gain * residual), clamped at zero; the residual is a gain, |r| <= 2**896."""
     gain = _number(gain, "gain", "unit")
-    data = as_radiance(image, "residual projection input")
+    data = _float64(image, "residual projection input", "radiance")
     res = _float64(residual, "residual", "gain")
     if res.ndim == 2:
         res = res[..., None]

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (DisplayMapping, _float64, _luma, _number, _numbers, _radiance,
-                    check_same_shape, to_display_luminance)
+from .color import (DisplayMapping, _float64, _luma, _number, _numbers, _pair, _radiance,
+                    to_display_luminance)
 from .errors import ConfigError, DomainError, ItmError, ShapeError
 from .image_io import LINEAR_READERS, index_linear_dir, ordered_map, read_linear
 
@@ -160,6 +160,9 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     Both fields must be finite and within float32's top in magnitude, and
     `data_range` in [2^-126, float32's top], so the constants (K data_range)^2
     are normal floats and no statistic reaches 2^600: nothing leaves float64.
+    Each variance is E[x^2] - E[x]^2, rounded by about 2^-53 x^2, so |field|
+    must also be at most 2^16 data_range: the rounding stays near 2^-21
+    data_range^2, under 1e-3 of (K2 data_range)^2.
     """
     x, y = _float64(x, "SSIM inputs", "signed"), _float64(y, "SSIM inputs", "signed")
     if x.shape != y.shape:
@@ -167,6 +170,9 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
     data_range = _number(data_range, "SSIM data_range", "data range")
+    bound = 2.0**16 * data_range
+    if not all(-bound <= float(f.min()) and float(f.max()) <= bound for f in (x, y)):
+        raise DomainError("SSIM inputs must be at most 2**16 * data_range in magnitude")
     w = _gaussian_window()
     mx = _windowed_mean(x, w)
     my = _windowed_mean(y, w)
@@ -204,11 +210,10 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
     enc = encoding or PuEncoding.default()
     table = None  # built by the first image that takes it
 
-    def encode(image):
+    def encode(data):
         # the display field is a new array, which the PU encode overwrites; the luma
         # is display-mapped and weighted one channel at a time, with no RGB display
         nonlocal table
-        data = _radiance(image, "display mapping input")
         if luma:
             return _encode_owned(_luma(data, mapping), enc)
         if data.dtype == np.float32:
@@ -222,8 +227,8 @@ def pu_fields(pred, gt, encoding: PuEncoding | None = None,
                 return table[half]
         return _encode_owned(to_display_luminance(data, mapping), enc)
 
-    check_same_shape(pred, gt)
-    return encode(pred), encode(gt), pu_encode(mapping.peak_luminance, encoding)
+    a, b = _pair(pred, gt, "display mapping input")
+    return encode(a), encode(b), pu_encode(mapping.peak_luminance, encoding)
 
 
 def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
@@ -240,14 +245,19 @@ def pu_psnr(pred, gt, encoding: PuEncoding | None = None,
 def pu_ssim(pred, gt, encoding: PuEncoding | None = None,
             mapping: DisplayMapping = DisplayMapping()) -> float:
     """Mean SSIM of PU-encoded display luminance (single channel)."""
-    la, lb, peak = pu_fields(pred, gt, encoding, mapping, luma=True)
+    # the fields lie within the PU values of y_min and y_max, the data range is the peak's
+    enc = encoding or PuEncoding.default()
+    ends = np.abs(_pu_forward(np.array([enc.y_min, enc.y_max]), enc.p))
+    if not 2.0**16 * pu_encode(mapping.peak_luminance, enc) >= float(ends.max()):
+        raise DomainError("peak_luminance must PU-encode to at least 2**-16 of the "
+                          "encoding's largest PU magnitude for SSIM")
+    la, lb, peak = pu_fields(pred, gt, enc, mapping, luma=True)
     return ssim_mean(la, lb, data_range=peak)
 
 
 def rmse_linear(pred, gt) -> float:
     """Root mean square error in the linear HDR domain."""
-    check_same_shape(pred, gt)
-    a, b = _radiance(pred, "linear RMSE inputs"), _radiance(gt, "linear RMSE inputs")
+    a, b = _pair(pred, gt, "linear RMSE inputs")
     diff = np.subtract(a, b, out=np.empty(a.shape), dtype=np.float64)
     diff **= 2
     return float(np.sqrt(np.mean(diff)))

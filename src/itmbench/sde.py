@@ -33,6 +33,11 @@ class SdeSchedule:
         object.__setattr__(self, "dt", _number(self.dt, "dt", "positive"))
         if len(self.theta) != len(self.sigma) or not self.theta:
             raise DomainError("theta and sigma must be equal-length and non-empty")
+        # both are non-negative, so the largest bounds every step; sigma * sigma: 1e200 ** 2 raises
+        theta, sigma = max(self.theta), max(self.sigma)
+        for name, factor in (("theta", theta * self.dt), ("sigma**2", sigma * sigma * self.dt)):
+            if factor > 1.0:
+                raise DomainError(f"{name} * dt must be at most 1 at every step; got {factor!r}")
 
     @property
     def steps(self) -> int:
@@ -93,8 +98,8 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, off
     """Standard-normal noise of one simulation, one 4-step block at a time.
 
     Returns `block(m)`: an array (4, n_traj, dim) whose row s is the noise of
-    step 4m + s. Every block is written into one buffer, allocated at the
-    first call, so a returned block is valid only until the next call.
+    step 4m + s. Every block is written into one buffer, allocated here, so a
+    returned block is valid only until the next call.
     With mix SplitMix64's finalizer, gamma its increment, arithmetic mod
     2^64 and K a key derived from `seed`, trajectory k of block m has the
     stream seed S = mix(mix(K + (2m + stream + 1) gamma) + (k + 1) gamma),
@@ -119,17 +124,13 @@ def _noise_blocks(seed: int, stream: int, n_traj: int, dim: int, steps: int, off
     # its words are one sum of a stream-seed column and an element row.
     nj = min(dim, _LANE_CHUNK)
     nk = min(n_traj, max(1, _LANE_CHUNK // nj))
-    bufs = None
+    lane = np.arange(2 * offset, 2 * (offset + dim), 2, dtype=np.uint64)
+    k_inc = np.arange(1, n_traj + 1, dtype=np.uint64) * _GAMMA
+    lane_inc = (lane + np.array([[1], [2]], dtype=np.uint64)) * _GAMMA
+    seeds, out = np.empty((2, n_traj), np.uint64), np.empty((4, n_traj, dim))
+    z, t = np.empty((2, 2, nk, nj), np.uint64)
 
     def block(m: int) -> np.ndarray:
-        nonlocal bufs
-        if bufs is None:
-            lane = np.arange(2 * offset, 2 * (offset + dim), 2, dtype=np.uint64)
-            bufs = (np.arange(1, n_traj + 1, dtype=np.uint64) * _GAMMA,
-                    (lane + np.array([[1], [2]], dtype=np.uint64)) * _GAMMA,
-                    np.empty((2, n_traj), np.uint64), np.empty((4, n_traj, dim)),
-                    *np.empty((2, 2, nk, nj), np.uint64))
-        k_inc, lane_inc, seeds, out, z, t = bufs
         pairs = out.reshape(2, 2, n_traj, dim)  # pairs[h, 0] and [h, 1]: rows 2h and 2h + 1
         seeds[0].fill((key + (2 * m + stream + 1) * int(_GAMMA)) % 2**64)
         _mix64(seeds[0], seeds[1])

@@ -398,9 +398,13 @@ class TestContainers:
         with pytest.raises(ShapeError):
             LinearImage(np.zeros((4, 4), dtype=np.float32))
 
-    def test_ldr8_range_checked(self):
-        with pytest.raises(FormatError):
-            Ldr8Image(np.full((1, 1, 3), 300, dtype=np.int32))
+    @pytest.mark.parametrize("value, dtype", [(300, np.int32), (-1, np.int16), (256, np.int16),
+                                              (2**63, np.uint64), (-(2**63), np.int64)])
+    def test_ldr8_range_checked(self, value, dtype):
+        # the `byte` row of color's range table; the ends of [0, 255] are accepted
+        with pytest.raises(FormatError, match=r"^8-bit image values must lie in \[0, 255\]$"):
+            Ldr8Image(np.array([[[0, value, 255]]], dtype=dtype))
+        assert Ldr8Image(np.array([[[0, 9, 255]]], dtype=dtype)).data.tolist() == [[[0, 9, 255]]]
 
     def test_errors_share_base_class(self):
         assert issubclass(ParseError, ItmError)

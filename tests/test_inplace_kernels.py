@@ -5,7 +5,7 @@ work buffers they allocate themselves; the color and loss kernels, the luma
 path of `pu_fields` and `rmse_linear` read float32 (or integer) data as it is
 and upcast it in their first operation. Three things are pinned here:
 
-- no public function writes an array its caller passed in (`as_radiance` and
+- no public function writes an array its caller passed in (`_float64` and
   the other range checks of `color` hand a float64 array through without
   copying it);
 - every result is bit-identical to the expressions below, which are the

@@ -141,6 +141,38 @@ def test_mismatched_shapes_are_a_shape_error(images, name, position):
         _call(name, args)
 
 
+# the public entry points that check their two images through `color._pair`, each with the name
+# its range message gives the images
+PAIRED = {"recon_loss": "loss inputs", "linear_l1": "loss inputs", "color_loss": "loss inputs",
+          "ssim_pu_loss": "loss inputs", "upf_loss": "loss inputs",
+          "rmse_linear": "linear RMSE inputs",
+          "pu_psnr": "display mapping input", "pu_ssim": "display mapping input",
+          "error_map": "display mapping input"}
+
+
+@pytest.mark.parametrize("name", PAIRED)
+def test_pair_check_takes_shapes_first_then_each_image(images, name):
+    a, b = (image.data for image in images)
+    bad = b.copy()
+    bad[3, 5, 1] = np.nan
+    for x, y in [(a[:, :-1], bad), (bad, a[:-1]), (images[0], LinearImage(b[1:]))]:
+        shapes = f"{np.shape(getattr(x, 'data', x))} vs {np.shape(getattr(y, 'data', y))}"
+        with pytest.raises(ShapeError, match=f"^image shapes differ: {re.escape(shapes)}$"):
+            _call(name, [x, y])
+    with pytest.raises(DomainError, match=f"^{PAIRED[name]} must be finite and non-negative"):
+        _call(name, [a, bad])
+
+
+def test_every_recon_stage_takes_the_pair_check(images):
+    a, b = (image.data for image in images)
+    bad = a.copy()
+    bad[3, 5, 1] = np.nan
+    with pytest.raises(ShapeError, match=re.escape(f"image shapes differ: {bad[:-1].shape} vs")):
+        losses.recon_loss([a, bad[:-1]], b)
+    with pytest.raises(DomainError, match="^loss inputs must be finite and non-negative"):
+        losses.recon_loss([a, bad], b)
+
+
 @pytest.mark.parametrize("name", [*UNARY, *BINARY])
 def test_linear_image_and_its_data_agree(images, name):
     from_images = _call(name, images)
@@ -222,9 +254,36 @@ def test_ssim_data_range_whose_constants_leave_float64_is_a_domain_error(data_ra
 
 def test_ssim_extremes_of_its_bounds_stay_finite():
     top = np.full((16, 16), F32_MAX)
-    for x, y, data_range in [(top, -top, 2.0**-126), (top, top, F32_MAX),
+    for x, y, data_range in [(top, top, F32_MAX),
                              (np.zeros((16, 16)), np.zeros((16, 16)), 2.0**-126)]:
         assert np.isfinite(ssim_mean(x, y, data_range))
+    # opposite constant fields at the bound |field| <= 2^16 data_range: SSIM near -1
+    edge = np.full((16, 16), 2.0**16)
+    assert ssim_mean(edge, -edge, 1.0) == pytest.approx(-1.0, abs=0.005)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level, data_range", [
+    (3e38, 1.0),  # E[x^2] - E[x]^2 rounded the variances away: opposite fields gave SSIM 1.0
+    (F32_MAX, 2.0**-126),
+    (math.nextafter(2.0**16, math.inf), 1.0),
+])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ssim_field_beyond_two_to_the_16_data_ranges_is_a_domain_error(level, data_range, sign):
+    field = np.full((16, 16), sign * level)
+    for x, y in [(field, -field), (np.zeros((16, 16)), field)]:
+        with pytest.raises(DomainError, match=r"^SSIM inputs must be at most 2\*\*16 \* data_range"):
+            ssim_mean(x, y, data_range)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pu_ssim_peak_too_dim_for_the_ssim_bound_names_peak_luminance():
+    # PU(0.0050001 cd/m^2) is 8.2e-5, under 2^-16 of PU(y_max) = 511: `ssim_mean` raised a
+    # message naming neither the mapping nor its peak; 0.00501 cd/m^2 still scores
+    bright, ones = np.full((16, 16, 3), 1e6), np.ones((16, 16, 3))
+    with pytest.raises(DomainError, match="^peak_luminance must PU-encode to at least 2\\*\\*-16"):
+        pu_ssim(bright, ones, mapping=DisplayMapping(peak_luminance=0.0050001))
+    assert np.isfinite(pu_ssim(bright, ones, mapping=DisplayMapping(peak_luminance=0.00501)))
 
 
 @pytest.mark.parametrize("level, gammas, lam", [(3e38, [1e308], 0.0), (3e38, [1e308] * 2, 0.0),
@@ -378,11 +437,12 @@ SETTINGS = {
     "pu_y_max": (lambda v: PuEncoding(_P, y_max=v), POSITIVE, 1.0, lambda o: o.y_max, "y_max"),
     "data_range": (lambda v: ssim_mean(_ZEROS, _ZEROS, v), DATA_RANGE, 1.0, None,
                    "SSIM data_range"),
-    "sde_theta": (lambda v: SdeSchedule((v,), (0.1,), 0.01), POSITIVE, 1.0, lambda o: o.theta[0],
-                  "theta"),
-    "sde_sigma": (lambda v: SdeSchedule((1.0,), (v,), 0.01), NON_NEGATIVE, 1.0,
+    # a step's theta * dt and sigma**2 * dt are at most 1: at dt = 1/4, theta <= 4 and sigma <= 2
+    "sde_theta": (lambda v: SdeSchedule((v,), (0.1,), 0.25), (_TINY, 4.0), 1.0,
+                  lambda o: o.theta[0], "theta"),
+    "sde_sigma": (lambda v: SdeSchedule((1.0,), (v,), 0.25), (0.0, 2.0), 1.0,
                   lambda o: o.sigma[0], "sigma"),
-    "sde_dt": (lambda v: SdeSchedule((1.0,), (0.1,), v), POSITIVE, 1.0, lambda o: o.dt, "dt"),
+    "sde_dt": (lambda v: SdeSchedule((_TINY,), (0.0,), v), POSITIVE, 1.0, lambda o: o.dt, "dt"),
 }
 NOT_NUMBERS = {"abc": "abc", "None": None, "1j": 1j, "complex128": np.complex128(1),
                "list": [1.0], "array": np.array([1.0]), "10**400": 10**400, "nan": np.nan,
@@ -422,6 +482,27 @@ def test_mask_logits_far_apart_are_a_domain_error_with_no_overflow(sign):
         MaskParams(theta=(sign * 1e308, -sign * 1e308))
     with pytest.raises(DomainError, match="^thresholds must"):
         MaskParams(theta=(sign * 2.0**1022, -sign * 2.0**1022))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta, sigma, dt, name", [
+    ((1e300,) * 4, (0.1,) * 4, 1e10, "theta"),  # forward_simulate overflowed in a product
+    ((1.0,) * 4, (1e200,) * 4, 0.1, "sigma"),  # forward_simulate returned a state of -5e198
+    ((0.1, 0.1, 4.0), (0.1,) * 3, 0.5, "theta"),  # the last step alone
+    ((1.0,) * 3, (0.1, 2.0, 0.1), 0.5, "sigma"),
+])
+def test_sde_step_beyond_one_is_a_domain_error_naming_its_coefficient(theta, sigma, dt, name):
+    with pytest.raises(DomainError, match=rf"^{name}\b.* must be at most 1 at every step"):
+        SdeSchedule(theta, sigma, dt)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sde_steps_at_one_are_accepted_with_no_warning():
+    # theta dt = sigma^2 dt = 1 at every step, and the cosine schedule well inside
+    sched = SdeSchedule((4.0,) * 4, (2.0,) * 4, 0.25)
+    assert np.isfinite(forward_simulate(np.array([0.5]), 0.0, sched)).all()
+    cosine = SdeSchedule.cosine(100)
+    assert max(cosine.theta) * cosine.dt < 0.11 and max(cosine.sigma) ** 2 * cosine.dt < 0.003
 
 
 # PU21 banding+glare (Mantiuk & Azimi, PCS 2021), exponent third and denominator fourth

@@ -614,14 +614,25 @@ class TestArgumentValidation:
         with pytest.raises(DomainError):
             backward_simulate(0.0, 0.0, sched, lambda x, s: 0.0, seed=-1)
 
-    def test_counter_words_never_wrap(self):
+    def test_counter_words_never_wrap(self, monkeypatch):
         sched = _constant(1.0, 0.1, 0.01, 5)
         with pytest.raises(DomainError):
             forward_simulate(0.0, 0.0, sched, n_traj=2**32)
         for n_traj, dim, steps in ((2**32, 1, 4), (1, 2**32, 4), (1, 1, 4 * 2**32)):
             with pytest.raises(DomainError):
                 sde._noise_blocks(0, 0, n_traj, dim, steps)
-        sde._noise_blocks(0, 0, 2**32 - 1, 2**32 - 1, 4 * 2**32 - 1)  # largest accepted
+
+        class Built(Exception):
+            pass
+
+        def arange(*args, **kwargs):
+            raise Built
+
+        # the largest accepted: a build allocates its buffers (np.arange first) once the
+        # bounds pass, so reaching the allocation shows they let the call through
+        monkeypatch.setattr(sde.np, "arange", arange)
+        with pytest.raises(Built):
+            sde._noise_blocks(0, 0, 2**32 - 1, 2**32 - 1, 4 * 2**32 - 1)
 
     def test_offset_keeps_element_words_below_2_32(self):
         sched = _constant(1.0, 0.1, 0.01, 5)

@@ -45,6 +45,11 @@ COMMANDS = [
     ("synthesize_gamma", ["synthesize", "--hdr-dir", "in/gt", "--seed", "6",
                           "--config", "in/gamma.ini"]),
     ("synthesize_identity", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/identity.ini"]),
+    # a 12 px crop of every source, at a drawn offset and at the center
+    ("synthesize_crop_random", ["synthesize", "--hdr-dir", "in/gt", "--count", "2", "--seed", "7",
+                                "--config", "in/crop_random.ini"]),
+    ("synthesize_crop_center", ["synthesize", "--hdr-dir", "in/gt", "--config",
+                                "in/crop_center.ini"]),
     ("score_j2", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "2"]),
     ("score_jobs0", ["score", "--pred", "in/pred", "--gt", "in/gt", "--jobs", "0"]),
     ("score_bad_config", ["score", "--pred", "in/pred", "--gt", "in/gt",
@@ -129,6 +134,8 @@ def write_inputs(root: Path, size: int):
     (root / "gamma.ini").write_text("[synth]\ncrf_family = gamma\n")
     (root / "identity.ini").write_text("[synth]\ncrf_family = identity\n")
     (root / "nan.ini").write_text("[synth]\nsat_frac = nan\n")
+    for mode in ("random", "center"):
+        (root / f"crop_{mode}.ini").write_text(f"[synth]\ncrop = 12\ncrop_mode = {mode}\n")
     table = np.cumsum(np.random.default_rng(256).uniform(0.2, 1.0, 256))
     (root / "crf.txt").write_text("".join(f"{v!r}\n" for v in table.tolist()))
     (root / "sde").mkdir()
