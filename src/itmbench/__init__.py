@@ -11,8 +11,7 @@ from .errors import (ConfigError, DomainError, FormatError, InputError, ItmError
                      ParseError, RangeError, ShapeError)
 from .image_io import (LinearImage, Ldr8Image, read_hdr, read_ldr8, read_pfm,
                        write_hdr, write_ldr8, write_pfm)
-from .color import (DisplayMapping, MuLawParams, luminance, mu_law,
-                    to_display_luminance)
+from .color import DisplayMapping, luminance, mu_law, to_display_luminance
 from .pu21 import (MetricReport, PuEncoding, pu_encode, pu_psnr, pu_ssim,
                    rank_teams, rmse_linear, score_dataset)
 from .camera import (Crf, ExposureRange, NoiseParams, SynthesisRecord,

@@ -22,7 +22,7 @@ _GAIN_MAX = 2.0**_GAIN_STOPS
 _ABOVE_0, _BELOW_1 = float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0))  # open ends
 # The ranges a value is checked against where it enters: (low, high, what "<name> must" says).
 # Radiance stays below 2^128 and a signed field within +-float32's top, and each gain on either
-# (exposure, mu, display scale, noise level, residual; mask sharpness) at 2^896, so no product
+# (exposure, mu, display peak, noise level, residual; mask sharpness) at 2^896, so no product
 # of the two exceeds 2^1024 - 2^1000. `finite` is for data clamped before any arithmetic and
 # `byte` for 8-bit pixels; the rows after them are for scalar settings (`_number`).
 _RANGES = {
@@ -118,13 +118,13 @@ def _float64(x, name: str, within: str) -> np.ndarray:
     return np.asarray(_radiance(x, name, within), dtype=np.float64)
 
 
-def _pair(a, b, name: str) -> tuple:
-    """`a` and `b` (LinearImages or arrays) checked as `_radiance` checks them and not
-    converted; first a ShapeError unless they share a shape."""
+def _pair(a, b, name: str, within: str = "radiance") -> tuple:
+    """`a` and `b` (LinearImages or arrays) checked as `_radiance` checks them against the
+    range `within` and not converted; first a ShapeError unless they share a shape."""
     sa, sb = np.shape(_pixels(a)), np.shape(_pixels(b))
     if sa != sb:
         raise ShapeError(f"image shapes differ: {sa} vs {sb}")
-    return _radiance(a, name), _radiance(b, name)
+    return _radiance(a, name, within), _radiance(b, name, within)
 
 
 def luminance(rgb):
@@ -147,7 +147,7 @@ def _luma(arr: np.ndarray, mapping: DisplayMapping | None = None) -> np.ndarray:
         if mapping is None:
             np.multiply(arr[..., k], weight, out=channel, dtype=np.float64)
         else:
-            np.multiply(arr[..., k], mapping.scale, out=channel, dtype=np.float64)
+            np.multiply(arr[..., k], mapping.peak_luminance, out=channel, dtype=np.float64)
             np.maximum(channel, mapping.black_floor, out=channel)
             channel *= weight
         if k:
@@ -155,28 +155,19 @@ def _luma(arr: np.ndarray, mapping: DisplayMapping | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MuLawParams:
-    """mu-law compressor constant (paper value 5000), a gain on radiance."""
-
-    mu: float = 5000.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _number(self.mu, "mu", "positive gain"))
-
-
-def mu_law(x, params: MuLawParams = MuLawParams()):
+def mu_law(x, mu: float = 5000.0):
     """R_mu(x) = log(1 + mu*x) / log(1 + mu); strictly increasing, 0 -> 0, 1 -> 1.
 
-    The domain is radiance, x in [0, float32's top], so HDR predictions above
-    1 map above 1. The log base cancels in the ratio, so with mu = 10000 this
-    is the log10 PU approximation log10(1 + c*x) / log10(1 + c), c = 10000,
-    of `losses.ssim_pu_loss`.
+    `mu` (paper value 5000) is a gain on radiance. The domain is radiance, x in
+    [0, float32's top], so HDR predictions above 1 map above 1. The log base
+    cancels in the ratio, so with mu = 10000 this is the log10 PU approximation
+    log10(1 + c*x) / log10(1 + c), c = 10000, of `losses.ssim_pu_loss`.
     """
+    mu = _number(mu, "mu", "positive gain")
     arr = _radiance(x, "mu-law input")
-    out = np.multiply(arr, params.mu, out=np.empty(arr.shape), dtype=np.float64)
+    out = np.multiply(arr, mu, out=np.empty(arr.shape), dtype=np.float64)
     np.log1p(out, out=out)
-    out /= np.log1p(params.mu)
+    out /= np.log1p(mu)
     return out if out.ndim else float(out)
 
 
@@ -190,23 +181,17 @@ class DisplayMapping:
 
     peak_luminance: float = 1000.0
     black_floor: float = 0.005
-    reference_white: float = 1.0
 
     def __post_init__(self):
-        for name, within in (("peak_luminance", "positive"), ("black_floor", "finite"),
-                             ("reference_white", "positive")):
+        for name, within in (("peak_luminance", "positive gain"), ("black_floor", "finite")):
             object.__setattr__(self, name, _number(getattr(self, name), name, within))
         if not (0 < self.black_floor < self.peak_luminance):
             raise DomainError("require 0 < black_floor < peak_luminance")
-        _number(self.scale, "peak_luminance / reference_white", "positive gain")
-
-    @property
-    def scale(self) -> float:
-        """Display luminance of relative radiance 1.0 before the black floor."""
-        return self.peak_luminance / self.reference_white
 
 
-def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()) -> np.ndarray:
-    """Scale relative radiance by `mapping.scale` and clamp at the black floor, in a new array."""
-    display = _float64(image, "display mapping input", "radiance") * mapping.scale
-    return np.maximum(display, mapping.black_floor, out=display if display.ndim else None)
+def to_display_luminance(image, mapping: DisplayMapping = DisplayMapping()):
+    """Scale relative radiance by `mapping.peak_luminance` and clamp at the black floor, in a
+    new array (a Python float for a 0-d input)."""
+    display = _float64(image, "display mapping input", "radiance") * mapping.peak_luminance
+    out = np.maximum(display, mapping.black_floor, out=display if display.ndim else None)
+    return out if out.ndim else float(out)

@@ -20,8 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .color import (MuLawParams, _float64, _number, _numbers, _pair, _radiance, luminance,
-                    mu_law)
+from .color import _number, _numbers, _pair, _radiance, luminance, mu_law
 from .errors import DomainError, ShapeError
 from .pu21 import ssim_mean
 
@@ -33,8 +32,8 @@ EPS_LOG = 1e-8
 WEIGHTS = MappingProxyType({"alpha_perc": 0.1, "gamma_ssim": 0.1, "gamma_color": 0.05,
                             "lambda_linear": 0.1, "alpha_denoise": 0.1, "alpha_upf": 0.1,
                             "gamma_tv": 0.1})
-_RECON_MU = MuLawParams(5000.0)
-_SSIM_PU = MuLawParams(10000.0)  # PU approximation log10(1 + c x) / log10(1 + c), c = 10^4
+_RECON_MU = 5000.0
+_SSIM_PU = 10000.0  # PU approximation log10(1 + c x) / log10(1 + c), c = 10^4
 # Unified patch fidelity: patch side, focal exponent, histogram bins and vote sigma.
 _UPF_PATCH = 16
 _UPF_FOCAL_GAMMA = 1.5
@@ -242,10 +241,10 @@ def score_matching_loss(trajectory, gammas, lam: float = 0.0) -> float:
         raise DomainError("gammas length must match the trajectory")
     lam, total = _number(lam, "lam", "non-negative"), 0.0
     for (x, x_star), gamma in zip(trajectory, gammas):
-        a, b = (_float64(v, "trajectory entries", "signed") for v in (x, x_star))
-        if a.shape != b.shape or not a.size:  # an empty pair has no mean
-            raise ShapeError(f"trajectory pair shapes differ or are empty: {a.shape}, {b.shape}")
-        term = float(np.mean(np.abs(a - b)))
+        a, b = _pair(x, x_star, "trajectory entries", "signed")
+        if not a.size:  # an empty pair has no mean
+            raise ShapeError("trajectory entries must not be empty")
+        term = float(np.mean(np.abs(np.subtract(a, b, dtype=np.float64))))
         if lam > 0:
             term += lam * (1.0 - ssim_mean(a, b, data_range=1.0))
         total += gamma * term

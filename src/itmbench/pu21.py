@@ -139,10 +139,10 @@ def pu_decode(v, encoding: PuEncoding | None = None):
 # SSIM / PSNR kernels
 
 
-def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    x = np.arange(size) - half
-    g = np.exp(-(x**2) / (2.0 * sigma**2))
+def _gaussian_window() -> np.ndarray:
+    half = (SSIM_WINDOW - 1) / 2.0
+    x = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(x**2) / (2.0 * SSIM_SIGMA**2))
     return g / g.sum()
 
 
@@ -164,9 +164,7 @@ def ssim_mean(x: np.ndarray, y: np.ndarray, data_range: float) -> float:
     must also be at most 2^16 data_range: the rounding stays near 2^-21
     data_range^2, under 1e-3 of (K2 data_range)^2.
     """
-    x, y = _float64(x, "SSIM inputs", "signed"), _float64(y, "SSIM inputs", "signed")
-    if x.shape != y.shape:
-        raise ShapeError(f"SSIM inputs differ in shape: {x.shape} vs {y.shape}")
+    x, y = (np.asarray(f, dtype=np.float64) for f in _pair(x, y, "SSIM inputs", "signed"))
     if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"SSIM needs a 2-D image at least {SSIM_WINDOW} px per side")
     data_range = _number(data_range, "SSIM data_range", "data range")

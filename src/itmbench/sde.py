@@ -346,7 +346,7 @@ def itm_sde_demo(ldr: LinearImage, hdr_gt: LinearImage, steps: int = 100,
                                               seed=seed, offset=lo)[0]
 
     restored_pu = np.clip(restored_u, 0.0, 1.0).reshape(u_gt.shape) * peak
-    decoded = pu_decode(restored_pu, encoding) / mapping.scale
+    decoded = pu_decode(restored_pu, encoding) / mapping.peak_luminance
     restored = LinearImage(np.clip(decoded, 0.0, None).astype(np.float32))
 
     error_map = np.mean(np.abs(restored_pu - u_gt * peak), axis=-1)

@@ -216,6 +216,20 @@ class TestConfigErrors:
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "--hdr-dir", "hdr"], ["score", "--pred", "pred", "--gt", "gt"],
+        ["analyze", "--pred", "a.hdr", "--gt", "b.hdr"], ["sde-demo", "--steps", "4"],
+    ], ids=["synthesize", "score", "analyze", "sde-demo"])
+    def test_reference_white_is_an_unknown_key(self, tmp_path, capsys, command):
+        # relative radiance 1.0 is the display peak: another white point rescales the data.
+        # Every command that takes --config rejects the key before it reads any input.
+        cfg = tmp_path / "white.cfg"
+        cfg.write_text("[display]\nreference_white = 1.0\n")
+        code = main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown key 'reference_white' in [display]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_section_is_exit_two(self, tmp_path, hdr_sources):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[mystery]\nx = 1\n")
@@ -241,10 +255,9 @@ class TestConfigErrors:
         "[synth]\nsigma_hi = inf\n",
         "[synth]\nsigmoid_c_hi = inf\n",
         "[display]\npeak_luminance = inf\n",
-        "[display]\nreference_white = inf\n",
     ], ids=["black_floor", "crop_mode", "gamma_range", "sigma_lo", "crop", "sat_frac",
             "ldr_format_jpg", "jpeg_quality", "gamma_hi_inf", "sigma_hi_inf",
-            "sigmoid_c_hi_inf", "peak_luminance_inf", "reference_white_inf"])
+            "sigmoid_c_hi_inf", "peak_luminance_inf"])
     def test_rejected_value_is_exit_two(self, tmp_path, hdr_sources, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -584,13 +597,17 @@ def test_importing_the_cli_loads_no_thread_pool_or_hash_module():
 
 # numpy picks each ufunc's SIMD kernel at import, among the CPU features it dispatches to beyond
 # its build's baseline. exp, log, log1p, power and tan round differently on those paths, so these
-# files move in their last digits when the features are switched off: SSIM in score_j2's and
-# score_complete's reports (and the aggregate line score_complete prints, keyed by its label),
-# the losses and region means of analysis.json, and every sde-demo report (its noise). Image
-# files, and every synthesize and expand output, are identical across the paths.
+# files move in their last digits when the features are switched off: SSIM in score_j2's,
+# score_complete's and score_display's reports (and the aggregate line score_complete and
+# score_display print, keyed by their labels), the losses and region means of analysis.json,
+# and every sde-demo report (its noise). Image files, and every synthesize and expand output,
+# are identical across the paths.
 DISPATCH_SENSITIVE = {
     "score_j2/report.csv", "score_j2/report.json", "analyze/analysis.json",
     "score_complete", "score_complete/report.csv", "score_complete/report.json",
+    "score_display", "score_display/report.csv", "score_display/report.json",
+    "sde_display/sde_diagnostics.json", "sde_display/sde_report.json",
+    "sde_display/sde_trajectories.csv",
     "sde_builtin/sde_diagnostics.json", "sde_builtin/sde_report.json",
     "sde_files/sde_diagnostics.json", "sde_files/sde_report.json",
     "sde_files/sde_trajectories.csv",

@@ -27,7 +27,7 @@ from itmbench import losses
 from itmbench.analysis import error_map, saturation_split
 from itmbench.camera import (Crf, ExposureRange, NoiseParams, SynthesisSettings,
                              estimate_exposure_range, simulate_ldr)
-from itmbench.color import DisplayMapping, MuLawParams, luminance, mu_law, to_display_luminance
+from itmbench.color import DisplayMapping, luminance, mu_law, to_display_luminance
 from itmbench.errors import DomainError, FormatError, ShapeError
 from itmbench.image_io import LinearImage, Ldr8Image
 from itmbench.operators import (MaskParams, MaskTriple, blurred_luminance, exposure_masks,
@@ -161,6 +161,27 @@ def test_pair_check_takes_shapes_first_then_each_image(images, name):
             _call(name, [x, y])
     with pytest.raises(DomainError, match=f"^{PAIRED[name]} must be finite and non-negative"):
         _call(name, [a, bad])
+
+
+# the signed pairs, which check through `color._pair` against the `signed` row: both SSIM fields
+# and each (x, x*) pair of a score-matching trajectory
+SIGNED_PAIRED = {
+    "ssim_mean": (lambda x, y: ssim_mean(x, y, data_range=1.0), "SSIM inputs"),
+    "score_matching_loss": (lambda x, y: losses.score_matching_loss([(x, y)], [1.0]),
+                            "trajectory entries"),
+}
+
+
+@pytest.mark.parametrize("name", SIGNED_PAIRED)
+def test_signed_pair_check_takes_shapes_first_then_each_field(name):
+    call, words = SIGNED_PAIRED[name]
+    a = np.linspace(-1.0, 1.0, 16 * 17).reshape(16, 17)
+    bad = a.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(ShapeError, match=r"^image shapes differ: \(16, 16\) vs \(16, 17\)$"):
+        call(a[:, :-1], bad)
+    with pytest.raises(DomainError, match=f"^{words} must be finite and lie within float32's"):
+        call(a, bad)
 
 
 def test_every_recon_stage_takes_the_pair_check(images):
@@ -299,9 +320,8 @@ def test_score_matching_sum_beyond_float64_is_a_domain_error(level, gammas, lam)
 def test_largest_gains_on_the_largest_radiance_stay_finite():
     # each gain's owner admits 2^896, which times float32's largest value is below 2^1024
     top = np.full(SHAPE, F32_MAX)
-    assert np.isfinite(mu_law(top, MuLawParams(2.0**896))).all()
+    assert np.isfinite(mu_law(top, 2.0**896)).all()
     mapping = DisplayMapping(peak_luminance=2.0**896)
-    assert mapping.scale == 2.0**896
     assert np.isfinite(to_display_luminance(top, mapping)).all()
     assert np.isfinite(pu_psnr(top, np.zeros(SHAPE), mapping=mapping))
     assert np.isfinite(pu_ssim(top, np.zeros(SHAPE), mapping=mapping))
@@ -318,9 +338,8 @@ def test_largest_gains_on_the_largest_radiance_stay_finite():
 
 
 @pytest.mark.parametrize("make", [
-    lambda big: MuLawParams(big),
+    lambda big: mu_law(0.5, big),
     lambda big: DisplayMapping(peak_luminance=big),
-    lambda big: DisplayMapping(peak_luminance=1000.0, reference_white=1000.0 / big),
     lambda big: MaskParams(alpha=big),
     lambda big: exposure_masks(np.full((2, 2), 3e38), MaskParams(alpha=big)),
     lambda big: residual_project(np.ones(SHAPE), 1.0, np.full(SHAPE[:2], big)),
@@ -329,7 +348,7 @@ def test_largest_gains_on_the_largest_radiance_stay_finite():
     # compared as a Python float, not rounded into their dtype (which warned on every such residual)
     lambda big: residual_project(np.ones(SHAPE), 0.5, np.full(SHAPE[:2], -np.inf, np.float32)),
     lambda big: residual_project(np.ones(SHAPE), 0.5, np.full(SHAPE[:2], np.inf, np.float16)),
-], ids=["mu", "peak_luminance", "reference_white", "mask_alpha", "exposure_masks",
+], ids=["mu", "peak_luminance", "mask_alpha", "exposure_masks",
         "residual", "negative_residual", "float32_residual", "float16_residual"])
 @pytest.mark.parametrize("big", [np.nextafter(2.0**896, np.inf), 1e308])
 def test_gain_beyond_two_to_the_896_is_a_domain_error(make, big):
@@ -389,13 +408,11 @@ def _ranges(field, bounds):
 # setting -> (a call that takes the value, its range, a valid value, where the call stores it or
 # None, the name its message starts with)
 SETTINGS = {
-    "mu": (MuLawParams, POSITIVE_GAIN, 1.0, lambda o: o.mu, "mu"),
-    "peak_luminance": (lambda v: DisplayMapping(peak_luminance=v), POSITIVE, 1.0,
+    "mu": (lambda v: mu_law(0.5, v), POSITIVE_GAIN, 1.0, None, "mu"),
+    "peak_luminance": (lambda v: DisplayMapping(peak_luminance=v), POSITIVE_GAIN, 1.0,
                        lambda o: o.peak_luminance, "peak_luminance"),
     "black_floor": (lambda v: DisplayMapping(black_floor=v), FINITE, 1.0,
                     lambda o: o.black_floor, "black_floor"),
-    "reference_white": (lambda v: DisplayMapping(reference_white=v), POSITIVE, 1.0,
-                        lambda o: o.reference_white, "reference_white"),
     "crf_gamma": (lambda v: Crf("gamma", gamma=v), POSITIVE, 1.0, lambda o: o.gamma, "gamma"),
     "crf_n": (lambda v: Crf("sigmoid", n=v), POSITIVE, 1.0, lambda o: o.n, "n"),
     "crf_sigma_c": (lambda v: Crf("sigmoid", sigma_c=v), POSITIVE, 1.0, lambda o: o.sigma_c,

@@ -80,12 +80,11 @@ class TestSsimPuLoss:
 
     def test_cross_module_kernel_consistency(self, random_pair):
         # the loss reuses the metrics SSIM kernel on compressed luminance
-        from itmbench.color import MuLawParams, luminance, mu_law
+        from itmbench.color import luminance, mu_law
         from itmbench.pu21 import ssim_mean
         a, b = random_pair
-        pu = MuLawParams(10000.0)
-        la = mu_law(luminance(a.data.astype(np.float64)), pu)
-        lb = mu_law(luminance(b.data.astype(np.float64)), pu)
+        la = mu_law(luminance(a.data.astype(np.float64)), 10000.0)
+        lb = mu_law(luminance(b.data.astype(np.float64)), 10000.0)
         assert ssim_pu_loss(a, b) == pytest.approx(1.0 - ssim_mean(la, lb, 1.0), abs=1e-12)
 
 
@@ -310,8 +309,15 @@ class TestScoreMatchingLoss:
 
     def test_empty_pair_is_a_shape_error(self):
         # its mean used to warn "Mean of empty slice" and make the loss NaN
-        with pytest.raises(ShapeError, match="or are empty"):
+        with pytest.raises(ShapeError, match="must not be empty"):
             score_matching_loss([(np.zeros(0), np.zeros(0))], [1.0])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_entry_after_a_valid_one_is_a_shape_error(self, shape):
+        # every entry is checked, not only the first, whatever axis is empty
+        trajectory = [(np.ones(4), np.zeros(4)), (np.zeros(shape), np.zeros(shape))]
+        with pytest.raises(ShapeError, match="^trajectory entries must not be empty$"):
+            score_matching_loss(trajectory, [1.0, 1.0])
 
     def test_gamma_length_mismatch(self):
         with pytest.raises(DomainError):

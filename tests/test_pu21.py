@@ -118,7 +118,7 @@ _DEFAULT_P = PuEncoding.default().p
 METRIC_SPACES = {
     "default": (None, DisplayMapping()),
     "other": (PuEncoding(_DEFAULT_P[:6] + (2 * _DEFAULT_P[6],), y_max=1000.0),
-              DisplayMapping(peak_luminance=4000.0, black_floor=0.01, reference_white=0.7)),
+              DisplayMapping(peak_luminance=4000.0 / 0.7, black_floor=0.01)),
 }
 
 

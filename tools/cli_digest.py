@@ -91,6 +91,12 @@ COMMANDS = [
     # a NaN setting from the command line and from a config file: each owner's range message
     ("expand_crf_nan", ["expand", "--input", "in/ldr.png", "--crf", "gamma:nan"]),
     ("synthesize_nan_config", ["synthesize", "--hdr-dir", "in/gt", "--config", "in/nan.ini"]),
+    # a display mapping that is not the default: its peak scales PU values, its floor clamps them
+    ("score_display", ["score", "--pred", "in/pred", "--gt", "in/complete",
+                       "--config", "in/display.ini"]),
+    ("analyze_display", ["analyze", "--pred", "in/pred/a.hdr", "--gt", "in/gt/a.pfm",
+                         "--config", "in/display.ini"]),
+    ("sde_display", ["sde-demo", "--steps", "4", "--config", "in/display.ini"]),
 ]
 
 
@@ -134,6 +140,7 @@ def write_inputs(root: Path, size: int):
     (root / "gamma.ini").write_text("[synth]\ncrf_family = gamma\n")
     (root / "identity.ini").write_text("[synth]\ncrf_family = identity\n")
     (root / "nan.ini").write_text("[synth]\nsat_frac = nan\n")
+    (root / "display.ini").write_text("[display]\npeak_luminance = 4000.0\nblack_floor = 0.01\n")
     for mode in ("random", "center"):
         (root / f"crop_{mode}.ini").write_text(f"[synth]\ncrop = 12\ncrop_mode = {mode}\n")
     table = np.cumsum(np.random.default_rng(256).uniform(0.2, 1.0, 256))
